@@ -10,6 +10,7 @@ terms re-evaluate, absence answers come from complete closures.
 
 from .algebra import (
     FiniteAlgebra,
+    Limits,
     OperationTable,
     align_signatures,
     find_isomorphism,

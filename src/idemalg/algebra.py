@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import product
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Callable, Hashable, Iterable, Mapping, Optional, Sequence, TypeVar
 
 from .errors import (
     BadTableLength,
@@ -21,11 +21,17 @@ from .errors import (
     NotACongruence,
     NotClosed,
     SignatureMismatch,
+    TooLarge,
     ValidationError,
 )
 
 #: default bound on the universe size for the exhaustive analyses
 MAX_ANALYSIS_SIZE = 10
+
+#: default node cap for closures
+DEFAULT_CAP = 1_000_000
+
+T = TypeVar("T")
 
 #: operation names that would collide with the term syntax
 RESERVED_NAMES = {"pow", "comp"}
@@ -83,16 +89,6 @@ class OperationTable:
                 return pos
         return None
 
-    def depends_on(self, pos: int, size: int) -> bool:
-        for args in product(range(size), repeat=self.arity):
-            for v in range(size):
-                if v == args[pos]:
-                    continue
-                other = args[:pos] + (v,) + args[pos + 1:]
-                if self.apply(args, size) != self.apply(other, size):
-                    return True
-        return False
-
 
 @dataclass(frozen=True)
 class FiniteAlgebra:
@@ -126,6 +122,19 @@ class FiniteAlgebra:
     def signature(self) -> tuple[tuple[str, int], ...]:
         return tuple((op.name, op.arity) for op in self.operations)
 
+    @cached_property
+    def _memo(self) -> dict:
+        return {}
+
+    def memoized(self, key: Hashable, compute: Callable[[], T]) -> T:
+        """compute(), run once per key for this object.  The analyses keep
+        their results here, so a result lives and dies with the object, and
+        two equal algebras never share one."""
+        memo = self._memo
+        if key not in memo:
+            memo[key] = compute()
+        return memo[key]
+
     def op(self, name: str) -> OperationTable:
         return self.by_name[name]
 
@@ -141,6 +150,23 @@ class FiniteAlgebra:
     def __repr__(self) -> str:
         ops = ", ".join(f"{o.name}/{o.arity}" for o in self.operations)
         return f"FiniteAlgebra({self.name!r}, size={self.size}, ops=[{ops}])"
+
+
+@dataclass(frozen=True)
+class Limits:
+    """The limits of one analysis: `cap` bounds every closure, `max_size`
+    the universe of every exhaustive analysis (None: unbounded).  The same
+    value flows into every subalgebra and quotient the analysis derives."""
+
+    cap: int = DEFAULT_CAP
+    max_size: Optional[int] = MAX_ANALYSIS_SIZE
+
+    def check(self, algebra: FiniteAlgebra) -> None:
+        if self.max_size is not None and algebra.size > self.max_size:
+            raise TooLarge(algebra.size, self.max_size)
+
+
+DEFAULT_LIMITS = Limits()
 
 
 def validate_algebra(name: str,
@@ -199,7 +225,15 @@ def quotient(a: FiniteAlgebra, blocks: Sequence[Sequence[int]],
 
     Verifies compatibility (raising NotACongruence with a witnessing pair of
     tuples otherwise) and returns the quotient together with the
-    element -> block index map."""
+    element -> block index map.  The child is memoized on `a`, so repeated
+    calls return the same object with its own analyses."""
+    blocks = tuple(tuple(blk) for blk in blocks)
+    return a.memoized(("quotient", blocks, name),
+                      lambda: _quotient(a, blocks, name))
+
+
+def _quotient(a: FiniteAlgebra, blocks: tuple[tuple[int, ...], ...],
+              name: Optional[str]) -> tuple[FiniteAlgebra, tuple[int, ...]]:
     block_of = [-1] * a.size
     for bi, blk in enumerate(blocks):
         for x in blk:
@@ -207,7 +241,7 @@ def quotient(a: FiniteAlgebra, blocks: Sequence[Sequence[int]],
     if any(v < 0 for v in block_of):
         raise ValidationError("blocks do not cover the universe")
     nblocks = len(blocks)
-    reps = [tuple(blk)[0] for blk in blocks]
+    reps = [blk[0] for blk in blocks]
     ops = []
     for op in a.operations:
         r = op.arity
@@ -238,8 +272,13 @@ def restrict(a: FiniteAlgebra, subset: Iterable[int],
 
     Returns (algebra, embedding) where embedding[i] is the element of `a`
     that the new element i stands for.  Raises NotClosed with the escaping
-    application otherwise."""
+    application otherwise.  Memoized on `a` like `quotient`."""
     emb = tuple(sorted(set(subset)))
+    return a.memoized(("restrict", emb, name), lambda: _restrict(a, emb, name))
+
+
+def _restrict(a: FiniteAlgebra, emb: tuple[int, ...],
+              name: Optional[str]) -> tuple[FiniteAlgebra, tuple[int, ...]]:
     back = {x: i for i, x in enumerate(emb)}
     ops = []
     for op in a.operations:
@@ -323,8 +362,9 @@ def align_signatures(algebras: Sequence[FiniteAlgebra]) -> list[FiniteAlgebra]:
     symbols it lacks, interpreted as first projections.
 
     Adding projections changes no term operations, so edges, congruences and
-    every other derived notion are unaffected.  Name clashes with differing
-    arities are rejected."""
+    every other derived notion are unaffected.  A member that lacks nothing
+    is returned as it is, memoized analyses included.  Name clashes with
+    differing arities are rejected."""
     arities: dict[str, int] = {}
     order: list[str] = []
     for alg in algebras:
@@ -347,5 +387,6 @@ def align_signatures(algebras: Sequence[FiniteAlgebra]) -> list[FiniteAlgebra]:
                 table = tuple(index_args(i, alg.size, r)[0]
                               for i in range(alg.size ** r))
                 ops.append(OperationTable(nm, r, table))
-        out.append(FiniteAlgebra(alg.name, alg.size, tuple(ops), alg.labels))
+        out.append(alg if tuple(ops) == alg.operations else
+                   FiniteAlgebra(alg.name, alg.size, tuple(ops), alg.labels))
     return out

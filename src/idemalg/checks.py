@@ -1,10 +1,11 @@
 """Re-runnable invariant suites over a single algebra.
 
 Each check returns CheckResult rows; `verify_algebra` strings the suites
-together the way the command-line `verify` runs them.  Every claim is
-recomputed from scratch: witnesses re-evaluate, classifications re-run in
-subalgebras and quotients, constructions re-verify their defining
-equations.
+together the way the command-line `verify` runs them.  Witnesses
+re-evaluate and constructions re-verify their defining equations.
+Analyses are memoized per algebra object, so the cross-checks compare
+computations made on distinct objects: a subalgebra or quotient against
+the algebra itself, never one cache against itself.
 """
 
 from __future__ import annotations
@@ -12,27 +13,22 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Optional
 
-from .algebra import FiniteAlgebra, is_closed_subset, restrict
+from .algebra import DEFAULT_LIMITS, FiniteAlgebra, Limits, is_closed_subset, restrict
 from .congruence import congruence_lattice, quotient_by, tolerance_ops
 from .edges import (
-    AFFINE,
     MAJORITY,
     SEMILATTICE,
     UNARY,
-    StructureGraph,
+    classify_pair,
     hypergraph,
-    hypergraph_connected,
     is_connected,
     is_smooth,
     structure_graph,
 )
 from .errors import IdemalgError
 from .generate import (
-    DEFAULT_CAP,
     Absent,
-    PairWitness,
     all_subalgebras,
     find_pair_witness,
     generate_subalgebra,
@@ -75,14 +71,14 @@ def check_generation(algebra: FiniteAlgebra) -> list[CheckResult]:
 
 
 def check_connectedness(algebra: FiniteAlgebra,
-                        cap: int = DEFAULT_CAP) -> list[CheckResult]:
+                        limits: Limits = DEFAULT_LIMITS) -> list[CheckResult]:
     """The pair graph of every subuniverse is connected."""
     rows = []
-    for sub in sorted(all_subalgebras(algebra), key=sorted):
+    for sub in sorted(all_subalgebras(algebra, limits), key=sorted):
         if len(sub) < 2:
             continue
         b_alg, emb = restrict(algebra, sorted(sub))
-        graph = structure_graph(b_alg, cap)
+        graph = structure_graph(b_alg, limits)
         rows.append(_row(
             f"pair graph connected on {{{','.join(map(str, emb))}}}",
             is_connected(graph)))
@@ -92,13 +88,14 @@ def check_connectedness(algebra: FiniteAlgebra,
 
 
 def check_tolerance_classes(algebra: FiniteAlgebra, seed: int = 0,
-                            count: int = 25) -> list[CheckResult]:
+                            count: int = 25,
+                            limits: Limits = DEFAULT_LIMITS) -> list[CheckResult]:
     """Classes of seeded generated tolerances are subuniverses; transitive
     closures are congruences."""
     rng = random.Random(seed)
     n = algebra.size
     bad = None
-    lattice = congruence_lattice(algebra)
+    lattice = congruence_lattice(algebra, limits)
     for i in range(count):
         k = rng.randint(0, max(1, n // 2))
         pairs = [(rng.randrange(n), rng.randrange(n)) for _ in range(k)]
@@ -117,13 +114,10 @@ def check_tolerance_classes(algebra: FiniteAlgebra, seed: int = 0,
 
 
 def check_many_edges(algebra: FiniteAlgebra,
-                     graph: Optional[StructureGraph] = None,
-                     cap: int = DEFAULT_CAP) -> list[CheckResult]:
+                     limits: Limits = DEFAULT_LIMITS) -> list[CheckResult]:
     """Every pair across the blocks of a witness is an edge of the same
     type."""
-    from .edges import classify_pair
-    if graph is None:
-        graph = structure_graph(algebra, cap)
+    graph = structure_graph(algebra, limits)
     bad = None
     for rep in graph.reports:
         for w in rep.witnesses:
@@ -140,19 +134,18 @@ def check_many_edges(algebra: FiniteAlgebra,
 
 
 def check_edge_subalgebra(algebra: FiniteAlgebra,
-                          cap: int = DEFAULT_CAP) -> list[CheckResult]:
+                          limits: Limits = DEFAULT_LIMITS) -> list[CheckResult]:
     """Pair classification agrees computed inside any subalgebra or in the
     whole algebra."""
-    from .edges import classify_pair
     bad = None
-    for sub in sorted(all_subalgebras(algebra), key=sorted):
+    for sub in sorted(all_subalgebras(algebra, limits), key=sorted):
         if len(sub) < 2 or len(sub) == algebra.size:
             continue
         emb = tuple(sorted(sub))
         b_alg, _ = restrict(algebra, emb)
         for i, j in combinations(range(b_alg.size), 2):
-            inner = classify_pair(b_alg, i, j, cap)
-            outer = classify_pair(algebra, emb[i], emb[j], cap)
+            inner = classify_pair(b_alg, i, j, limits)
+            outer = classify_pair(algebra, emb[i], emb[j], limits)
             if inner.labels != outer.labels:
                 bad = (f"{(emb[i], emb[j])}: {sorted(outer.labels)} in the "
                        f"algebra vs {sorted(inner.labels)} in "
@@ -162,22 +155,21 @@ def check_edge_subalgebra(algebra: FiniteAlgebra,
 
 
 def check_edge_factor(algebra: FiniteAlgebra,
-                      cap: int = DEFAULT_CAP) -> list[CheckResult]:
+                      limits: Limits = DEFAULT_LIMITS) -> list[CheckResult]:
     """An edge of a quotient lifts to an edge of the algebra with the same
     type available."""
-    from .edges import classify_pair
     bad = None
-    for theta in congruence_lattice(algebra):
+    for theta in congruence_lattice(algebra, limits):
         if theta.is_equality or theta.is_total:
             continue
         quot, bmap = quotient_by(algebra, theta)
         for qa, qb in combinations(range(quot.size), 2):
-            qrep = classify_pair(quot, qa, qb, cap)
+            qrep = classify_pair(quot, qa, qb, limits)
             if not qrep.is_edge:
                 continue
             a = theta.blocks[qa][0]
             b = theta.blocks[qb][0]
-            rep = classify_pair(algebra, a, b, cap)
+            rep = classify_pair(algebra, a, b, limits)
             missing = qrep.labels - rep.labels
             if missing:
                 bad = (f"quotient edge {(qa, qb)} mod {theta} has "
@@ -186,27 +178,25 @@ def check_edge_factor(algebra: FiniteAlgebra,
 
 
 def check_majority_requires_no_semilattice(
-        algebra: FiniteAlgebra, graph: Optional[StructureGraph] = None,
-        cap: int = DEFAULT_CAP) -> list[CheckResult]:
+        algebra: FiniteAlgebra, limits: Limits = DEFAULT_LIMITS) -> list[CheckResult]:
     """Each majority witness re-verifies that no semilattice term exists on
     its blocks (complete closure, not a cap hit)."""
-    if graph is None:
-        graph = structure_graph(algebra, cap)
     bad = None
-    for rep in graph.reports:
+    for rep in structure_graph(algebra, limits).reports:
         for w in rep.witnesses:
             if w.label != MAJORITY:
                 continue
             ans = find_pair_witness(w.quotient, SEMILATTICE, w.a_block,
-                                    w.b_block, cap)
+                                    w.b_block, limits.cap)
             if not isinstance(ans, Absent):
                 bad = f"semilattice witness not excluded on {rep.pair}"
     return [_row("majority labels exclude semilattice terms", bad is None,
                  bad or "")]
 
 
-def check_hypergraph(algebra: FiniteAlgebra) -> list[CheckResult]:
-    hg = hypergraph(algebra)
+def check_hypergraph(algebra: FiniteAlgebra,
+                     limits: Limits = DEFAULT_LIMITS) -> list[CheckResult]:
+    hg = hypergraph(algebra, limits)
     # connectivity itself is algebra-specific; just re-verify the hyperedges
     bad = None
     for he in hg.hyperedges:
@@ -216,12 +206,12 @@ def check_hypergraph(algebra: FiniteAlgebra) -> list[CheckResult]:
 
 
 def check_synthesis(algebra: FiniteAlgebra,
-                    cap: int = DEFAULT_CAP) -> list[CheckResult]:
+                    limits: Limits = DEFAULT_LIMITS) -> list[CheckResult]:
     """Uniform operations: construction, exhaustive verification, the shift
     condition, and the thin graph with its certificates."""
     rows: list[CheckResult] = []
-    graph = structure_graph(algebra, cap)
-    smooth = is_smooth(algebra, graph)
+    graph = structure_graph(algebra, limits)
+    smooth = is_smooth(algebra, limits)
     rows.append(_row("algebra is smooth", smooth is True,
                      "" if smooth is True else str(smooth)))
     has_unary = any(UNARY in rep.labels for rep in graph.reports)
@@ -229,7 +219,7 @@ def check_synthesis(algebra: FiniteAlgebra,
         rows.append(_row("unified operations (skipped: not applicable)", True))
         return rows
     try:
-        ops = synthesis.uniform_ops([algebra], cap)
+        ops = synthesis.uniform_ops([algebra], limits)
     except IdemalgError as exc:
         rows.append(_row("unified operations construct", False, str(exc)))
         return rows
@@ -241,7 +231,7 @@ def check_synthesis(algebra: FiniteAlgebra,
     rows.append(_row("distinguished f satisfies the shift condition",
                      bad is None, "" if bad is None else f"pair {bad}"))
     try:
-        tg = thin.thin_graph(aligned, ops, cap=cap)
+        tg = thin.thin_graph(aligned, ops, limits)
         necessary_ok = all(e.necessary for e in tg.arcs)
         rows.append(_row(
             f"thin graph builds ({len(tg.arcs)} arcs, all certificates pass)",
@@ -252,16 +242,16 @@ def check_synthesis(algebra: FiniteAlgebra,
 
 
 def verify_algebra(algebra: FiniteAlgebra, seed: int = 0,
-                   cap: int = DEFAULT_CAP) -> list[CheckResult]:
+                   limits: Limits = DEFAULT_LIMITS) -> list[CheckResult]:
     """The full invariant suite for one algebra."""
     rows: list[CheckResult] = []
     rows.extend(check_generation(algebra))
-    rows.extend(check_hypergraph(algebra))
-    rows.extend(check_connectedness(algebra, cap))
-    rows.extend(check_tolerance_classes(algebra, seed))
-    rows.extend(check_many_edges(algebra, cap=cap))
-    rows.extend(check_edge_subalgebra(algebra, cap))
-    rows.extend(check_edge_factor(algebra, cap))
-    rows.extend(check_majority_requires_no_semilattice(algebra, cap=cap))
-    rows.extend(check_synthesis(algebra, cap))
+    rows.extend(check_hypergraph(algebra, limits))
+    rows.extend(check_connectedness(algebra, limits))
+    rows.extend(check_tolerance_classes(algebra, seed, limits=limits))
+    rows.extend(check_many_edges(algebra, limits))
+    rows.extend(check_edge_subalgebra(algebra, limits))
+    rows.extend(check_edge_factor(algebra, limits))
+    rows.extend(check_majority_requires_no_semilattice(algebra, limits))
+    rows.extend(check_synthesis(algebra, limits))
     return rows

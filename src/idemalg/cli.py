@@ -20,7 +20,7 @@ import sys
 from typing import Optional, Sequence
 
 from . import algfile, checks, synthesis, thin
-from .algebra import FiniteAlgebra, MAX_ANALYSIS_SIZE
+from .algebra import DEFAULT_CAP, MAX_ANALYSIS_SIZE, FiniteAlgebra, Limits
 from .congruence import (
     absorbing_elements,
     congruence_lattice,
@@ -30,7 +30,6 @@ from .congruence import (
 from .edges import (
     MAJORITY,
     SEMILATTICE,
-    classify_pair,
     graph_to_dot,
     hypergraph,
     hypergraph_connected,
@@ -41,7 +40,6 @@ from .edges import (
 )
 from .errors import CapExceededError, IdemalgError, TooLarge, ValidationError
 from .fixtures import FIXTURES, fixture
-from .generate import DEFAULT_CAP
 from .reduct import DEFAULT_MAX_ARITY, bounded_reduct, reduct_edge_report
 from .terms import realize_table
 
@@ -53,7 +51,10 @@ EXIT_INPUT = 2
 EXIT_CAP = 3
 
 
-def _load_algebras(args: argparse.Namespace) -> list[FiniteAlgebra]:
+def _load_algebras(args: argparse.Namespace
+                   ) -> tuple[list[FiniteAlgebra], Limits]:
+    """The input algebras, and the limits every analysis step applies."""
+    limits = Limits(args.cap, None if args.force else args.max_size)
     out: list[FiniteAlgebra] = []
     for name in args.fixture or []:
         out.append(fixture(name))
@@ -62,9 +63,8 @@ def _load_algebras(args: argparse.Namespace) -> list[FiniteAlgebra]:
     if not out:
         raise ValidationError("no input: pass --fixture NAME or --file PATH")
     for alg in out:
-        if alg.size > args.max_size and not args.force:
-            raise TooLarge(alg.size, args.max_size)
-    return out
+        limits.check(alg)
+    return out, limits
 
 
 def _pair_line(algebra: FiniteAlgebra, rep) -> str:
@@ -115,27 +115,27 @@ def _write_json(path: str, payload: dict) -> None:
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
-    algebra = _load_algebras(args)[0]
-    cap = args.cap
+    algebras, limits = _load_algebras(args)
+    algebra = algebras[0]
     print(f"algebra {algebra.name}: {algebra.size} elements, "
           f"operations {', '.join(f'{o.name}/{o.arity}' for o in algebra.operations)}")
-    lattice = congruence_lattice(algebra)
+    lattice = congruence_lattice(algebra, limits)
     print(f"congruences ({len(lattice)}): " + ", ".join(str(c) for c in lattice))
-    print("maximal: " + ", ".join(str(c) for c in maximal_congruences(algebra)))
-    print(f"abelian: {is_abelian(algebra)}")
+    print("maximal: " + ", ".join(str(c) for c in maximal_congruences(algebra, limits)))
+    print(f"abelian: {is_abelian(algebra, limits)}")
     absorbing, reached = absorbing_elements(algebra)
     print(f"absorbing up to arity {reached}: "
           f"{[algebra.label(x) for x in absorbing] or 'none'}")
-    graph = structure_graph(algebra, cap)
+    graph = structure_graph(algebra, limits)
     print("pair classification:")
     for rep in graph.reports:
         print(_pair_line(algebra, rep))
     print(f"graph connected: {is_connected(graph)}")
-    hg = hypergraph(algebra)
+    hg = hypergraph(algebra, limits)
     print(f"hypergraph connected: {hypergraph_connected(hg)}")
-    smooth = is_smooth(algebra, graph)
+    smooth = is_smooth(algebra, limits)
     print(f"smooth: {smooth if smooth is not True else True}")
-    rows = checks.check_synthesis(algebra, cap)
+    rows = checks.check_synthesis(algebra, limits)
     for row in rows:
         print(row.line())
     if args.json:
@@ -144,8 +144,9 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
 
 def cmd_edges(args: argparse.Namespace) -> int:
-    algebra = _load_algebras(args)[0]
-    graph = structure_graph(algebra, args.cap)
+    algebras, limits = _load_algebras(args)
+    algebra = algebras[0]
+    graph = structure_graph(algebra, limits)
     for rep in graph.reports:
         print(_pair_line(algebra, rep))
     if args.json:
@@ -154,15 +155,16 @@ def cmd_edges(args: argparse.Namespace) -> int:
 
 
 def cmd_graph(args: argparse.Namespace) -> int:
-    algebra = _load_algebras(args)[0]
-    graph = structure_graph(algebra, args.cap)
+    algebras, limits = _load_algebras(args)
+    algebra = algebras[0]
+    graph = structure_graph(algebra, limits)
     dot = graph_to_dot(graph, algebra.name)
     if args.dot:
         with open(args.dot, "w", encoding="utf-8") as fh:
             fh.write(dot)
     else:
         print(dot, end="")
-    hg = hypergraph(algebra)
+    hg = hypergraph(algebra, limits)
     hdot = hypergraph_to_dot(hg, algebra, f"{algebra.name}-hyper")
     if args.hyper_dot:
         with open(args.hyper_dot, "w", encoding="utf-8") as fh:
@@ -173,10 +175,10 @@ def cmd_graph(args: argparse.Namespace) -> int:
 
 
 def cmd_thin(args: argparse.Namespace) -> int:
-    algebras = _load_algebras(args)
-    ops = synthesis.uniform_ops(algebras, args.cap)
+    algebras, limits = _load_algebras(args)
+    ops = synthesis.uniform_ops(algebras, limits)
     target = ops.inventory.algebras[0]
-    tg = thin.thin_graph(target, ops, cap=args.cap)
+    tg = thin.thin_graph(target, ops, limits)
     dot = thin.thin_graph_to_dot(tg, target.name)
     if args.dot:
         with open(args.dot, "w", encoding="utf-8") as fh:
@@ -190,8 +192,8 @@ def cmd_thin(args: argparse.Namespace) -> int:
 
 
 def cmd_synth(args: argparse.Namespace) -> int:
-    algebras = _load_algebras(args)
-    ops = synthesis.uniform_ops(algebras, args.cap)
+    algebras, limits = _load_algebras(args)
+    ops = synthesis.uniform_ops(algebras, limits)
     print("f =", ops.f.text())
     print("g =", ops.g.text())
     print("h =", ops.h.text())
@@ -222,11 +224,16 @@ def cmd_synth(args: argparse.Namespace) -> int:
 
 
 def cmd_reduct(args: argparse.Namespace) -> int:
-    algebra = _load_algebras(args)[0]
-    graph = structure_graph(algebra, args.cap)
+    algebras, limits = _load_algebras(args)
+    algebra = algebras[0]
+    graph = structure_graph(algebra, limits)
     witness = None
     if args.pair:
         a, b = args.pair
+        if a == b or not (0 <= a < algebra.size and 0 <= b < algebra.size):
+            raise ValidationError(
+                f"--pair needs two distinct elements in 0..{algebra.size - 1}, "
+                f"got {a} {b}")
         rep = graph.report(a, b)
         for w in rep.witnesses:
             if w.label in (SEMILATTICE, MAJORITY):
@@ -245,9 +252,9 @@ def cmd_reduct(args: argparse.Namespace) -> int:
                 break
         if witness is None:
             raise ValidationError("no semilattice or majority edge to reduce at")
-    red = bounded_reduct(algebra, witness, args.arity, args.cap)
+    red = bounded_reduct(algebra, witness, args.arity, limits)
     print(red.describe())
-    diff = reduct_edge_report(red, graph, args.cap)
+    diff = reduct_edge_report(red, limits)
     changed = diff.changed_pairs()
     if not changed:
         print(f"pair classification unchanged at arity <= {args.arity}")
@@ -278,11 +285,11 @@ def cmd_reduct(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    algebras = _load_algebras(args)
+    algebras, limits = _load_algebras(args)
     all_ok = True
     for algebra in algebras:
         print(f"verifying {algebra.name}:")
-        rows = checks.verify_algebra(algebra, seed=args.seed, cap=args.cap)
+        rows = checks.verify_algebra(algebra, args.seed, limits)
         for row in rows:
             print("  " + row.line())
         all_ok &= all(r.ok for r in rows)
@@ -312,9 +319,10 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--cap", type=int, default=DEFAULT_CAP,
                        help="node cap for closures")
         p.add_argument("--max-size", type=int, default=MAX_ANALYSIS_SIZE,
-                       help="largest universe accepted without --force")
+                       help="largest universe any analysis step accepts "
+                            "without --force")
         p.add_argument("--force", action="store_true",
-                       help="accept universes beyond --max-size")
+                       help="lift --max-size from every analysis step")
         p.add_argument("--json", help="write a machine-readable report")
         if name == "graph":
             p.add_argument("--dot", help="write the pair graph DOT here")
@@ -339,7 +347,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except CapExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CAP
-    except (ValidationError, TooLarge, FileNotFoundError, KeyError) as exc:
+    except (ValidationError, TooLarge, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except IdemalgError as exc:

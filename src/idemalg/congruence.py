@@ -21,18 +21,23 @@ from itertools import combinations, product
 from typing import Iterable, Optional, Sequence
 
 from .algebra import (
-    MAX_ANALYSIS_SIZE,
+    DEFAULT_LIMITS,
     FiniteAlgebra,
+    Limits,
+    is_set,
     product_algebra,
     quotient,
     table_index,
 )
-from .errors import CapExceededError, ProjectionNotFull, TooLarge
+from .errors import CapExceededError, ProjectionNotFull
 from .generate import term_operations
 
 SET = "set"
 MODULE = "module"
 OTHER = "other"
+
+#: limits of the brute-force term searches (a smaller cap than the default)
+TERM_SEARCH_LIMITS = Limits(cap=20000)
 
 
 @dataclass(frozen=True)
@@ -173,12 +178,15 @@ def meet(a: Congruence, b: Congruence) -> Congruence:
     return Congruence.from_blocks(a.size, groups.values())
 
 
-def congruence_lattice(algebra: FiniteAlgebra, bound: int = MAX_ANALYSIS_SIZE,
-                       force: bool = False) -> list[Congruence]:
+def congruence_lattice(algebra: FiniteAlgebra, limits: Limits = DEFAULT_LIMITS
+                       ) -> tuple[Congruence, ...]:
     """All congruences: the join closure of the principal ones plus
     equality, sorted canonically."""
-    if algebra.size > bound and not force:
-        raise TooLarge(algebra.size, bound)
+    limits.check(algebra)
+    return algebra.memoized(("congruence_lattice",), lambda: _lattice(algebra))
+
+
+def _lattice(algebra: FiniteAlgebra) -> tuple[Congruence, ...]:
     n = algebra.size
     found = {Congruence.equality(n)}
     principal = set()
@@ -194,21 +202,17 @@ def congruence_lattice(algebra: FiniteAlgebra, bound: int = MAX_ANALYSIS_SIZE,
             if j not in found:
                 found.add(j)
                 frontier.append(j)
-    return sorted(found, key=lambda c: c.blocks)
+    return tuple(sorted(found, key=lambda c: c.blocks))
 
 
-def maximal_congruences(algebra: FiniteAlgebra,
-                        lattice: Optional[list[Congruence]] = None) -> list[Congruence]:
+def maximal_congruences(algebra: FiniteAlgebra, limits: Limits = DEFAULT_LIMITS
+                        ) -> tuple[Congruence, ...]:
     """Proper congruences with nothing strictly between them and the total
     one; equivalently those with a simple quotient."""
-    if lattice is None:
-        lattice = congruence_lattice(algebra)
-    proper = [c for c in lattice if not c.is_total]
-    out = []
-    for theta in proper:
-        if not any(theta is not eta and theta.refines(eta) for eta in proper):
-            out.append(theta)
-    return sorted(out, key=lambda c: c.blocks)
+    proper = [c for c in congruence_lattice(algebra, limits) if not c.is_total]
+    return algebra.memoized(("maximal_congruences",), lambda: tuple(
+        theta for theta in proper
+        if not any(theta is not eta and theta.refines(eta) for eta in proper)))
 
 
 # --------------------------------------------------------------------------
@@ -328,13 +332,15 @@ def _tolerance_compatible(algebra: FiniteAlgebra, tol: Tolerance) -> bool:
 # --------------------------------------------------------------------------
 
 
-def is_abelian(algebra: FiniteAlgebra, bound: int = MAX_ANALYSIS_SIZE ** 2,
-               force: bool = False) -> bool:
+def is_abelian(algebra: FiniteAlgebra, limits: Limits = DEFAULT_LIMITS) -> bool:
     """Diagonal test on A^2: abelian iff the diagonal is a block of the
     congruence of A^2 generated by all pairs of diagonal elements."""
+    limits.check(algebra)
+    return algebra.memoized(("is_abelian",), lambda: _diagonal_test(algebra))
+
+
+def _diagonal_test(algebra: FiniteAlgebra) -> bool:
     n = algebra.size
-    if n * n > bound and not force:
-        raise TooLarge(n * n, bound)
     square = product_algebra(algebra, algebra)
     diag = [x * n + x for x in range(n)]
     theta = cg(square, [(diag[0], d) for d in diag[1:]] or [(diag[0], diag[0])])
@@ -342,7 +348,7 @@ def is_abelian(algebra: FiniteAlgebra, bound: int = MAX_ANALYSIS_SIZE ** 2,
 
 
 def is_abelian_brute(algebra: FiniteAlgebra, max_arity: int = 3,
-                     cap: int = 20000) -> bool:
+                     limits: Limits = TERM_SEARCH_LIMITS) -> bool:
     """Brute-force term condition at arity <= max_arity: for every term t
     and all u, v, a-bar, b-bar:
     t(u, a-bar) = t(u, b-bar)  implies  t(v, a-bar) = t(v, b-bar).
@@ -351,7 +357,7 @@ def is_abelian_brute(algebra: FiniteAlgebra, max_arity: int = 3,
     small fixtures; the true condition quantifies over all arities."""
     n = algebra.size
     for arity in range(2, max_arity + 1):
-        for table, _ in term_operations(algebra, arity, cap):
+        for table, _ in term_operations(algebra, arity, limits.cap):
             m = arity - 1
             for abar in product(range(n), repeat=m):
                 for bbar in product(range(n), repeat=m):
@@ -364,21 +370,21 @@ def is_abelian_brute(algebra: FiniteAlgebra, max_arity: int = 3,
     return True
 
 
-def classify_simple_quotient(algebra: FiniteAlgebra) -> str:
+def classify_simple_quotient(algebra: FiniteAlgebra,
+                             limits: Limits = DEFAULT_LIMITS) -> str:
     """For a simple idempotent algebra: SET if all basic operations are
     projections, MODULE if abelian but not a set, OTHER otherwise.  The
     caller guarantees simplicity; on simple idempotent algebras abelian and
     not-a-set means the full idempotent reduct of a module."""
-    from .algebra import is_set
     if is_set(algebra):
         return SET
-    if is_abelian(algebra):
+    if is_abelian(algebra, limits):
         return MODULE
     return OTHER
 
 
 def absorbing_elements(algebra: FiniteAlgebra, max_arity: int = 3,
-                       cap: int = 20000) -> tuple[list[int], int]:
+                       limits: Limits = TERM_SEARCH_LIMITS) -> tuple[list[int], int]:
     """Elements a such that every term operation (up to the reported arity)
     depending on a variable maps a there to a, whatever the companions.
 
@@ -390,7 +396,7 @@ def absorbing_elements(algebra: FiniteAlgebra, max_arity: int = 3,
     reached = 0
     for arity in range(1, max_arity + 1):
         try:
-            tops = term_operations(algebra, arity, cap)
+            tops = term_operations(algebra, arity, limits.cap)
         except CapExceededError:
             break
         reached = arity

@@ -19,8 +19,9 @@ from itertools import combinations
 from typing import Iterable, Optional
 
 from .algebra import (
-    MAX_ANALYSIS_SIZE,
+    DEFAULT_LIMITS,
     FiniteAlgebra,
+    Limits,
     is_closed_subset,
     is_set,
     restrict,
@@ -28,14 +29,12 @@ from .algebra import (
 from .congruence import (
     MODULE,
     Congruence,
+    _UnionFind,
     classify_simple_quotient,
     maximal_congruences,
     quotient_by,
 )
-from .errors import TooLarge
 from .generate import (
-    DEFAULT_CAP,
-    Absent,
     CapExceeded,
     MAJORITY,
     MALTSEV,
@@ -43,7 +42,7 @@ from .generate import (
     SEMILATTICE,
     all_subalgebras,
     find_pair_witness,
-    generate_subalgebra,
+    subuniverse,
 )
 from .terms import Term
 
@@ -102,18 +101,26 @@ class EdgeReport:
 
 
 def classify_pair(algebra: FiniteAlgebra, a: int, b: int,
-                  cap: int = DEFAULT_CAP) -> EdgeReport:
+                  limits: Limits = DEFAULT_LIMITS) -> EdgeReport:
     """Classify the pair through every maximal congruence of the subalgebra
-    it generates, in canonical congruence order."""
+    it generates, in canonical congruence order.  The report is memoized on
+    the algebra, per ordered pair and cap."""
     if a == b:
         raise ValueError("need two distinct elements")
-    sub = tuple(sorted(generate_subalgebra(algebra, [a, b]).subuniverse))
+    return algebra.memoized(("classify_pair", a, b, limits.cap),
+                            lambda: _classify_pair(algebra, a, b, limits))
+
+
+def _classify_pair(algebra: FiniteAlgebra, a: int, b: int,
+                   limits: Limits) -> EdgeReport:
+    cap = limits.cap
+    sub = tuple(sorted(subuniverse(algebra, [a, b])))
     b_alg, emb = restrict(algebra, sub)
     local = {x: i for i, x in enumerate(emb)}
     la, lb = local[a], local[b]
     witnesses: list[EdgeWitness] = []
     inconclusive: list[Congruence] = []
-    for theta in maximal_congruences(b_alg):
+    for theta in maximal_congruences(b_alg, limits):
         quot, bmap = quotient_by(b_alg, theta, name=f"Sg{{{a},{b}}}/{theta}")
         qa, qb = bmap[la], bmap[lb]
         assert qa != qb, "a maximal proper congruence cannot merge the generators"
@@ -137,7 +144,7 @@ def classify_pair(algebra: FiniteAlgebra, a: int, b: int,
             witnesses.append(EdgeWitness(MAJORITY, (a, b), sub, theta, quot,
                                          bmap, qa, qb, mj.term))
             continue
-        if classify_simple_quotient(quot) == MODULE:
+        if classify_simple_quotient(quot, limits) == MODULE:
             mal = find_pair_witness(quot, MALTSEV, cap=cap)
             if isinstance(mal, CapExceeded):
                 inconclusive.append(theta)
@@ -179,40 +186,40 @@ class Hypergraph:
     hyperedges: tuple[tuple[int, ...], ...]
 
 
-def structure_graph(algebra: FiniteAlgebra, cap: int = DEFAULT_CAP,
-                    bound: int = MAX_ANALYSIS_SIZE,
-                    force: bool = False) -> StructureGraph:
-    if algebra.size > bound and not force:
-        raise TooLarge(algebra.size, bound)
-    reports = tuple(classify_pair(algebra, a, b, cap)
-                    for a, b in combinations(range(algebra.size), 2))
-    return StructureGraph(algebra, reports)
+def structure_graph(algebra: FiniteAlgebra,
+                    limits: Limits = DEFAULT_LIMITS) -> StructureGraph:
+    """Every pair, classified; the reports are memoized on the algebra per
+    cap (not the graph, which refers back to the algebra: the cycle would
+    keep the memo alive after its last user)."""
+    limits.check(algebra)
+    return StructureGraph(algebra, algebra.memoized(
+        ("structure_graph", limits.cap),
+        lambda: tuple(classify_pair(algebra, a, b, limits)
+                      for a, b in combinations(range(algebra.size), 2))))
 
 
-def hypergraph(algebra: FiniteAlgebra, bound: int = MAX_ANALYSIS_SIZE,
-               force: bool = False) -> Hypergraph:
+def hypergraph(algebra: FiniteAlgebra,
+               limits: Limits = DEFAULT_LIMITS) -> Hypergraph:
     """Vertices plus all proper subalgebras as hyperedges."""
-    subs = all_subalgebras(algebra, bound, force)
+    subs = all_subalgebras(algebra, limits)
     proper = sorted(tuple(sorted(s)) for s in subs if len(s) < algebra.size)
     return Hypergraph(algebra.size, tuple(proper))
 
 
-def connected_components(graph: StructureGraph) -> list[tuple[int, ...]]:
-    n = graph.algebra.size
-    parent = list(range(n))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for (a, b) in graph.edges():
-        parent[find(a)] = find(b)
+def _components(n: int, links: Iterable[tuple[int, ...]]) -> list[tuple[int, ...]]:
+    """Components of 0..n-1 when the members of each link are joined."""
+    uf = _UnionFind(n)
+    for link in links:
+        for x in link[1:]:
+            uf.union(link[0], x)
     comps: dict[int, list[int]] = {}
     for x in range(n):
-        comps.setdefault(find(x), []).append(x)
+        comps.setdefault(uf.find(x), []).append(x)
     return sorted(tuple(c) for c in comps.values())
+
+
+def connected_components(graph: StructureGraph) -> list[tuple[int, ...]]:
+    return _components(graph.algebra.size, graph.edges())
 
 
 def is_connected(graph: StructureGraph) -> bool:
@@ -221,21 +228,7 @@ def is_connected(graph: StructureGraph) -> bool:
 
 def hypergraph_components(hg: Hypergraph) -> list[tuple[int, ...]]:
     """Components under: x ~ y when some hyperedge contains both."""
-    parent = list(range(hg.size))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for he in hg.hyperedges:
-        for x in he[1:]:
-            parent[find(he[0])] = find(x)
-    comps: dict[int, list[int]] = {}
-    for x in range(hg.size):
-        comps.setdefault(find(x), []).append(x)
-    return sorted(tuple(c) for c in comps.values())
+    return _components(hg.size, hg.hyperedges)
 
 
 def hypergraph_connected(hg: Hypergraph) -> bool:
@@ -251,46 +244,31 @@ def hypergraph_connected(hg: Hypergraph) -> bool:
 
 
 def x_connected(algebra: FiniteAlgebra, allowed: Iterable[str],
-                cap: int = DEFAULT_CAP, bound: int = MAX_ANALYSIS_SIZE,
-                force: bool = False):
+                limits: Limits = DEFAULT_LIMITS):
     """Check that inside every subalgebra, every pair is joined by a path of
     edges carrying at least one type from `allowed` (classified within the
     subalgebra).  Returns True or a counterexample (subuniverse, pair) in
     parent element ids."""
     allowed = frozenset(allowed)
-    for sub in sorted(all_subalgebras(algebra, bound, force), key=sorted):
+    for sub in sorted(all_subalgebras(algebra, limits), key=sorted):
         if len(sub) < 2:
             continue
         emb = tuple(sorted(sub))
         b_alg, _ = restrict(algebra, emb)
-        graph = structure_graph(b_alg, cap, bound, force)
-        n = b_alg.size
-        parent = list(range(n))
-
-        def find(x: int) -> int:
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        for (u, v), labels in graph.edges().items():
-            if labels & allowed:
-                parent[find(u)] = find(v)
-        for u, v in combinations(range(n), 2):
-            if find(u) != find(v):
-                return (emb, (emb[u], emb[v]))
+        graph = structure_graph(b_alg, limits)
+        links = [pair for pair, labels in graph.edges().items() if labels & allowed]
+        comps = _components(b_alg.size, links)
+        if len(comps) > 1:
+            u, v = comps[0][0], comps[1][0]
+            return (emb, (emb[u], emb[v]))
     return True
 
 
-def is_smooth(algebra: FiniteAlgebra, graph: Optional[StructureGraph] = None,
-              cap: int = DEFAULT_CAP, bound: int = MAX_ANALYSIS_SIZE,
-              force: bool = False):
+def is_smooth(algebra: FiniteAlgebra, limits: Limits = DEFAULT_LIMITS):
     """Every thick semilattice or majority edge must be a subuniverse: the
     union of the two witnessing blocks, re-embedded into the algebra, is
     closed.  Returns True or the offending (pair, label, union)."""
-    if graph is None:
-        graph = structure_graph(algebra, cap, bound, force)
-    for rep in graph.reports:
+    for rep in structure_graph(algebra, limits).reports:
         for w in rep.witnesses:
             if w.label not in (SEMILATTICE, MAJORITY):
                 continue

@@ -57,7 +57,7 @@ class NotClosed(IdemalgError):
 class TooLarge(IdemalgError):
     def __init__(self, size, bound):
         super().__init__(f"universe size {size} exceeds analysis bound {bound} "
-                         f"(pass force=True to override)")
+                         f"(pass --force, or Limits(max_size=None))")
         self.size, self.bound = size, bound
 
 

@@ -88,37 +88,8 @@ def no_edge_factor() -> FiniteAlgebra:
     """Product of the no-edge algebra and a majority pair, each padded with
     the other's operations as first projections.  Elements are (x, y) with
     x from no-edge and y in {0,1}, encoded x*2 + y."""
-    ne = no_edge()
-    m_first = _tbl(3, 3, lambda x, y, z: x)
-    a_prime = validate_algebra(
-        "no-edge+m", 3,
-        [("f", 2, ne.op("f").table), ("g", 2, ne.op("g").table), ("m", 3, m_first)],
-        labels=("a", "b", "c"))
-    b_prime = validate_algebra(
-        "pair+m", 2,
-        [("f", 2, _tbl(2, 2, lambda x, y: x)), ("g", 2, _tbl(2, 2, lambda x, y: x)),
-         ("m", 3, _tbl(2, 3, lambda x, y, z: 1 if x + y + z >= 2 else 0))],
-        labels=("0", "1"))
-    c = product_algebra(a_prime, b_prime)
+    c = product_algebra(*factors_of_no_edge_factor())
     return FiniteAlgebra("no-edge-factor", c.size, c.operations, c.labels)
-
-
-FIXTURES: dict[str, Callable[[], FiniteAlgebra]] = {
-    "no-edge": no_edge,
-    "no-edge-factor": no_edge_factor,
-    "no-majority-symmetry": no_majority_symmetry,
-    "z3-affine": z3_affine,
-    "sl2": sl2,
-    "mj2": mj2,
-}
-
-
-def fixture(name: str) -> FiniteAlgebra:
-    try:
-        return FIXTURES[name]()
-    except KeyError:
-        raise KeyError(f"unknown fixture {name!r}; available: "
-                       f"{', '.join(sorted(FIXTURES))}") from None
 
 
 def factors_of_no_edge_factor() -> tuple[FiniteAlgebra, FiniteAlgebra]:
@@ -135,3 +106,21 @@ def factors_of_no_edge_factor() -> tuple[FiniteAlgebra, FiniteAlgebra]:
          ("m", 3, _tbl(2, 3, lambda x, y, z: 1 if x + y + z >= 2 else 0))],
         labels=("0", "1"))
     return a_prime, b_prime
+
+
+FIXTURES: dict[str, Callable[[], FiniteAlgebra]] = {
+    "no-edge": no_edge,
+    "no-edge-factor": no_edge_factor,
+    "no-majority-symmetry": no_majority_symmetry,
+    "z3-affine": z3_affine,
+    "sl2": sl2,
+    "mj2": mj2,
+}
+
+
+def fixture(name: str) -> FiniteAlgebra:
+    if name not in FIXTURES:
+        raise KeyError(f"unknown fixture {name!r}; available: "
+                       f"{', '.join(sorted(FIXTURES))}")
+    return FIXTURES[name]()
+

@@ -23,12 +23,17 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .algebra import MAX_ANALYSIS_SIZE, FiniteAlgebra, index_args, table_index
-from .errors import CapExceededError, ElementNotGenerated, TooLarge
+from .algebra import (
+    DEFAULT_CAP,
+    DEFAULT_LIMITS,
+    FiniteAlgebra,
+    Limits,
+    index_args,
+    table_index,
+)
+from .errors import CapExceededError, ElementNotGenerated
 from . import terms
 from .terms import Term
-
-DEFAULT_CAP = 1_000_000
 
 _CHUNK = 1 << 19   # prefix combinations processed per numpy batch
 
@@ -117,14 +122,20 @@ def witness_term(trace: GenerationTrace, element: int) -> Term:
 
 
 def subuniverse(algebra: FiniteAlgebra, seeds: Sequence[int]) -> frozenset[int]:
-    return generate_subalgebra(algebra, seeds).subuniverse
+    """Sg(seeds), memoized on the algebra by the seed set."""
+    key = frozenset(seeds)
+    return algebra.memoized(("subuniverse", key),
+                            lambda: generate_subalgebra(algebra, sorted(key)).subuniverse)
 
 
-def all_subalgebras(algebra: FiniteAlgebra, bound: int = MAX_ANALYSIS_SIZE,
-                    force: bool = False) -> frozenset[frozenset[int]]:
+def all_subalgebras(algebra: FiniteAlgebra, limits: Limits = DEFAULT_LIMITS
+                    ) -> frozenset[frozenset[int]]:
     """Every subuniverse, as the closure system saturated from singletons."""
-    if algebra.size > bound and not force:
-        raise TooLarge(algebra.size, bound)
+    limits.check(algebra)
+    return algebra.memoized(("all_subalgebras",), lambda: _all_subalgebras(algebra))
+
+
+def _all_subalgebras(algebra: FiniteAlgebra) -> frozenset[frozenset[int]]:
     found: set[frozenset[int]] = set()
     queue = [subuniverse(algebra, [x]) for x in algebra.elements()]
     for s in queue:
@@ -276,11 +287,6 @@ class TupleClosure:
         if self._w256 is not None:
             return int(row.astype(np.int64) @ self._w256)
         return row.tobytes()
-
-    def _keys_of(self, batch: np.ndarray) -> list:
-        if self._w256 is not None:
-            return (batch.astype(np.int64) @ self._w256).tolist()
-        return [row.tobytes() for row in batch]
 
     def _append(self, row: np.ndarray, prov: Provenance) -> bool:
         key = self._key_of(row)

@@ -10,21 +10,19 @@ A^(A^k); a cap hit is an error, never a silent approximation.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import product
-from typing import Optional
 
-from .algebra import FiniteAlgebra, OperationTable, table_index
+from .algebra import DEFAULT_LIMITS, FiniteAlgebra, Limits, OperationTable, table_index
 from .edges import (
     MAJORITY,
     SEMILATTICE,
-    EdgeReport,
     EdgeWitness,
     StructureGraph,
-    classify_pair,
     structure_graph,
 )
 from .errors import PreconditionViolated
-from .generate import DEFAULT_CAP, term_operations
+from .generate import term_operations
 from .terms import Term
 
 DEFAULT_MAX_ARITY = 3
@@ -42,7 +40,7 @@ class BoundedReduct:
     max_arity: int
     operations: tuple[tuple[OperationTable, Term], ...]
 
-    @property
+    @cached_property
     def algebra(self) -> FiniteAlgebra:
         return FiniteAlgebra(f"{self.base.name}|reduct{self.pair}",
                              self.base.size,
@@ -64,7 +62,7 @@ def _preserves(table: tuple[int, ...], arity: int, n: int,
 
 def bounded_reduct(algebra: FiniteAlgebra, witness: EdgeWitness,
                    max_arity: int = DEFAULT_MAX_ARITY,
-                   cap: int = DEFAULT_CAP) -> BoundedReduct:
+                   limits: Limits = DEFAULT_LIMITS) -> BoundedReduct:
     """Enumerate the arity-bounded term operations preserving the union of
     the witnessing blocks.  The witness must be of the semilattice or
     majority type."""
@@ -77,7 +75,7 @@ def bounded_reduct(algebra: FiniteAlgebra, witness: EdgeWitness,
     ops: list[tuple[OperationTable, Term]] = []
     n = algebra.size
     for arity in range(1, max_arity + 1):
-        for table, term in term_operations(algebra, arity, cap):
+        for table, term in term_operations(algebra, arity, limits.cap):
             if _preserves(table, arity, n, r_ab):
                 ops.append((OperationTable(f"t{len(ops)}", arity, table), term))
     return BoundedReduct(algebra, witness.pair, tuple(sorted(r_ab)),
@@ -111,11 +109,8 @@ class ReductEdgeDiff:
 
 
 def reduct_edge_report(reduct: BoundedReduct,
-                       base_graph: Optional[StructureGraph] = None,
-                       cap: int = DEFAULT_CAP) -> ReductEdgeDiff:
+                       limits: Limits = DEFAULT_LIMITS) -> ReductEdgeDiff:
     """Classify every pair of the reduct (its stored operations acting as
     basic) and diff against the base algebra's classification."""
-    if base_graph is None:
-        base_graph = structure_graph(reduct.base, cap)
-    reduct_graph = structure_graph(reduct.algebra, cap)
-    return ReductEdgeDiff(reduct, base_graph, reduct_graph)
+    return ReductEdgeDiff(reduct, structure_graph(reduct.base, limits),
+                          structure_graph(reduct.algebra, limits))

@@ -20,15 +20,13 @@ from dataclasses import dataclass
 from itertools import permutations
 from typing import Iterable, Optional, Sequence
 
-from .algebra import FiniteAlgebra, align_signatures, restrict
+from .algebra import DEFAULT_LIMITS, FiniteAlgebra, Limits, align_signatures, restrict
 from .congruence import Congruence
 from .edges import (
     AFFINE,
     MAJORITY,
     SEMILATTICE,
-    UNARY,
     EdgeWitness,
-    StructureGraph,
     is_smooth,
     structure_graph,
 )
@@ -44,7 +42,6 @@ from .errors import (
     WitnessNotFound,
 )
 from .generate import (
-    DEFAULT_CAP,
     Absent,
     CapExceeded,
     SubpowerQuery,
@@ -117,14 +114,10 @@ class EdgeInventory:
     majority: tuple[ThickEdge, ...]
     affine: tuple[ThickEdge, ...]
     unary: tuple[ThickEdge, ...]
-    graphs: tuple[StructureGraph, ...]
-
-    def all_edges(self) -> tuple[ThickEdge, ...]:
-        return self.semilattice + self.majority + self.affine + self.unary
 
 
 def build_edge_inventory(algebras: Sequence[FiniteAlgebra],
-                         cap: int = DEFAULT_CAP) -> EdgeInventory:
+                         limits: Limits = DEFAULT_LIMITS) -> EdgeInventory:
     """Classify every pair of every member, check smoothness, and collect
     the thick edges with their witness terms, deduplicated (semilattice and
     majority edges by their block pair, affine edges by subalgebra and
@@ -138,16 +131,14 @@ def build_edge_inventory(algebras: Sequence[FiniteAlgebra],
     mj: dict = {}
     af: dict = {}
     un: dict = {}
-    graphs = []
     for ai, alg in enumerate(algebras):
-        graph = structure_graph(alg, cap)
-        graphs.append(graph)
+        graph = structure_graph(alg, limits)
         unknown = graph.unknown_pairs()
         if unknown:
             raise CapExceededError(
-                cap, f"classification of {unknown} in {alg.name} is "
+                limits.cap, f"classification of {unknown} in {alg.name} is "
                      f"inconclusive; the inventory would be unsound")
-        smooth = is_smooth(alg, graph)
+        smooth = is_smooth(alg, limits)
         if smooth is not True:
             pair, label, union = smooth
             raise NotSmooth(alg.name, (pair, label, union))
@@ -173,8 +164,7 @@ def build_edge_inventory(algebras: Sequence[FiniteAlgebra],
                          tuple(sorted(sl.values(), key=order)),
                          tuple(sorted(mj.values(), key=order)),
                          tuple(sorted(af.values(), key=order)),
-                         tuple(sorted(un.values(), key=order)),
-                         tuple(graphs))
+                         tuple(sorted(un.values(), key=order)))
 
 
 def _thick_edge(alg: FiniteAlgebra, ai: int, pair: tuple[int, int],
@@ -553,8 +543,7 @@ def _swap2(t: Term) -> Term:
     return substitute(t, [_Y2, _X2])
 
 
-def build_f(algebras: Sequence[FiniteAlgebra], inventory: EdgeInventory,
-            cap: int = DEFAULT_CAP) -> Term:
+def build_f(algebras: Sequence[FiniteAlgebra], inventory: EdgeInventory) -> Term:
     """The binary operation: semilattice on every thick semilattice edge,
     first projection on every other thick edge, absorption identity, shift
     condition."""
@@ -583,7 +572,7 @@ def build_f(algebras: Sequence[FiniteAlgebra], inventory: EdgeInventory,
 
 
 def build_maltsev_core(inventory: EdgeInventory,
-                       cap: int = DEFAULT_CAP) -> Term:
+                       limits: Limits = DEFAULT_LIMITS) -> Term:
     """One term that is Mal'tsev on every affine-edge quotient at once,
     found as a single subpower query with one coordinate block per
     quotient."""
@@ -607,10 +596,10 @@ def build_maltsev_core(inventory: EdgeInventory,
                 gens[gi].append(v)
             target.append(y)
     query = SubpowerQuery(tuple(columns), tuple(tuple(g) for g in gens),
-                          tuple(target), cap)
+                          tuple(target), limits.cap)
     ans = subpower_membership(query)
     if isinstance(ans, CapExceeded):
-        raise CapExceededError(cap, "simultaneous Mal'tsev search")
+        raise CapExceededError(limits.cap, "simultaneous Mal'tsev search")
     if isinstance(ans, Absent):
         raise SynthesisError(
             "no term is Mal'tsev on all affine quotients simultaneously; "
@@ -619,7 +608,7 @@ def build_maltsev_core(inventory: EdgeInventory,
 
 
 def build_g_core(algebras: Sequence[FiniteAlgebra], inventory: EdgeInventory,
-                 h_core: Term, cap: int = DEFAULT_CAP) -> Term:
+                 h_core: Term) -> Term:
     """Chain the majority witnesses into one term that is majority on every
     thick majority edge and the first projection on every affine quotient."""
     maj = inventory.majority
@@ -675,18 +664,18 @@ def _compose_with_f(core: Term, f: Term) -> Term:
 
 
 def uniform_ops(members: Sequence[FiniteAlgebra],
-                cap: int = DEFAULT_CAP) -> DistinguishedOps:
+                limits: Limits = DEFAULT_LIMITS) -> DistinguishedOps:
     """The full pipeline: align signatures, build the inventory (requires
     smooth members without unary edges), construct f, g, h and verify every
     condition exhaustively."""
     algebras = align_signatures(members)
-    inventory = build_edge_inventory(algebras, cap)
+    inventory = build_edge_inventory(algebras, limits)
     if inventory.unary:
         raise PreconditionViolated(
             f"class has unary edges: {[e.describe() for e in inventory.unary]}")
-    f = build_f(algebras, inventory, cap)
-    h_core = build_maltsev_core(inventory, cap)
-    g_core = build_g_core(algebras, inventory, h_core, cap)
+    f = build_f(algebras, inventory)
+    h_core = build_maltsev_core(inventory, limits)
+    g_core = build_g_core(algebras, inventory, h_core)
     g = _compose_with_f(g_core, f)
     g = normalize_identities(algebras, g, M_ABSORPTION)
     p = substitute(g, [_X2, _Y2, _Y2])          # binary: g(x, y, y)
@@ -752,7 +741,7 @@ def verify_uniform(inventory: EdgeInventory, f: Term, g: Term, h: Term
 
 
 # --------------------------------------------------------------------------
-# majority / minority condition checks
+# the majority condition
 # --------------------------------------------------------------------------
 
 
@@ -766,19 +755,6 @@ def satisfies_majority_condition(ops_g: Term, inventory: EdgeInventory) -> bool:
         gt = realize_table(ops_g, e.edge_algebra)
         if not all(gt.apply((x, y, z), 2) == (1 if x + y + z >= 2 else 0)
                    for x in range(2) for y in range(2) for z in range(2)):
-            return False
-    return True
-
-
-def satisfies_minority_condition(ops_h: Term, inventory: EdgeInventory) -> bool:
-    for alg in inventory.algebras:
-        if check_identity(alg, normalization_identity(ops_h, H_SHIFT)) is not None:
-            return False
-    for e in inventory.affine:
-        ht = realize_table(ops_h, e.quotient)
-        n = e.quotient.size
-        if not all(ht.apply((x, x, y), n) == y and ht.apply((y, x, x), n) == y
-                   for x in range(n) for y in range(n)):
             return False
     return True
 

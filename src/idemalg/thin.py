@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
-from .algebra import FiniteAlgebra
+from .algebra import DEFAULT_LIMITS, FiniteAlgebra, Limits
 from .edges import (
     AFFINE,
     MAJORITY,
@@ -26,7 +26,7 @@ from .edges import (
     structure_graph,
 )
 from .errors import EmptyResult, PostconditionFailed, PreconditionViolated
-from .generate import DEFAULT_CAP, subuniverse
+from .generate import subuniverse
 from . import terms
 from .terms import Term
 
@@ -117,8 +117,7 @@ def satisfies_sls(algebra: FiniteAlgebra, f_term: Term
 
 
 def synth_sls(algebra: FiniteAlgebra, f0: Term,
-              graph: Optional[StructureGraph] = None,
-              cap: int = DEFAULT_CAP) -> Term:
+              limits: Limits = DEFAULT_LIMITS) -> Term:
     """Refine a binary operation (semilattice on every thick semilattice
     edge, first projection on other thick edges, absorbing in the second
     argument) into one satisfying the shift condition, without changing its
@@ -133,9 +132,7 @@ def synth_sls(algebra: FiniteAlgebra, f0: Term,
     bad = satisfies_sls(algebra, refined)
     if bad is not None:
         raise PostconditionFailed(f"shift condition fails at pair {bad}")
-    if graph is None:
-        graph = structure_graph(algebra, cap)
-    _check_edge_behaviour(algebra, f0, refined, graph)
+    _check_edge_behaviour(algebra, f0, refined, structure_graph(algebra, limits))
     return refined
 
 
@@ -201,8 +198,8 @@ def _restricted_block(algebra: FiniteAlgebra, c: int, d: int,
     return sorted(block & sub)
 
 
-def find_special_thin_majority(algebra: FiniteAlgebra, witness: EdgeWitness,
-                               cap: int = DEFAULT_CAP) -> list[ThinEdge]:
+def find_special_thin_majority(algebra: FiniteAlgebra,
+                               witness: EdgeWitness) -> list[ThinEdge]:
     """All (c, d) from one block into the other (the thick edge is an
     unordered pair, so both orientations are scanned) that are minimal with
     respect to the witnessing congruence restricted to Sg{c,d}."""
@@ -228,7 +225,7 @@ def find_special_thin_majority(algebra: FiniteAlgebra, witness: EdgeWitness,
 
 
 def find_thin_affine(algebra: FiniteAlgebra, witness: EdgeWitness,
-                     h_term: Term, cap: int = DEFAULT_CAP) -> list[ThinEdge]:
+                     h_term: Term) -> list[ThinEdge]:
     """Thin affine edges from an affine witness: for every b'' in b's block
     making (a, b'') minimal, the element b' = h(b'', a, a) gives the edge
     (a, b').  Both orientations of the unordered thick edge are used."""
@@ -306,24 +303,21 @@ class ThinGraph:
 
 
 def thin_graph(algebra: FiniteAlgebra, ops,
-               graph: Optional[StructureGraph] = None,
-               cap: int = DEFAULT_CAP) -> ThinGraph:
+               limits: Limits = DEFAULT_LIMITS) -> ThinGraph:
     """All thin semilattice arcs under ops.f, all special thin majority arcs
     from majority witnesses, all thin affine arcs from affine witnesses;
     majority/affine arcs carry their necessary-condition verdict."""
-    if graph is None:
-        graph = structure_graph(algebra, cap)
     arcs: dict[tuple[int, int, str], ThinEdge] = {}
     for a, b in thin_semilattice_order(algebra, ops.f):
         arcs[(a, b, THIN_SEMILATTICE)] = ThinEdge(
             algebra, a, b, THIN_SEMILATTICE,
             (("equations", "a.b=b.a=b"),), necessary=True)
-    for rep in graph.reports:
+    for rep in structure_graph(algebra, limits).reports:
         for w in rep.witnesses:
             if w.label == MAJORITY:
-                found = find_special_thin_majority(algebra, w, cap)
+                found = find_special_thin_majority(algebra, w)
             elif w.label == AFFINE:
-                found = find_thin_affine(algebra, w, ops.h, cap)
+                found = find_thin_affine(algebra, w, ops.h)
             else:
                 continue
             for e in found:

@@ -260,7 +260,7 @@ def test_criterion_09_thin_edge_suites():
                     assert found
                     assert any(e.a == w.pair[0] for e in found)
                     aff_edges.extend(found)
-        tg = thin_graph(alg, ops, graph=graph)
+        tg = thin_graph(alg, ops)
         assert all(e.necessary for e in tg.arcs), alg.name
         sl_edges.extend(tg.by_kind(THIN_SEMILATTICE))
     # deduplicate and trim to one edge per (algebra, endpoints)

@@ -1,10 +1,12 @@
 """File format round trips and the command-line surface."""
 
 import json
+import time
 
 import pytest
 
-from idemalg import algfile, fixtures
+from idemalg import algfile, cli, fixtures
+from idemalg.algebra import validate_algebra
 from idemalg.cli import EXIT_CAP, EXIT_INPUT, EXIT_OK, main
 from idemalg.errors import ValidationError
 
@@ -70,11 +72,28 @@ def test_cli_file_input(tmp_path, capsys):
     assert main(["edges", "--file", str(path)]) == EXIT_OK
 
 
+def _meet_chain(tmp_path, n):
+    path = tmp_path / f"chain{n}.alg"
+    table = [min(x, y) for x in range(n) for y in range(n)]
+    algfile.save(validate_algebra(f"chain{n}", n, [("meet", 2, table)]), str(path))
+    return str(path)
+
+
 def test_cli_max_size_guard(tmp_path):
     assert main(["edges", "--fixture", "no-edge-factor", "--max-size", "4"]) \
         == EXIT_INPUT
     assert main(["edges", "--fixture", "no-edge-factor", "--max-size", "4",
                  "--force"]) == EXIT_OK
+    # the limits reach every analysis step, not only loading
+    for n in (11, 12):
+        path = _meet_chain(tmp_path, n)
+        for command in ("edges", "graph"):
+            t0 = time.perf_counter()
+            assert main([command, "--file", path, "--force", "--max-size", "20"]) \
+                == EXIT_OK
+            assert time.perf_counter() - t0 < 1.0, (command, n)
+            assert main([command, "--file", path, "--max-size", "20"]) == EXIT_OK
+            assert main([command, "--file", path]) == EXIT_INPUT
 
 
 def test_cli_cap_exit_code():
@@ -119,6 +138,23 @@ def test_cli_reduct(capsys, tmp_path):
     payload = json.loads(out.read_text())
     assert payload["preserved_set"] == [0, 2]
     assert payload["changed_pairs"] == []
+
+
+def test_cli_reduct_bad_pair(capsys):
+    for pair in (["0", "0"], ["0", "3"], ["-1", "1"]):
+        assert main(["reduct", "--fixture", "no-edge", "--pair", *pair]) \
+            == EXIT_INPUT
+        assert "--pair needs two distinct elements in 0..2" \
+            in capsys.readouterr().err
+
+
+def test_cli_internal_key_error_is_not_an_input_error(monkeypatch):
+    def broken(*args):
+        raise KeyError("internal")
+
+    monkeypatch.setattr(cli, "structure_graph", broken)
+    with pytest.raises(KeyError):
+        main(["edges", "--fixture", "no-edge"])
 
 
 def test_cli_verify(capsys):

@@ -1,9 +1,11 @@
 """Pair classification, graphs, connectivity, smoothness."""
 
+from dataclasses import replace
 from itertools import combinations
 
 from idemalg import fixtures
-from idemalg.algebra import restrict, validate_algebra
+from idemalg.algebra import DEFAULT_CAP, restrict, validate_algebra
+from idemalg.checks import check_edge_factor, check_edge_subalgebra
 from idemalg.edges import (
     AFFINE,
     MAJORITY,
@@ -204,3 +206,29 @@ def test_fixture_type_spectra():
     assert AFFINE in spectra["z3-affine"]
     for name in ("no-edge", "sl2", "mj2", "no-edge-factor"):
         assert AFFINE not in spectra[name], name
+
+
+def test_analyses_are_memoized_per_object(c_nef):
+    graph = structure_graph(c_nef)
+    assert structure_graph(c_nef).reports is graph.reports
+    assert restrict(c_nef, [0, 2, 4]) is restrict(c_nef, [4, 2, 0])
+    # an equal algebra is another object: it starts cold and shares nothing
+    twin = fixtures.no_edge_factor()
+    assert twin == c_nef
+    assert structure_graph(twin).reports is not graph.reports
+    assert structure_graph(twin).reports == graph.reports
+
+
+def test_cross_checks_do_not_share_a_cache(c_nef):
+    """Poison the algebra's memoized report for one pair: the checks that
+    classify it again in a subalgebra and from a quotient must disagree
+    with it.  Were they reading the same cache, both would pass."""
+    fresh = fixtures.no_edge_factor()
+    assert check_edge_subalgebra(fresh)[0].ok
+    assert check_edge_factor(fresh)[0].ok
+    structure_graph(c_nef)
+    key = ("classify_pair", 2, 4, DEFAULT_CAP)
+    assert c_nef._memo[key].labels == {SEMILATTICE}
+    c_nef._memo[key] = replace(c_nef._memo[key], witnesses=())
+    assert not check_edge_subalgebra(c_nef)[0].ok
+    assert not check_edge_factor(c_nef)[0].ok
