@@ -22,6 +22,7 @@ from typing import Optional, Sequence
 from . import algfile, checks, synthesis, thin
 from .algebra import DEFAULT_CAP, MAX_ANALYSIS_SIZE, FiniteAlgebra, Limits
 from .congruence import (
+    TERM_SEARCH_LIMITS,
     absorbing_elements,
     congruence_lattice,
     is_abelian,
@@ -123,7 +124,8 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     print(f"congruences ({len(lattice)}): " + ", ".join(str(c) for c in lattice))
     print("maximal: " + ", ".join(str(c) for c in maximal_congruences(algebra, limits)))
     print(f"abelian: {is_abelian(algebra, limits)}")
-    absorbing, reached = absorbing_elements(algebra)
+    absorbing, reached = absorbing_elements(
+        algebra, limits=Limits(cap=min(limits.cap, TERM_SEARCH_LIMITS.cap)))
     print(f"absorbing up to arity {reached}: "
           f"{[algebra.label(x) for x in absorbing] or 'none'}")
     graph = structure_graph(algebra, limits)

@@ -7,6 +7,10 @@ polynomials, one coordinate at a time).  The full lattice is the join
 closure of the principal congruences; joins of congruences are transitive
 closures of unions.
 
+Tolerances are saturated semi-naively on an n x n bool matrix: each round
+applies the operations, by numpy gathers, only to tuples of related pairs
+that use a pair new in the round before.
+
 Abelianness is decided by the diagonal test on A^2: the algebra is abelian
 iff the diagonal is a block of the congruence of A^2 generated by all pairs
 of diagonal elements.  Tests cross-validate this against the brute-force
@@ -20,6 +24,8 @@ from functools import cached_property
 from itertools import combinations, product
 from typing import Iterable, Optional, Sequence
 
+import numpy as np
+
 from .algebra import (
     DEFAULT_LIMITS,
     FiniteAlgebra,
@@ -29,7 +35,7 @@ from .algebra import (
     quotient,
     table_index,
 )
-from .errors import CapExceededError, ProjectionNotFull
+from .errors import CapExceededError, NotATolerance, ProjectionNotFull
 from .generate import term_operations
 
 SET = "set"
@@ -261,26 +267,55 @@ class Tolerance:
 
 def tolerance_generated(algebra: FiniteAlgebra,
                         pairs: Iterable[tuple[int, int]]) -> Tolerance:
-    """Least compatible reflexive symmetric relation containing the pairs:
-    saturate by applying every operation to related tuples."""
-    n = algebra.size
-    rel: set[tuple[int, int]] = {(x, x) for x in range(n)}
+    """Least compatible reflexive symmetric relation containing the pairs,
+    saturated semi-naively: each round applies the operations only to
+    tuples that use a pair added in the round before."""
+    rel = np.eye(algebra.size, dtype=bool)
     for x, y in pairs:
-        rel.add((x, y))
-        rel.add((y, x))
-    changed = True
-    while changed:
-        changed = False
-        current = sorted(rel)
-        for op in algebra.operations:
-            for combo in product(current, repeat=op.arity):
-                u = op.apply([p[0] for p in combo], n)
-                v = op.apply([p[1] for p in combo], n)
-                if (u, v) not in rel:
-                    rel.add((u, v))
-                    rel.add((v, u))
-                    changed = True
-    return Tolerance(n, frozenset(rel))
+        rel[x, y] = rel[y, x] = True
+    # invariant: every tuple of pairs of rel & ~delta has been applied (the
+    # diagonal maps into itself).  A tuple and its swap have transposed
+    # images, so tuples whose first delta pair is below the diagonal are skipped
+    delta = rel & ~np.eye(algebra.size, dtype=bool)
+    while delta.any() and not rel.all():
+        image = _image(algebra, rel & ~delta, np.triu(delta), rel)
+        delta = (image | image.T) & ~rel
+        rel |= delta
+    return _tolerance(rel)
+
+
+def _tolerance(rel: np.ndarray) -> Tolerance:
+    xs, ys = np.nonzero(rel)
+    return Tolerance(len(rel), frozenset(zip(xs.tolist(), ys.tolist())))
+
+
+def _image(algebra: FiniteAlgebra, old: np.ndarray, new: np.ndarray,
+           every: np.ndarray) -> np.ndarray:
+    """The n x n bool matrix of pairs (f(x-bar), f(y-bar)) over the basic
+    operations f and the tuples of pairs whose first pair outside old is in
+    new, with every pair after it in every.  The first argument runs in
+    blocks of about 16K gathered entries, so memory stays flat."""
+    n = algebra.size
+    out = np.zeros(n * n, dtype=bool)
+    old, new, every = (np.array(np.nonzero(m)) for m in (old, new, every))
+    for r, table in algebra.memoized(("op_arrays",), lambda: [
+            (op.arity, np.asarray(op.table, dtype=np.intp).reshape(n, -1))
+            for op in algebra.operations]):
+        for j in range(r if old.size else 1):
+            first, *rest = [old] * j + [new] + [every] * (r - 1 - j)
+            flat = np.zeros((2, 1), dtype=np.intp)     # x and y sides
+            for pairs in rest:
+                flat = (flat[:, :, None] * n + pairs[:, None, :]).reshape(2, -1)
+            per = max(1, (1 << 14) // max(1, flat.shape[1]))
+            for lo in range(0, first.shape[1], per):
+                u, v = table[first[:, lo:lo + per, None], flat[:, None, :]]
+                out[u * n + v] = True
+    return out.reshape(n, n)
+
+
+def _compatible(algebra: FiniteAlgebra, rel: np.ndarray) -> bool:
+    """Is the bool matrix closed: its image, all pairs new, inside it?"""
+    return not (_image(algebra, np.zeros_like(rel), rel, rel) & ~rel).any()
 
 
 def tolerance_ops(algebra: FiniteAlgebra, pairs: Iterable[tuple[int, int]]
@@ -293,7 +328,7 @@ def link_tolerance(algebra: FiniteAlgebra, relation: Iterable[Sequence[int]],
                    coordinate: int) -> Tolerance:
     """The i-th link tolerance of a relation with full projections: two
     elements are related when some fixing of the other coordinates puts both
-    tuples into the relation."""
+    tuples into the relation.  NotATolerance: the input was not compatible."""
     tuples = [tuple(t) for t in relation]
     if not tuples:
         raise ValueError("empty relation")
@@ -305,26 +340,12 @@ def link_tolerance(algebra: FiniteAlgebra, relation: Iterable[Sequence[int]],
     for t in tuples:
         key = t[:coordinate] + t[coordinate + 1:]
         groups.setdefault(key, []).append(t[coordinate])
-    rel: set[tuple[int, int]] = {(x, x) for x in range(algebra.size)}
+    rel = np.eye(algebra.size, dtype=bool)
     for vals in groups.values():
-        for x in vals:
-            for y in vals:
-                rel.add((x, y))
-    tol = Tolerance(algebra.size, frozenset(rel))
-    assert _tolerance_compatible(algebra, tol), \
-        "link relation of a compatible relation must be a tolerance"
-    return tol
-
-
-def _tolerance_compatible(algebra: FiniteAlgebra, tol: Tolerance) -> bool:
-    current = sorted(tol.pairs)
-    for op in algebra.operations:
-        for combo in product(current, repeat=op.arity):
-            u = op.apply([p[0] for p in combo], algebra.size)
-            v = op.apply([p[1] for p in combo], algebra.size)
-            if (u, v) not in tol.pairs:
-                return False
-    return True
+        rel[np.ix_(vals, vals)] = True
+    if not _compatible(algebra, rel):
+        raise NotATolerance(coordinate)
+    return _tolerance(rel)
 
 
 # --------------------------------------------------------------------------

@@ -48,6 +48,12 @@ class NotACongruence(IdemalgError):
         self.op, self.tuple_a, self.tuple_b = op, tuple_a, tuple_b
 
 
+class NotATolerance(IdemalgError):
+    def __init__(self, coordinate):
+        super().__init__(f"link relation at coordinate {coordinate} is not compatible")
+        self.coordinate = coordinate
+
+
 class NotClosed(IdemalgError):
     def __init__(self, op, args, value):
         super().__init__(f"subset not closed: {op}{args} = {value} escapes")

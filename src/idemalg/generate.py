@@ -102,23 +102,29 @@ def witness_term(trace: GenerationTrace, element: int) -> Term:
     """A term over the generators that evaluates to the element."""
     if element not in trace.provenance:
         raise ElementNotGenerated(element)
-    m = len(trace.generators)
-    memo: dict[int, Term] = {}
+    return provenance_term(trace.provenance, element, len(trace.generators))
 
-    def build(e: int) -> Term:
-        t = memo.get(e)
-        if t is not None:
-            return t
-        p = trace.provenance[e]
+
+def provenance_term(provenance: Union[dict[int, Provenance], Sequence[Provenance]],
+                    root: int, n_generators: int) -> Term:
+    """The term that provenance records for root: ("gen", i) is the i-th of
+    n_generators projections, ("step", op, args) applies op to the terms of
+    args.  An explicit stack, not a self-referencing closure: no recursion
+    limit, and no reference cycle keeping the caller alive."""
+    built: dict[int, Term] = {}
+    stack = [root]
+    while stack:
+        key = stack[-1]
+        p = provenance[key]
         if p[0] == "gen":
-            t = terms.proj(p[1], m)
+            built[key] = terms.proj(p[1], n_generators)
+        elif missing := [a for a in p[2] if a not in built]:
+            stack.extend(missing)
+            continue
         else:
-            _, op, args = p
-            t = terms.app(op, [build(a) for a in args])
-        memo[e] = t
-        return t
-
-    return build(element)
+            built[key] = terms.app(p[1], [built[a] for a in p[2]])
+        stack.pop()
+    return built[root]
 
 
 def subuniverse(algebra: FiniteAlgebra, seeds: Sequence[int]) -> frozenset[int]:
@@ -432,23 +438,7 @@ class TupleClosure:
     # -- witnesses --
 
     def witness(self, row_index: int) -> Term:
-        m = self.n_generators
-        memo: dict[int, Term] = {}
-
-        def build(i: int) -> Term:
-            t = memo.get(i)
-            if t is not None:
-                return t
-            p = self.provenance[i]
-            if p[0] == "gen":
-                t = terms.proj(p[1], m)
-            else:
-                _, op, combo = p
-                t = terms.app(op, [build(c) for c in combo])
-            memo[i] = t
-            return t
-
-        return build(row_index)
+        return provenance_term(self.provenance, row_index, self.n_generators)
 
 
 def subpower_membership(query: SubpowerQuery) -> SubpowerAnswer:

@@ -172,6 +172,14 @@ def test_cli_analyze(capsys):
     assert "majority" in out
 
 
+def test_cli_analyze_cap_bounds_the_absorbing_search(capsys):
+    # the arity-2 clone of sl2 has three members, more than a cap of 2
+    assert main(["analyze", "--fixture", "sl2", "--cap", "2"]) == EXIT_OK
+    assert "absorbing up to arity 1: ['0', '1']" in capsys.readouterr().out
+    assert main(["analyze", "--fixture", "sl2"]) == EXIT_OK
+    assert "absorbing up to arity 3: ['0']" in capsys.readouterr().out
+
+
 def test_cli_verify_failure_exit_code(tmp_path, capsys):
     # a non-smooth algebra fails the synthesis suite: exit code 1
     nonsmooth = """\

@@ -1,7 +1,14 @@
 """Congruences, tolerances, abelianness, absorbing elements."""
 
+import os
 import random
+import subprocess
+import sys
 from itertools import combinations, product
+from pathlib import Path
+
+import numpy as np
+from oracles import naive_relation_compatible, naive_tolerance_generated
 
 from idemalg import fixtures
 from idemalg.algebra import validate_algebra
@@ -10,6 +17,7 @@ from idemalg.congruence import (
     OTHER,
     SET,
     Congruence,
+    _compatible,
     absorbing_elements,
     cg,
     classify_simple_quotient,
@@ -115,6 +123,73 @@ def test_link_tolerance_all_fixtures_both_coordinates():
                 continue          # projections not full: lemma inapplicable
             for coord in (0, 1):
                 link_tolerance(alg, rel, coord)
+
+
+def _random_idempotent_algebra(rng, name):
+    n = rng.randint(1, 5)
+    ops = []
+    for oi in range(rng.randint(1, 2)):
+        ar = rng.randint(1, 3)
+        table = [args[0] if len(set(args)) == 1 else rng.randrange(n)
+                 for args in product(range(n), repeat=ar)]
+        ops.append((f"o{oi}", ar, table))
+    return validate_algebra(name, n, ops)
+
+
+def test_tolerance_generated_matches_oracle():
+    rng = random.Random(20)
+    for i in range(300):
+        alg = _random_idempotent_algebra(rng, f"r{i}")
+        n = alg.size
+        for k in (0, rng.randint(1, 3)):
+            pairs = [(rng.randrange(n), rng.randrange(n)) for _ in range(k)]
+            assert tolerance_generated(alg, pairs).pairs \
+                == naive_tolerance_generated(alg, pairs), (alg, pairs)
+
+
+def test_tolerance_compatibility_matches_oracle():
+    rng = random.Random(21)
+    outcomes = {True: 0, False: 0}
+    for i in range(300):
+        alg = _random_idempotent_algebra(rng, f"r{i}")
+        n = alg.size
+        pairs = [(rng.randrange(n), rng.randrange(n)) for _ in range(rng.randint(0, 3))]
+        tol = tolerance_generated(alg, pairs).pairs
+        off_diagonal = sorted((x, y) for x, y in tol if x != y)
+        candidates = [tol, frozenset((x, y) for x in range(n) for y in range(n)
+                                     if rng.random() < 0.5)]
+        if off_diagonal:
+            x, y = rng.choice(off_diagonal)
+            candidates.append(tol - {(x, y), (y, x)})
+        for rel in candidates:
+            expect = naive_relation_compatible(alg, rel)
+            matrix = np.zeros((n, n), dtype=bool)
+            for x, y in rel:
+                matrix[x, y] = True
+            assert _compatible(alg, matrix) == expect, (alg, rel)
+            outcomes[expect] += 1
+    assert min(outcomes.values()) >= 100, outcomes
+
+
+def test_link_tolerance_of_incompatible_relation_raises_under_O():
+    # the relation relates 0 and 1 at coordinate 0, and f(0,1) = 2 with
+    # f(1,1) = 1 leaves that link relation
+    code = (
+        "from idemalg import fixtures\n"
+        "from idemalg.congruence import link_tolerance\n"
+        "from idemalg.errors import NotATolerance\n"
+        "print(__debug__)\n"
+        "try:\n"
+        "    link_tolerance(fixtures.no_edge(), [(0, 0), (1, 1), (2, 2), (0, 1)], 0)\n"
+        "except NotATolerance as exc:\n"
+        "    print(type(exc).__name__, exc.coordinate)\n")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    done = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "False\nNotATolerance 0\n"
 
 
 def test_is_abelian(sl2, mj2, z3a, a_nms):

@@ -1,9 +1,12 @@
 """Generation, subpower membership, and the pair-witness queries."""
 
+import gc
 import random
+import sys
+import weakref
 from itertools import combinations, product
 
-from idemalg import terms
+from idemalg import generate, terms
 from idemalg.algebra import restrict
 from idemalg.generate import (
     Absent,
@@ -17,6 +20,7 @@ from idemalg.generate import (
     find_pair_witness,
     generate_subalgebra,
     naive_subpower_membership,
+    provenance_term,
     subpower_membership,
     subuniverse,
     term_operations,
@@ -204,3 +208,35 @@ def test_naive_oracle_agrees_on_heterogeneous_queries(sl2, z3a, mj2):
         assert isinstance(fast, Absent) == isinstance(slow, Absent)
         if isinstance(fast, Absent):
             assert fast.closure_size == slow.closure_size
+
+
+def test_closures_are_freed_without_the_cyclic_gc(monkeypatch, sl2, mj2):
+    # a closure must not outlive its last reference in a reference cycle:
+    # it holds its column algebras, and they hold their memos
+    refs = []
+
+    class Recorded(generate.TupleClosure):
+        def __init__(self, *args, **kwargs):
+            refs.append(weakref.ref(self))
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(generate, "TupleClosure", Recorded)
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        assert isinstance(find_pair_witness(sl2, SEMILATTICE, 0, 1), PairWitness)
+        assert isinstance(find_pair_witness(mj2, MAJORITY, 0, 1), PairWitness)
+        assert len(refs) == 2
+        assert all(r() is None for r in refs)
+    finally:
+        if was_enabled:
+            gc.enable()
+
+
+def test_provenance_term_deeper_than_the_recursion_limit():
+    depth = 3 * sys.getrecursionlimit()
+    provenance = [("gen", 0)] + [("step", "f", (i,)) for i in range(depth)]
+    expected = terms.proj(0, 1)
+    for _ in range(depth):
+        expected = terms.app("f", [expected])
+    assert provenance_term(provenance, depth, 1) is expected
