@@ -13,7 +13,6 @@ from .algebra import (
     Limits,
     OperationTable,
     align_signatures,
-    find_isomorphism,
     is_set,
     product_algebra,
     quotient,
@@ -56,7 +55,6 @@ from .generate import (
     all_subalgebras,
     find_pair_witness,
     generate_subalgebra,
-    naive_subpower_membership,
     subpower_membership,
     subuniverse,
     term_operations,

@@ -1,17 +1,22 @@
 """Finite idempotent algebras: operation tables and the basic constructions.
 
 Elements are always the dense integers 0..n-1; optional labels are
-presentation-only.  Operation tables are flat, row-major, radix-n: the value
-of f(a_1,...,a_r) sits at index ((a_1*n + a_2)*n + ...)*n + a_r.  Every
-algebra is validated on construction, idempotency included.
+presentation-only.  An operation's canonical value is its flat, hashable
+`table` tuple, row-major and radix-n: f(a_1,...,a_r) sits at index
+((a_1*n + a_2)*n + ...)*n + a_r.  Its one decoded view is `array`, a
+read-only numpy array of shape (n,)*r, so that f(a_1,...,a_r) is
+array[a_1, ..., a_r]; every bulk computation indexes it, and `apply` is the
+scalar lookup.  Every algebra is validated on construction, idempotency
+included.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import product
 from typing import Callable, Hashable, Iterable, Mapping, Optional, Sequence, TypeVar
+
+import numpy as np
 
 from .errors import (
     BadTableLength,
@@ -37,21 +42,6 @@ T = TypeVar("T")
 RESERVED_NAMES = {"pow", "comp"}
 
 
-def table_index(args: Sequence[int], size: int) -> int:
-    idx = 0
-    for a in args:
-        idx = idx * size + a
-    return idx
-
-
-def index_args(idx: int, size: int, arity: int) -> tuple[int, ...]:
-    args = [0] * arity
-    for pos in range(arity - 1, -1, -1):
-        args[pos] = idx % size
-        idx //= size
-    return tuple(args)
-
-
 @dataclass(frozen=True)
 class OperationTable:
     """A finitary operation on 0..size-1 given by its flat table."""
@@ -60,8 +50,28 @@ class OperationTable:
     arity: int
     table: tuple[int, ...]
 
+    @staticmethod
+    def from_array(name: str, array: np.ndarray) -> "OperationTable":
+        """The operation whose `array` is the given (n,)*r integer array."""
+        arr = np.array(array, dtype=np.intp)
+        op = OperationTable(name, arr.ndim, tuple(arr.ravel().tolist()))
+        arr.setflags(write=False)
+        op.__dict__["array"] = arr      # the cached view, derived already
+        return op
+
+    @cached_property
+    def array(self) -> np.ndarray:
+        """The table as a read-only (n,)*arity array: f(a-bar) = array[a-bar]."""
+        flat = np.array(self.table, dtype=np.intp)
+        arr = flat.reshape((round(len(flat) ** (1 / self.arity)),) * self.arity)
+        arr.setflags(write=False)
+        return arr
+
     def apply(self, args: Sequence[int], size: int) -> int:
-        return self.table[table_index(args, size)]
+        idx = 0
+        for a in args:
+            idx = idx * size + a
+        return self.table[idx]
 
     def validate(self, size: int) -> None:
         if not self.name or self.name in RESERVED_NAMES or self.name[0].isdigit() \
@@ -73,21 +83,40 @@ class OperationTable:
         expected = size ** self.arity
         if len(self.table) != expected:
             raise BadTableLength(self.name, expected, len(self.table))
-        for v in self.table:
-            if not 0 <= v < size:
-                raise EntryOutOfRange(self.name, v, size)
-        for x in range(size):
-            v = self.apply((x,) * self.arity, size)
-            if v != x:
-                raise NonIdempotent(self.name, x, v)
+        out = (self.array < 0) | (self.array >= size)
+        if out.any():
+            raise EntryOutOfRange(self.name, int(self.array[_first(out)]), size)
+        diagonal = self.array[(np.arange(size),) * self.arity]
+        wrong = diagonal != np.arange(size)
+        if wrong.any():
+            x = int(np.argmax(wrong))
+            raise NonIdempotent(self.name, x, int(diagonal[x]))
 
     def is_projection(self, size: int) -> Optional[int]:
         """Return the coordinate this operation projects onto, or None."""
         for pos in range(self.arity):
-            if all(self.table[i] == index_args(i, size, self.arity)[pos]
-                   for i in range(len(self.table))):
+            if (self.array == coordinate(size, self.arity, pos)).all():
                 return pos
         return None
+
+
+def coordinate(size: int, arity: int, pos: int) -> np.ndarray:
+    """The read-only (size,)*arity array of the pos-th projection."""
+    shape = [1] * arity
+    shape[pos] = size
+    return np.broadcast_to(np.arange(size).reshape(shape), (size,) * arity)
+
+
+def _grid(array: np.ndarray, coords: Sequence[int]) -> np.ndarray:
+    """array at every tuple over coords: array[np.ix_(coords, ..., coords)]."""
+    for axis in range(array.ndim):
+        array = array.take(coords, axis=axis)
+    return array
+
+
+def _first(mask: np.ndarray) -> tuple[int, ...]:
+    """The lexicographically first index where the bool array is True."""
+    return tuple(np.argwhere(mask)[0].tolist())
 
 
 @dataclass(frozen=True)
@@ -204,14 +233,12 @@ def product_algebra(a: FiniteAlgebra, b: FiniteAlgebra,
     size = a.size * b.size
     ops = []
     for op_a in a.operations:
-        op_b = b.by_name[sig[op_a.name]]
         r = op_a.arity
-        table = []
-        for args in product(range(size), repeat=r):
-            xs = tuple(v // b.size for v in args)
-            ys = tuple(v % b.size for v in args)
-            table.append(op_a.apply(xs, a.size) * b.size + op_b.apply(ys, b.size))
-        ops.append(OperationTable(op_a.name, r, tuple(table)))
+        # axes x_1, y_1, ..., x_r, y_r; merging each (x_i, y_i) encodes the pair
+        xs = op_a.array.reshape((a.size, 1) * r)
+        ys = b.by_name[sig[op_a.name]].array.reshape((1, b.size) * r)
+        ops.append(OperationTable.from_array(
+            op_a.name, (xs * b.size + ys).reshape((size,) * r)))
     labels = None
     if a.labels is not None or b.labels is not None:
         labels = tuple(f"({a.label(x)},{b.label(y)})"
@@ -240,30 +267,24 @@ def _quotient(a: FiniteAlgebra, blocks: tuple[tuple[int, ...], ...],
             block_of[x] = bi
     if any(v < 0 for v in block_of):
         raise ValidationError("blocks do not cover the universe")
-    nblocks = len(blocks)
+    block = np.array(block_of)
     reps = [blk[0] for blk in blocks]
     ops = []
     for op in a.operations:
-        r = op.arity
-        table = []
-        for bargs in product(range(nblocks), repeat=r):
-            rep_val = op.apply([reps[bi] for bi in bargs], a.size)
-            table.append(block_of[rep_val])
+        table = block[_grid(op.array, reps)]
         # compatibility: every choice of representatives lands in the same block
-        for args in product(range(a.size), repeat=r):
-            v = op.apply(args, a.size)
-            bargs = tuple(block_of[x] for x in args)
-            expected = table[table_index(bargs, nblocks)]
-            if block_of[v] != expected:
-                witness = tuple(reps[bi] for bi in bargs)
-                raise NotACongruence(op.name, args, witness, v,
-                                     op.apply(witness, a.size))
-        ops.append(OperationTable(op.name, r, tuple(table)))
+        clash = block[op.array] != _grid(table, block)
+        if clash.any():
+            args = _first(clash)
+            witness = tuple(reps[block_of[x]] for x in args)
+            raise NotACongruence(op.name, args, witness, op.apply(args, a.size),
+                                 op.apply(witness, a.size))
+        ops.append(OperationTable.from_array(op.name, table))
     labels = None
     if a.labels is not None:
         labels = tuple("|".join(a.label(x) for x in sorted(blk)) for blk in blocks)
     qname = name or f"{a.name}/theta"
-    return FiniteAlgebra(qname, nblocks, tuple(ops), labels), tuple(block_of)
+    return FiniteAlgebra(qname, len(blocks), tuple(ops), labels), tuple(block_of)
 
 
 def restrict(a: FiniteAlgebra, subset: Iterable[int],
@@ -279,19 +300,29 @@ def restrict(a: FiniteAlgebra, subset: Iterable[int],
 
 def _restrict(a: FiniteAlgebra, emb: tuple[int, ...],
               name: Optional[str]) -> tuple[FiniteAlgebra, tuple[int, ...]]:
-    back = {x: i for i, x in enumerate(emb)}
     ops = []
     for op in a.operations:
-        table = []
-        for args in product(emb, repeat=op.arity):
-            v = op.apply(args, a.size)
-            if v not in back:
-                raise NotClosed(op.name, args, v)
-            table.append(back[v])
-        ops.append(OperationTable(op.name, op.arity, tuple(table)))
+        table = _reindexed(op, emb, a.size)
+        if (table < 0).any():
+            args = tuple(emb[i] for i in _first(table < 0))
+            raise NotClosed(op.name, args, op.apply(args, a.size))
+        ops.append(OperationTable.from_array(op.name, table))
     labels = tuple(a.label(x) for x in emb) if a.labels is not None else None
     rname = name or f"{a.name}|{{{','.join(str(x) for x in emb)}}}"
     return FiniteAlgebra(rname, len(emb), tuple(ops), labels), emb
+
+
+def _reindexed(op: OperationTable, emb: Sequence[int], size: int) -> np.ndarray:
+    """op on emb^arity, each value replaced by its position in emb, or by -1
+    where it escapes emb."""
+    back = np.full(size, -1)
+    back[list(emb)] = np.arange(len(emb))
+    return back[_grid(op.array, emb)]
+
+
+def preserves(op: OperationTable, subset: Iterable[int], size: int) -> bool:
+    """Does op map every tuple over the subset into it?"""
+    return bool((_reindexed(op, sorted(set(subset)), size) >= 0).all())
 
 
 def is_set(a: FiniteAlgebra) -> bool:
@@ -303,58 +334,7 @@ def is_set(a: FiniteAlgebra) -> bool:
 
 def is_closed_subset(a: FiniteAlgebra, subset: Iterable[int]) -> bool:
     sub = set(subset)
-    for op in a.operations:
-        for args in product(sorted(sub), repeat=op.arity):
-            if op.apply(args, a.size) not in sub:
-                return False
-    return True
-
-
-def find_isomorphism(a: FiniteAlgebra, b: FiniteAlgebra,
-                     max_size: int = 8) -> Optional[tuple[int, ...]]:
-    """Brute-force isomorphism search (backtracking over bijections).
-
-    Intended for tests at desk scale; returns the image tuple or None."""
-    if a.size != b.size or a.size > max_size:
-        return None
-    try:
-        sig = signature_map(a, b)
-    except SignatureMismatch:
-        return None
-    n = a.size
-    image: list[Optional[int]] = [None] * n
-    used = [False] * n
-
-    def ok_so_far() -> bool:
-        for op in a.operations:
-            opb = b.by_name[sig[op.name]]
-            for args in product(range(n), repeat=op.arity):
-                if any(image[x] is None for x in args):
-                    continue
-                v = op.apply(args, n)
-                if image[v] is None:
-                    continue
-                if opb.apply([image[x] for x in args], n) != image[v]:
-                    return False
-        return True
-
-    def assign(x: int) -> bool:
-        if x == n:
-            return True
-        for y in range(n):
-            if used[y]:
-                continue
-            image[x] = y
-            used[y] = True
-            if ok_so_far() and assign(x + 1):
-                return True
-            image[x] = None
-            used[y] = False
-        return False
-
-    if assign(0):
-        return tuple(image)  # type: ignore[arg-type]
-    return None
+    return all(preserves(op, sub, a.size) for op in a.operations)
 
 
 def align_signatures(algebras: Sequence[FiniteAlgebra]) -> list[FiniteAlgebra]:
@@ -383,10 +363,8 @@ def align_signatures(algebras: Sequence[FiniteAlgebra]) -> list[FiniteAlgebra]:
             if nm in alg.by_name:
                 ops.append(alg.by_name[nm])
             else:
-                r = arities[nm]
-                table = tuple(index_args(i, alg.size, r)[0]
-                              for i in range(alg.size ** r))
-                ops.append(OperationTable(nm, r, table))
+                ops.append(OperationTable.from_array(
+                    nm, coordinate(alg.size, arities[nm], 0)))
         out.append(alg if tuple(ops) == alg.operations else
                    FiniteAlgebra(alg.name, alg.size, tuple(ops), alg.labels))
     return out

@@ -1,11 +1,14 @@
 """Congruences, tolerances, abelianness and the related decision procedures.
 
 Congruences are canonical partitions of 0..n-1.  Principal congruences are
-generated by union-find saturation over the unary polynomial slices of the
-basic operations (closure under those slices implies closure under all
-polynomials, one coordinate at a time).  The full lattice is the join
-closure of the principal congruences; joins of congruences are transitive
-closures of unions.
+generated by union-find saturation under the translations of the algebra,
+the maps x |-> f(c-bar with x at position i) of every basic operation f
+(closure under those implies closure under all unary polynomials).  They
+are kept once per algebra, deduplicated, as the rows of one integer matrix,
+so each pair is pushed through all of them by one gather (R. Freese,
+Computing congruences efficiently, Algebra Universalis 59, 2008).  The full
+lattice is the join closure of the principal congruences; joins of
+congruences are transitive closures of unions.
 
 Tolerances are saturated semi-naively on an n x n bool matrix: each round
 applies the operations, by numpy gathers, only to tuples of related pairs
@@ -19,9 +22,10 @@ term condition at arity <= 3.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations, product
+from itertools import combinations
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -30,12 +34,12 @@ from .algebra import (
     DEFAULT_LIMITS,
     FiniteAlgebra,
     Limits,
+    OperationTable,
     is_set,
     product_algebra,
     quotient,
-    table_index,
 )
-from .errors import CapExceededError, NotATolerance, ProjectionNotFull
+from .errors import CapExceededError, NotATolerance, ProjectionNotFull, ValidationError
 from .generate import term_operations
 
 SET = "set"
@@ -112,19 +116,6 @@ class Congruence:
         return out
 
 
-def is_compatible(algebra: FiniteAlgebra, part: Congruence) -> bool:
-    """Exhaustive compatibility check of a partition."""
-    bi = part.block_index
-    for op in algebra.operations:
-        r = op.arity
-        for args in product(range(algebra.size), repeat=r):
-            v = op.apply(args, algebra.size)
-            rep = tuple(part.blocks[bi[x]][0] for x in args)
-            if bi[v] != bi[op.apply(rep, algebra.size)]:
-                return False
-    return True
-
-
 class _UnionFind:
     def __init__(self, n: int):
         self.parent = list(range(n))
@@ -147,23 +138,30 @@ class _UnionFind:
 
 def cg(algebra: FiniteAlgebra, pairs: Iterable[tuple[int, int]]) -> Congruence:
     """Least congruence containing the pairs: union-find saturated with the
-    unary polynomial slices of the basic operations."""
+    translations of the algebra."""
     n = algebra.size
+    moves = _translations(algebra)
     uf = _UnionFind(n)
     queue = [(x, y) for x, y in pairs if uf.union(x, y)]
     while queue:
         x, y = queue.pop()
-        for op in algebra.operations:
-            r = op.arity
-            for pos in range(r):
-                for fill in product(range(n), repeat=r - 1):
-                    ax = fill[:pos] + (x,) + fill[pos:]
-                    ay = fill[:pos] + (y,) + fill[pos:]
-                    vx = op.apply(ax, n)
-                    vy = op.apply(ay, n)
-                    if uf.union(vx, vy):
-                        queue.append((vx, vy))
+        for vx, vy in zip(moves[:, x].tolist(), moves[:, y].tolist()):
+            if uf.union(vx, vy):
+                queue.append((vx, vy))
     return Congruence.from_parent([uf.find(x) for x in range(n)])
+
+
+def _translations(algebra: FiniteAlgebra) -> np.ndarray:
+    """The distinct translations x |-> f(c-bar with x at position i), one
+    per row, memoized on the algebra."""
+    def compute() -> np.ndarray:
+        n = algebra.size
+        rows = [np.moveaxis(op.array, pos, -1).reshape(-1, n)
+                for op in algebra.operations for pos in range(op.arity)]
+        # asked for an index array too, numpy does not import numpy.ma (1.3 MB)
+        distinct, _ = np.unique(np.concatenate(rows), axis=0, return_index=True)
+        return distinct
+    return algebra.memoized(("translations",), compute)
 
 
 def join(a: Congruence, b: Congruence) -> Congruence:
@@ -270,13 +268,16 @@ def tolerance_generated(algebra: FiniteAlgebra,
     """Least compatible reflexive symmetric relation containing the pairs,
     saturated semi-naively: each round applies the operations only to
     tuples that use a pair added in the round before."""
-    rel = np.eye(algebra.size, dtype=bool)
+    n = algebra.size
+    rel = np.eye(n, dtype=bool)
     for x, y in pairs:
+        if not (0 <= x < n and 0 <= y < n):
+            raise ValidationError(f"pair ({x}, {y}) is not in 0..{n - 1}")
         rel[x, y] = rel[y, x] = True
     # invariant: every tuple of pairs of rel & ~delta has been applied (the
     # diagonal maps into itself).  A tuple and its swap have transposed
     # images, so tuples whose first delta pair is below the diagonal are skipped
-    delta = rel & ~np.eye(algebra.size, dtype=bool)
+    delta = rel & ~np.eye(n, dtype=bool)
     while delta.any() and not rel.all():
         image = _image(algebra, rel & ~delta, np.triu(delta), rel)
         delta = (image | image.T) & ~rel
@@ -295,22 +296,21 @@ def _image(algebra: FiniteAlgebra, old: np.ndarray, new: np.ndarray,
     operations f and the tuples of pairs whose first pair outside old is in
     new, with every pair after it in every.  The first argument runs in
     blocks of about 16K gathered entries, so memory stays flat."""
-    n = algebra.size
-    out = np.zeros(n * n, dtype=bool)
+    out = np.zeros_like(every)
     old, new, every = (np.array(np.nonzero(m)) for m in (old, new, every))
-    for r, table in algebra.memoized(("op_arrays",), lambda: [
-            (op.arity, np.asarray(op.table, dtype=np.intp).reshape(n, -1))
-            for op in algebra.operations]):
+    for op in algebra.operations:
+        r = op.arity
         for j in range(r if old.size else 1):
             first, *rest = [old] * j + [new] + [every] * (r - 1 - j)
-            flat = np.zeros((2, 1), dtype=np.intp)     # x and y sides
-            for pairs in rest:
-                flat = (flat[:, :, None] * n + pairs[:, None, :]).reshape(2, -1)
-            per = max(1, (1 << 14) // max(1, flat.shape[1]))
+            # every combination of the later pairs, each a (2, m) x/y array
+            count = math.prod(p.shape[1] for p in rest)
+            picks = np.indices([p.shape[1] for p in rest]).reshape(len(rest), count)
+            later = tuple(p[:, None, k] for p, k in zip(rest, picks))
+            per = max(1, (1 << 14) // max(1, count))
             for lo in range(0, first.shape[1], per):
-                u, v = table[first[:, lo:lo + per, None], flat[:, None, :]]
-                out[u * n + v] = True
-    return out.reshape(n, n)
+                u, v = op.array[(first[:, lo:lo + per, None],) + later]
+                out[u, v] = True
+    return out
 
 
 def _compatible(algebra: FiniteAlgebra, rel: np.ndarray) -> bool:
@@ -368,29 +368,6 @@ def _diagonal_test(algebra: FiniteAlgebra) -> bool:
     return set(theta.block_of(diag[0])) == set(diag)
 
 
-def is_abelian_brute(algebra: FiniteAlgebra, max_arity: int = 3,
-                     limits: Limits = TERM_SEARCH_LIMITS) -> bool:
-    """Brute-force term condition at arity <= max_arity: for every term t
-    and all u, v, a-bar, b-bar:
-    t(u, a-bar) = t(u, b-bar)  implies  t(v, a-bar) = t(v, b-bar).
-
-    This is the reference implementation used to cross-check is_abelian on
-    small fixtures; the true condition quantifies over all arities."""
-    n = algebra.size
-    for arity in range(2, max_arity + 1):
-        for table, _ in term_operations(algebra, arity, limits.cap):
-            m = arity - 1
-            for abar in product(range(n), repeat=m):
-                for bbar in product(range(n), repeat=m):
-                    if abar == bbar:
-                        continue
-                    ok = [table[table_index((u,) + abar, n)]
-                          == table[table_index((u,) + bbar, n)] for u in range(n)]
-                    if any(ok) and not all(ok):
-                        return False
-    return True
-
-
 def classify_simple_quotient(algebra: FiniteAlgebra,
                              limits: Limits = DEFAULT_LIMITS) -> str:
     """For a simple idempotent algebra: SET if all basic operations are
@@ -422,31 +399,17 @@ def absorbing_elements(algebra: FiniteAlgebra, max_arity: int = 3,
             break
         reached = arity
         for table, _ in tops:
+            array = OperationTable("t", arity, table).array
             for pos in range(arity):
-                if not _table_depends_on(table, pos, n, arity):
-                    continue
-                dead = set()
-                for a in candidates:
-                    for fill in product(range(n), repeat=arity - 1):
-                        args = fill[:pos] + (a,) + fill[pos:]
-                        if table[table_index(args, n)] != a:
-                            dead.add(a)
-                            break
-                candidates -= dead
+                # row a: the values with a at pos, over every fill of the rest
+                rows = np.moveaxis(array, pos, 0).reshape(n, -1)
+                if (rows == rows[0]).all():
+                    continue     # the operation does not depend on pos
+                candidates &= set(np.flatnonzero(
+                    (rows == np.arange(n)[:, None]).all(axis=1)).tolist())
                 if not candidates:
                     return [], reached
     return sorted(candidates), reached
-
-
-def _table_depends_on(table: Sequence[int], pos: int, n: int, arity: int) -> bool:
-    for args in product(range(n), repeat=arity):
-        base = table[table_index(args, n)]
-        for v in range(n):
-            if v != args[pos]:
-                other = args[:pos] + (v,) + args[pos + 1:]
-                if table[table_index(other, n)] != base:
-                    return True
-    return False
 
 
 def quotient_by(algebra: FiniteAlgebra, theta: Congruence,

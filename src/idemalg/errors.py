@@ -61,9 +61,9 @@ class NotClosed(IdemalgError):
 
 
 class TooLarge(IdemalgError):
-    def __init__(self, size, bound):
+    def __init__(self, size, bound, remedy="pass --force, or Limits(max_size=None)"):
         super().__init__(f"universe size {size} exceeds analysis bound {bound} "
-                         f"(pass --force, or Limits(max_size=None))")
+                         f"({remedy})")
         self.size, self.bound = size, bound
 
 

@@ -28,10 +28,10 @@ from .algebra import (
     DEFAULT_LIMITS,
     FiniteAlgebra,
     Limits,
-    index_args,
-    table_index,
+    OperationTable,
+    coordinate,
 )
-from .errors import CapExceededError, ElementNotGenerated
+from .errors import CapExceededError, ElementNotGenerated, PostconditionFailed, TooLarge
 from . import terms
 from .terms import Term
 
@@ -229,6 +229,8 @@ class TupleClosure:
         for alg in self.columns:
             if alg.signature != sig:
                 raise ValueError("all coordinate algebras must share one signature")
+            if alg.size > 256:
+                raise TooLarge(alg.size, 256, "tuple closures store elements as bytes")
         self.signature = sig
         self.n = 0
         self._buf = np.zeros((256, self.k), dtype=np.uint8)
@@ -256,32 +258,29 @@ class TupleClosure:
             if id(alg) not in pos:
                 pos[id(alg)] = len(distinct)
                 distinct.append(alg)
-        self._col_alg = [pos[id(alg)] for alg in self.columns]
+        col_alg = [pos[id(alg)] for alg in self.columns]
         nmax = max(alg.size for alg in distinct)
         self._ops = []
         for name, arity in self.signature:
             if arity == 1:
                 col_tab = np.zeros((self.k, nmax), dtype=np.uint8)
                 for c, alg in enumerate(self.columns):
-                    col_tab[c, :alg.size] = alg.op(name).table
+                    col_tab[c, :alg.size] = alg.op(name).array
                 self._ops.append((name, 1, None, None, col_tab))
                 continue
-            stacked = []
-            lut_per_alg = {}
-            offset = 0
-            for ai, alg in enumerate(distinct):
+            stacked, luts, offset = [], [], 0
+            for alg in distinct:
                 n = alg.size
-                flat = np.asarray(alg.op(name).table, dtype=np.uint8)
-                maps = flat.reshape(n ** (arity - 1), n)
+                # one row per fixing of the leading arguments: the map of the last
+                maps = alg.op(name).array.reshape(-1, n).astype(np.uint8)
                 uniq, inv = np.unique(maps, axis=0, return_inverse=True)
                 padded = np.zeros((len(uniq), nmax), dtype=np.uint8)
                 padded[:, :n] = uniq
                 stacked.append(padded)
-                lut_per_alg[ai] = inv.reshape(-1).astype(np.int32) + offset
+                luts.append(inv.reshape(-1).astype(np.int32) + offset)
                 offset += len(uniq)
-            allmaps = np.vstack(stacked)
-            col_lut = [lut_per_alg[self._col_alg[c]] for c in range(self.k)]
-            self._ops.append((name, arity, allmaps, col_lut, None))
+            col_lut = [luts[ai] for ai in col_alg]
+            self._ops.append((name, arity, np.vstack(stacked), col_lut, None))
 
     # -- row storage --
 
@@ -450,50 +449,14 @@ def subpower_membership(query: SubpowerQuery) -> SubpowerAnswer:
         w = cl.witness(hit)
         for c, alg in enumerate(query.columns):
             value = terms.evaluate(w, alg, [g[c] for g in query.generators])
-            assert value == query.target[c], "witness failed re-evaluation"
+            if value != query.target[c]:
+                raise PostconditionFailed(
+                    f"subpower witness {w.text()} gives {value} at coordinate "
+                    f"{c}, not {query.target[c]}")
         return Found(w, len(cl))
     if cl.complete:
         return Absent(len(cl))
     return CapExceeded(query.cap)
-
-
-def naive_subpower_membership(query: SubpowerQuery) -> SubpowerAnswer:
-    """Independent reference closure: plain dict of tuples, nested loops, no
-    vectorization and no signature sharing.  Used as the test oracle."""
-    cols = query.columns
-    k = len(cols)
-    ops = [(name, arity, [alg.op(name).table for alg in cols])
-           for name, arity in cols[0].signature]
-    sizes = [alg.size for alg in cols]
-    known: dict[tuple[int, ...], int] = {}
-    rows: list[tuple[int, ...]] = []
-    for g in query.generators:
-        t = tuple(g)
-        if t not in known:
-            known[t] = len(rows)
-            rows.append(t)
-    old = 0
-    while True:
-        cur = len(rows)
-        if cur == old:
-            break
-        for name, arity, tables in ops:
-            for combo in product(range(cur), repeat=arity):
-                if all(c < old for c in combo):
-                    continue
-                args = [rows[c] for c in combo]
-                res = tuple(tables[c][table_index([a[c] for a in args], sizes[c])]
-                            for c in range(k))
-                if res not in known:
-                    known[res] = len(rows)
-                    rows.append(res)
-                    if len(rows) > query.cap:
-                        return CapExceeded(query.cap)
-        old = cur
-    if tuple(query.target) in known:
-        # no witness tracking on purpose; the fast engine provides terms
-        return Found(terms.proj(0, max(1, len(query.generators))), len(rows))
-    return Absent(len(rows))
 
 
 # --------------------------------------------------------------------------
@@ -549,8 +512,11 @@ def find_pair_witness(algebra: FiniteAlgebra, kind: str, a: int = 0, b: int = 0,
             hit = cl.lookup((absorber, absorber))
             if hit is not None:
                 w = cl.witness(hit)
-                assert terms.evaluate(w, algebra, (a, b)) == absorber
-                assert terms.evaluate(w, algebra, (b, a)) == absorber
+                for args in ((a, b), (b, a)):
+                    if terms.evaluate(w, algebra, args) != absorber:
+                        raise PostconditionFailed(
+                            f"semilattice witness {w.text()} does not send "
+                            f"{args} to {absorber}")
                 return PairWitness(SEMILATTICE, w, absorber, len(cl))
         return Absent(len(cl)) if cl.complete else CapExceeded(cap)
     if kind == MAJORITY:
@@ -577,11 +543,9 @@ def term_operations(algebra: FiniteAlgebra, arity: int, cap: int = DEFAULT_CAP
     Raises CapExceededError when the clone is larger than the cap; a partial
     enumeration would be unusable."""
     n = algebra.size
-    k = n ** arity
-    args_of = [index_args(i, n, arity) for i in range(k)]
-    gens = tuple(tuple(args_of[i][p] for i in range(k)) for p in range(arity))
-    cl = TupleClosure((algebra,) * k, gens, cap)
+    gens = tuple(OperationTable.from_array("p", coordinate(n, arity, p)).table
+                 for p in range(arity))
+    cl = TupleClosure((algebra,) * n ** arity, gens, cap)
     if not cl.complete:
         raise CapExceededError(cap, f"arity-{arity} term enumeration on {algebra.name}")
-    return [(tuple(int(v) for v in cl.rows[i]), cl.witness(i))
-            for i in range(len(cl))]
+    return [(tuple(cl.rows[i].tolist()), cl.witness(i)) for i in range(len(cl))]

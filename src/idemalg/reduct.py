@@ -11,9 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import product
 
-from .algebra import DEFAULT_LIMITS, FiniteAlgebra, Limits, OperationTable, table_index
+from .algebra import DEFAULT_LIMITS, FiniteAlgebra, Limits, OperationTable, preserves
 from .edges import (
     MAJORITY,
     SEMILATTICE,
@@ -53,13 +52,6 @@ class BoundedReduct:
                 f"preserving {{{','.join(map(str, self.r_ab))}}}")
 
 
-def _preserves(table: tuple[int, ...], arity: int, n: int,
-               subset: frozenset[int]) -> bool:
-    members = sorted(subset)
-    return all(table[table_index(args, n)] in subset
-               for args in product(members, repeat=arity))
-
-
 def bounded_reduct(algebra: FiniteAlgebra, witness: EdgeWitness,
                    max_arity: int = DEFAULT_MAX_ARITY,
                    limits: Limits = DEFAULT_LIMITS) -> BoundedReduct:
@@ -76,8 +68,9 @@ def bounded_reduct(algebra: FiniteAlgebra, witness: EdgeWitness,
     n = algebra.size
     for arity in range(1, max_arity + 1):
         for table, term in term_operations(algebra, arity, limits.cap):
-            if _preserves(table, arity, n, r_ab):
-                ops.append((OperationTable(f"t{len(ops)}", arity, table), term))
+            op = OperationTable(f"t{len(ops)}", arity, table)
+            if preserves(op, r_ab, n):
+                ops.append((op, term))
     return BoundedReduct(algebra, witness.pair, tuple(sorted(r_ab)),
                          max_arity, tuple(ops))
 

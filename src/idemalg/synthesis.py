@@ -20,6 +20,8 @@ from dataclasses import dataclass
 from itertools import permutations
 from typing import Iterable, Optional, Sequence
 
+import numpy as np
+
 from .algebra import DEFAULT_LIMITS, FiniteAlgebra, Limits, align_signatures, restrict
 from .congruence import Congruence
 from .edges import (
@@ -243,51 +245,42 @@ def _unary_slices(algebras: Sequence[FiniteAlgebra], op: Term,
     """The families of unary maps driving each normalization."""
     out = []
     for alg in algebras:
-        n = alg.size
-        tab = realize_table(op, alg)
+        arr = realize_table(op, alg).array
         if shape == "fix-first":         # y -> map x |-> op(x, y)
-            for y in range(n):
-                out.append(tuple(tab.apply((x, y), n) for x in range(n)))
+            maps = arr.T
         elif shape == "fix-second":      # x -> map y |-> op(x, y)
-            for x in range(n):
-                out.append(tuple(tab.apply((x, y), n) for y in range(n)))
+            maps = arr
         elif shape == "collapse23":      # x -> map y |-> op(x, y, y)
-            for x in range(n):
-                out.append(tuple(tab.apply((x, y, y), n) for y in range(n)))
+            maps = np.diagonal(arr, axis1=1, axis2=2)
         elif shape == "collapse23-first":  # y -> map x |-> op(x, y, y)
-            for y in range(n):
-                out.append(tuple(tab.apply((x, y, y), n) for x in range(n)))
+            maps = np.diagonal(arr, axis1=1, axis2=2).T
         else:
             raise ValueError(shape)
+        out.extend(map(tuple, maps.tolist()))
     return out
 
 
 def _pair_exchange_maps(algebras: Sequence[FiniteAlgebra], op: Term) -> list[tuple[int, ...]]:
+    """Per algebra, the map (x, y) |-> (op(x, y), op(y, x)) on pairs coded
+    x*n + y."""
     out = []
     for alg in algebras:
-        n = alg.size
-        tab = realize_table(op, alg)
-        t = []
-        for x in range(n):
-            for y in range(n):
-                t.append(tab.apply((x, y), n) * n + tab.apply((y, x), n))
-        out.append(tuple(t))
+        arr = realize_table(op, alg).array
+        out.append(tuple((arr * alg.size + arr.T).ravel().tolist()))
     return out
 
 
 def _triple_cycle_maps(algebras: Sequence[FiniteAlgebra], op: Term) -> list[tuple[int, ...]]:
+    """Per algebra, the map (x, y, z) |-> (op(x, y, z), op(y, z, x),
+    op(z, x, y)) on triples coded (x*n + y)*n + z."""
     out = []
     for alg in algebras:
         n = alg.size
-        tab = realize_table(op, alg)
-        t = []
-        for x in range(n):
-            for y in range(n):
-                for z in range(n):
-                    t.append((tab.apply((x, y, z), n) * n
-                              + tab.apply((y, z, x), n)) * n
-                             + tab.apply((z, x, y), n))
-        out.append(tuple(t))
+        arr = realize_table(op, alg).array
+        # axes (x, y, z): op(y, z, x) is arr[y, z, x], op(z, x, y) is arr[z, x, y]
+        rot1 = np.transpose(arr, (2, 0, 1))
+        rot2 = np.transpose(arr, (1, 2, 0))
+        out.append(tuple(((arr * n + rot1) * n + rot2).ravel().tolist()))
     return out
 
 

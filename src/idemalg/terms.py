@@ -3,11 +3,11 @@
 Nodes are interned: structurally equal terms are the same object, so
 identity doubles as structural equality.  Besides projections and symbol
 applications there is a power node iterating a unary context, which keeps
-the lcm-exponent constructions small; its table is realized by cycle
-shortcutting rather than literal expansion.  An explicit composition node
-carries substitutions whose target position is a power hole (a power node
-iterates one of its own variable slots, so that slot cannot be rewritten
-structurally).
+the lcm-exponent constructions small; it is never expanded literally: a
+point evaluates by cycle shortcutting, a table (one array per node) by
+repeated squaring.  An explicit composition node carries substitutions
+whose target position is a power hole (a power node iterates one of its own
+variable slots, so that slot cannot be rewritten structurally).
 
 Terms serialize to a parenthesized prefix form, e.g. ``f(p0, g(p1, p0, p1))``
 with ``pK`` for projections, ``pow(times, hole, body)`` for power nodes and
@@ -20,7 +20,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .algebra import FiniteAlgebra, OperationTable, index_args, table_index
+import numpy as np
+
+from .algebra import FiniteAlgebra, OperationTable, coordinate
 from .errors import ArityMismatch, TermSyntaxError, UnknownSymbol
 
 _INTERN: dict[tuple, "Term"] = {}
@@ -55,18 +57,18 @@ class Term:
         return f"pow({self.times}, {self.hole}, {self.children[0].text()})"
 
     def nodes(self) -> list["Term"]:
-        """All distinct nodes of the DAG, children before parents."""
+        """All distinct nodes of the DAG, children before parents (post-order,
+        children left to right), by an explicit stack: no recursion limit."""
         seen: dict[int, Term] = {}
-
-        def walk(t: Term) -> None:
-            if id(t) in seen:
-                return
-            if t.children:
-                for c in t.children:
-                    walk(c)
-            seen[id(t)] = t
-
-        walk(self)
+        stack = [(self, iter(self.children or ()))]
+        while stack:
+            node, pending = stack[-1]
+            child = next(pending, None)
+            if child is None:
+                seen[id(node)] = node
+                stack.pop()
+            elif id(child) not in seen:
+                stack.append((child, iter(child.children or ())))
         return list(seen.values())
 
 
@@ -185,37 +187,41 @@ def substitute(t: Term, replacements: Sequence[Term]) -> Term:
             tree_size(t) * max(tree_size(r) for r in replacements) \
             > _SUBSTITUTE_COMPACT:
         return compose(t, replacements)
-    memo: dict[int, Term] = {}
-
-    class _Blocked(Exception):
-        pass
-
-    def go(node: Term) -> Term:
-        r = memo.get(id(node))
-        if r is not None:
-            return r
-        if node.kind == "proj":
-            r = replacements[node.index]
-        elif node.kind == "app":
-            r = app(node.op, [go(c) for c in node.children])
-        elif node.kind == "comp":
-            r = compose(node.children[0], [go(c) for c in node.children[1:]])
-        else:
-            # rewriting inside a power node is sound only if the iteration
-            # slot maps to a plain variable nothing else touches
-            rep = replacements[node.hole]
-            if rep.kind != "proj" or any(
-                    uses_variable(replacements[c], rep.index)
-                    for c in range(len(replacements)) if c != node.hole):
-                raise _Blocked()
-            r = power(go(node.children[0]), rep.index, node.times)
-        memo[id(node)] = r
-        return r
-
     try:
-        return go(t)
+        return _rewrite(t, replacements, {})
     except _Blocked:
         return compose(t, replacements)
+
+
+class _Blocked(Exception):
+    """A power node's iteration slot cannot be rewritten structurally."""
+
+
+def _rewrite(node: Term, replacements: Sequence[Term], memo: dict[int, Term]) -> Term:
+    """The structural substitution of `substitute`, memoized by node.  A
+    module function, not a closure over itself, so no call leaves a
+    reference cycle behind."""
+    r = memo.get(id(node))
+    if r is not None:
+        return r
+    if node.kind == "proj":
+        r = replacements[node.index]
+    elif node.kind == "app":
+        r = app(node.op, [_rewrite(c, replacements, memo) for c in node.children])
+    elif node.kind == "comp":
+        r = compose(node.children[0],
+                    [_rewrite(c, replacements, memo) for c in node.children[1:]])
+    else:
+        # rewriting inside a power node is sound only if the iteration
+        # slot maps to a plain variable nothing else touches
+        rep = replacements[node.hole]
+        if rep.kind != "proj" or any(
+                uses_variable(replacements[c], rep.index)
+                for c in range(len(replacements)) if c != node.hole):
+            raise _Blocked()
+        r = power(_rewrite(node.children[0], replacements, memo), rep.index, node.times)
+    memo[id(node)] = r
+    return r
 
 
 def _iterate(start: int, step, times: int) -> int:
@@ -241,50 +247,52 @@ def evaluate(t: Term, algebra: FiniteAlgebra, args: Sequence[int]) -> int:
     """Value of the induced term operation at args."""
     if len(args) != t.arity:
         raise ArityMismatch(f"term has arity {t.arity}, got {len(args)} arguments")
-    memo: dict[tuple[int, tuple[int, ...]], int] = {}
+    return _evaluate(t, tuple(args), algebra, {})
 
-    def ev(node: Term, vals: tuple[int, ...]) -> int:
-        key = (id(node), vals)
-        r = memo.get(key)
-        if r is not None:
-            return r
-        if node.kind == "proj":
-            r = vals[node.index]
-        elif node.kind == "app":
-            op = algebra.by_name.get(node.op)
-            if op is None:
-                raise UnknownSymbol(node.op)
-            if op.arity != len(node.children):
-                raise ArityMismatch(
-                    f"{node.op!r} has arity {op.arity}, term applies it to "
-                    f"{len(node.children)} arguments")
-            r = op.apply([ev(c, vals) for c in node.children], algebra.size)
-        elif node.kind == "comp":
-            inner = tuple(ev(c, vals) for c in node.children[1:])
-            r = ev(node.children[0], inner)
-        else:
-            body, hole = node.children[0], node.hole
 
-            def step(u: int) -> int:
-                return ev(body, vals[:hole] + (u,) + vals[hole + 1:])
-
-            r = _iterate(vals[hole], step, node.times)
-        memo[key] = r
+def _evaluate(node: Term, vals: tuple[int, ...], algebra: FiniteAlgebra,
+              memo: dict[tuple[int, tuple[int, ...]], int]) -> int:
+    """evaluate, memoized by (node, values).  A module function, not a
+    closure over itself, so no call leaves a reference cycle behind."""
+    key = (id(node), vals)
+    r = memo.get(key)
+    if r is not None:
         return r
+    if node.kind == "proj":
+        r = vals[node.index]
+    elif node.kind == "app":
+        op = algebra.by_name.get(node.op)
+        if op is None:
+            raise UnknownSymbol(node.op)
+        if op.arity != len(node.children):
+            raise ArityMismatch(
+                f"{node.op!r} has arity {op.arity}, term applies it to "
+                f"{len(node.children)} arguments")
+        r = op.apply([_evaluate(c, vals, algebra, memo) for c in node.children],
+                     algebra.size)
+    elif node.kind == "comp":
+        inner = tuple(_evaluate(c, vals, algebra, memo) for c in node.children[1:])
+        r = _evaluate(node.children[0], inner, algebra, memo)
+    else:
+        body, hole = node.children[0], node.hole
 
-    return ev(t, tuple(args))
+        def step(u: int) -> int:
+            return _evaluate(body, vals[:hole] + (u,) + vals[hole + 1:], algebra, memo)
+
+        r = _iterate(vals[hole], step, node.times)
+    memo[key] = r
+    return r
 
 
 def realize_table(t: Term, algebra: FiniteAlgebra, name: str = "t") -> OperationTable:
-    """Full table of the induced operation, computed bottom-up over the DAG.
-    Nodes realize at their own arity (composition outers differ from the
-    root)."""
+    """Full table of the induced operation, computed bottom-up over the DAG,
+    one array per node.  Nodes realize at their own arity (composition
+    outers differ from the root)."""
     n = algebra.size
-    tabs: dict[int, tuple[int, ...]] = {}
+    arrays: dict[int, np.ndarray] = {}
     for node in t.nodes():
-        size = n ** node.arity
         if node.kind == "proj":
-            tab = tuple(index_args(i, n, node.arity)[node.index] for i in range(size))
+            arr = coordinate(n, node.arity, node.index)
         elif node.kind == "app":
             op = algebra.by_name.get(node.op)
             if op is None:
@@ -293,30 +301,24 @@ def realize_table(t: Term, algebra: FiniteAlgebra, name: str = "t") -> Operation
                 raise ArityMismatch(
                     f"{node.op!r} has arity {op.arity}, term applies it to "
                     f"{len(node.children)} arguments")
-            subs = [tabs[id(c)] for c in node.children]
-            tab = tuple(op.table[table_index([s[i] for s in subs], n)]
-                        for i in range(size))
+            arr = op.array[tuple(arrays[id(c)] for c in node.children)]
         elif node.kind == "comp":
-            outer = tabs[id(node.children[0])]
-            subs = [tabs[id(c)] for c in node.children[1:]]
-            tab = tuple(outer[table_index([s[i] for s in subs], n)]
-                        for i in range(size))
+            outer, *inners = (arrays[id(c)] for c in node.children)
+            arr = outer[tuple(inners)]
         else:
-            body_tab = tabs[id(node.children[0])]
-            hole, times = node.hole, node.times
-            out = []
-            stride = n ** (node.arity - 1 - hole)
-            for i in range(size):
-                start = index_args(i, n, node.arity)[hole]
-                base = i - start * stride
-
-                def step(u: int) -> int:
-                    return body_tab[base + u * stride]
-
-                out.append(_iterate(start, step, times))
-            tab = tuple(out)
-        tabs[id(node)] = tab
-    return OperationTable(name, t.arity, tabs[id(t)])
+            # the unary map u |-> body(.., u at hole, ..) of every context,
+            # on the last axis, raised to `times` by repeated squaring
+            step = np.moveaxis(arrays[id(node.children[0])], node.hole, -1)
+            result = np.broadcast_to(np.arange(n), step.shape)
+            times = node.times
+            while times:
+                if times & 1:
+                    result = np.take_along_axis(step, result, axis=-1)
+                step = np.take_along_axis(step, step, axis=-1)
+                times >>= 1
+            arr = np.moveaxis(result, -1, node.hole)
+        arrays[id(node)] = arr
+    return OperationTable.from_array(name, arrays[id(t)])
 
 
 @dataclass(frozen=True)
@@ -342,12 +344,9 @@ def check_identity(algebra: FiniteAlgebra, ident: Identity
                    ) -> Optional[tuple[int, ...]]:
     """Exhaustive check; returns the lexicographically first counterexample,
     or None if the identity holds."""
-    lt = realize_table(ident.left, algebra)
-    rt = realize_table(ident.right, algebra)
-    for i, (a, b) in enumerate(zip(lt.table, rt.table)):
-        if a != b:
-            return index_args(i, algebra.size, ident.arity)
-    return None
+    differ = realize_table(ident.left, algebra).array \
+        != realize_table(ident.right, algebra).array
+    return tuple(np.argwhere(differ)[0].tolist()) if differ.any() else None
 
 
 # --- parsing ---

@@ -1,7 +1,29 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from idemalg import fixtures
 from idemalg.algebra import validate_algebra
+
+
+@pytest.fixture
+def run_optimized():
+    """Run Python source under `python -O` (asserts stripped) with this
+    package importable; return its stdout, failing on a nonzero exit."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+
+    def run(code: str) -> str:
+        done = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert done.returncode == 0, done.stderr
+        return done.stdout
+
+    return run
 
 
 @pytest.fixture

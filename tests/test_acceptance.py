@@ -11,6 +11,8 @@ import random
 import time
 from itertools import combinations, product
 
+from oracles import find_isomorphism, is_abelian_brute, naive_subpower_membership
+
 from idemalg import fixtures, terms, thin
 from idemalg.algebra import restrict, validate_algebra
 from idemalg.congruence import (
@@ -18,12 +20,11 @@ from idemalg.congruence import (
     cg,
     congruence_lattice,
     is_abelian,
-    is_abelian_brute,
     maximal_congruences,
     quotient_by,
     tolerance_ops,
 )
-from idemalg.algebra import find_isomorphism, is_closed_subset
+from idemalg.algebra import is_closed_subset
 from idemalg.edges import (
     AFFINE,
     MAJORITY,
@@ -43,7 +44,6 @@ from idemalg.generate import (
     find_pair_witness,
     majority_query,
     maltsev_query,
-    naive_subpower_membership,
     subpower_membership,
 )
 from idemalg.synthesis import (

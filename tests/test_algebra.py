@@ -3,12 +3,12 @@
 from itertools import product
 
 import pytest
+from oracles import find_isomorphism
 
 from idemalg import fixtures
 from idemalg.algebra import (
     FiniteAlgebra,
     align_signatures,
-    find_isomorphism,
     is_set,
     product_algebra,
     quotient,

@@ -1,14 +1,16 @@
 """Congruences, tolerances, abelianness, absorbing elements."""
 
-import os
 import random
-import subprocess
-import sys
 from itertools import combinations, product
-from pathlib import Path
 
 import numpy as np
-from oracles import naive_relation_compatible, naive_tolerance_generated
+import pytest
+from oracles import (
+    is_abelian_brute,
+    is_compatible,
+    naive_relation_compatible,
+    naive_tolerance_generated,
+)
 
 from idemalg import fixtures
 from idemalg.algebra import validate_algebra
@@ -23,14 +25,13 @@ from idemalg.congruence import (
     classify_simple_quotient,
     congruence_lattice,
     is_abelian,
-    is_abelian_brute,
-    is_compatible,
     link_tolerance,
     maximal_congruences,
     quotient_by,
     tolerance_generated,
     tolerance_ops,
 )
+from idemalg.errors import ValidationError
 from idemalg.generate import TupleClosure
 
 
@@ -171,7 +172,7 @@ def test_tolerance_compatibility_matches_oracle():
     assert min(outcomes.values()) >= 100, outcomes
 
 
-def test_link_tolerance_of_incompatible_relation_raises_under_O():
+def test_link_tolerance_of_incompatible_relation_raises_under_O(run_optimized):
     # the relation relates 0 and 1 at coordinate 0, and f(0,1) = 2 with
     # f(1,1) = 1 leaves that link relation
     code = (
@@ -183,13 +184,14 @@ def test_link_tolerance_of_incompatible_relation_raises_under_O():
         "    link_tolerance(fixtures.no_edge(), [(0, 0), (1, 1), (2, 2), (0, 1)], 0)\n"
         "except NotATolerance as exc:\n"
         "    print(type(exc).__name__, exc.coordinate)\n")
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
-    done = subprocess.run([sys.executable, "-O", "-c", code], env=env,
-                          capture_output=True, text=True, timeout=60)
-    assert done.returncode == 0, done.stderr
-    assert done.stdout == "False\nNotATolerance 0\n"
+    assert run_optimized(code) == "False\nNotATolerance 0\n"
+
+
+def test_tolerance_generated_rejects_pairs_out_of_range(sl2):
+    # -1 would wrap around to the last row of the matrix, 2 would index past it
+    for pairs in ([(-1, 0)], [(2, 0)], [(0, 1), (1, 5)]):
+        with pytest.raises(ValidationError, match="not in 0..1"):
+            tolerance_generated(sl2, pairs)
 
 
 def test_is_abelian(sl2, mj2, z3a, a_nms):

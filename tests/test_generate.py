@@ -6,8 +6,12 @@ import sys
 import weakref
 from itertools import combinations, product
 
+import pytest
+from oracles import naive_subpower_membership
+
 from idemalg import generate, terms
-from idemalg.algebra import restrict
+from idemalg.algebra import restrict, validate_algebra
+from idemalg.errors import TooLarge
 from idemalg.generate import (
     Absent,
     CapExceeded,
@@ -19,7 +23,6 @@ from idemalg.generate import (
     all_subalgebras,
     find_pair_witness,
     generate_subalgebra,
-    naive_subpower_membership,
     provenance_term,
     subpower_membership,
     subuniverse,
@@ -240,3 +243,31 @@ def test_provenance_term_deeper_than_the_recursion_limit():
     for _ in range(depth):
         expected = terms.app("f", [expected])
     assert provenance_term(provenance, depth, 1) is expected
+
+
+def test_corrupted_witnesses_raise_under_O(run_optimized):
+    # every closure witness is replaced by the first projection, which sends
+    # the generators (0, 1), (1, 0) of sl2 x sl2 to (0, 1), not to (0, 0)
+    code = (
+        "from idemalg import fixtures, generate, terms\n"
+        "from idemalg.errors import PostconditionFailed\n"
+        "generate.TupleClosure.witness = lambda self, i: terms.proj(0, self.n_generators)\n"
+        "print(__debug__)\n"
+        "sl2 = fixtures.sl2()\n"
+        "query = generate.SubpowerQuery((sl2, sl2), ((0, 1), (1, 0)), (0, 0))\n"
+        "for call in (lambda: generate.subpower_membership(query),\n"
+        "             lambda: generate.find_pair_witness(sl2, generate.SEMILATTICE, 0, 1)):\n"
+        "    try:\n"
+        "        call()\n"
+        "    except PostconditionFailed as exc:\n"
+        "        print(exc)\n")
+    assert run_optimized(code) == (
+        "False\n"
+        "subpower witness p0 gives 1 at coordinate 1, not 0\n"
+        "semilattice witness p0 does not send (1, 0) to 0\n")
+
+
+def test_tuple_closure_rejects_columns_beyond_one_byte():
+    big = validate_algebra("big", 257, [("e", 1, list(range(257)))])
+    with pytest.raises(TooLarge, match="universe size 257 exceeds analysis bound 256"):
+        generate.TupleClosure((big,), ((0,),))

@@ -1,5 +1,6 @@
 """Term DAGs: evaluation, realization, identities, serialization."""
 
+import gc
 from itertools import product
 
 import pytest
@@ -202,3 +203,48 @@ def test_random_term_dags_evaluate_consistently(a_ne, a_nms):
             assert reparsed is t
             for args in product(range(alg.size), repeat=arity):
                 assert tab.apply(args, alg.size) == evaluate(t, alg, args)
+
+
+def test_nodes_order_on_a_shared_dag():
+    x, y = proj(0, 2), proj(1, 2)
+    s = app("g", [y, x])
+    left = app("f", [s, x])
+    t = app("f", [left, s])
+    assert t.nodes() == [y, x, s, left, t]
+
+
+def test_realize_a_chain_deeper_than_the_recursion_limit(a_ne):
+    x, y = proj(0, 2), proj(1, 2)
+    chain = [x]
+    for _ in range(3000):
+        chain.append(app("f", [chain[-1], y]))
+    assert chain[-1].nodes() == [x, y] + chain[1:]
+    expected = []
+    for a, b in product(range(3), repeat=2):
+        v = a
+        for _ in range(3000):
+            v = a_ne.apply("f", (v, b))
+        expected.append(v)
+    assert realize_table(chain[-1], a_ne).table == tuple(expected)
+
+
+def test_term_traversals_leave_no_reference_cycles(a_ne):
+    x, y = proj(0, 2), proj(1, 2)
+    t = app("f", [power(app("g", [x, y]), 0, 5), app("g", [y, x])])
+    gy = app("g", [y, y])
+    was_enabled = gc.isenabled()
+    gc.disable()
+    gc.collect()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        assert len(t.nodes()) == 6
+        assert evaluate(t, a_ne, (0, 1)) == realize_table(t, a_ne).apply((0, 1), 3)
+        substitute(t, [y, x])            # rewritten structurally
+        substitute(t, [gy, x])           # blocked at the power node: composed
+        gc.collect()
+        assert gc.garbage == []
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+        if was_enabled:
+            gc.enable()
