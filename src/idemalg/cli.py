@@ -15,6 +15,7 @@ exceeded.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from typing import Optional, Sequence
@@ -298,6 +299,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return EXIT_OK if all_ok else EXIT_VERIFICATION
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="idemalg",

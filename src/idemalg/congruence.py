@@ -250,17 +250,23 @@ class Tolerance:
         return Congruence.from_parent([uf.find(x) for x in range(self.size)])
 
     def classes(self) -> list[tuple[int, ...]]:
-        """Maximal cliques of the relation graph, by brute force."""
-        n = self.size
-        cliques: list[frozenset[int]] = []
-        for mask in range(1, 1 << n):
-            members = [x for x in range(n) if mask & (1 << x)]
-            if all(self.related(x, y) for x, y in combinations(members, 2)):
-                s = frozenset(members)
-                cliques.append(s)
-        maximal = [c for c in cliques
-                   if not any(c < d for d in cliques)]
-        return sorted(tuple(sorted(c)) for c in set(maximal))
+        """Maximal cliques of the relation graph, sorted, each sorted, by
+        Bron-Kerbosch with pivoting: a state is a clique, the elements that
+        extend it not yet branched on, and those already branched on."""
+        nbrs = [frozenset(y for y in range(self.size) if y != x and self.related(x, y))
+                for x in range(self.size)]
+        found = []
+        stack = [(frozenset(), frozenset(range(self.size)), frozenset())]
+        while stack:
+            clique, todo, done = stack.pop()
+            if not todo and not done:
+                found.append(tuple(sorted(clique)))
+                continue
+            pivot = max(todo | done, key=lambda u: len(todo & nbrs[u]))
+            for v in sorted(todo - nbrs[pivot]):
+                stack.append((clique | {v}, todo & nbrs[v], done & nbrs[v]))
+                todo, done = todo - {v}, done | {v}
+        return sorted(found)
 
 
 def tolerance_generated(algebra: FiniteAlgebra,

@@ -34,6 +34,7 @@ from .congruence import (
     maximal_congruences,
     quotient_by,
 )
+from .errors import PostconditionFailed
 from .generate import (
     CapExceeded,
     MAJORITY,
@@ -123,7 +124,9 @@ def _classify_pair(algebra: FiniteAlgebra, a: int, b: int,
     for theta in maximal_congruences(b_alg, limits):
         quot, bmap = quotient_by(b_alg, theta, name=f"Sg{{{a},{b}}}/{theta}")
         qa, qb = bmap[la], bmap[lb]
-        assert qa != qb, "a maximal proper congruence cannot merge the generators"
+        if qa == qb:
+            raise PostconditionFailed(
+                f"the maximal congruence {theta} of Sg{{{a},{b}}} merges its generators")
         if is_set(quot):
             witnesses.append(EdgeWitness(UNARY, (a, b), sub, theta, quot,
                                          bmap, qa, qb, None))
@@ -149,8 +152,9 @@ def _classify_pair(algebra: FiniteAlgebra, a: int, b: int,
             if isinstance(mal, CapExceeded):
                 inconclusive.append(theta)
                 continue
-            assert isinstance(mal, PairWitness), \
-                "a module quotient must carry a Mal'tsev term"
+            if not isinstance(mal, PairWitness):
+                raise PostconditionFailed(
+                    f"the module quotient Sg{{{a},{b}}}/{theta} has no Mal'tsev term")
             witnesses.append(EdgeWitness(AFFINE, (a, b), sub, theta, quot,
                                          bmap, qa, qb, mal.term))
     return EdgeReport((a, b), sub, tuple(witnesses), tuple(inconclusive))

@@ -7,9 +7,11 @@ order).  Subpower queries close a set of tuples under the coordinatewise
 operations; that engine is vectorized with numpy and deduplicates the
 partial applications of each operation by the signature of the unary maps
 they induce per coordinate, which is what makes desk-scale instances with
-ternary operations tractable.  Coordinates may live in different algebras of
-one signature, so queries over products of quotients need no product
-algebras.
+ternary operations tractable.  Every arity, unary included, runs through
+one sweep path in one discovery order (see `TupleClosure`), and rows and
+signatures are deduplicated by one exact key (`_row_keys`).  Coordinates
+may live in different algebras of one signature, so queries over products
+of quotients need no product algebras.
 
 Every Found answer is re-evaluated against its target before being
 returned.
@@ -19,6 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
+from math import prod
 from typing import Optional, Sequence, Union
 
 import numpy as np
@@ -207,17 +210,62 @@ class CapExceeded:
 SubpowerAnswer = Union[Found, Absent, CapExceeded]
 
 
+def _row_keys(rows: np.ndarray, base: int) -> np.ndarray:
+    """One exact, hashable key per row of a 2-d array whose entries lie in
+    range(base): the row as a base-`base` integer when base**k < 2**62,
+    otherwise the row as one fixed-width void scalar, whose `.tolist()`
+    gives its bytes."""
+    k = rows.shape[1]
+    if base ** k < 1 << 62:
+        return rows.astype(np.int64) @ base ** np.arange(k, dtype=np.int64)
+    rows = np.ascontiguousarray(rows)
+    return rows.view(np.dtype((np.void, rows.itemsize * k)))[:, 0]
+
+
+def _new_spans(length: int, old: int, cur: int) -> list[list[tuple[int, int]]]:
+    """Products of row ranges (start, stop), one range per position, that
+    cover once each, in C order, the combinations of the given length over
+    rows[:cur] that use a row of rows[old:cur].  On the first round
+    (old = 0) that is every combination, the one empty one included.  In C
+    order such a combination is an old row ahead of a shorter one that
+    uses a new row, or a new row ahead of any rows."""
+    if old == 0:
+        return [[(0, cur)] * length]
+    if length == 0:
+        return []
+    inner = _new_spans(length - 1, old, cur)
+    # when the shorter ones form one product, the old heads share one range
+    heads = [[(0, old)]] if len(inner) == 1 else [[(a, a + 1)] for a in range(old)]
+    return [h + s for h in heads for s in inner] + [[(old, cur)] + [(0, cur)] * (length - 1)]
+
+
+def _prefix_blocks(length: int, old: int, cur: int):
+    """The combinations of `_new_spans` in order, as (index arrays, count) chunks."""
+    for spans in _new_spans(length, old, cur):
+        total = prod(hi - lo for lo, hi in spans)
+        for lo in range(0, total, _CHUNK):
+            flat = np.arange(lo, min(total, lo + _CHUNK))
+            m, idx = len(flat), []
+            for start, stop in reversed(spans):
+                flat, digit = np.divmod(flat, stop - start)
+                idx.append(digit + start)
+            yield idx[::-1], m
+
+
 class TupleClosure:
     """Closure of generator tuples under the shared signature, acting
     coordinatewise.
 
-    Rows live in a growing uint8 matrix, deduplicated by row bytes.  For
-    operations of arity >= 2 the last argument axis is swept vectorized;
-    leading-argument combinations are registered once each and deduplicated
-    by the signature of the per-coordinate unary maps they induce.  The
-    discovery order is deterministic: rounds, operations in declaration
-    order, signatures in first-registration order (combination blocks old
-    before new, indices in C order), last argument ascending.
+    Rows live in a growing uint8 matrix, deduplicated by exact row keys.
+    The last argument of every operation is swept vectorized; combinations
+    of the leading ones (the empty one for a unary operation) are
+    registered once each, by the signature of the per-coordinate unary maps
+    they induce.  The discovery order: generators, then rounds.  In a
+    round, operations in declaration order; per operation, the combinations
+    that use a row new since the last round are registered in C order (a
+    new signature keeps its first), then the signatures new in the round
+    sweep every row and the older ones the new rows, last argument
+    ascending.  Within a batch a row counts where it first occurs.
     """
 
     def __init__(self, columns: Sequence[FiniteAlgebra],
@@ -232,23 +280,25 @@ class TupleClosure:
             if alg.size > 256:
                 raise TooLarge(alg.size, 256, "tuple closures store elements as bytes")
         self.signature = sig
+        self._base = max(alg.size for alg in self.columns)
         self.n = 0
         self._buf = np.zeros((256, self.k), dtype=np.uint8)
-        # rows pack into int64 keys when they fit, else into raw bytes
-        self._w256 = (256 ** np.arange(self.k)).astype(np.int64) if self.k <= 7 else None
         self.index: dict = {}
         self.provenance: list[Provenance] = []
         self.complete = False
         self._build_op_tables()
-        # per op: registered partial-application signatures
-        self._sig_ids: list[dict[bytes, np.ndarray]] = [dict() for _ in sig]
-        self._sig_combo: list[dict[bytes, tuple[int, ...]]] = [dict() for _ in sig]
-        self._sig_swept: list[dict[bytes, int]] = [dict() for _ in sig]
-        self._unary_done: dict[int, int] = {}
+        # per op: signature key -> [map ids per coordinate, its first
+        # prefix combination, rows swept so far]
+        self._sigs: list[dict] = [dict() for _ in sig]
         self._registered = 0     # rows whose prefix combinations are registered
         self.n_generators = len(generators)
-        for i, g in enumerate(generators):
-            self._append(np.asarray(g, dtype=np.uint8), ("gen", i))
+        gens = np.asarray(generators, dtype=np.int64).reshape(len(generators), self.k)
+        if ((gens < 0) | (gens >= [alg.size for alg in self.columns])).any():
+            raise ValueError("generator entry out of range")
+        gens = gens.astype(np.uint8)
+        for i, key in enumerate(_row_keys(gens, self._base).tolist()):
+            if key not in self.index:
+                self._append(gens[i], key, ("gen", i))
         self._run()
 
     def _build_op_tables(self) -> None:
@@ -259,28 +309,22 @@ class TupleClosure:
                 pos[id(alg)] = len(distinct)
                 distinct.append(alg)
         col_alg = [pos[id(alg)] for alg in self.columns]
-        nmax = max(alg.size for alg in distinct)
         self._ops = []
         for name, arity in self.signature:
-            if arity == 1:
-                col_tab = np.zeros((self.k, nmax), dtype=np.uint8)
-                for c, alg in enumerate(self.columns):
-                    col_tab[c, :alg.size] = alg.op(name).array
-                self._ops.append((name, 1, None, None, col_tab))
-                continue
             stacked, luts, offset = [], [], 0
             for alg in distinct:
                 n = alg.size
                 # one row per fixing of the leading arguments: the map of the last
                 maps = alg.op(name).array.reshape(-1, n).astype(np.uint8)
-                uniq, inv = np.unique(maps, axis=0, return_inverse=True)
-                padded = np.zeros((len(uniq), nmax), dtype=np.uint8)
-                padded[:, :n] = uniq
+                _, first, inv = np.unique(_row_keys(maps, n), return_index=True,
+                                          return_inverse=True)
+                padded = np.zeros((len(first), self._base), dtype=np.uint8)
+                padded[:, :n] = maps[first]
                 stacked.append(padded)
                 luts.append(inv.reshape(-1).astype(np.int32) + offset)
-                offset += len(uniq)
+                offset += len(first)
             col_lut = [luts[ai] for ai in col_alg]
-            self._ops.append((name, arity, np.vstack(stacked), col_lut, None))
+            self._ops.append((name, arity, np.vstack(stacked), col_lut))
 
     # -- row storage --
 
@@ -288,15 +332,7 @@ class TupleClosure:
     def rows(self) -> np.ndarray:
         return self._buf[:self.n]
 
-    def _key_of(self, row: np.ndarray):
-        if self._w256 is not None:
-            return int(row.astype(np.int64) @ self._w256)
-        return row.tobytes()
-
-    def _append(self, row: np.ndarray, prov: Provenance) -> bool:
-        key = self._key_of(row)
-        if key in self.index:
-            return False
+    def _append(self, row: np.ndarray, key, prov: Provenance) -> None:
         if self.n == len(self._buf):
             grown = np.zeros((2 * len(self._buf), self.k), dtype=np.uint8)
             grown[:self.n] = self._buf
@@ -305,129 +341,79 @@ class TupleClosure:
         self.index[key] = self.n
         self.provenance.append(prov)
         self.n += 1
-        return True
 
-    def _append_batch(self, out: np.ndarray, mk_prov) -> bool:
-        """Deduplicate a candidate batch in bulk; mk_prov maps the batch
-        position of each genuinely new row to its provenance."""
-        # first occurrence of each distinct row, in batch order
-        if self._w256 is not None:
-            keys = out.astype(np.int64) @ self._w256
-            _, first = np.unique(keys, return_index=True)
-        else:
-            _, first = np.unique(out, axis=0, return_index=True)
-        added = False
-        for j in sorted(first.tolist()):
-            if self._append(out[j], mk_prov(j)):
-                added = True
+    def _append_batch(self, out: np.ndarray, mk_prov) -> None:
+        """Append the new rows of a candidate batch, first occurrences in
+        batch order, until the cap is passed; mk_prov maps the batch
+        position of each appended row to its provenance."""
+        keys = _row_keys(out, self._base)
+        first = np.sort(np.unique(keys, return_index=True)[1])   # in batch order
+        for j, key in zip(first.tolist(), keys[first].tolist()):
+            if key not in self.index:
+                self._append(out[j], key, mk_prov(j))
                 if self.n > self.cap:
-                    return added
-        return added
+                    return
 
     def __len__(self) -> int:
         return self.n
 
     def lookup(self, tup: Sequence[int]) -> Optional[int]:
-        return self.index.get(self._key_of(np.asarray(tup, dtype=np.uint8)))
+        """The row index of the tuple, None when it is not a row (a key is
+        exact only for a tuple of length k with every entry in range)."""
+        if len(tup) != self.k or any(not 0 <= v < alg.size
+                                     for v, alg in zip(tup, self.columns)):
+            return None
+        return self.index.get(_row_keys(np.asarray([tup], np.uint8), self._base).tolist()[0])
 
     # -- signatures --
 
-    def _register_prefixes(self, opi: int, idx_arrays: list[np.ndarray]) -> None:
-        """Compute per-coordinate unary-map signatures for the given prefix
+    def _register_prefixes(self, opi: int, idx: list[np.ndarray], m: int) -> None:
+        """Compute per-coordinate unary-map signatures for m prefix
         combinations and register the first combination of each new one."""
-        name, arity, allmaps, col_lut, _ = self._ops[opi]
+        _, _, allmaps, col_lut = self._ops[opi]
         rows = self.rows
-        nmaps = len(allmaps)
-        packw = (nmaps ** np.arange(self.k)).astype(np.int64) \
-            if nmaps ** self.k < (1 << 62) else None
-        ids_dict = self._sig_ids[opi]
-        combo_dict = self._sig_combo[opi]
-        chunk = idx_arrays
-        m = len(chunk[0])
         sig = np.empty((m, self.k), dtype=np.int32)
         for c in range(self.k):
             n = self.columns[c].size
-            packed = rows[chunk[0], c].astype(np.int64)
-            for arr in chunk[1:]:
+            packed = np.zeros(m, dtype=np.int64)
+            for arr in idx:
                 packed = packed * n + rows[arr, c]
             sig[:, c] = col_lut[c][packed]
-        if packw is not None:
-            _, first = np.unique(sig @ packw, return_index=True)
-        else:
-            _, first = np.unique(sig, axis=0, return_index=True)
-        for j in sorted(first.tolist()):
-            key = sig[j].tobytes()
-            if key not in ids_dict:
-                ids_dict[key] = sig[j].copy()
-                combo_dict[key] = tuple(int(arr[j]) for arr in chunk)
-
-    def _iter_prefix_chunks(self, pr: int, old: int, cur: int):
-        """Yield bounded-size index-array lists covering exactly the prefix
-        combinations that touch rows[old:cur] (everything when old = 0)."""
-        if pr == 1:
-            r = np.arange(old, cur)
-            for lo in range(0, len(r), _CHUNK):
-                yield [r[lo:lo + _CHUNK]]
-            return
-        if pr == 2:
-            pieces = ((np.arange(old), np.arange(old, cur)),
-                      (np.arange(old, cur), np.arange(cur)))
-            for r1, r2 in pieces:
-                if not (len(r1) and len(r2)):
-                    continue
-                per = max(1, _CHUNK // len(r2))
-                for lo in range(0, len(r1), per):
-                    part = r1[lo:lo + per]
-                    yield [np.repeat(part, len(r2)), np.tile(r2, len(part))]
-            return
-        # arity beyond 3: re-enumerate all combinations each round (the
-        # registration dictionary absorbs repeats); desk scale only
-        total = cur ** pr
-        for lo in range(0, total, _CHUNK):
-            flat = np.arange(lo, min(total, lo + _CHUNK))
-            yield [(flat // (cur ** p)) % cur for p in range(pr - 1, -1, -1)]
+        keys = _row_keys(sig, len(allmaps))
+        first = np.sort(np.unique(keys, return_index=True)[1])   # in batch order
+        sigs = self._sigs[opi]
+        for j, key in zip(first.tolist(), keys[first].tolist()):
+            if key not in sigs:
+                sigs[key] = [sig[j].copy(), tuple(int(arr[j]) for arr in idx), 0]
 
     # -- main loop --
 
     def _run(self) -> None:
         while not self.complete:
             n_cur = self.n
-            for opi, (name, arity, allmaps, col_lut, col_tab) in enumerate(self._ops):
-                if arity == 1:
-                    done = self._unary_done.get(opi, 0)
-                    if done < n_cur:
-                        out = col_tab[np.arange(self.k)[None, :], self.rows[done:n_cur]]
-                        self._unary_done[opi] = n_cur
-                        self._append_batch(out, lambda j: ("step", name, (done + j,)))
-                        if self.n > self.cap:
-                            return
-                    continue
-                for blk in self._iter_prefix_chunks(arity - 1, self._registered, n_cur):
-                    if len(blk[0]):
-                        self._register_prefixes(opi, blk)
+            for opi, (name, arity, allmaps, _) in enumerate(self._ops):
+                for idx, m in _prefix_blocks(arity - 1, self._registered, n_cur):
+                    self._register_prefixes(opi, idx, m)
                 # sweep every signature over its unswept tail, batched by
                 # shared sweep start so one fancy index covers many sigs
-                swept = self._sig_swept[opi]
-                groups: dict[int, list[bytes]] = {}
-                for key in self._sig_ids[opi]:
-                    z0 = swept.get(key, 0)
-                    if z0 < n_cur:
-                        swept[key] = n_cur
-                        groups.setdefault(z0, []).append(key)
+                groups: dict[int, list] = {}
+                for rec in self._sigs[opi].values():
+                    if rec[2] < n_cur:
+                        groups.setdefault(rec[2], []).append(rec)
+                        rec[2] = n_cur
                 for z0 in sorted(groups):
-                    keys = groups[z0]
+                    recs = groups[z0]
                     zs = self.rows[z0:n_cur].copy()
                     m = len(zs)
-                    per = max(1, _CHUNK // max(1, m))
-                    for lo in range(0, len(keys), per):
-                        part = keys[lo:lo + per]
-                        ids = np.stack([self._sig_ids[opi][kk] for kk in part])
-                        combos = [self._sig_combo[opi][kk] for kk in part]
+                    per = max(1, _CHUNK // m)
+                    for lo in range(0, len(recs), per):
+                        part = recs[lo:lo + per]
+                        ids = np.stack([rec[0] for rec in part])
                         out = allmaps[ids[:, None, :], zs[None, :, :]]
                         out = out.reshape(len(part) * m, self.k)
                         self._append_batch(
                             out, lambda q: ("step", name,
-                                            combos[q // m] + (z0 + q % m,)))
+                                            part[q // m][1] + (z0 + q % m,)))
                         if self.n > self.cap:
                             return
             self._registered = n_cur

@@ -131,10 +131,6 @@ def compose(outer: Term, inners: Sequence[Term]) -> Term:
     return t
 
 
-def variables(arity: int) -> tuple[Term, ...]:
-    return tuple(proj(i, arity) for i in range(arity))
-
-
 def uses_variable(t: Term, index: int) -> bool:
     for node in t.nodes():
         if node.kind == "proj" and node.index == index:

@@ -164,14 +164,16 @@ def _check_edge_behaviour(algebra: FiniteAlgebra, f0: Term, refined: Term,
 def thin_semilattice_order(algebra: FiniteAlgebra, f_term: Term
                            ) -> list[tuple[int, int]]:
     """All pairs a != b with f(a,b) = f(b,a) = b.  Mutually related distinct
-    pairs would contradict the defining equations, so they are asserted
-    away."""
+    pairs would contradict the defining equations, so finding one raises
+    PostconditionFailed."""
     tab = terms.realize_table(f_term, algebra)
     n = algebra.size
     out = [(a, b) for a in range(n) for b in range(n)
            if a != b and tab.apply((a, b), n) == b and tab.apply((b, a), n) == b]
-    assert not any((b, a) in set(out) for a, b in out), \
-        "a.b = b.a = b and b.a = a.b = a force a = b"
+    related = set(out)
+    if any((b, a) in related for a, b in out):
+        raise PostconditionFailed("a.b = b.a = b and b.a = a.b = a force a = b, "
+                                  "yet a distinct pair is related both ways")
     return out
 
 
@@ -246,8 +248,9 @@ def find_thin_affine(algebra: FiniteAlgebra, witness: EdgeWitness,
                     "h(h(x,y,y),y,y) = h(x,y,y) fails; the supplied operation "
                     "does not satisfy its normalization")
             dblk2 = _restricted_block(algebra, a, bp, frozenset(blk))
-            assert all(bp in subuniverse(algebra, [a, dp]) for dp in dblk2), \
-                "the shifted pair must inherit minimality"
+            if not all(bp in subuniverse(algebra, [a, dp]) for dp in dblk2):
+                raise PostconditionFailed(
+                    f"the shifted pair ({a}, {bp}) does not inherit minimality")
             key = (a, bp)
             if key not in out:
                 out[key] = ThinEdge(

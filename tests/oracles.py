@@ -6,7 +6,7 @@ numpy kernels they check: each reads operation tables only through
 `OperationTable.array`.
 """
 
-from itertools import product
+from itertools import combinations, product
 from typing import Optional
 
 from idemalg import terms
@@ -45,6 +45,19 @@ def naive_tolerance_generated(algebra, pairs):
                     rel.add((v, u))
                     changed = True
     return frozenset(rel)
+
+
+def naive_tolerance_classes(tolerance):
+    """Maximal cliques of a tolerance's relation graph: every subset that is
+    a clique, then those no other clique strictly contains."""
+    n = tolerance.size
+    cliques = []
+    for mask in range(1, 1 << n):
+        members = [x for x in range(n) if mask & (1 << x)]
+        if all(tolerance.related(x, y) for x, y in combinations(members, 2)):
+            cliques.append(frozenset(members))
+    maximal = [c for c in cliques if not any(c < d for d in cliques)]
+    return sorted(tuple(sorted(c)) for c in set(maximal))
 
 
 def naive_relation_compatible(algebra, pairs):

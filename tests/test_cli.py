@@ -1,5 +1,6 @@
 """File format round trips and the command-line surface."""
 
+import gc
 import json
 import time
 
@@ -60,6 +61,28 @@ def test_cli_edges_ok(capsys):
     out = capsys.readouterr().out
     assert "ab: not an edge" in out
     assert "semilattice" in out
+
+
+def test_cli_main_leaves_no_cyclic_garbage(capsys):
+    # the parser is built once per process; a later call must leave nothing
+    # for the cyclic GC (argparse's formatters and actions form cycles)
+    argv = ["edges", "--fixture", "no-edge"]
+    assert main(argv) == EXIT_OK
+    was_enabled = gc.isenabled()
+    gc.disable()
+    gc.collect()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        assert main(argv) == EXIT_OK
+        gc.collect()
+        leaked = sorted({type(o).__name__ for o in gc.garbage})
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+        if was_enabled:
+            gc.enable()
+    assert leaked == []
+    assert "semilattice" in capsys.readouterr().out
 
 
 def test_cli_requires_input():

@@ -9,6 +9,7 @@ from oracles import (
     is_abelian_brute,
     is_compatible,
     naive_relation_compatible,
+    naive_tolerance_classes,
     naive_tolerance_generated,
 )
 
@@ -19,6 +20,7 @@ from idemalg.congruence import (
     OTHER,
     SET,
     Congruence,
+    Tolerance,
     _compatible,
     absorbing_elements,
     cg,
@@ -144,8 +146,23 @@ def test_tolerance_generated_matches_oracle():
         n = alg.size
         for k in (0, rng.randint(1, 3)):
             pairs = [(rng.randrange(n), rng.randrange(n)) for _ in range(k)]
-            assert tolerance_generated(alg, pairs).pairs \
-                == naive_tolerance_generated(alg, pairs), (alg, pairs)
+            tol = tolerance_generated(alg, pairs)
+            assert tol.pairs == naive_tolerance_generated(alg, pairs), (alg, pairs)
+            assert tol.classes() == naive_tolerance_classes(tol), (alg, pairs)
+
+
+def test_tolerance_classes_match_oracle_on_random_graphs():
+    # denser and larger relation graphs than the generated tolerances reach
+    rng = random.Random(22)
+    for _ in range(200):
+        n = rng.randint(1, 9)
+        density = rng.random()
+        pairs = {(x, x) for x in range(n)}
+        for x, y in combinations(range(n), 2):
+            if rng.random() < density:
+                pairs |= {(x, y), (y, x)}
+        tol = Tolerance(n, frozenset(pairs))
+        assert tol.classes() == naive_tolerance_classes(tol), sorted(pairs)
 
 
 def test_tolerance_compatibility_matches_oracle():

@@ -232,3 +232,22 @@ def test_cross_checks_do_not_share_a_cache(c_nef):
     c_nef._memo[key] = replace(c_nef._memo[key], witnesses=())
     assert not check_edge_subalgebra(c_nef)[0].ok
     assert not check_edge_factor(c_nef)[0].ok
+
+
+def test_merged_generators_raise_under_O(run_optimized):
+    # a corrupt lattice step hands classify_pair the total congruence as a
+    # maximal one; it merges the pair, which no classification may accept
+    code = (
+        "from idemalg import edges, fixtures\n"
+        "from idemalg.congruence import Congruence\n"
+        "from idemalg.errors import PostconditionFailed\n"
+        "edges.maximal_congruences = lambda algebra, limits: "
+        "[Congruence.from_parent([0] * algebra.size)]\n"
+        "print(__debug__)\n"
+        "try:\n"
+        "    edges.classify_pair(fixtures.sl2(), 0, 1)\n"
+        "except PostconditionFailed as exc:\n"
+        "    print(exc)\n")
+    assert run_optimized(code) == (
+        "False\n"
+        "the maximal congruence {0,1} of Sg{0,1} merges its generators\n")

@@ -1,6 +1,7 @@
 """Generation, subpower membership, and the pair-witness queries."""
 
 import gc
+import hashlib
 import random
 import sys
 import weakref
@@ -10,11 +11,12 @@ import pytest
 from oracles import naive_subpower_membership
 
 from idemalg import generate, terms
-from idemalg.algebra import restrict, validate_algebra
+from idemalg.algebra import DEFAULT_CAP, restrict, validate_algebra
 from idemalg.errors import TooLarge
 from idemalg.generate import (
     Absent,
     CapExceeded,
+    Found,
     MAJORITY,
     MALTSEV,
     PairWitness,
@@ -271,3 +273,115 @@ def test_tuple_closure_rejects_columns_beyond_one_byte():
     big = validate_algebra("big", 257, [("e", 1, list(range(257)))])
     with pytest.raises(TooLarge, match="universe size 257 exceeds analysis bound 256"):
         generate.TupleClosure((big,), ((0,),))
+
+
+def _random_algebra(rng, name, size, arities):
+    ops = []
+    for j, ar in enumerate(arities):
+        table = [args[0] if len(set(args)) == 1 else rng.randrange(size)
+                 for args in product(range(size), repeat=ar)]
+        ops.append((f"o{j}", ar, table))
+    return validate_algebra(name, size, ops)
+
+
+def _random_closure_input(rng, arities, max_size, max_k):
+    """Columns drawn from up to three random algebras of one signature,
+    and 1-3 random generator tuples."""
+    algebras = [_random_algebra(rng, f"r{i}", rng.randint(2, max_size), arities)
+                for i in range(rng.randint(1, 3))]
+    cols = tuple(rng.choice(algebras) for _ in range(rng.randint(1, max_k)))
+    gens = tuple(tuple(rng.randrange(c.size) for c in cols)
+                 for _ in range(rng.randint(1, 3)))
+    return cols, gens
+
+
+# signature, largest universe, most coordinates, caps: sized so that the
+# naive oracle, which applies every operation to every tuple of rows each
+# round, stays quick
+CLOSURE_CLASSES = (
+    ((2,), 4, 9, (20, 100, 400)),
+    ((1, 2), 4, 9, (20, 100, 400)),
+    ((3,), 4, 9, (10, 25, 50)),
+    ((1, 2, 3), 3, 9, (10, 25, 50)),
+    ((1, 4), 3, 3, (6, 12)),
+    ((2, 4), 2, 3, (6, 12)),
+)
+
+
+def test_subpower_membership_matches_naive_oracle_seeded():
+    rng = random.Random(5)
+    seen = {Found: 0, Absent: 0, CapExceeded: 0}
+    for i in range(240):
+        arities, max_size, max_k, caps = CLOSURE_CLASSES[i % len(CLOSURE_CLASSES)]
+        cols, gens = _random_closure_input(rng, arities, max_size, max_k)
+        target = tuple(rng.randrange(c.size) for c in cols)
+        if i % 2:
+            # one operation applied to generators: a member of the closure
+            name, arity = rng.choice(cols[0].signature)
+            args = [rng.choice(gens) for _ in range(arity)]
+            target = tuple(alg.apply(name, [g[c] for g in args])
+                           for c, alg in enumerate(cols))
+        q = SubpowerQuery(cols, gens, target, rng.choice(caps))
+        fast = subpower_membership(q)
+        slow = naive_subpower_membership(q)
+        seen[type(slow)] += 1
+        if isinstance(slow, CapExceeded):
+            # the closure outgrows the cap in both; the fast engine may
+            # meet the target among its first cap + 1 rows
+            assert isinstance(fast, (CapExceeded, Found)), (i, fast)
+            if isinstance(fast, Found):
+                assert fast.closure_size == q.cap + 1, i
+        else:
+            assert type(fast) is type(slow), (i, fast, slow)
+            assert fast.closure_size == slow.closure_size, i
+    assert min(seen.values()) >= 30, seen
+
+
+def _closure_digest(cl):
+    h = hashlib.sha256(cl.rows.tobytes())
+    h.update(repr(cl.provenance).encode())
+    return h.hexdigest()[:16]
+
+
+def test_closure_discovery_order_is_pinned():
+    # rows and provenance of closures with unary and 4-ary operations, one
+    # of them cut by its cap; seeds 7 and 5 tell the combinations of
+    # leading arguments in C order from other orders of the same set
+    got = []
+    for seed, arities, cap in ((7, (1, 4), DEFAULT_CAP), (4, (1, 2, 4), 20),
+                               (5, (4, 2, 3), DEFAULT_CAP)):
+        rng = random.Random(seed)
+        cols, gens = _random_closure_input(rng, arities, 3, 6)
+        cl = generate.TupleClosure(cols, gens, cap)
+        got.append((len(cl), cl.complete, _closure_digest(cl)))
+    assert got == [(27, True, "d7eb09f53e29eab0"), (21, False, "1b63870f9c8ee8cb"),
+                   (81, True, "2e2957f469d9bd8f")]
+
+
+def test_lookup_rejects_entries_outside_their_column(sl2, z3a):
+    from idemalg.algebra import align_signatures
+    s, z = align_signatures([sl2, z3a])
+    for cols in ((sl2, sl2), (s, z)):
+        cl = generate.TupleClosure(cols, ((0, 1), (1, 0)))
+        assert cl.lookup((0, 1)) == 0 and cl.lookup((1, 0)) == 1
+        # packed as digits of the widest column, (size, 0) would read as (0, 1)
+        for tup in ((cols[0].size, 0), (0, cols[1].size), (255, 255)):
+            assert cl.lookup(tup) is None, (cols, tup)
+
+
+def test_lookup_of_a_tuple_of_the_wrong_length_is_none(sl2):
+    cl = generate.TupleClosure((sl2, sl2), ((0, 1), (1, 0)))
+    for tup in ((0,), (0, 1, 0), ()):
+        assert cl.lookup(tup) is None, tup
+
+
+def test_prefix_blocks_enumerate_new_combinations_once_in_c_order():
+    for length in range(5):
+        for cur in range(7):
+            for old in range(cur + 1):
+                got = [tuple(int(a[j]) for a in idx)
+                       for idx, m in generate._prefix_blocks(length, old, cur)
+                       for j in range(m)]
+                want = [c for c in product(range(cur), repeat=length)
+                        if old == 0 or max(c, default=-1) >= old]
+                assert got == want, (length, old, cur)
