@@ -5,9 +5,11 @@ plain breadth-first closure with provenance (deterministic: rounds, then
 operations in declaration order, then argument tuples in lexicographic
 order).  Subpower queries close a set of tuples under the coordinatewise
 operations; that engine is vectorized with numpy and deduplicates the
-partial applications of each operation by the signature of the unary maps
+partial applications of the operations by the signature of the unary maps
 they induce per coordinate, which is what makes desk-scale instances with
-ternary operations tractable.  Every arity, unary included, runs through
+ternary operations tractable.  One map table per closure holds the distinct
+unary maps of all operations, and one store holds each signature once,
+whichever operations induce it.  Every arity, unary included, runs through
 one sweep path in one discovery order (see `TupleClosure`), and rows and
 signatures are deduplicated by one exact key (`_row_keys`).  Coordinates
 may live in different algebras of one signature, so queries over products
@@ -67,16 +69,8 @@ class GenerationTrace:
 
     def replay(self) -> bool:
         """Re-derive every element from its provenance."""
-        for e in self.elements:
-            p = self.provenance[e]
-            if p[0] == "gen":
-                if self.generators[p[1]] != e:
-                    return False
-            else:
-                _, op, args = p
-                if self.algebra.apply(op, args) != e:
-                    return False
-        return True
+        return all((self.generators[p[1]] if p[0] == "gen" else self.algebra.apply(p[1], p[2]))
+                   == e for e, p in ((e, self.provenance[e]) for e in self.elements))
 
 
 def generate_subalgebra(algebra: FiniteAlgebra, seeds: Sequence[int]) -> GenerationTrace:
@@ -145,17 +139,12 @@ def all_subalgebras(algebra: FiniteAlgebra, limits: Limits = DEFAULT_LIMITS
 
 
 def _all_subalgebras(algebra: FiniteAlgebra) -> frozenset[frozenset[int]]:
-    found: set[frozenset[int]] = set()
     queue = [subuniverse(algebra, [x]) for x in algebra.elements()]
-    for s in queue:
-        found.add(s)
+    found = set(queue)
     while queue:
         s = queue.pop()
         for x in algebra.elements():
-            if x in s:
-                continue
-            bigger = subuniverse(algebra, sorted(s | {x}))
-            if bigger not in found:
+            if x not in s and (bigger := subuniverse(algebra, sorted(s | {x}))) not in found:
                 found.add(bigger)
                 queue.append(bigger)
     found.add(frozenset(algebra.elements()))
@@ -239,12 +228,12 @@ def _new_spans(length: int, old: int, cur: int) -> list[list[tuple[int, int]]]:
     return [h + s for h in heads for s in inner] + [[(old, cur)] + [(0, cur)] * (length - 1)]
 
 
-def _prefix_blocks(length: int, old: int, cur: int):
+def _prefix_blocks(length: int, old: int, cur: int, chunk: int = _CHUNK):
     """The combinations of `_new_spans` in order, as (index arrays, count) chunks."""
     for spans in _new_spans(length, old, cur):
         total = prod(hi - lo for lo, hi in spans)
-        for lo in range(0, total, _CHUNK):
-            flat = np.arange(lo, min(total, lo + _CHUNK))
+        for lo in range(0, total, chunk):
+            flat = np.arange(lo, min(total, lo + chunk))
             m, idx = len(flat), []
             for start, stop in reversed(spans):
                 flat, digit = np.divmod(flat, stop - start)
@@ -259,13 +248,27 @@ class TupleClosure:
     Rows live in a growing uint8 matrix, deduplicated by exact row keys.
     The last argument of every operation is swept vectorized; combinations
     of the leading ones (the empty one for a unary operation) are
-    registered once each, by the signature of the per-coordinate unary maps
-    they induce.  The discovery order: generators, then rounds.  In a
-    round, operations in declaration order; per operation, the combinations
-    that use a row new since the last round are registered in C order (a
-    new signature keeps its first), then the signatures new in the round
-    sweep every row and the older ones the new rows, last argument
-    ascending.  Within a batch a row counts where it first occurs.
+    registered by the signature of the per-coordinate unary maps they
+    induce, one key whatever operation induces it.  The discovery order:
+    generators, then rounds.  In a round, operations in declaration order;
+    per operation, the combinations that use a row new since the last round
+    are registered in C order (a new signature keeps its first), then the
+    signatures new in the round sweep every row and the older ones the new
+    rows, last argument ascending.  Within a batch a row counts where it
+    first occurs.
+
+    One store holds each signature once.  It belongs to the lowest-indexed
+    operation that has registered it, with that operation's first
+    combination as the provenance of its rows, and only its owner sweeps
+    it; rows, provenance and cap cut stay those of one store per operation:
+    - a lower operation that registers a signature a higher one owns takes
+      it over, new in the round (a fresh sequence number): with a store of
+      its own, it would sweep it over every row before the higher one;
+    - a higher operation that registers a signature a lower one owns adds
+      nothing: the lower one has swept it over the rows of the round, in
+      this round or before, so every row it yields is there.
+    Registration reads only the rows present when the round starts, so it
+    runs first, batched over the operations of one arity.
     """
 
     def __init__(self, columns: Sequence[FiniteAlgebra],
@@ -280,51 +283,49 @@ class TupleClosure:
             if alg.size > 256:
                 raise TooLarge(alg.size, 256, "tuple closures store elements as bytes")
         self.signature = sig
-        self._base = max(alg.size for alg in self.columns)
+        self._sizes = np.array([alg.size for alg in self.columns])
+        self._base = int(self._sizes.max())
         self.n = 0
         self._buf = np.zeros((256, self.k), dtype=np.uint8)
         self.index: dict = {}
         self.provenance: list[Provenance] = []
         self.complete = False
-        self._build_op_tables()
-        # per op: signature key -> [map ids per coordinate, its first
-        # prefix combination, rows swept so far]
-        self._sigs: list[dict] = [dict() for _ in sig]
-        self._registered = 0     # rows whose prefix combinations are registered
+        self._build_maps()
+        # per signature: map id per column, owner, owner's first combination, sequence
+        width = max(arity for _, arity in sig) - 1
+        self._store = np.zeros(64, dtype=[("ids", np.int32, (self.k,)), ("owner", np.intp),
+                                          ("combo", np.int64, (width,)), ("seq", np.int64)])
+        self._sig_rec: dict = {}   # signature key -> record
+        self._seq = 0
+        self._registered = 0       # rows whose prefix combinations are registered
         self.n_generators = len(generators)
         gens = np.asarray(generators, dtype=np.int64).reshape(len(generators), self.k)
-        if ((gens < 0) | (gens >= [alg.size for alg in self.columns])).any():
+        if ((gens < 0) | (gens >= self._sizes)).any():
             raise ValueError("generator entry out of range")
-        gens = gens.astype(np.uint8)
+        gens = gens.astype(np.uint8)   # row keys are of uint8 rows
         for i, key in enumerate(_row_keys(gens, self._base).tolist()):
             if key not in self.index:
                 self._append(gens[i], key, ("gen", i))
         self._run()
 
-    def _build_op_tables(self) -> None:
-        distinct: list[FiniteAlgebra] = []
-        pos: dict[int, int] = {}
-        for alg in self.columns:
-            if id(alg) not in pos:
-                pos[id(alg)] = len(distinct)
-                distinct.append(alg)
-        col_alg = [pos[id(alg)] for alg in self.columns]
-        self._ops = []
-        for name, arity in self.signature:
-            stacked, luts, offset = [], [], 0
-            for alg in distinct:
-                n = alg.size
-                # one row per fixing of the leading arguments: the map of the last
-                maps = alg.op(name).array.reshape(-1, n).astype(np.uint8)
-                _, first, inv = np.unique(_row_keys(maps, n), return_index=True,
-                                          return_inverse=True)
-                padded = np.zeros((len(first), self._base), dtype=np.uint8)
-                padded[:, :n] = maps[first]
-                stacked.append(padded)
-                luts.append(inv.reshape(-1).astype(np.int32) + offset)
-                offset += len(first)
-            col_lut = [luts[ai] for ai in col_alg]
-            self._ops.append((name, arity, np.vstack(stacked), col_lut))
+    def _build_maps(self) -> None:
+        """`_maps`: each operation's last-argument slices in each column algebra, padded
+        to the widest column with their last entry, once per content; `_groups`: per arity,
+        its operations and per column algebra its columns and map id per (op, prefix)."""
+        algs = list({id(alg): alg for alg in self.columns}.values())
+        slices = [alg.op(name).array.reshape(-1, alg.size)
+                  for name, _ in self.signature for alg in algs]
+        table = np.concatenate([s.take(range(self._base), axis=1, mode="clip") for s in slices])
+        _, first, inv = np.unique(_row_keys(table, self._base), return_index=True,
+                                  return_inverse=True)
+        self._maps = table[first].astype(np.uint8)
+        ids = np.split(inv.reshape(-1).astype(np.int32), np.cumsum([len(s) for s in slices]))
+        cols = [np.flatnonzero([c is alg for c in self.columns]) for alg in algs]
+        self._groups = []
+        for arity in sorted({arity for _, arity in self.signature}):
+            ops = np.array([i for i, (_, a) in enumerate(self.signature) if a == arity])
+            luts = [np.stack([ids[o * len(algs) + a] for o in ops]) for a in range(len(algs))]
+            self._groups.append((arity, ops, list(zip(cols, luts))))
 
     # -- row storage --
 
@@ -333,10 +334,8 @@ class TupleClosure:
         return self._buf[:self.n]
 
     def _append(self, row: np.ndarray, key, prov: Provenance) -> None:
-        if self.n == len(self._buf):
-            grown = np.zeros((2 * len(self._buf), self.k), dtype=np.uint8)
-            grown[:self.n] = self._buf
-            self._buf = grown
+        if self.n == len(self._buf):   # entries past n are never read
+            self._buf = np.resize(self._buf, (2 * self.n, self.k))
         self._buf[self.n] = row
         self.index[key] = self.n
         self.provenance.append(prov)
@@ -360,60 +359,63 @@ class TupleClosure:
     def lookup(self, tup: Sequence[int]) -> Optional[int]:
         """The row index of the tuple, None when it is not a row (a key is
         exact only for a tuple of length k with every entry in range)."""
-        if len(tup) != self.k or any(not 0 <= v < alg.size
-                                     for v, alg in zip(tup, self.columns)):
+        if len(tup) != self.k or any(not 0 <= v < n for v, n in zip(tup, self._sizes)):
             return None
         return self.index.get(_row_keys(np.asarray([tup], np.uint8), self._base).tolist()[0])
 
-    # -- signatures --
-
-    def _register_prefixes(self, opi: int, idx: list[np.ndarray], m: int) -> None:
-        """Compute per-coordinate unary-map signatures for m prefix
-        combinations and register the first combination of each new one."""
-        _, _, allmaps, col_lut = self._ops[opi]
-        rows = self.rows
-        sig = np.empty((m, self.k), dtype=np.int32)
-        for c in range(self.k):
-            n = self.columns[c].size
-            packed = np.zeros(m, dtype=np.int64)
-            for arr in idx:
-                packed = packed * n + rows[arr, c]
-            sig[:, c] = col_lut[c][packed]
-        keys = _row_keys(sig, len(allmaps))
-        first = np.sort(np.unique(keys, return_index=True)[1])   # in batch order
-        sigs = self._sigs[opi]
-        for j, key in zip(first.tolist(), keys[first].tolist()):
-            if key not in sigs:
-                sigs[key] = [sig[j].copy(), tuple(int(arr[j]) for arr in idx), 0]
-
     # -- main loop --
+
+    def _register(self, n_cur: int) -> None:
+        """Register the signatures of the prefix combinations over rows[:n_cur]
+        that use a row new since the last round, a batch of one arity at a
+        time (flat index = operation position * m + combination): the first
+        occurrence of each, unless an operation below it owns it."""
+        rows = self.rows
+        for arity, ops, luts in self._groups:
+            for idx, m in _prefix_blocks(arity - 1, self._registered, n_cur,
+                                         max(1, _CHUNK // (len(ops) * self.k))):
+                packed = np.zeros((m, self.k), dtype=np.intp)
+                for arr in idx:
+                    packed = packed * self._sizes + rows[arr]
+                sig = np.empty((len(ops), m, self.k), dtype=np.int32)
+                for cols, lut in luts:
+                    sig[:, :, cols] = lut[:, packed[:, cols]]
+                sig = sig.reshape(-1, self.k)
+                keys = _row_keys(sig, len(self._maps))
+                first = np.sort(np.unique(keys, return_index=True)[1])   # in batch order
+                known = len(self._sig_rec)
+                recs = np.array([self._sig_rec.setdefault(key, len(self._sig_rec))
+                                 for key in keys[first].tolist()], dtype=np.intp)
+                if len(self._sig_rec) > len(st := self._store):   # written before read
+                    self._store = st = np.resize(st, 2 * len(self._sig_rec))
+                take = (recs >= known) | (st["owner"][recs] > ops[first // m])
+                recs, first = recs[take], first[take]
+                st["ids"][recs], st["owner"][recs] = sig[first], ops[first // m]
+                for p, arr in enumerate(idx):
+                    st["combo"][recs, p] = arr[first % m]
+                st["seq"][recs] = self._seq + np.arange(len(recs))
+                self._seq += len(recs)
 
     def _run(self) -> None:
         while not self.complete:
-            n_cur = self.n
-            for opi, (name, arity, allmaps, _) in enumerate(self._ops):
-                for idx, m in _prefix_blocks(arity - 1, self._registered, n_cur):
-                    self._register_prefixes(opi, idx, m)
-                # sweep every signature over its unswept tail, batched by
-                # shared sweep start so one fancy index covers many sigs
-                groups: dict[int, list] = {}
-                for rec in self._sigs[opi].values():
-                    if rec[2] < n_cur:
-                        groups.setdefault(rec[2], []).append(rec)
-                        rec[2] = n_cur
-                for z0 in sorted(groups):
-                    recs = groups[z0]
-                    zs = self.rows[z0:n_cur].copy()
-                    m = len(zs)
-                    per = max(1, _CHUNK // m)
+            n_cur, seq0 = self.n, self._seq
+            self._register(n_cur)
+            st = self._store[:len(self._sig_rec)]
+            order = np.lexsort((st["seq"], st["owner"]))   # by owner, then sequence
+            bounds = np.searchsorted(st["owner"][order], np.arange(len(self.signature) + 1))
+            for opi, (name, arity) in enumerate(self.signature):
+                mine = order[bounds[opi]:bounds[opi + 1]]
+                split = np.searchsorted(st["seq"][mine], seq0)
+                # signatures new in the round sweep every row, older ones the new rows
+                for recs, z0 in ((mine[split:], 0), (mine[:split], self._registered)):
+                    zs, m = self.rows[z0:n_cur], n_cur - z0   # appends never write here
+                    per = max(1, _CHUNK // max(m, 1))
                     for lo in range(0, len(recs), per):
                         part = recs[lo:lo + per]
-                        ids = np.stack([rec[0] for rec in part])
-                        out = allmaps[ids[:, None, :], zs[None, :, :]]
-                        out = out.reshape(len(part) * m, self.k)
-                        self._append_batch(
-                            out, lambda q: ("step", name,
-                                            part[q // m][1] + (z0 + q % m,)))
+                        out = self._maps[st["ids"][part][:, None, :], zs[None, :, :]]
+                        combos = st["combo"][part, :arity - 1]
+                        self._append_batch(out.reshape(-1, self.k), lambda q: (
+                            "step", name, (*combos[q // m].tolist(), z0 + q % m)))
                         if self.n > self.cap:
                             return
             self._registered = n_cur
@@ -430,8 +432,7 @@ def subpower_membership(query: SubpowerQuery) -> SubpowerAnswer:
     """Close the generators under the coordinatewise operations and look for
     the target.  Found answers carry a re-verified witness term."""
     cl = TupleClosure(query.columns, query.generators, query.cap)
-    hit = cl.lookup(query.target)
-    if hit is not None:
+    if (hit := cl.lookup(query.target)) is not None:
         w = cl.witness(hit)
         for c, alg in enumerate(query.columns):
             value = terms.evaluate(w, alg, [g[c] for g in query.generators])
@@ -490,13 +491,12 @@ def find_pair_witness(algebra: FiniteAlgebra, kind: str, a: int = 0, b: int = 0,
 
     Semilattice tries both absorbers, b first.  Absent answers always come
     from complete closures; a cap hit is CapExceeded, never absence."""
+    if kind in (SEMILATTICE, MAJORITY) and a == b:
+        raise ValueError("need two distinct elements")
     if kind == SEMILATTICE:
-        if a == b:
-            raise ValueError("need two distinct elements")
         cl = TupleClosure((algebra, algebra), ((a, b), (b, a)), cap)
         for absorber in (b, a):
-            hit = cl.lookup((absorber, absorber))
-            if hit is not None:
+            if (hit := cl.lookup((absorber, absorber))) is not None:
                 w = cl.witness(hit)
                 for args in ((a, b), (b, a)):
                     if terms.evaluate(w, algebra, args) != absorber:
@@ -506,8 +506,6 @@ def find_pair_witness(algebra: FiniteAlgebra, kind: str, a: int = 0, b: int = 0,
                 return PairWitness(SEMILATTICE, w, absorber, len(cl))
         return Absent(len(cl)) if cl.complete else CapExceeded(cap)
     if kind == MAJORITY:
-        if a == b:
-            raise ValueError("need two distinct elements")
         q = majority_query(algebra, a, b, cap)
     elif kind == MALTSEV:
         if algebra.size < 2:

@@ -364,7 +364,8 @@ def _binary_on_edge(term: Term, edge: ThickEdge) -> str:
         return "proj1"
     if (v01, v10) == (1, 0):
         return "proj2"
-    assert v01 == v10
+    if v01 != v10:
+        raise PostconditionFailed(f"{term.text()} is no binary operation on {edge.describe()}")
     return f"sl:{v01}"
 
 
@@ -752,6 +753,16 @@ def satisfies_majority_condition(ops_g: Term, inventory: EdgeInventory) -> bool:
     return True
 
 
+def _certify(term: Term, what: str, *checks, majority: Optional[EdgeInventory] = None):
+    """Raise PostconditionFailed, also under `python -O`, unless term sends args to
+    want in alg for every (alg, args, want) and satisfies the majority condition."""
+    bad = [(alg.name, args, want) for alg, args, want in checks
+           if evaluate(term, alg, args) != want]
+    if bad or (majority is not None and not satisfies_majority_condition(term, majority)):
+        raise PostconditionFailed(f"{what} = {term.text()} fails at "
+                                  f"{bad or 'the majority condition'}")
+
+
 # --------------------------------------------------------------------------
 # combination terms over thin edges
 # --------------------------------------------------------------------------
@@ -781,25 +792,21 @@ def majority_triple(ops: DistinguishedOps, e1: ThinEdge, e2: ThinEdge,
     v = evaluate(g0, e1.algebra, (a1, b1, b1))
     t = _gen_witness(e1.algebra, a1, v, b1)
     g1 = substitute(g0, [substitute(t, [_X3, g0]), _Y3, _Z3])
-    assert evaluate(g1, e1.algebra, (a1, b1, b1)) == b1
-    assert satisfies_majority_condition(g1, ops.inventory)
+    _certify(g1, "g1", (e1.algebra, (a1, b1, b1), b1), majority=ops.inventory)
 
     a2, b2 = e2.a, e2.b
     v = evaluate(g1, e2.algebra, (b2, a2, b2))
     s = _gen_witness(e2.algebra, a2, v, b2)
     g2 = substitute(g1, [_X3, substitute(s, [_Y3, g1]), _Z3])
-    assert evaluate(g2, e2.algebra, (b2, a2, b2)) == b2
-    assert evaluate(g2, e1.algebra, (a1, b1, b1)) == b1
-    assert satisfies_majority_condition(g2, ops.inventory)
+    _certify(g2, "g2", (e2.algebra, (b2, a2, b2), b2), (e1.algebra, (a1, b1, b1), b1),
+             majority=ops.inventory)
 
     a3, b3 = e3.a, e3.b
     v = evaluate(g2, e3.algebra, (b3, b3, a3))
     q = _gen_witness(e3.algebra, a3, v, b3)
     g3 = substitute(g2, [_X3, _Y3, substitute(q, [_Z3, g2])])
-    assert evaluate(g3, e3.algebra, (b3, b3, a3)) == b3
-    assert evaluate(g3, e1.algebra, (a1, b1, b1)) == b1
-    assert evaluate(g3, e2.algebra, (b2, a2, b2)) == b2
-    assert satisfies_majority_condition(g3, ops.inventory)
+    _certify(g3, "g3", (e3.algebra, (b3, b3, a3), b3), (e1.algebra, (a1, b1, b1), b1),
+             (e2.algebra, (b2, a2, b2), b2), majority=ops.inventory)
     return g3
 
 
@@ -815,8 +822,7 @@ def affine_pair(ops: DistinguishedOps, e1: ThinEdge, e2: ThinEdge) -> Term:
     dprime = evaluate(h, e2.algebra, (c, c, d))
     r = _gen_witness(e2.algebra, c, dprime, d)
     hprime = substitute(r, [_X3, h])
-    assert evaluate(hprime, e1.algebra, (b, a, a)) == b
-    assert evaluate(hprime, e2.algebra, (c, c, d)) == d
+    _certify(hprime, "h'", (e1.algebra, (b, a, a), b), (e2.algebra, (c, c, d), d))
     return hprime
 
 
@@ -846,23 +852,16 @@ def mixed_pair(ops: DistinguishedOps, e1: ThinEdge, e2: ThinEdge) -> Term:
         rxh = substitute(r, [_X3, h])
         ryh = substitute(r, [_Y3, substitute(h, [_Y3, _X3, _Z3])])
         gprime = substitute(g, [rxh, ryh, _Z3])
-        assert evaluate(gprime, e1.algebra, (a, a, b)) == b
-        assert satisfies_majority_condition(gprime, ops.inventory)
+        _certify(gprime, "g'", (e1.algebra, (a, a, b), b), majority=ops.inventory)
         w = evaluate(gprime, e2.algebra, (d, d, c))
         s = _gen_witness(e2.algebra, c, w, d)
         # p(x, y) = s(x, g'(y, y, x))
         gyyx = substitute(gprime, [_Y2, _Y2, _X2])
         p = substitute(s, [_X2, gyyx])
     else:
-        swapped = mixed_pair(ops, e2, e1)
-        p = substitute(swapped, [_Y2, _X2])
-        # the swapped construction satisfies p'(b2,a2)=b2, p'(c1,d1)=d1 with
-        # roles exchanged; after the swap re-check the required equations
-        assert evaluate(p, e1.algebra, (e1.b, e1.a)) == e1.b
-        assert evaluate(p, e2.algebra, (e2.a, e2.b)) == e2.b
-        return p
-    assert evaluate(p, e1.algebra, (e1.b, e1.a)) == e1.b
-    assert evaluate(p, e2.algebra, (e2.a, e2.b)) == e2.b
+        # the construction for the swapped edges, its arguments swapped back
+        p = substitute(mixed_pair(ops, e2, e1), [_Y2, _X2])
+    _certify(p, "p", (e1.algebra, (e1.b, e1.a), e1.b), (e2.algebra, (e2.a, e2.b), e2.b))
     return p
 
 
@@ -883,7 +882,7 @@ def affine_stable_ops(ops: DistinguishedOps, edge: ThinEdge, kind: str) -> Term:
         r = _gen_witness(edge.algebra, a, v, b)
         gxyy = substitute(g, [_X2, _Y2, _Y2])
         t = substitute(r, [_X2, gxyy])
-        assert evaluate(t, edge.algebra, (a, b)) == b
+        _certify(t, "t_ab", (edge.algebra, (a, b), b))
         for aff in ops.inventory.affine:
             alg = aff.algebra
             sub = aff.subuniverse
@@ -905,7 +904,7 @@ def affine_stable_ops(ops: DistinguishedOps, edge: ThinEdge, kind: str) -> Term:
         v = evaluate(h, edge.algebra, (a, a, b))
         s = _gen_witness(edge.algebra, a, v, b)
         t = substitute(s, [_X3, h])
-        assert evaluate(t, edge.algebra, (a, a, b)) == b
+        _certify(t, "h_ab", (edge.algebra, (a, a, b), b))
         for aff in ops.inventory.affine:
             alg = aff.algebra
             sub = aff.subuniverse

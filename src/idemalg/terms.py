@@ -48,19 +48,27 @@ class Term:
         return f"Term({self.text()})"
 
     def text(self) -> str:
-        if self.kind == "proj":
-            return f"p{self.index}"
-        if self.kind == "app":
-            return f"{self.op}({', '.join(c.text() for c in self.children)})"
-        if self.kind == "comp":
-            return f"comp({', '.join(c.text() for c in self.children)})"
-        return f"pow({self.times}, {self.hole}, {self.children[0].text()})"
+        """The prefix form, built bottom-up over `nodes`: no recursion limit."""
+        done: dict[int, str] = {}
+        for node in self.nodes():
+            args = ", ".join(done[id(c)] for c in node.operands())
+            done[id(node)] = (f"p{node.index}" if node.kind == "proj" else
+                              f"pow({node.times}, {node.hole}, {args})" if node.kind == "pow"
+                              else f"{node.op if node.kind == 'app' else 'comp'}({args})")
+        return done[id(self)]
 
-    def nodes(self) -> list["Term"]:
+    def operands(self, outers: bool = True) -> tuple["Term", ...]:
+        """The children, without the outer term of a composition unless asked."""
+        kids = self.children or ()
+        return kids if outers or self.kind != "comp" else kids[1:]
+
+    def nodes(self, outers: bool = True) -> list["Term"]:
         """All distinct nodes of the DAG, children before parents (post-order,
-        children left to right), by an explicit stack: no recursion limit."""
+        children left to right), by an explicit stack: no recursion limit.
+        outers=False leaves out what only composition outers reach (they have
+        variables of their own)."""
         seen: dict[int, Term] = {}
-        stack = [(self, iter(self.children or ()))]
+        stack = [(self, iter(self.operands(outers)))]
         while stack:
             node, pending = stack[-1]
             child = next(pending, None)
@@ -68,7 +76,7 @@ class Term:
                 seen[id(node)] = node
                 stack.pop()
             elif id(child) not in seen:
-                stack.append((child, iter(child.children or ())))
+                stack.append((child, iter(child.operands(outers))))
         return list(seen.values())
 
 
@@ -184,7 +192,7 @@ def substitute(t: Term, replacements: Sequence[Term]) -> Term:
             > _SUBSTITUTE_COMPACT:
         return compose(t, replacements)
     try:
-        return _rewrite(t, replacements, {})
+        return _rewrite(t, replacements)
     except _Blocked:
         return compose(t, replacements)
 
@@ -193,91 +201,98 @@ class _Blocked(Exception):
     """A power node's iteration slot cannot be rewritten structurally."""
 
 
-def _rewrite(node: Term, replacements: Sequence[Term], memo: dict[int, Term]) -> Term:
-    """The structural substitution of `substitute`, memoized by node.  A
-    module function, not a closure over itself, so no call leaves a
-    reference cycle behind."""
-    r = memo.get(id(node))
-    if r is not None:
-        return r
-    if node.kind == "proj":
-        r = replacements[node.index]
-    elif node.kind == "app":
-        r = app(node.op, [_rewrite(c, replacements, memo) for c in node.children])
-    elif node.kind == "comp":
-        r = compose(node.children[0],
-                    [_rewrite(c, replacements, memo) for c in node.children[1:]])
-    else:
-        # rewriting inside a power node is sound only if the iteration
-        # slot maps to a plain variable nothing else touches
-        rep = replacements[node.hole]
-        if rep.kind != "proj" or any(
-                uses_variable(replacements[c], rep.index)
-                for c in range(len(replacements)) if c != node.hole):
-            raise _Blocked()
-        r = power(_rewrite(node.children[0], replacements, memo), rep.index, node.times)
-    memo[id(node)] = r
-    return r
-
-
-def _iterate(start: int, step, times: int) -> int:
-    """Apply `step` to `start` `times` times, shortcutting through the cycle."""
-    if times <= 0:
-        return start
-    seen = {start: 0}
-    seq = [start]
-    v = start
-    for i in range(1, times + 1):
-        v = step(v)
-        if v in seen:
-            first = seen[v]
-            period = i - first
-            rest = (times - first) % period
-            return seq[first + rest]
-        seen[v] = i
-        seq.append(v)
-    return v
+def _rewrite(t: Term, replacements: Sequence[Term]) -> Term:
+    """The structural substitution of `substitute`, bottom-up over the nodes
+    outside composition outers (an outer keeps its own variables)."""
+    done: dict[int, Term] = {}
+    for node in t.nodes(outers=False):
+        new = [done[id(c)] for c in node.operands(outers=False)]
+        if node.kind == "proj":
+            done[id(node)] = replacements[node.index]
+        elif node.kind == "app":
+            done[id(node)] = app(node.op, new)
+        elif node.kind == "comp":
+            done[id(node)] = compose(node.children[0], new)
+        else:
+            # rewriting inside a power node is sound only if the iteration
+            # slot maps to a plain variable nothing else touches
+            rep = replacements[node.hole]
+            if rep.kind != "proj" or any(
+                    uses_variable(replacements[c], rep.index)
+                    for c in range(len(replacements)) if c != node.hole):
+                raise _Blocked()
+            done[id(node)] = power(new[0], rep.index, node.times)
+    return done[id(t)]
 
 
 def evaluate(t: Term, algebra: FiniteAlgebra, args: Sequence[int]) -> int:
-    """Value of the induced term operation at args."""
+    """Value of the induced term operation at args, memoized by (node,
+    values), on an explicit stack: a pair is computed once the pairs it reads
+    are in the memo (projections are read off the values); until then they
+    go on the stack above it, leftmost on top."""
     if len(args) != t.arity:
         raise ArityMismatch(f"term has arity {t.arity}, got {len(args)} arguments")
-    return _evaluate(t, tuple(args), algebra, {})
+    args = tuple(args)
+    memo: dict[tuple[int, tuple[int, ...]], int] = {}
+    stack = [(t, args)]
+    while stack:
+        node, vals = stack[-1]
+        key, kind = (id(node), vals), node.kind
+        if key in memo:
+            stack.pop()
+            continue
+        if kind == "proj":
+            r, pending = vals[node.index], None
+        elif kind == "pow":
+            r, pending = _power_at(node, vals, memo)
+        else:
+            if kind == "app":
+                op = _op_of(node, algebra)
+            operands = node.operands(outers=False)
+            pending = [(c, vals) for c in operands
+                       if c.kind != "proj" and (id(c), vals) not in memo]
+            if not pending:
+                inner = tuple([vals[c.index] if c.kind == "proj" else memo[id(c), vals]
+                               for c in operands])
+                if kind == "app":
+                    r = op.apply(inner, algebra.size)
+                elif (r := memo.get((id(node.children[0]), inner))) is None:
+                    pending = [(node.children[0], inner)]
+        if pending:
+            stack.extend(reversed(pending))
+            continue
+        memo[key] = r
+        stack.pop()
+    return memo[id(t), args]
 
 
-def _evaluate(node: Term, vals: tuple[int, ...], algebra: FiniteAlgebra,
-              memo: dict[tuple[int, tuple[int, ...]], int]) -> int:
-    """evaluate, memoized by (node, values).  A module function, not a
-    closure over itself, so no call leaves a reference cycle behind."""
-    key = (id(node), vals)
-    r = memo.get(key)
-    if r is not None:
-        return r
-    if node.kind == "proj":
-        r = vals[node.index]
-    elif node.kind == "app":
-        op = algebra.by_name.get(node.op)
-        if op is None:
-            raise UnknownSymbol(node.op)
-        if op.arity != len(node.children):
-            raise ArityMismatch(
-                f"{node.op!r} has arity {op.arity}, term applies it to "
-                f"{len(node.children)} arguments")
-        r = op.apply([_evaluate(c, vals, algebra, memo) for c in node.children],
-                     algebra.size)
-    elif node.kind == "comp":
-        inner = tuple(_evaluate(c, vals, algebra, memo) for c in node.children[1:])
-        r = _evaluate(node.children[0], inner, algebra, memo)
-    else:
-        body, hole = node.children[0], node.hole
+def _power_at(node: Term, vals: tuple[int, ...], memo: dict) -> tuple[Optional[int], list]:
+    """The value of a power node at vals from memoized values of its body,
+    iterating its unary context with a shortcut through the cycle; or None
+    and the first (body, values) pair still missing."""
+    body, hole, times = node.children[0], node.hole, node.times
+    seq, seen = [vals[hole]], {vals[hole]: 0}
+    while len(seq) <= times:
+        at = vals[:hole] + (seq[-1],) + vals[hole + 1:]
+        if (v := memo.get((id(body), at))) is None:
+            return None, [(body, at)]
+        if v in seen:   # seq[first:] repeats with period len(seq) - first
+            first = seen[v]
+            return seq[first + (times - first) % (len(seq) - first)], None
+        seen[v] = len(seq)
+        seq.append(v)
+    return seq[times], None
 
-        def step(u: int) -> int:
-            return _evaluate(body, vals[:hole] + (u,) + vals[hole + 1:], algebra, memo)
 
-        r = _iterate(vals[hole], step, node.times)
-    memo[key] = r
-    return r
+def _op_of(node: Term, algebra: FiniteAlgebra) -> OperationTable:
+    """The algebra's operation that an application node applies."""
+    op = algebra.by_name.get(node.op)
+    if op is None:
+        raise UnknownSymbol(node.op)
+    if op.arity != len(node.children):
+        raise ArityMismatch(f"{node.op!r} has arity {op.arity}, term applies it to "
+                            f"{len(node.children)} arguments")
+    return op
 
 
 def realize_table(t: Term, algebra: FiniteAlgebra, name: str = "t") -> OperationTable:
@@ -290,14 +305,7 @@ def realize_table(t: Term, algebra: FiniteAlgebra, name: str = "t") -> Operation
         if node.kind == "proj":
             arr = coordinate(n, node.arity, node.index)
         elif node.kind == "app":
-            op = algebra.by_name.get(node.op)
-            if op is None:
-                raise UnknownSymbol(node.op)
-            if op.arity != len(node.children):
-                raise ArityMismatch(
-                    f"{node.op!r} has arity {op.arity}, term applies it to "
-                    f"{len(node.children)} arguments")
-            arr = op.array[tuple(arrays[id(c)] for c in node.children)]
+            arr = _op_of(node, algebra).array[tuple(arrays[id(c)] for c in node.children)]
         elif node.kind == "comp":
             outer, *inners = (arrays[id(c)] for c in node.children)
             arr = outer[tuple(inners)]

@@ -7,11 +7,13 @@ import sys
 import weakref
 from itertools import combinations, product
 
+import numpy as np
 import pytest
 from oracles import naive_subpower_membership
 
 from idemalg import generate, terms
 from idemalg.algebra import DEFAULT_CAP, restrict, validate_algebra
+from idemalg.edges import structure_graph
 from idemalg.errors import TooLarge
 from idemalg.generate import (
     Absent,
@@ -31,6 +33,7 @@ from idemalg.generate import (
     term_operations,
     witness_term,
 )
+from idemalg.reduct import bounded_reduct
 
 
 def test_generate_no_edge_pair(a_ne):
@@ -343,6 +346,40 @@ def _closure_digest(cl):
     return h.hexdigest()[:16]
 
 
+def _shared_slice_input(rng, arity, n_ops, max_size, max_k):
+    """Columns drawn from 1-2 random algebras with n_ops operations of one
+    arity.  After the first, each operation is random, equals an earlier
+    one, takes about half of its last-argument slices from an earlier one
+    at the same leading arguments, or takes them all at other leading
+    arguments (then the diagonal is made idempotent again).  Then 1-3
+    random generator tuples."""
+    modes = ["random"] + [rng.choice(("random", "equal", "half", "moved"))
+                          for _ in range(n_ops - 1)]
+    algebras = []
+    for i in range(rng.randint(1, 2)):
+        size = rng.randint(2, max_size)
+        tables = []
+        for mode in modes:
+            table = [args[0] if len(set(args)) == 1 else rng.randrange(size)
+                     for args in product(range(size), repeat=arity)]
+            if mode != "random":
+                earlier = rng.choice(tables)
+                starts = list(range(0, len(table), size))
+                sources = rng.sample(starts, len(starts)) if mode == "moved" else starts
+                for lo, src in zip(starts, sources):
+                    if mode != "half" or rng.random() < 0.5:
+                        table[lo:lo + size] = earlier[src:src + size]
+                for x in range(size):
+                    table[x * sum(size ** e for e in range(arity))] = x
+            tables.append(table)
+        algebras.append(validate_algebra(
+            f"s{i}", size, [(f"o{j}", arity, t) for j, t in enumerate(tables)]))
+    cols = tuple(rng.choice(algebras) for _ in range(rng.randint(2, max_k)))
+    gens = tuple(tuple(rng.randrange(c.size) for c in cols)
+                 for _ in range(rng.randint(1, 3)))
+    return cols, gens
+
+
 def test_closure_discovery_order_is_pinned():
     # rows and provenance of closures with unary and 4-ary operations, one
     # of them cut by its cap; seeds 7 and 5 tell the combinations of
@@ -354,8 +391,50 @@ def test_closure_discovery_order_is_pinned():
         cols, gens = _random_closure_input(rng, arities, 3, 6)
         cl = generate.TupleClosure(cols, gens, cap)
         got.append((len(cl), cl.complete, _closure_digest(cl)))
+    # three or four operations of one arity, some equal and some sharing
+    # last-argument slices, so one signature is induced by several of them:
+    # it must be swept by the lowest, with that one's first combination.
+    # Seeds 30, 16, 11 and 13 tell this rule from owners that never hand a
+    # signature down, from the highest owner, from a takeover that keeps
+    # the old registration or the old combination
+    for seed, arity, n_ops, cap in ((30, 2, 4, DEFAULT_CAP), (16, 3, 3, DEFAULT_CAP),
+                                    (11, 3, 4, DEFAULT_CAP), (13, 3, 4, DEFAULT_CAP),
+                                    (1, 3, 4, 100)):
+        rng = random.Random(seed)
+        cols, gens = _shared_slice_input(rng, arity, n_ops, 4, 6)
+        cl = generate.TupleClosure(cols, gens, cap)
+        got.append((len(cl), cl.complete, _closure_digest(cl)))
     assert got == [(27, True, "d7eb09f53e29eab0"), (21, False, "1b63870f9c8ee8cb"),
-                   (81, True, "2e2957f469d9bd8f")]
+                   (81, True, "2e2957f469d9bd8f"), (243, True, "3d454305d3ff67ea"),
+                   (81, True, "cef2dfcbe92acc21"), (16, True, "33fafa879adbcb89"),
+                   (64, True, "0a634a2053305be4"), (101, False, "ee0e9b6a1b92371b")]
+
+
+def test_wide_closure_rows_are_distinct(c_nef):
+    # 36 columns of size 6 take the void row key, generators included
+    tables = [table for table, _ in term_operations(c_nef, 2)]
+    assert len(set(tables)) == len(tables)
+    assert tables[:2] == [tuple(a for a in range(6) for _ in range(6)),
+                          tuple(b for _ in range(6) for b in range(6))]
+
+
+def test_signature_store_holds_each_signature_once(c_nef):
+    # the operations of the arity-2 reduct of no-edge-factor induce many
+    # equal unary maps; the store keeps one record per signature content,
+    # whichever operations induce it
+    w = next(w for rep in structure_graph(c_nef).reports for w in rep.witnesses
+             if w.label in (SEMILATTICE, MAJORITY))
+    red = bounded_reduct(c_nef, w, 2).algebra
+    cl = generate.TupleClosure((red,) * 4, ((0, 1, 2, 3), (3, 4, 5, 0), (5, 0, 1, 4)))
+    assert cl.complete
+    # every combination of leading arguments over the rows, per operation
+    per_op = [{tuple(tuple(red.op(name).array[tuple(r[c] for r in pre)].tolist())
+                     for c in range(cl.k))
+               for pre in product(cl.rows.tolist(), repeat=arity - 1)}
+              for name, arity in red.signature]
+    n = len(cl._sig_rec)
+    assert n == len(set().union(*per_op)) == len(np.unique(cl._store["ids"][:n], axis=0))
+    assert n < sum(map(len, per_op))
 
 
 def test_lookup_rejects_entries_outside_their_column(sl2, z3a):

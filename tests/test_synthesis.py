@@ -339,3 +339,22 @@ def test_affine_stable_h_ab_permutation_on_blocks():
         for dp in sub:
             image = {evaluate(h, alg, (x, cp, dp)) for x in sub}
             assert image == {0, 2}
+
+
+def test_construction_certificates_raise_under_O(run_optimized):
+    # a corrupt generation witness makes t_ab the first projection, which
+    # the certificate t_ab(a, b) = b must reject with asserts stripped
+    code = (
+        "from idemalg import fixtures, synthesis, terms\n"
+        "from idemalg.errors import PostconditionFailed\n"
+        "from idemalg.thin import SPECIAL_THIN_MAJORITY, thin_graph\n"
+        "ops = synthesis.uniform_ops([fixtures.fixture('mj2')])\n"
+        "alg = ops.inventory.algebras[0]\n"
+        "edge = thin_graph(alg, ops).by_kind(SPECIAL_THIN_MAJORITY)[0]\n"
+        "synthesis._gen_witness = lambda algebra, a, v, target: terms.proj(0, 2)\n"
+        "print(__debug__)\n"
+        "try:\n"
+        "    synthesis.affine_stable_ops(ops, edge, 't_ab')\n"
+        "except PostconditionFailed as exc:\n"
+        "    print(exc)\n")
+    assert run_optimized(code) == "False\nt_ab = p0 fails at [('mj2', (0, 1), 1)]\n"

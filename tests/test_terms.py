@@ -248,3 +248,40 @@ def test_term_traversals_leave_no_reference_cycles(a_ne):
         gc.garbage.clear()
         if was_enabled:
             gc.enable()
+
+
+def _deep_chain(depth):
+    """A left-nested chain of application, power and composition nodes, far
+    deeper than the recursion limit, with its text built alongside."""
+    x, y = proj(0, 2), proj(1, 2)
+    outer = app("g", [x, y])
+    t, text = x, "p0"
+    for i in range(depth):
+        if i % 3 == 0:
+            t, text = app("f", [t, y]), f"f({text}, p1)"
+        elif i % 3 == 1:
+            t, text = power(t, 0, 2), f"pow(2, 0, {text})"
+        else:
+            t, text = compose(outer, [t, y]), f"comp(g(p0, p1), {text}, p1)"
+    return t, text
+
+
+def test_evaluate_a_deep_chain(a_ne):
+    t, _ = _deep_chain(3000)
+    table = realize_table(t, a_ne).table
+    assert tuple(evaluate(t, a_ne, args) for args in product(range(3), repeat=2)) == table
+
+
+def test_print_a_deep_chain():
+    t, text = _deep_chain(3000)
+    assert t.text() == text
+    assert repr(t) == f"Term({text})"
+
+
+def test_substitute_into_a_deep_chain(a_ne):
+    t, _ = _deep_chain(3000)
+    x, y = proj(0, 2), proj(1, 2)
+    swapped = substitute(t, [y, x])
+    assert swapped is not t and substitute(swapped, [y, x]) is t
+    for a, b in product(range(3), repeat=2):
+        assert evaluate(swapped, a_ne, (a, b)) == evaluate(t, a_ne, (b, a))
