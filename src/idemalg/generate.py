@@ -11,9 +11,9 @@ ternary operations tractable.  One map table per closure holds the distinct
 unary maps of all operations, and one store holds each signature once,
 whichever operations induce it.  Every arity, unary included, runs through
 one sweep path in one discovery order (see `TupleClosure`), and rows and
-signatures are deduplicated by one exact key (`_row_keys`).  Coordinates
-may live in different algebras of one signature, so queries over products
-of quotients need no product algebras.
+signatures are deduplicated by one exact key (`_row_keys`) in one key index
+(`_KeyIndex`).  Coordinates may live in different algebras of one
+signature, so queries over products of quotients need no product algebras.
 
 Every Found answer is re-evaluated against its target before being
 returned.
@@ -41,6 +41,7 @@ from . import terms
 from .terms import Term
 
 _CHUNK = 1 << 19   # prefix combinations processed per numpy batch
+_DENSE = 1 << 18   # widest key space held in dense slot arrays (see TupleClosure)
 
 
 # --------------------------------------------------------------------------
@@ -211,6 +212,47 @@ def _row_keys(rows: np.ndarray, base: int) -> np.ndarray:
     return rows.view(np.dtype((np.void, rows.itemsize * k)))[:, 0]
 
 
+class _KeyIndex:
+    """Ids 0, 1, ... of distinct exact keys (`_row_keys`), in the order they
+    are added: a dense int32 slot per key (id + 1, 0 for absent) when the
+    key space has at most `_DENSE` keys, so no batch is sorted, else a dict."""
+
+    def __init__(self, space: int):
+        self.n, self._dense = 0, space <= _DENSE
+        self._ids = np.zeros(space, np.int32) if self._dense else {}
+
+    def get(self, keys: np.ndarray) -> np.ndarray:
+        """The id of each key, -1 where it is absent."""
+        if self._dense:
+            return self._ids[keys] - 1
+        return np.array([self._ids.get(key, -1) for key in keys.tolist()], dtype=np.intp)
+
+    def firsts(self, keys: np.ndarray) -> np.ndarray:
+        """Batch positions of the first occurrence of each distinct key, in
+        batch order.  Dense, the slots of the batch's keys hold the least
+        position of their key while this runs, by `minimum.at` (numpy leaves
+        open which of repeated fancy writes wins), and their ids again after."""
+        if not self._dense:
+            return np.sort(np.unique(keys, return_index=True)[1])
+        slot, at = self._ids, np.arange(len(keys), dtype=np.int32)
+        saved = slot[keys]
+        slot[keys] = len(keys)
+        np.minimum.at(slot, keys, at)
+        first = (slot[keys] == at).nonzero()[0]
+        slot[keys[first]] = saved[first]
+        return first
+
+    def add(self, keys: np.ndarray) -> np.ndarray:
+        """Give distinct absent keys the next ids, in order; return them."""
+        ids = np.arange(self.n, self.n + len(keys))
+        if self._dense:
+            self._ids[keys] = ids + 1
+        else:
+            self._ids.update(zip(keys.tolist(), ids.tolist()))
+        self.n += len(keys)
+        return ids
+
+
 def _new_spans(length: int, old: int, cur: int) -> list[list[tuple[int, int]]]:
     """Products of row ranges (start, stop), one range per position, that
     cover once each, in C order, the combinations of the given length over
@@ -245,7 +287,14 @@ class TupleClosure:
     """Closure of generator tuples under the shared signature, acting
     coordinatewise.
 
-    Rows live in a growing uint8 matrix, deduplicated by exact row keys.
+    Rows live in a growing uint8 matrix.  Rows, by their exact keys, and
+    signatures, by the exact keys of their map ids, are numbered in one
+    `_KeyIndex` each: a dense int32 slot array while `base**k` (rows) or
+    `len(_maps)**k` (signatures) is at most `_DENSE` = 2**18 (1 MB), which
+    covers every closure of the subpower benchmark; a dict beyond, for the
+    wide closures of term operations and reducts.  Peak RSS stays within 2%
+    of the dict's on every benchmark workload; int64 slots up to 2**22
+    added 8-10% on the CLI workloads.
     The last argument of every operation is swept vectorized; combinations
     of the leading ones (the empty one for a unary operation) are
     registered by the signature of the per-coordinate unary maps they
@@ -287,7 +336,7 @@ class TupleClosure:
         self._base = int(self._sizes.max())
         self.n = 0
         self._buf = np.zeros((256, self.k), dtype=np.uint8)
-        self.index: dict = {}
+        self._rows = _KeyIndex(self._base ** self.k)
         self.provenance: list[Provenance] = []
         self.complete = False
         self._build_maps()
@@ -295,7 +344,7 @@ class TupleClosure:
         width = max(arity for _, arity in sig) - 1
         self._store = np.zeros(64, dtype=[("ids", np.int32, (self.k,)), ("owner", np.intp),
                                           ("combo", np.int64, (width,)), ("seq", np.int64)])
-        self._sig_rec: dict = {}   # signature key -> record
+        self._sigs = _KeyIndex(len(self._maps) ** self.k)   # signature key -> record
         self._seq = 0
         self._registered = 0       # rows whose prefix combinations are registered
         self.n_generators = len(generators)
@@ -303,9 +352,8 @@ class TupleClosure:
         if ((gens < 0) | (gens >= self._sizes)).any():
             raise ValueError("generator entry out of range")
         gens = gens.astype(np.uint8)   # row keys are of uint8 rows
-        for i, key in enumerate(_row_keys(gens, self._base).tolist()):
-            if key not in self.index:
-                self._append(gens[i], key, ("gen", i))
+        keys = _row_keys(gens, self._base)
+        self._append(gens, keys, self._rows.firsts(keys), lambda i: ("gen", i))
         self._run()
 
     def _build_maps(self) -> None:
@@ -333,25 +381,25 @@ class TupleClosure:
     def rows(self) -> np.ndarray:
         return self._buf[:self.n]
 
-    def _append(self, row: np.ndarray, key, prov: Provenance) -> None:
-        if self.n == len(self._buf):   # entries past n are never read
-            self._buf = np.resize(self._buf, (2 * self.n, self.k))
-        self._buf[self.n] = row
-        self.index[key] = self.n
-        self.provenance.append(prov)
-        self.n += 1
+    def _append(self, out: np.ndarray, keys: np.ndarray, picks: np.ndarray, mk_prov) -> None:
+        """Append the rows out[picks], new and distinct, with their keys;
+        mk_prov maps the batch position of each to its provenance."""
+        end = self.n + len(picks)
+        if end > len(self._buf):   # entries past n are never read
+            self._buf = np.resize(self._buf, (max(2 * len(self._buf), end), self.k))
+        self._buf[self.n:end] = out[picks]
+        self._rows.add(keys[picks])
+        self.provenance.extend(map(mk_prov, picks.tolist()))
+        self.n = end
 
     def _append_batch(self, out: np.ndarray, mk_prov) -> None:
         """Append the new rows of a candidate batch, first occurrences in
-        batch order, until the cap is passed; mk_prov maps the batch
-        position of each appended row to its provenance."""
+        batch order, until the row count passes the cap (one row if it
+        already has)."""
         keys = _row_keys(out, self._base)
-        first = np.sort(np.unique(keys, return_index=True)[1])   # in batch order
-        for j, key in zip(first.tolist(), keys[first].tolist()):
-            if key not in self.index:
-                self._append(out[j], key, mk_prov(j))
-                if self.n > self.cap:
-                    return
+        if len(absent := (self._rows.get(keys) < 0).nonzero()[0]):
+            first = absent[self._rows.firsts(keys[absent])]
+            self._append(out, keys, first[:max(1, self.cap + 1 - self.n)], mk_prov)
 
     def __len__(self) -> int:
         return self.n
@@ -361,7 +409,8 @@ class TupleClosure:
         exact only for a tuple of length k with every entry in range)."""
         if len(tup) != self.k or any(not 0 <= v < n for v, n in zip(tup, self._sizes)):
             return None
-        return self.index.get(_row_keys(np.asarray([tup], np.uint8), self._base).tolist()[0])
+        hit = int(self._rows.get(_row_keys(np.asarray([tup], np.uint8), self._base))[0])
+        return hit if hit >= 0 else None
 
     # -- main loop --
 
@@ -382,13 +431,13 @@ class TupleClosure:
                     sig[:, :, cols] = lut[:, packed[:, cols]]
                 sig = sig.reshape(-1, self.k)
                 keys = _row_keys(sig, len(self._maps))
-                first = np.sort(np.unique(keys, return_index=True)[1])   # in batch order
-                known = len(self._sig_rec)
-                recs = np.array([self._sig_rec.setdefault(key, len(self._sig_rec))
-                                 for key in keys[first].tolist()], dtype=np.intp)
-                if len(self._sig_rec) > len(st := self._store):   # written before read
-                    self._store = st = np.resize(st, 2 * len(self._sig_rec))
-                take = (recs >= known) | (st["owner"][recs] > ops[first // m])
+                first = self._sigs.firsts(keys)
+                recs = self._sigs.get(keys[first])
+                new = recs < 0
+                recs[new] = self._sigs.add(keys[first[new]])
+                if self._sigs.n > len(st := self._store):   # written before read
+                    self._store = st = np.resize(st, 2 * self._sigs.n)
+                take = new | (st["owner"][recs] > ops[first // m])
                 recs, first = recs[take], first[take]
                 st["ids"][recs], st["owner"][recs] = sig[first], ops[first // m]
                 for p, arr in enumerate(idx):
@@ -400,7 +449,7 @@ class TupleClosure:
         while not self.complete:
             n_cur, seq0 = self.n, self._seq
             self._register(n_cur)
-            st = self._store[:len(self._sig_rec)]
+            st = self._store[:self._sigs.n]
             order = np.lexsort((st["seq"], st["owner"]))   # by owner, then sequence
             bounds = np.searchsorted(st["owner"][order], np.arange(len(self.signature) + 1))
             for opi, (name, arity) in enumerate(self.signature):

@@ -140,7 +140,8 @@ def compose(outer: Term, inners: Sequence[Term]) -> Term:
 
 
 def uses_variable(t: Term, index: int) -> bool:
-    for node in t.nodes():
+    """Whether t reads variable `index` (composition outers read their own)."""
+    for node in t.nodes(outers=False):
         if node.kind == "proj" and node.index == index:
             return True
         if node.kind == "pow" and node.hole == index:
@@ -393,60 +394,64 @@ def parse_term(text: str, arity: Optional[int] = None) -> Term:
             raise TermSyntaxError(f"expected a number at position {pos} in {s!r}")
         return int(s[start:pos])
 
-    # first pass builds a nested structure; arities are fixed afterwards
-    def node():
-        nonlocal pos
+    # the parse lists the nodes in post-order, as (tag, value, extra, child
+    # positions); an explicit stack holds the open ones, so no recursion limit
+    nodes: list[tuple] = []
+    stack: list[tuple] = []   # open nodes: (tag, value, extra, children so far)
+    while True:
         skip_ws()
         name = ident()
         if name.startswith("p") and name[1:].isdigit():
-            return ("p", int(name[1:]))
-        if name == "pow":
+            nodes.append(("p", int(name[1:]), None, ()))
+        elif name == "pow":
             expect("(")
             times = number()
             expect(",")
             hole = number()
             expect(",")
-            body = node()
-            expect(")")
-            return ("w", times, hole, body)
-        expect("(")
-        children = [node()]
-        skip_ws()
-        while pos < len(s) and s[pos] == ",":
-            pos += 1
-            children.append(node())
+            stack.append(("w", times, hole, []))
+            continue
+        else:
+            expect("(")
+            stack.append(("c" if name == "comp" else "a", name, None, []))
+            continue
+        # close every open node that the node just parsed completes
+        while stack:
+            tag, value, extra, children = stack[-1]
+            children.append(len(nodes) - 1)
             skip_ws()
-        expect(")")
-        if name == "comp":
-            if len(children) < 2:
+            if tag != "w" and pos < len(s) and s[pos] == ",":
+                pos += 1
+                break
+            expect(")")
+            stack.pop()
+            if tag == "c" and len(children) < 2:
                 raise TermSyntaxError("comp needs an outer term and arguments")
-            return ("c", children[0], children[1:])
-        return ("a", name, children)
-
-    tree = node()
+            nodes.append((tag, value, extra, tuple(children)))
+        else:
+            break
     skip_ws()
     if pos != len(s):
         raise TermSyntaxError(f"trailing input at position {pos} in {s!r}")
 
-    def max_index(nd) -> int:
-        if nd[0] == "p":
-            return nd[1]
-        if nd[0] == "w":
-            return max(nd[2], max_index(nd[3]))
-        if nd[0] == "c":
-            return max(max_index(c) for c in nd[2])
-        return max(max_index(c) for c in nd[2])
-
-    k = arity if arity is not None else max_index(tree) + 1
-
-    def build(nd, k: int) -> Term:
-        if nd[0] == "p":
-            return proj(nd[1], k)
-        if nd[0] == "w":
-            return power(build(nd[3], k), nd[2], nd[1])
-        if nd[0] == "c":
-            inners = [build(c, k) for c in nd[2]]
-            return compose(build(nd[1], len(inners)), inners)
-        return app(nd[1], [build(c, k) for c in nd[2]])
-
-    return build(tree, k)
+    if arity is None:
+        # the largest variable read outside composition outers (they have
+        # variables of their own), children before parents
+        top: list[int] = []
+        for tag, value, extra, kids in nodes:
+            reach = [top[c] for c in kids[tag == "c":]]
+            top.append(value if tag == "p" else max(reach + [extra] * (tag == "w")))
+        arity = top[-1] + 1
+    # arities from the root down: a composition outer takes its own
+    arities = [arity] * len(nodes)
+    for i in reversed(range(len(nodes))):
+        tag, _, _, kids = nodes[i]
+        for j, c in enumerate(kids):
+            arities[c] = len(kids) - 1 if tag == "c" and j == 0 else arities[i]
+    built: list[Term] = []
+    for (tag, value, extra, kids), k in zip(nodes, arities):
+        args = [built[c] for c in kids]
+        built.append(proj(value, k) if tag == "p" else
+                     power(args[0], extra, value) if tag == "w" else
+                     compose(args[0], args[1:]) if tag == "c" else app(value, args))
+    return built[-1]

@@ -410,6 +410,31 @@ def test_closure_discovery_order_is_pinned():
                    (64, True, "0a634a2053305be4"), (101, False, "ee0e9b6a1b92371b")]
 
 
+def test_closures_across_the_dense_key_bound_agree():
+    # copies of column 0 add no structure: every row and signature key
+    # stays distinct exactly when it was, so rows, provenance and the cap cut
+    # must not move when the row keys (base**k) or the signature keys
+    # (len(_maps)**k) outgrow the dense slot and fall back to the dict
+    for seed, arities, size, cap in ((3, (1, 2), 3, DEFAULT_CAP), (3, (2,), 4, DEFAULT_CAP),
+                                     (0, (3,), 3, DEFAULT_CAP), (0, (1, 2, 3), 3, DEFAULT_CAP),
+                                     (3, (2,), 4, 30)):
+        rng = random.Random(seed)
+        alg = _random_algebra(rng, "r", size, arities)
+        gens = tuple(tuple(rng.randrange(size) for _ in range(3)) for _ in range(2))
+        small = generate.TupleClosure((alg,) * 3, gens, cap)
+        assert small._rows._dense and small._sigs._dense
+        assert small.complete == (cap == DEFAULT_CAP) and len(small) > 8
+        for index, space in (("_rows", size), ("_sigs", len(small._maps))):
+            k = next(k for k in range(3, 40) if space ** k > generate._DENSE)
+            for wide in (k - 1, k):
+                cl = generate.TupleClosure((alg,) * wide, [g + g[:1] * (wide - 3) for g in gens], cap)
+                assert getattr(cl, index)._dense == (wide < k), (seed, index, wide)
+                assert (len(cl), cl.complete) == (len(small), small.complete)
+                assert cl.provenance == small.provenance
+                assert (cl.rows[:, :3] == small.rows).all()
+                assert (cl.rows[:, 3:] == small.rows[:, :1]).all()
+
+
 def test_wide_closure_rows_are_distinct(c_nef):
     # 36 columns of size 6 take the void row key, generators included
     tables = [table for table, _ in term_operations(c_nef, 2)]
@@ -425,16 +450,19 @@ def test_signature_store_holds_each_signature_once(c_nef):
     w = next(w for rep in structure_graph(c_nef).reports for w in rep.witnesses
              if w.label in (SEMILATTICE, MAJORITY))
     red = bounded_reduct(c_nef, w, 2).algebra
-    cl = generate.TupleClosure((red,) * 4, ((0, 1, 2, 3), (3, 4, 5, 0), (5, 0, 1, 4)))
-    assert cl.complete
-    # every combination of leading arguments over the rows, per operation
-    per_op = [{tuple(tuple(red.op(name).array[tuple(r[c] for r in pre)].tolist())
-                     for c in range(cl.k))
-               for pre in product(cl.rows.tolist(), repeat=arity - 1)}
-              for name, arity in red.signature]
-    n = len(cl._sig_rec)
-    assert n == len(set().union(*per_op)) == len(np.unique(cl._store["ids"][:n], axis=0))
-    assert n < sum(map(len, per_op))
+    # 24 maps: signature keys of 3 columns fit the dense slot, of 4 do not
+    for gens, dense in ((((0, 1, 2), (3, 4, 5)), True),
+                        (((0, 1, 2, 3), (3, 4, 5, 0), (5, 0, 1, 4)), False)):
+        cl = generate.TupleClosure((red,) * len(gens[0]), gens)
+        assert cl.complete and cl._sigs._dense == dense
+        # every combination of leading arguments over the rows, per operation
+        per_op = [{tuple(tuple(red.op(name).array[tuple(r[c] for r in pre)].tolist())
+                         for c in range(cl.k))
+                   for pre in product(cl.rows.tolist(), repeat=arity - 1)}
+                  for name, arity in red.signature]
+        n = cl._sigs.n
+        assert n == len(set().union(*per_op)) == len(np.unique(cl._store["ids"][:n], axis=0))
+        assert n < sum(map(len, per_op))
 
 
 def test_lookup_rejects_entries_outside_their_column(sl2, z3a):

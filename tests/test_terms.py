@@ -4,6 +4,7 @@ import gc
 from itertools import product
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from idemalg import terms
 from idemalg.algebra import restrict, validate_algebra
@@ -20,6 +21,7 @@ from idemalg.terms import (
     proj,
     realize_table,
     substitute,
+    uses_variable,
 )
 
 
@@ -103,6 +105,44 @@ def test_parse_print_roundtrip():
         t = parse_term(txt)
         assert t.text() == txt
         assert parse_term(t.text(), t.arity) is t
+
+
+def test_uses_variable_skips_composition_outers():
+    # the outer reads its own variables: only p1 and p2 are read here
+    t = compose(app("f", [proj(0, 2), proj(1, 2)]), [proj(1, 3), proj(2, 3)])
+    assert t.text() == "comp(f(p0, p1), p1, p2)"
+    assert [uses_variable(t, i) for i in range(3)] == [False, True, True]
+    assert uses_variable(power(app("f", [proj(0, 2), proj(0, 2)]), 1, 3), 1)
+
+
+@st.composite
+def interned_terms(draw, arity=None, depth=4):
+    """Random interned terms mixing applications, powers and compositions."""
+    if arity is None:
+        arity = draw(st.integers(1, 3))
+    kinds = ("proj", "app", "pow", "comp") if depth else ("proj",)
+    kind = draw(st.sampled_from(kinds))
+    if kind == "proj":
+        return proj(draw(st.integers(0, arity - 1)), arity)
+    if kind == "app":
+        return app(draw(st.sampled_from(("f", "g", "h"))),
+                   [draw(interned_terms(arity, depth - 1))
+                    for _ in range(draw(st.integers(1, 3)))])
+    if kind == "pow":
+        return power(draw(interned_terms(arity, depth - 1)),
+                     draw(st.integers(0, arity - 1)), draw(st.integers(0, 60)))
+    outer = draw(interned_terms(None, depth - 1))
+    return compose(outer, [draw(interned_terms(arity, depth - 1))
+                           for _ in range(outer.arity)])
+
+
+@settings(deadline=None)
+@given(interned_terms())
+def test_parse_print_roundtrip_property(t):
+    assert parse_term(t.text(), t.arity) is t
+    # without an arity, parsing infers one past the largest variable read
+    if uses_variable(t, t.arity - 1):
+        assert parse_term(t.text()) is t
 
 
 def test_parse_rejects_garbage():
@@ -276,6 +316,12 @@ def test_print_a_deep_chain():
     t, text = _deep_chain(3000)
     assert t.text() == text
     assert repr(t) == f"Term({text})"
+
+
+def test_parse_a_deep_chain():
+    t, text = _deep_chain(3000)
+    assert parse_term(text) is t
+    assert parse_term(text, 2) is t
 
 
 def test_substitute_into_a_deep_chain(a_ne):
