@@ -11,9 +11,12 @@ ternary operations tractable.  One map table per closure holds the distinct
 unary maps of all operations, and one store holds each signature once,
 whichever operations induce it.  Every arity, unary included, runs through
 one sweep path in one discovery order (see `TupleClosure`), and rows and
-signatures are deduplicated by one exact key (`_row_keys`) in one key index
-(`_KeyIndex`).  Coordinates may live in different algebras of one
-signature, so queries over products of quotients need no product algebras.
+signatures are deduplicated by one exact key in one key index
+(`_KeyIndex`): a sum of weighted digits, one int64 limb per g columns
+(`_key_layout`).  The sweep sums each candidate row's key from weighted
+map lookups and builds only the rows it appends.  Coordinates may live in
+different algebras of one signature, so queries over products of
+quotients need no product algebras.
 
 Every Found answer is re-evaluated against its target before being
 returned.
@@ -22,6 +25,7 @@ returned.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import product
 from math import prod
 from typing import Optional, Sequence, Union
@@ -40,7 +44,7 @@ from .errors import CapExceededError, ElementNotGenerated, PostconditionFailed, 
 from . import terms
 from .terms import Term
 
-_CHUNK = 1 << 19   # prefix combinations processed per numpy batch
+_CHUNK = 1 << 19   # entries per numpy batch: combinations or candidates x columns
 _DENSE = 1 << 18   # widest key space held in dense slot arrays (see TupleClosure)
 
 
@@ -200,16 +204,32 @@ class CapExceeded:
 SubpowerAnswer = Union[Found, Absent, CapExceeded]
 
 
+@lru_cache(maxsize=None)
+def _key_layout(base: int, k: int) -> tuple[np.ndarray, int]:
+    """The exact key of k digits in range(base): one limb per g columns, g
+    the largest with base**g < 2**62 (k when all fit), column c weighted by
+    base**(c mod g) in the narrowest of int16, int32, int64 that holds base**g."""
+    g = next((g for g in range(1, k) if base ** (g + 1) >= 1 << 62), k)
+    dtype = next(t for t in (np.int16, np.int32, np.int64) if base ** g <= np.iinfo(t).max)
+    weights = base ** (np.arange(k) % g).astype(dtype)
+    weights.flags.writeable = False   # one array per (base, k), shared by every caller
+    return weights, g
+
+
+def _limb_keys(limbs: list[np.ndarray]) -> np.ndarray:
+    """Exact keys from their limbs (`_key_layout`): one limb is the key
+    itself, as int64; several are viewed as one fixed-width void scalar,
+    whose `.tolist()` gives its bytes."""
+    if len(limbs) == 1:
+        return limbs[0].astype(np.int64)
+    return np.stack(limbs, axis=1, dtype=np.int64).view(np.dtype((np.void, 8 * len(limbs))))[:, 0]
+
+
 def _row_keys(rows: np.ndarray, base: int) -> np.ndarray:
     """One exact, hashable key per row of a 2-d array whose entries lie in
-    range(base): the row as a base-`base` integer when base**k < 2**62,
-    otherwise the row as one fixed-width void scalar, whose `.tolist()`
-    gives its bytes."""
-    k = rows.shape[1]
-    if base ** k < 1 << 62:
-        return rows.astype(np.int64) @ base ** np.arange(k, dtype=np.int64)
-    rows = np.ascontiguousarray(rows)
-    return rows.view(np.dtype((np.void, rows.itemsize * k)))[:, 0]
+    range(base); a single limb is the row as a base-`base` integer."""
+    weights, g = _key_layout(base, rows.shape[1])
+    return _limb_keys([rows[:, c:c + g] @ weights[c:c + g] for c in range(0, len(weights), g)])
 
 
 class _KeyIndex:
@@ -295,6 +315,10 @@ class TupleClosure:
     wide closures of term operations and reducts.  Peak RSS stays within 2%
     of the dict's on every benchmark workload; int64 slots up to 2**22
     added 8-10% on the CLI workloads.
+    A row's key sums its weighted digits, one limb per g columns
+    (`_key_layout`), so a candidate row's key, a signature's maps applied to
+    a row, is a sum of k lookups in the round's table of weighted map
+    values; only the rows appended are built.
     The last argument of every operation is swept vectorized; combinations
     of the leading ones (the empty one for a unary operation) are
     registered by the signature of the per-coordinate unary maps they
@@ -351,9 +375,9 @@ class TupleClosure:
         gens = np.asarray(generators, dtype=np.int64).reshape(len(generators), self.k)
         if ((gens < 0) | (gens >= self._sizes)).any():
             raise ValueError("generator entry out of range")
-        gens = gens.astype(np.uint8)   # row keys are of uint8 rows
         keys = _row_keys(gens, self._base)
-        self._append(gens, keys, self._rows.firsts(keys), lambda i: ("gen", i))
+        first = self._rows.firsts(keys)
+        self._append(gens[first], keys[first], first, lambda i: ("gen", i))
         self._run()
 
     def _build_maps(self) -> None:
@@ -381,25 +405,16 @@ class TupleClosure:
     def rows(self) -> np.ndarray:
         return self._buf[:self.n]
 
-    def _append(self, out: np.ndarray, keys: np.ndarray, picks: np.ndarray, mk_prov) -> None:
-        """Append the rows out[picks], new and distinct, with their keys;
-        mk_prov maps the batch position of each to its provenance."""
+    def _append(self, rows: np.ndarray, keys: np.ndarray, picks: np.ndarray, mk_prov) -> None:
+        """Append rows, new and distinct, with their keys; mk_prov maps the
+        batch position (picks) of each to its provenance."""
         end = self.n + len(picks)
         if end > len(self._buf):   # entries past n are never read
             self._buf = np.resize(self._buf, (max(2 * len(self._buf), end), self.k))
-        self._buf[self.n:end] = out[picks]
-        self._rows.add(keys[picks])
+        self._buf[self.n:end] = rows
+        self._rows.add(keys)
         self.provenance.extend(map(mk_prov, picks.tolist()))
         self.n = end
-
-    def _append_batch(self, out: np.ndarray, mk_prov) -> None:
-        """Append the new rows of a candidate batch, first occurrences in
-        batch order, until the row count passes the cap (one row if it
-        already has)."""
-        keys = _row_keys(out, self._base)
-        if len(absent := (self._rows.get(keys) < 0).nonzero()[0]):
-            first = absent[self._rows.firsts(keys[absent])]
-            self._append(out, keys, first[:max(1, self.cap + 1 - self.n)], mk_prov)
 
     def __len__(self) -> int:
         return self.n
@@ -409,7 +424,7 @@ class TupleClosure:
         exact only for a tuple of length k with every entry in range)."""
         if len(tup) != self.k or any(not 0 <= v < n for v, n in zip(tup, self._sizes)):
             return None
-        hit = int(self._rows.get(_row_keys(np.asarray([tup], np.uint8), self._base))[0])
+        hit = int(self._rows.get(_row_keys(np.asarray([tup]), self._base))[0])
         return hit if hit >= 0 else None
 
     # -- main loop --
@@ -446,10 +461,16 @@ class TupleClosure:
                 self._seq += len(recs)
 
     def _run(self) -> None:
+        nmaps = len(self._maps)
+        weights, g = _key_layout(self._base, self.k)
         while not self.complete:
             n_cur, seq0 = self.n, self._seq
             self._register(n_cur)
+            # [column * nmaps + map, z]: the weighted value of the map at rows[z, column]
+            weighted = (self._maps[:, self.rows[:n_cur]] * weights).transpose(2, 0, 1)
+            weighted = weighted.reshape(self.k * nmaps, n_cur)
             st = self._store[:self._sigs.n]
+            at = st["ids"] + np.arange(self.k) * nmaps   # row in `weighted` of each map id
             order = np.lexsort((st["seq"], st["owner"]))   # by owner, then sequence
             bounds = np.searchsorted(st["owner"][order], np.arange(len(self.signature) + 1))
             for opi, (name, arity) in enumerate(self.signature):
@@ -458,13 +479,21 @@ class TupleClosure:
                 # signatures new in the round sweep every row, older ones the new rows
                 for recs, z0 in ((mine[split:], 0), (mine[:split], self._registered)):
                     zs, m = self.rows[z0:n_cur], n_cur - z0   # appends never write here
-                    per = max(1, _CHUNK // max(m, 1))
+                    per = max(1, _CHUNK // max(m * self.k, 1))
                     for lo in range(0, len(recs), per):
                         part = recs[lo:lo + per]
-                        out = self._maps[st["ids"][part][:, None, :], zs[None, :, :]]
+                        cand = weighted[at[part].T, z0:]   # [column, record, row]
+                        keys = _limb_keys([np.add.reduce(cand[c:c + g], axis=0, dtype=cand.dtype)
+                                           .ravel() for c in range(0, self.k, g)])
+                        if not len(new := (self._rows.get(keys) < 0).nonzero()[0]):
+                            continue
+                        # first occurrences in batch order, until the row count passes the cap
+                        first = new[self._rows.firsts(keys[new])][:max(1, self.cap + 1 - self.n)]
+                        rec, z = np.divmod(first, m)
                         combos = st["combo"][part, :arity - 1]
-                        self._append_batch(out.reshape(-1, self.k), lambda q: (
-                            "step", name, (*combos[q // m].tolist(), z0 + q % m)))
+                        self._append(self._maps[st["ids"][part[rec]], zs[z]], keys[first],
+                                     first, lambda q: ("step", name, (
+                                         *combos[q // m].tolist(), z0 + q % m)))
                         if self.n > self.cap:
                             return
             self._registered = n_cur

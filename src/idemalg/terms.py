@@ -57,18 +57,22 @@ class Term:
                               else f"{node.op if node.kind == 'app' else 'comp'}({args})")
         return done[id(self)]
 
-    def operands(self, outers: bool = True) -> tuple["Term", ...]:
-        """The children, without the outer term of a composition unless asked."""
+    def operands(self, outers: bool = True, bodies: bool = True) -> tuple["Term", ...]:
+        """The children, without the outer term of a composition or the body
+        of a power unless asked."""
         kids = self.children or ()
-        return kids if outers or self.kind != "comp" else kids[1:]
+        if self.kind == "comp" and not outers:
+            return kids[1:]
+        return () if self.kind == "pow" and not bodies else kids
 
-    def nodes(self, outers: bool = True) -> list["Term"]:
+    def nodes(self, outers: bool = True, bodies: bool = True) -> list["Term"]:
         """All distinct nodes of the DAG, children before parents (post-order,
         children left to right), by an explicit stack: no recursion limit.
         outers=False leaves out what only composition outers reach (they have
-        variables of their own)."""
+        variables of their own), bodies=False what only power bodies reach
+        (they are evaluated at other values)."""
         seen: dict[int, Term] = {}
-        stack = [(self, iter(self.operands(outers)))]
+        stack = [(self, iter(self.operands(outers, bodies)))]
         while stack:
             node, pending = stack[-1]
             child = next(pending, None)
@@ -76,7 +80,7 @@ class Term:
                 seen[id(node)] = node
                 stack.pop()
             elif id(child) not in seen:
-                stack.append((child, iter(child.operands(outers))))
+                stack.append((child, iter(child.operands(outers, bodies))))
         return list(seen.values())
 
 
@@ -226,48 +230,56 @@ def _rewrite(t: Term, replacements: Sequence[Term]) -> Term:
     return done[id(t)]
 
 
+#: per term (by identity: nodes are interned and immortal), the nodes other
+#: than projections evaluated at its own values; a projection, itself
+_CONTEXT_NODES: dict[int, list[Term]] = {}
+
+
 def evaluate(t: Term, algebra: FiniteAlgebra, args: Sequence[int]) -> int:
     """Value of the induced term operation at args, memoized by (node,
-    values), on an explicit stack: a pair is computed once the pairs it reads
-    are in the memo (projections are read off the values); until then they
-    go on the stack above it, leftmost on top."""
+    values), on an explicit stack of contexts.  A context is a term at some
+    values; its nodes at those values (`nodes(outers=False, bodies=False)`,
+    projections read off the values) are evaluated bottom-up, each once.  A
+    composition outer or a power body missing at other values suspends the
+    context below a new one for it."""
     if len(args) != t.arity:
         raise ArityMismatch(f"term has arity {t.arity}, got {len(args)} arguments")
     args = tuple(args)
     memo: dict[tuple[int, tuple[int, ...]], int] = {}
-    stack = [(t, args)]
+    size, stack = algebra.size, [(t, args, 0)]
     while stack:
-        node, vals = stack[-1]
-        key, kind = (id(node), vals), node.kind
-        if key in memo:
-            stack.pop()
-            continue
-        if kind == "proj":
-            r, pending = vals[node.index], None
-        elif kind == "pow":
-            r, pending = _power_at(node, vals, memo)
-        else:
-            if kind == "app":
-                op = _op_of(node, algebra)
-            operands = node.operands(outers=False)
-            pending = [(c, vals) for c in operands
-                       if c.kind != "proj" and (id(c), vals) not in memo]
-            if not pending:
-                inner = tuple([vals[c.index] if c.kind == "proj" else memo[id(c), vals]
-                               for c in operands])
-                if kind == "app":
-                    r = op.apply(inner, algebra.size)
-                elif (r := memo.get((id(node.children[0]), inner))) is None:
-                    pending = [(node.children[0], inner)]
-        if pending:
-            stack.extend(reversed(pending))
-            continue
-        memo[key] = r
-        stack.pop()
+        term, vals, start = stack.pop()
+        if (nodes := _CONTEXT_NODES.get(id(term))) is None:
+            nodes = _CONTEXT_NODES[id(term)] = [
+                n for n in term.nodes(outers=False, bodies=False) if n.kind != "proj"] or [term]
+        for i in range(start, len(nodes)):
+            node = nodes[i]
+            if (key := (id(node), vals)) in memo:
+                continue
+            if node.kind == "app":
+                r = 0
+                for c in node.children:
+                    r = r * size + (vals[c.index] if c.kind == "proj" else memo[id(c), vals])
+                r = _op_of(node, algebra).table[r]
+            elif node.kind == "proj":
+                r = vals[node.index]
+            else:
+                if node.kind == "pow":
+                    r, pending = _power_at(node, vals, memo)
+                else:
+                    outer = node.children[0]
+                    inner = tuple([vals[c.index] if c.kind == "proj" else memo[id(c), vals]
+                                   for c in node.children[1:]])
+                    r, pending = memo.get((id(outer), inner)), (outer, inner)
+                if r is None:
+                    stack += [(term, vals, i), (*pending, 0)]
+                    break
+            memo[key] = r
     return memo[id(t), args]
 
 
-def _power_at(node: Term, vals: tuple[int, ...], memo: dict) -> tuple[Optional[int], list]:
+def _power_at(node: Term, vals: tuple[int, ...], memo: dict
+              ) -> tuple[Optional[int], Optional[tuple]]:
     """The value of a power node at vals from memoized values of its body,
     iterating its unary context with a shortcut through the cycle; or None
     and the first (body, values) pair still missing."""
@@ -276,7 +288,7 @@ def _power_at(node: Term, vals: tuple[int, ...], memo: dict) -> tuple[Optional[i
     while len(seq) <= times:
         at = vals[:hole] + (seq[-1],) + vals[hole + 1:]
         if (v := memo.get((id(body), at))) is None:
-            return None, [(body, at)]
+            return None, (body, at)
         if v in seen:   # seq[first:] repeats with period len(seq) - first
             first = seen[v]
             return seq[first + (times - first) % (len(seq) - first)], None

@@ -3,8 +3,10 @@
 import gc
 import json
 import time
+from itertools import product
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from idemalg import algfile, cli, fixtures
 from idemalg.algebra import validate_algebra
@@ -45,6 +47,28 @@ def test_fixture_files_roundtrip(tmp_path):
         loaded = algfile.load(str(path))
         assert loaded.operations == alg.operations
         assert loaded.labels == alg.labels
+
+
+@st.composite
+def idempotent_algebras(draw):
+    """Random idempotent algebras: 1-5 elements, one to three operations of
+    arity 1-3, with or without labels."""
+    size = draw(st.integers(1, 5))
+    arities = draw(st.lists(st.integers(1, 3), min_size=1, max_size=3))
+    names = draw(st.permutations(("f", "g", "meet", "m3")))
+    ops = [(name, arity, [args[0] if len(set(args)) == 1 else draw(st.integers(0, size - 1))
+                          for args in product(range(size), repeat=arity)])
+           for name, arity in zip(names, arities)]
+    labels = draw(st.none() | st.permutations([f"e{x}" for x in range(size)]).map(tuple))
+    return validate_algebra(draw(st.sampled_from(("a", "demo", "x_1"))), size, ops, labels)
+
+
+@settings(deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(idempotent_algebras())
+def test_save_load_roundtrip_property(tmp_path, alg):
+    path = str(tmp_path / "a.alg")
+    algfile.save(alg, path)
+    assert algfile.load(path) == alg
 
 
 def test_parse_errors():

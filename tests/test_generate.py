@@ -404,10 +404,17 @@ def test_closure_discovery_order_is_pinned():
         cols, gens = _shared_slice_input(rng, arity, n_ops, 4, 6)
         cl = generate.TupleClosure(cols, gens, cap)
         got.append((len(cl), cl.complete, _closure_digest(cl)))
+    # 32 columns of a 4-element algebra: row keys of two int64 limbs (g = 30)
+    rng = random.Random(9)
+    alg = _random_algebra(rng, "w", 4, (1, 2))
+    gens = [tuple(rng.randrange(4) for _ in range(32)) for _ in range(2)]
+    cl = generate.TupleClosure((alg,) * 32, gens, 150)
+    got.append((len(cl), cl.complete, _closure_digest(cl)))
     assert got == [(27, True, "d7eb09f53e29eab0"), (21, False, "1b63870f9c8ee8cb"),
                    (81, True, "2e2957f469d9bd8f"), (243, True, "3d454305d3ff67ea"),
                    (81, True, "cef2dfcbe92acc21"), (16, True, "33fafa879adbcb89"),
-                   (64, True, "0a634a2053305be4"), (101, False, "ee0e9b6a1b92371b")]
+                   (64, True, "0a634a2053305be4"), (101, False, "ee0e9b6a1b92371b"),
+                   (151, False, "59e5635c450bff6d")]
 
 
 def test_closures_across_the_dense_key_bound_agree():
@@ -433,6 +440,57 @@ def test_closures_across_the_dense_key_bound_agree():
                 assert cl.provenance == small.provenance
                 assert (cl.rows[:, :3] == small.rows).all()
                 assert (cl.rows[:, 3:] == small.rows[:, :1]).all()
+
+
+def test_closures_across_the_limb_bound_agree():
+    # as above, but until the row keys (base**k) or the signature keys
+    # (len(_maps)**k) reach 2**62 and take a second int64 limb
+    for seed, arities, size, cap in ((3, (1, 2), 3, DEFAULT_CAP), (0, (3,), 3, DEFAULT_CAP),
+                                     (3, (2,), 4, 30)):
+        rng = random.Random(seed)
+        alg = _random_algebra(rng, "r", size, arities)
+        gens = tuple(tuple(rng.randrange(size) for _ in range(3)) for _ in range(2))
+        small = generate.TupleClosure((alg,) * 3, gens, cap)
+        assert small.complete == (cap == DEFAULT_CAP) and len(small) > 8
+        for space in (size, len(small._maps)):
+            k = next(k for k in range(3, 80) if space ** k >= 1 << 62)
+            for wide in (k - 1, k):
+                assert (generate._key_layout(space, wide)[1] == wide) == (wide < k)
+                cl = generate.TupleClosure((alg,) * wide, [g + g[:1] * (wide - 3) for g in gens],
+                                           cap)
+                assert (len(cl), cl.complete) == (len(small), small.complete)
+                assert cl.provenance == small.provenance
+                assert (cl.rows[:, :3] == small.rows).all()
+                assert (cl.rows[:, 3:] == small.rows[:, :1]).all()
+
+
+def test_sweep_keys_are_row_keys(monkeypatch):
+    # every row a closure appends, generators and swept rows alike, carries
+    # the key `_row_keys` gives it; base 256 at k = 7, 8, 9 has one, two and
+    # two limbs (g = 7), bases 2-6 one, in dense slots or in the dict
+    appended = []
+
+    def check(self, rows, keys, picks, mk_prov):
+        appended.append(len(rows))
+        assert generate._row_keys(rows, self._base).tolist() == keys.tolist()
+        append(self, rows, keys, picks, mk_prov)
+
+    append = generate.TupleClosure._append
+    monkeypatch.setattr(generate.TupleClosure, "_append", check)
+    rng = random.Random(8)
+    for size in (2, 3, 4, 5, 6, 256):
+        arities = ((1, 2), (2,)) if size == 256 else ((1, 2), (2,), (3,), (2, 3))
+        for k in (7, 8, 9):
+            for arity in arities:
+                alg = _random_algebra(rng, "r", size, arity)
+                small = _random_algebra(rng, "s", rng.randint(1, size), arity)
+                cols = (alg,) + tuple(rng.choice((alg, small)) for _ in range(k - 1))
+                gens = [tuple(rng.randrange(c.size) for c in cols)
+                        for _ in range(rng.randint(2, 3))]
+                cl = generate.TupleClosure(cols, gens, 40 if 3 in arity else 150)
+                ids = cl._rows.get(generate._row_keys(cl.rows, size))
+                assert (ids == np.arange(len(cl))).all()
+    assert sum(appended) > 3000
 
 
 def test_wide_closure_rows_are_distinct(c_nef):

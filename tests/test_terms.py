@@ -253,6 +253,18 @@ def test_nodes_order_on_a_shared_dag():
     assert t.nodes() == [y, x, s, left, t]
 
 
+def test_nodes_without_outers_or_power_bodies():
+    x, y = proj(0, 2), proj(1, 2)
+    body = app("g", [x, y])
+    p = power(body, 0, 3)
+    outer = app("h", [x, y])
+    t = app("f", [compose(outer, [p, y]), x])
+    c = t.children[0]
+    assert t.nodes() == [x, y, outer, body, p, c, t]
+    assert t.nodes(outers=False) == [x, y, body, p, c, t]
+    assert t.nodes(outers=False, bodies=False) == [p, y, c, x, t]
+
+
 def test_realize_a_chain_deeper_than_the_recursion_limit(a_ne):
     x, y = proj(0, 2), proj(1, 2)
     chain = [x]
