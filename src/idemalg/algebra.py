@@ -176,6 +176,13 @@ class FiniteAlgebra:
     def elements(self) -> range:
         return range(self.size)
 
+    def check_elements(self, elements: Iterable[int]) -> None:
+        """ValidationError unless every element is in 0..size-1: a negative
+        index would wrap around the tables, a large one escape them."""
+        for x in elements:
+            if not 0 <= x < self.size:
+                raise ValidationError(f"element {x} is not in 0..{self.size - 1}")
+
     def __repr__(self) -> str:
         ops = ", ".join(f"{o.name}/{o.arity}" for o in self.operations)
         return f"FiniteAlgebra({self.name!r}, size={self.size}, ops=[{ops}])"

@@ -14,8 +14,15 @@ import random
 from dataclasses import dataclass
 from itertools import combinations
 
-from .algebra import DEFAULT_LIMITS, FiniteAlgebra, Limits, is_closed_subset, restrict
-from .congruence import congruence_lattice, quotient_by, tolerance_ops
+from .algebra import (
+    DEFAULT_LIMITS,
+    FiniteAlgebra,
+    Limits,
+    is_closed_subset,
+    quotient,
+    restrict,
+)
+from .congruence import congruence_lattice, tolerance_generated
 from .edges import (
     MAJORITY,
     SEMILATTICE,
@@ -48,10 +55,6 @@ class CheckResult:
             (f": {self.detail}" if self.detail else "")
 
 
-def _row(name: str, ok: bool, detail: str = "") -> CheckResult:
-    return CheckResult(name, ok, detail)
-
-
 def check_generation(algebra: FiniteAlgebra) -> list[CheckResult]:
     """Provenance replays and witness terms re-evaluate for every generated
     element of every pair."""
@@ -67,7 +70,7 @@ def check_generation(algebra: FiniteAlgebra) -> list[CheckResult]:
             if terms.evaluate(w, algebra, (a, b)) != e:
                 ok, detail = False, f"witness for {e} from {{{a},{b}}} broken"
                 break
-    return [_row("generation provenance replays", ok, detail)]
+    return [CheckResult("generation provenance replays", ok, detail)]
 
 
 def check_connectedness(algebra: FiniteAlgebra,
@@ -79,11 +82,11 @@ def check_connectedness(algebra: FiniteAlgebra,
             continue
         b_alg, emb = restrict(algebra, sorted(sub))
         graph = structure_graph(b_alg, limits)
-        rows.append(_row(
+        rows.append(CheckResult(
             f"pair graph connected on {{{','.join(map(str, emb))}}}",
             is_connected(graph)))
     if not rows:
-        rows.append(_row("pair graph connected (no subalgebra of size >= 2)", True))
+        rows.append(CheckResult("pair graph connected (no subalgebra of size >= 2)", True))
     return rows
 
 
@@ -99,8 +102,8 @@ def check_tolerance_classes(algebra: FiniteAlgebra, seed: int = 0,
     for i in range(count):
         k = rng.randint(0, max(1, n // 2))
         pairs = [(rng.randrange(n), rng.randrange(n)) for _ in range(k)]
-        tol, classes = tolerance_ops(algebra, pairs)
-        for cls in classes:
+        tol = tolerance_generated(algebra, pairs)
+        for cls in tol.classes():
             if not is_closed_subset(algebra, cls):
                 bad = f"class {cls} of tolerance #{i} not closed"
                 break
@@ -109,8 +112,8 @@ def check_tolerance_classes(algebra: FiniteAlgebra, seed: int = 0,
             bad = f"transitive closure of tolerance #{i} is not a congruence"
         if bad:
             break
-    return [_row(f"tolerance classes are subuniverses ({count} seeded)",
-                 bad is None, bad or "")]
+    return [CheckResult(f"tolerance classes are subuniverses ({count} seeded)",
+                        bad is None, bad or "")]
 
 
 def check_many_edges(algebra: FiniteAlgebra,
@@ -130,7 +133,7 @@ def check_many_edges(algebra: FiniteAlgebra,
                         bad = (f"pair {(c, d)} misses label {w.label} "
                                f"inherited from {rep.pair}")
                         break
-    return [_row("block-mates inherit the edge type", bad is None, bad or "")]
+    return [CheckResult("block-mates inherit the edge type", bad is None, bad or "")]
 
 
 def check_edge_subalgebra(algebra: FiniteAlgebra,
@@ -150,8 +153,8 @@ def check_edge_subalgebra(algebra: FiniteAlgebra,
                 bad = (f"{(emb[i], emb[j])}: {sorted(outer.labels)} in the "
                        f"algebra vs {sorted(inner.labels)} in "
                        f"{{{','.join(map(str, emb))}}}")
-    return [_row("classification agrees inside subalgebras", bad is None,
-                 bad or "")]
+    return [CheckResult("classification agrees inside subalgebras", bad is None,
+                        bad or "")]
 
 
 def check_edge_factor(algebra: FiniteAlgebra,
@@ -162,7 +165,7 @@ def check_edge_factor(algebra: FiniteAlgebra,
     for theta in congruence_lattice(algebra, limits):
         if theta.is_equality or theta.is_total:
             continue
-        quot, bmap = quotient_by(algebra, theta)
+        quot, bmap = quotient(algebra, theta.blocks)
         for qa, qb in combinations(range(quot.size), 2):
             qrep = classify_pair(quot, qa, qb, limits)
             if not qrep.is_edge:
@@ -174,7 +177,7 @@ def check_edge_factor(algebra: FiniteAlgebra,
             if missing:
                 bad = (f"quotient edge {(qa, qb)} mod {theta} has "
                        f"{sorted(missing)} not present on {(a, b)}")
-    return [_row("quotient edges lift with their types", bad is None, bad or "")]
+    return [CheckResult("quotient edges lift with their types", bad is None, bad or "")]
 
 
 def check_majority_requires_no_semilattice(
@@ -190,8 +193,8 @@ def check_majority_requires_no_semilattice(
                                     w.b_block, limits.cap)
             if not isinstance(ans, Absent):
                 bad = f"semilattice witness not excluded on {rep.pair}"
-    return [_row("majority labels exclude semilattice terms", bad is None,
-                 bad or "")]
+    return [CheckResult("majority labels exclude semilattice terms", bad is None,
+                        bad or "")]
 
 
 def check_hypergraph(algebra: FiniteAlgebra,
@@ -202,7 +205,7 @@ def check_hypergraph(algebra: FiniteAlgebra,
     for he in hg.hyperedges:
         if not is_closed_subset(algebra, he):
             bad = f"hyperedge {he} is not closed"
-    return [_row("hyperedges are proper subuniverses", bad is None, bad or "")]
+    return [CheckResult("hyperedges are proper subuniverses", bad is None, bad or "")]
 
 
 def check_synthesis(algebra: FiniteAlgebra,
@@ -212,32 +215,32 @@ def check_synthesis(algebra: FiniteAlgebra,
     rows: list[CheckResult] = []
     graph = structure_graph(algebra, limits)
     smooth = is_smooth(algebra, limits)
-    rows.append(_row("algebra is smooth", smooth is True,
-                     "" if smooth is True else str(smooth)))
+    rows.append(CheckResult("algebra is smooth", smooth is True,
+                            "" if smooth is True else str(smooth)))
     has_unary = any(UNARY in rep.labels for rep in graph.reports)
     if smooth is not True or has_unary:
-        rows.append(_row("unified operations (skipped: not applicable)", True))
+        rows.append(CheckResult("unified operations (skipped: not applicable)", True))
         return rows
     try:
         ops = synthesis.uniform_ops([algebra], limits)
     except IdemalgError as exc:
-        rows.append(_row("unified operations construct", False, str(exc)))
+        rows.append(CheckResult("unified operations construct", False, str(exc)))
         return rows
-    rows.append(_row("unified operations verify", ops.report.all_green,
-                     "" if ops.report.all_green else
-                     str(ops.report.failures()[0])))
+    rows.append(CheckResult("unified operations verify", ops.report.all_green,
+                            "" if ops.report.all_green else
+                            str(ops.report.failures()[0])))
     aligned = ops.inventory.algebras[0]
     bad = thin.satisfies_sls(aligned, ops.f)
-    rows.append(_row("distinguished f satisfies the shift condition",
-                     bad is None, "" if bad is None else f"pair {bad}"))
+    rows.append(CheckResult("distinguished f satisfies the shift condition",
+                            bad is None, "" if bad is None else f"pair {bad}"))
     try:
         tg = thin.thin_graph(aligned, ops, limits)
         necessary_ok = all(e.necessary for e in tg.arcs)
-        rows.append(_row(
+        rows.append(CheckResult(
             f"thin graph builds ({len(tg.arcs)} arcs, all certificates pass)",
             necessary_ok))
     except IdemalgError as exc:
-        rows.append(_row("thin graph builds", False, str(exc)))
+        rows.append(CheckResult("thin graph builds", False, str(exc)))
     return rows
 
 

@@ -116,6 +116,14 @@ def _write_json(path: str, payload: dict) -> None:
         fh.write("\n")
 
 
+def _write_or_print(text: str, path: Optional[str]) -> None:
+    if path:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    else:
+        print(text, end="")
+
+
 def cmd_analyze(args: argparse.Namespace) -> int:
     algebras, limits = _load_algebras(args)
     algebra = algebras[0]
@@ -161,19 +169,11 @@ def cmd_graph(args: argparse.Namespace) -> int:
     algebras, limits = _load_algebras(args)
     algebra = algebras[0]
     graph = structure_graph(algebra, limits)
-    dot = graph_to_dot(graph, algebra.name)
-    if args.dot:
-        with open(args.dot, "w", encoding="utf-8") as fh:
-            fh.write(dot)
-    else:
-        print(dot, end="")
+    _write_or_print(graph_to_dot(graph, algebra.name), args.dot)
     hg = hypergraph(algebra, limits)
-    hdot = hypergraph_to_dot(hg, algebra, f"{algebra.name}-hyper")
-    if args.hyper_dot:
-        with open(args.hyper_dot, "w", encoding="utf-8") as fh:
-            fh.write(hdot)
-    elif not args.dot:
-        print(hdot, end="")
+    if args.hyper_dot or not args.dot:
+        _write_or_print(hypergraph_to_dot(hg, algebra, f"{algebra.name}-hyper"),
+                        args.hyper_dot)
     return EXIT_OK
 
 
@@ -182,12 +182,7 @@ def cmd_thin(args: argparse.Namespace) -> int:
     ops = synthesis.uniform_ops(algebras, limits)
     target = ops.inventory.algebras[0]
     tg = thin.thin_graph(target, ops, limits)
-    dot = thin.thin_graph_to_dot(tg, target.name)
-    if args.dot:
-        with open(args.dot, "w", encoding="utf-8") as fh:
-            fh.write(dot)
-    else:
-        print(dot, end="")
+    _write_or_print(thin.thin_graph_to_dot(tg, target.name), args.dot)
     for e in tg.arcs:
         print("  " + e.describe() + ("" if e.necessary else "  [necessary-condition FAILED]"))
     return EXIT_OK if all(e.necessary is not False for e in tg.arcs) \
@@ -230,31 +225,20 @@ def cmd_reduct(args: argparse.Namespace) -> int:
     algebras, limits = _load_algebras(args)
     algebra = algebras[0]
     graph = structure_graph(algebra, limits)
-    witness = None
+    reports = graph.reports
     if args.pair:
         a, b = args.pair
         if a == b or not (0 <= a < algebra.size and 0 <= b < algebra.size):
             raise ValidationError(
                 f"--pair needs two distinct elements in 0..{algebra.size - 1}, "
                 f"got {a} {b}")
-        rep = graph.report(a, b)
-        for w in rep.witnesses:
-            if w.label in (SEMILATTICE, MAJORITY):
-                witness = w
-                break
-        if witness is None:
-            raise ValidationError(
-                f"pair {tuple(args.pair)} has no semilattice or majority witness")
-    else:
-        for rep in graph.reports:
-            for w in rep.witnesses:
-                if w.label in (SEMILATTICE, MAJORITY):
-                    witness = w
-                    break
-            if witness:
-                break
-        if witness is None:
-            raise ValidationError("no semilattice or majority edge to reduce at")
+        reports = [graph.report(a, b)]
+    witness = next((w for rep in reports for w in rep.witnesses
+                    if w.label in (SEMILATTICE, MAJORITY)), None)
+    if witness is None:
+        raise ValidationError(
+            f"pair {tuple(args.pair)} has no semilattice or majority witness"
+            if args.pair else "no semilattice or majority edge to reduce at")
     red = bounded_reduct(algebra, witness, args.arity, limits)
     print(red.describe())
     diff = reduct_edge_report(red, limits)

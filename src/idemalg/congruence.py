@@ -25,8 +25,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -37,7 +36,6 @@ from .algebra import (
     OperationTable,
     is_set,
     product_algebra,
-    quotient,
 )
 from .errors import CapExceededError, NotATolerance, ProjectionNotFull, ValidationError
 from .generate import term_operations
@@ -74,10 +72,6 @@ class Congruence:
     def equality(size: int) -> "Congruence":
         return Congruence(size, tuple((x,) for x in range(size)))
 
-    @staticmethod
-    def total(size: int) -> "Congruence":
-        return Congruence(size, (tuple(range(size)),))
-
     @cached_property
     def block_index(self) -> tuple[int, ...]:
         idx = [0] * self.size
@@ -109,12 +103,6 @@ class Congruence:
         return "{" + "|".join(",".join(str(x) for x in blk)
                               for blk in self.blocks) + "}"
 
-    def pairs(self) -> list[tuple[int, int]]:
-        out = []
-        for blk in self.blocks:
-            out.extend((x, y) for x, y in combinations(blk, 2))
-        return out
-
 
 class _UnionFind:
     def __init__(self, n: int):
@@ -140,6 +128,8 @@ def cg(algebra: FiniteAlgebra, pairs: Iterable[tuple[int, int]]) -> Congruence:
     """Least congruence containing the pairs: union-find saturated with the
     translations of the algebra."""
     n = algebra.size
+    pairs = list(pairs)
+    algebra.check_elements(v for pair in pairs for v in pair)
     moves = _translations(algebra)
     uf = _UnionFind(n)
     queue = [(x, y) for x, y in pairs if uf.union(x, y)]
@@ -172,14 +162,6 @@ def join(a: Congruence, b: Congruence) -> Congruence:
             for x in blk[1:]:
                 uf.union(blk[0], x)
     return Congruence.from_parent([uf.find(x) for x in range(a.size)])
-
-
-def meet(a: Congruence, b: Congruence) -> Congruence:
-    keys = {x: (a.block_index[x], b.block_index[x]) for x in range(a.size)}
-    groups: dict[tuple[int, int], list[int]] = {}
-    for x, k in keys.items():
-        groups.setdefault(k, []).append(x)
-    return Congruence.from_blocks(a.size, groups.values())
 
 
 def congruence_lattice(algebra: FiniteAlgebra, limits: Limits = DEFAULT_LIMITS
@@ -275,10 +257,10 @@ def tolerance_generated(algebra: FiniteAlgebra,
     saturated semi-naively: each round applies the operations only to
     tuples that use a pair added in the round before."""
     n = algebra.size
+    pairs = list(pairs)
+    algebra.check_elements(v for pair in pairs for v in pair)
     rel = np.eye(n, dtype=bool)
     for x, y in pairs:
-        if not (0 <= x < n and 0 <= y < n):
-            raise ValidationError(f"pair ({x}, {y}) is not in 0..{n - 1}")
         rel[x, y] = rel[y, x] = True
     # invariant: every tuple of pairs of rel & ~delta has been applied (the
     # diagonal maps into itself).  A tuple and its swap have transposed
@@ -324,12 +306,6 @@ def _compatible(algebra: FiniteAlgebra, rel: np.ndarray) -> bool:
     return not (_image(algebra, np.zeros_like(rel), rel, rel) & ~rel).any()
 
 
-def tolerance_ops(algebra: FiniteAlgebra, pairs: Iterable[tuple[int, int]]
-                  ) -> tuple[Tolerance, list[tuple[int, ...]]]:
-    tol = tolerance_generated(algebra, pairs)
-    return tol, tol.classes()
-
-
 def link_tolerance(algebra: FiniteAlgebra, relation: Iterable[Sequence[int]],
                    coordinate: int) -> Tolerance:
     """The i-th link tolerance of a relation with full projections: two
@@ -339,6 +315,8 @@ def link_tolerance(algebra: FiniteAlgebra, relation: Iterable[Sequence[int]],
     if not tuples:
         raise ValueError("empty relation")
     k = len(tuples[0])
+    if not 0 <= coordinate < k:
+        raise ValidationError(f"coordinate {coordinate} is not in 0..{k - 1}")
     for j in range(k):
         if {t[j] for t in tuples} != set(range(algebra.size)):
             raise ProjectionNotFull(j)
@@ -416,9 +394,3 @@ def absorbing_elements(algebra: FiniteAlgebra, max_arity: int = 3,
                 if not candidates:
                     return [], reached
     return sorted(candidates), reached
-
-
-def quotient_by(algebra: FiniteAlgebra, theta: Congruence,
-                name: Optional[str] = None) -> tuple[FiniteAlgebra, tuple[int, ...]]:
-    """Factor algebra modulo a Congruence (wrapper over algebra.quotient)."""
-    return quotient(algebra, theta.blocks, name)

@@ -24,6 +24,7 @@ from .algebra import (
     Limits,
     is_closed_subset,
     is_set,
+    quotient,
     restrict,
 )
 from .congruence import (
@@ -32,7 +33,6 @@ from .congruence import (
     _UnionFind,
     classify_simple_quotient,
     maximal_congruences,
-    quotient_by,
 )
 from .errors import PostconditionFailed
 from .generate import (
@@ -49,7 +49,6 @@ from .terms import Term
 
 UNARY = "unary"
 AFFINE = "affine"
-EDGE_LABELS = (UNARY, SEMILATTICE, MAJORITY, AFFINE)
 
 
 @dataclass(frozen=True)
@@ -122,7 +121,7 @@ def _classify_pair(algebra: FiniteAlgebra, a: int, b: int,
     witnesses: list[EdgeWitness] = []
     inconclusive: list[Congruence] = []
     for theta in maximal_congruences(b_alg, limits):
-        quot, bmap = quotient_by(b_alg, theta, name=f"Sg{{{a},{b}}}/{theta}")
+        quot, bmap = quotient(b_alg, theta.blocks, name=f"Sg{{{a},{b}}}/{theta}")
         qa, qb = bmap[la], bmap[lb]
         if qa == qb:
             raise PostconditionFailed(
@@ -230,18 +229,12 @@ def is_connected(graph: StructureGraph) -> bool:
     return len(connected_components(graph)) <= 1
 
 
-def hypergraph_components(hg: Hypergraph) -> list[tuple[int, ...]]:
-    """Components under: x ~ y when some hyperedge contains both."""
-    return _components(hg.size, hg.hyperedges)
-
-
 def hypergraph_connected(hg: Hypergraph) -> bool:
     """Connected iff every pair of distinct vertices is joined by a chain of
     pairwise intersecting hyperedges."""
     if hg.size <= 1:
         return True
-    comps = hypergraph_components(hg)
-    if len(comps) > 1:
+    if len(_components(hg.size, hg.hyperedges)) > 1:
         return False
     covered = {x for he in hg.hyperedges for x in he}
     return covered == set(range(hg.size))

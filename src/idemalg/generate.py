@@ -82,6 +82,7 @@ def generate_subalgebra(algebra: FiniteAlgebra, seeds: Sequence[int]) -> Generat
     """Least subuniverse containing seeds, breadth first."""
     if not seeds:
         raise ValueError("generation needs at least one seed element")
+    algebra.check_elements(seeds)
     gens = tuple(dict.fromkeys(seeds))
     elements = list(gens)
     prov: dict[int, Provenance] = {e: ("gen", i) for i, e in enumerate(gens)}

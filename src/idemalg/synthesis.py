@@ -28,6 +28,7 @@ from .edges import (
     AFFINE,
     MAJORITY,
     SEMILATTICE,
+    UNARY,
     EdgeWitness,
     is_smooth,
     structure_graph,
@@ -48,6 +49,7 @@ from .generate import (
     CapExceeded,
     SubpowerQuery,
     generate_subalgebra,
+    maltsev_query,
     subpower_membership,
     witness_term,
 )
@@ -69,8 +71,6 @@ F_EXCHANGE = "f-exchange"        # f(f(x,y), f(y,x)) = f(x,y)
 M_ABSORPTION = "m-absorption"    # m(x, m(x,y,y), m(x,y,y)) = m(x,y,y)
 M_CYCLE = "m-cycle"              # m(m(x,y,z), m(y,z,x), m(z,x,y)) = m(x,y,z)
 H_SHIFT = "h-shift"              # h(h(x,y,y), y, y) = h(x,y,y)
-
-NORMALIZATIONS = (F_ABSORPTION, F_EXCHANGE, M_ABSORPTION, M_CYCLE, H_SHIFT)
 
 _X2, _Y2 = proj(0, 2), proj(1, 2)
 _X3, _Y3, _Z3 = proj(0, 3), proj(1, 3), proj(2, 3)
@@ -129,10 +129,7 @@ def build_edge_inventory(algebras: Sequence[FiniteAlgebra],
         if alg.signature != sig:
             raise PreconditionViolated(
                 "class members must be similar; run align_signatures first")
-    sl: dict = {}
-    mj: dict = {}
-    af: dict = {}
-    un: dict = {}
+    found: dict[str, dict] = {label: {} for label in (SEMILATTICE, MAJORITY, AFFINE, UNARY)}
     for ai, alg in enumerate(algebras):
         graph = structure_graph(alg, limits)
         unknown = graph.unknown_pairs()
@@ -147,26 +144,15 @@ def build_edge_inventory(algebras: Sequence[FiniteAlgebra],
         for rep in graph.reports:
             for w in rep.witnesses:
                 edge = _thick_edge(alg, ai, rep.pair, w)
-                if w.label == SEMILATTICE:
+                if w.label in (SEMILATTICE, MAJORITY):
                     key = (ai, frozenset((frozenset(edge.block_a),
                                           frozenset(edge.block_b))))
-                    sl.setdefault(key, edge)
-                elif w.label == MAJORITY:
-                    key = (ai, frozenset((frozenset(edge.block_a),
-                                          frozenset(edge.block_b))))
-                    mj.setdefault(key, edge)
-                elif w.label == AFFINE:
-                    key = (ai, edge.subuniverse, edge.theta.blocks)
-                    af.setdefault(key, edge)
                 else:
                     key = (ai, edge.subuniverse, edge.theta.blocks)
-                    un.setdefault(key, edge)
+                found[w.label].setdefault(key, edge)
     order = lambda e: (e.algebra_index, e.pair, e.block_a, e.block_b)
-    return EdgeInventory(tuple(algebras),
-                         tuple(sorted(sl.values(), key=order)),
-                         tuple(sorted(mj.values(), key=order)),
-                         tuple(sorted(af.values(), key=order)),
-                         tuple(sorted(un.values(), key=order)))
+    return EdgeInventory(tuple(algebras), *(tuple(sorted(by_key.values(), key=order))
+                                            for by_key in found.values()))
 
 
 def _thick_edge(alg: FiniteAlgebra, ai: int, pair: tuple[int, int],
@@ -397,11 +383,6 @@ _TERNARY_KINDS = {
 }
 
 
-def _is_first_projection(term: Term, algebra: FiniteAlgebra) -> bool:
-    tab = realize_table(term, algebra)
-    return tab.is_projection(algebra.size) == 0
-
-
 def _projection_index(term: Term, algebra: FiniteAlgebra) -> Optional[int]:
     return realize_table(term, algebra).is_projection(algebra.size)
 
@@ -428,7 +409,7 @@ def module_projection_fix(algebras: Sequence[FiniteAlgebra], op: Term,
         e = idempotent_exponent(maps)
         fprime = power(op, 0, e)
         fixed = substitute(fprime, [fprime, _X2])
-        if not _is_first_projection(fixed, module_quotient):
+        if _projection_index(fixed, module_quotient) != 0:
             raise PostconditionFailed(
                 "binary module fix did not produce the first projection; "
                 "the quotient is not a module")
@@ -442,7 +423,7 @@ def module_projection_fix(algebras: Sequence[FiniteAlgebra], op: Term,
         p = separating_term(edge, [module_quotient], h_term, op)
         fixed = substitute(p, [op, _X3])
         _must_agree(op, fixed, edge.edge_algebra, "ternary module fix")
-        if not _is_first_projection(fixed, module_quotient):
+        if _projection_index(fixed, module_quotient) != 0:
             raise PostconditionFailed(
                 "ternary module fix did not produce the first projection")
         return fixed
@@ -570,27 +551,12 @@ def build_maltsev_core(inventory: EdgeInventory,
     """One term that is Mal'tsev on every affine-edge quotient at once,
     found as a single subpower query with one coordinate block per
     quotient."""
-    aff = inventory.affine
-    if not aff:
+    if not inventory.affine:
         return _X3
-    columns: list[FiniteAlgebra] = []
-    gens: list[list[int]] = [[], [], []]
-    target: list[int] = []
-    for edge in aff:
-        quo = edge.quotient
-        pairs = [(x, y) for x in quo.elements() for y in quo.elements() if x != y]
-        for x, y in pairs:
-            columns.append(quo)
-            for gi, v in enumerate((x, x, y)):
-                gens[gi].append(v)
-            target.append(y)
-        for x, y in pairs:
-            columns.append(quo)
-            for gi, v in enumerate((y, x, x)):
-                gens[gi].append(v)
-            target.append(y)
-    query = SubpowerQuery(tuple(columns), tuple(tuple(g) for g in gens),
-                          tuple(target), limits.cap)
+    parts = [maltsev_query(edge.quotient) for edge in inventory.affine]
+    query = SubpowerQuery(sum((q.columns for q in parts), ()),
+                          tuple(sum(g, ()) for g in zip(*(q.generators for q in parts))),
+                          sum((q.target for q in parts), ()), limits.cap)
     ans = subpower_membership(query)
     if isinstance(ans, CapExceeded):
         raise CapExceededError(limits.cap, "simultaneous Mal'tsev search")
@@ -884,15 +850,9 @@ def affine_stable_ops(ops: DistinguishedOps, edge: ThinEdge, kind: str) -> Term:
         t = substitute(r, [_X2, gxyy])
         _certify(t, "t_ab", (edge.algebra, (a, b), b))
         for aff in ops.inventory.affine:
-            alg = aff.algebra
-            sub = aff.subuniverse
-            blocks = [frozenset(sub[i] for i in blk) for blk in aff.theta.blocks]
-
-            def same_block(u: int, v2: int) -> bool:
-                return any(u in blk and v2 in blk for blk in blocks)
-
+            block = dict(zip(aff.subuniverse, aff.theta.block_index))
             c, d = aff.pair
-            if not same_block(evaluate(t, alg, (c, d)), c):
+            if block[evaluate(t, aff.algebra, (c, d))] != block[c]:
                 raise PostconditionFailed(
                     f"t_ab drifts off the block on {aff.describe()}")
         return t
@@ -906,26 +866,16 @@ def affine_stable_ops(ops: DistinguishedOps, edge: ThinEdge, kind: str) -> Term:
         t = substitute(s, [_X3, h])
         _certify(t, "h_ab", (edge.algebra, (a, a, b), b))
         for aff in ops.inventory.affine:
-            alg = aff.algebra
-            sub = aff.subuniverse
-            blocks = [frozenset(sub[i] for i in blk) for blk in aff.theta.blocks]
-
-            def block_of(u: int) -> int:
-                for bi, blk in enumerate(blocks):
-                    if u in blk:
-                        return bi
-                raise KeyError(u)
-
+            alg, sub = aff.algebra, aff.subuniverse
+            block = dict(zip(sub, aff.theta.block_index))
             c, d = aff.pair
-            if block_of(evaluate(t, alg, (d, c, c))) != block_of(d):
+            if block[evaluate(t, alg, (d, c, c))] != block[d]:
                 raise PostconditionFailed(
                     f"h_ab drifts off the block on {aff.describe()}")
-            nblocks = len(blocks)
             for cp in sub:
                 for dp in sub:
-                    image = {block_of(evaluate(t, alg, (x, cp, dp)))
-                             for x in sub}
-                    if len(image) != nblocks:
+                    image = {block[evaluate(t, alg, (x, cp, dp))] for x in sub}
+                    if len(image) != len(aff.theta.blocks):
                         raise PostconditionFailed(
                             f"h_ab(x, {cp}, {dp}) is not a permutation of the "
                             f"quotient on {aff.describe()}")

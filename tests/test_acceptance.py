@@ -14,15 +14,14 @@ from itertools import combinations, product
 from oracles import find_isomorphism, is_abelian_brute, naive_subpower_membership
 
 from idemalg import fixtures, terms, thin
-from idemalg.algebra import restrict, validate_algebra
+from idemalg.algebra import quotient, restrict, validate_algebra
 from idemalg.congruence import (
     Congruence,
     cg,
     congruence_lattice,
     is_abelian,
     maximal_congruences,
-    quotient_by,
-    tolerance_ops,
+    tolerance_generated,
 )
 from idemalg.algebra import is_closed_subset
 from idemalg.edges import (
@@ -99,7 +98,7 @@ def test_criterion_02_no_edge_factor_reproduction():
     assert rep.witnesses[0].theta_parent_blocks() == pi2.blocks
     pi1 = Congruence.from_blocks(6, [(0, 1), (2, 3), (4, 5)])
     assert pi1 in maximal_congruences(c)    # it is available yet labels nothing
-    quot, bmap = quotient_by(c, pi1)
+    quot, bmap = quotient(c, pi1.blocks)
     assert find_isomorphism(quot, a_prime) is not None
     assert not classify_pair(quot, bmap[0], bmap[3]).is_edge
     _report(2, "no-edge-factor majority via the second kernel only", t0, 5.0)
@@ -145,8 +144,7 @@ def test_criterion_05_tolerance_class_property_suite():
             n = alg.size
             pairs = [(rng.randrange(n), rng.randrange(n))
                      for _ in range(rng.randint(0, 3))]
-            _, classes = tolerance_ops(alg, pairs)
-            for cls in classes:
+            for cls in tolerance_generated(alg, pairs).classes():
                 assert is_closed_subset(alg, cls), (name, pairs, cls)
             total += 1
             if total == 200:
@@ -178,7 +176,7 @@ def test_criterion_06_edge_lemma_suites():
         for theta in congruence_lattice(alg):
             if theta.is_equality or theta.is_total:
                 continue
-            quot, _ = quotient_by(alg, theta)
+            quot, _ = quotient(alg, theta.blocks)
             for qa, qb in combinations(range(quot.size), 2):
                 qrep = classify_pair(quot, qa, qb)
                 if qrep.is_edge:

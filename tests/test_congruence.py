@@ -14,7 +14,7 @@ from oracles import (
 )
 
 from idemalg import fixtures
-from idemalg.algebra import validate_algebra
+from idemalg.algebra import quotient, validate_algebra
 from idemalg.congruence import (
     MODULE,
     OTHER,
@@ -29,9 +29,7 @@ from idemalg.congruence import (
     is_abelian,
     link_tolerance,
     maximal_congruences,
-    quotient_by,
     tolerance_generated,
-    tolerance_ops,
 )
 from idemalg.errors import ValidationError
 from idemalg.generate import TupleClosure
@@ -74,15 +72,17 @@ def test_maximal_congruences(a_ne, a_nms, c_nef):
     # both projection kernels of the product are maximal (simple factors)
     assert {"{0,1|2,3|4,5}", "{0,2,4|1,3,5}"} <= maxes
     for theta in maximal_congruences(c_nef):
-        quot, _ = quotient_by(c_nef, theta)
+        quot, _ = quotient(c_nef, theta.blocks)
         assert len(congruence_lattice(quot)) == 2   # simple quotient
 
 
 def test_tolerance_examples(a_ne, sl2):
-    tol, classes = tolerance_ops(a_ne, [])
+    tol = tolerance_generated(a_ne, [])
+    classes = tol.classes()
     assert tol.is_equality
     assert classes == [(0,), (1,), (2,)]
-    tol2, classes2 = tolerance_ops(sl2, [(0, 1)])
+    tol2 = tolerance_generated(sl2, [(0, 1)])
+    classes2 = tol2.classes()
     assert tol2.is_total
     assert classes2 == [(0, 1)]
 
@@ -94,8 +94,8 @@ def test_tolerance_classes_are_subuniverses_seeded(a_ne, a_nms, c_nef):
         for _ in range(15):
             pairs = [(rng.randrange(alg.size), rng.randrange(alg.size))
                      for _ in range(rng.randint(0, 3))]
-            tol, classes = tolerance_ops(alg, pairs)
-            for cls in classes:
+            tol = tolerance_generated(alg, pairs)
+            for cls in tol.classes():
                 assert is_closed_subset(alg, cls)
             # transitive closure of a tolerance is a congruence
             assert is_compatible(alg, tol.transitive_closure())
@@ -211,11 +211,23 @@ def test_tolerance_generated_rejects_pairs_out_of_range(sl2):
             tolerance_generated(sl2, pairs)
 
 
+def test_cg_and_link_tolerance_reject_arguments_out_of_range(a_ne):
+    # cg wrapped -1 around to the last element and returned the total congruence
+    for pairs in ([(-1, 0)], [(0, 3)]):
+        with pytest.raises(ValidationError, match="not in 0..2"):
+            cg(a_ne, pairs)
+    # a coordinate of -1 gave the equality tolerance, one of 2 an IndexError
+    full = list(product(range(3), repeat=2))
+    for coordinate in (-1, 2):
+        with pytest.raises(ValidationError, match="coordinate"):
+            link_tolerance(a_ne, full, coordinate)
+
+
 def test_is_abelian(sl2, mj2, z3a, a_nms):
     assert is_abelian(z3a)
     assert not is_abelian(sl2)
     assert not is_abelian(mj2)
-    quot, _ = quotient_by(a_nms, cg(a_nms, [(0, 2)]))
+    quot, _ = quotient(a_nms, cg(a_nms, [(0, 2)]).blocks)
     assert not is_abelian(quot)
     from idemalg.algebra import restrict
     blk, _ = restrict(a_nms, [0, 2])
@@ -241,7 +253,7 @@ def test_is_abelian_agrees_with_brute_force_seeded():
 
 def test_classify_simple_quotient(z3a, a_nms):
     assert classify_simple_quotient(z3a) == MODULE
-    quot, _ = quotient_by(a_nms, cg(a_nms, [(0, 2)]))
+    quot, _ = quotient(a_nms, cg(a_nms, [(0, 2)]).blocks)
     assert classify_simple_quotient(quot) == OTHER
     flat = validate_algebra("set2", 2, [("f", 2, [0, 0, 1, 1])])
     assert classify_simple_quotient(flat) == SET

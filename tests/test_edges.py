@@ -145,12 +145,13 @@ def test_edge_subalgebra_property(a_ne, a_nms, c_nef):
 
 
 def test_edge_factor_property(c_nef, a_nms):
-    from idemalg.congruence import congruence_lattice, quotient_by
+    from idemalg.algebra import quotient
+    from idemalg.congruence import congruence_lattice
     for alg in (c_nef, a_nms):
         for theta in congruence_lattice(alg):
             if theta.is_equality or theta.is_total:
                 continue
-            quot, _ = quotient_by(alg, theta)
+            quot, _ = quotient(alg, theta.blocks)
             for qa, qb in combinations(range(quot.size), 2):
                 qrep = classify_pair(quot, qa, qb)
                 if not qrep.is_edge:
@@ -163,9 +164,10 @@ def test_edge_factor_property(c_nef, a_nms):
 def test_no_edge_factor_quotient_pair_is_non_edge(c_nef):
     # the converse of edge lifting fails: (0,3) is an edge of the product
     # while its image modulo the first kernel is not
-    from idemalg.congruence import Congruence, quotient_by
+    from idemalg.algebra import quotient
+    from idemalg.congruence import Congruence
     pi1 = Congruence.from_blocks(6, [(0, 1), (2, 3), (4, 5)])
-    quot, bmap = quotient_by(c_nef, pi1)
+    quot, bmap = quotient(c_nef, pi1.blocks)
     rep = classify_pair(quot, bmap[0], bmap[3])
     assert not rep.is_edge
     assert classify_pair(c_nef, 0, 3).is_edge

@@ -14,7 +14,7 @@ from oracles import naive_subpower_membership
 from idemalg import generate, terms
 from idemalg.algebra import DEFAULT_CAP, restrict, validate_algebra
 from idemalg.edges import structure_graph
-from idemalg.errors import TooLarge
+from idemalg.errors import TooLarge, ValidationError
 from idemalg.generate import (
     Absent,
     CapExceeded,
@@ -49,6 +49,14 @@ def test_generate_no_edge_pair(a_ne):
 def test_generate_singleton_idempotency(a_ne):
     for x in range(3):
         assert subuniverse(a_ne, [x]) == frozenset({x})
+
+
+def test_generation_rejects_seeds_out_of_range(a_ne):
+    # -1 wrapped around to the last element, 3 indexed past the tables
+    for seeds in ([-1], [3], [0, 3]):
+        for generate_from in (generate_subalgebra, subuniverse):
+            with pytest.raises(ValidationError, match="not in 0..2"):
+                generate_from(a_ne, seeds)
 
 
 def test_generate_z3_pair_replays(z3a):

@@ -1,7 +1,9 @@
 """The synthesis engine: normalizations, module fixes, the unified triple,
 and the thin-edge combination terms."""
 
+import json
 from itertools import product
+from pathlib import Path
 
 import pytest
 
@@ -168,9 +170,16 @@ def test_uniform_ops_single_module():
 
 
 def test_uniform_ops_single_fixtures():
+    # the term texts are pinned to the ones the benchmark expects from
+    # `idemalg synth --fixture NAME`: witness text changes only on purpose
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "expected.json"
+    expected = json.loads(path.read_text(encoding="utf-8"))["synth"]
+    assert sorted(expected) == sorted(fixtures.FIXTURES)
     for name in fixtures.FIXTURES:
         ops = _class_ops(name)
         assert ops.report.all_green, name
+        texts = {"f": ops.f.text(), "g": ops.g.text(), "h": ops.h.text()}
+        assert texts == expected[name]["terms"], name
 
 
 def test_uniform_ops_tables_on_acceptance_class():

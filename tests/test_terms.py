@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from idemalg import terms
-from idemalg.algebra import restrict, validate_algebra
-from idemalg.congruence import quotient_by, cg
+from idemalg.algebra import quotient, restrict, validate_algebra
+from idemalg.congruence import cg
 from idemalg.errors import ArityMismatch, TermSyntaxError, UnknownSymbol
 from idemalg.terms import (
     Identity,
@@ -65,8 +65,7 @@ def test_realize_swap_is_commutative_meet(sl2):
 
 def test_realize_on_quotient_majority_collapses(a_nms):
     # maj(x, x, y) is the first projection on the two-block quotient
-    from idemalg.congruence import cg, quotient_by
-    quot, _ = quotient_by(a_nms, cg(a_nms, [(0, 2)]))
+    quot, _ = quotient(a_nms, cg(a_nms, [(0, 2)]).blocks)
     t = app("maj", [proj(0, 2), proj(0, 2), proj(1, 2)])
     assert realize_table(t, quot).is_projection(2) == 0
 
@@ -78,7 +77,7 @@ def test_terms_transfer_to_subalgebras_and_quotients(a_ne, a_nms):
         parent = tuple(emb[x] for x in args)
         assert emb[evaluate(t, sub, args)] == evaluate(t, a_ne, parent)
     theta = cg(a_nms, [(0, 2)])
-    quot, bmap = quotient_by(a_nms, theta)
+    quot, bmap = quotient(a_nms, theta.blocks)
     s = app("maj", [proj(0, 3), proj(1, 3), app("mnr", [proj(0, 3),
                                                         proj(1, 3),
                                                         proj(2, 3)])])
