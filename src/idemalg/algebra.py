@@ -268,6 +268,7 @@ def quotient(a: FiniteAlgebra, blocks: Sequence[Sequence[int]],
 
 def _quotient(a: FiniteAlgebra, blocks: tuple[tuple[int, ...], ...],
               name: Optional[str]) -> tuple[FiniteAlgebra, tuple[int, ...]]:
+    a.check_elements(x for blk in blocks for x in blk)
     block_of = [-1] * a.size
     for bi, blk in enumerate(blocks):
         for x in blk:
@@ -307,6 +308,7 @@ def restrict(a: FiniteAlgebra, subset: Iterable[int],
 
 def _restrict(a: FiniteAlgebra, emb: tuple[int, ...],
               name: Optional[str]) -> tuple[FiniteAlgebra, tuple[int, ...]]:
+    a.check_elements(emb)
     ops = []
     for op in a.operations:
         table = _reindexed(op, emb, a.size)
@@ -341,6 +343,7 @@ def is_set(a: FiniteAlgebra) -> bool:
 
 def is_closed_subset(a: FiniteAlgebra, subset: Iterable[int]) -> bool:
     sub = set(subset)
+    a.check_elements(sub)
     return all(preserves(op, sub, a.size) for op in a.operations)
 
 

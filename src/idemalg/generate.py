@@ -18,6 +18,11 @@ map lookups and builds only the rows it appends.  Coordinates may live in
 different algebras of one signature, so queries over products of
 quotients need no product algebras.
 
+A closure given a target stops after the sweep chunk that appends it (after
+the generators when it is one of them): the rows, provenance and witness up
+to that point are those of the complete closure, so a Found answer is
+settled there, and its `closure_size` counts the rows built by then.  A
+stopped closure is not complete; Absent comes only from a complete one.
 Every Found answer is re-evaluated against its target before being
 returned.
 """
@@ -40,7 +45,13 @@ from .algebra import (
     OperationTable,
     coordinate,
 )
-from .errors import CapExceededError, ElementNotGenerated, PostconditionFailed, TooLarge
+from .errors import (
+    CapExceededError,
+    ElementNotGenerated,
+    PostconditionFailed,
+    TooLarge,
+    ValidationError,
+)
 from . import terms
 from .terms import Term
 
@@ -177,17 +188,19 @@ class SubpowerQuery:
     cap: int = DEFAULT_CAP
 
     def __post_init__(self) -> None:
-        k = len(self.columns)
-        for g in self.generators + (self.target,):
-            if len(g) != k:
-                raise ValueError("tuple length does not match coordinate count")
-            for c, v in enumerate(g):
-                if not 0 <= v < self.columns[c].size:
-                    raise ValueError(f"entry {v} out of range at coordinate {c}")
+        tuples = self.generators + (self.target,)
+        if any(len(g) != len(self.columns) for g in tuples):
+            raise ValidationError("tuple length does not match coordinate count")
+        for c, alg in enumerate(self.columns):
+            alg.check_elements(g[c] for g in tuples)
 
 
 @dataclass(frozen=True)
 class Found:
+    """The target is in the closure.  `closure_size` is the number of rows
+    built when the closure stopped at the target, not the size of the
+    whole closure."""
+
     witness: Term
     closure_size: int
 
@@ -247,6 +260,12 @@ class _KeyIndex:
         if self._dense:
             return self._ids[keys] - 1
         return np.array([self._ids.get(key, -1) for key in keys.tolist()], dtype=np.intp)
+
+    def absent(self, keys: np.ndarray) -> np.ndarray:
+        """Batch positions of the keys that have no id, ascending."""
+        if self._dense:
+            return (self._ids[keys] == 0).nonzero()[0]
+        return np.flatnonzero([key not in self._ids for key in keys.tolist()])
 
     def firsts(self, keys: np.ndarray) -> np.ndarray:
         """Batch positions of the first occurrence of each distinct key, in
@@ -343,10 +362,17 @@ class TupleClosure:
       this round or before, so every row it yields is there.
     Registration reads only the rows present when the round starts, so it
     runs first, batched over the operations of one arity.
+
+    Given a target, the closure stops after the generators if the target
+    is one of them, else after the sweep chunk that appends it; what it has
+    built is a prefix of the complete closure's rows and provenance, and
+    `complete` stays False.  The closure also stops, incomplete, after the
+    chunk that takes it past the cap.
     """
 
     def __init__(self, columns: Sequence[FiniteAlgebra],
-                 generators: Sequence[Sequence[int]], cap: int = DEFAULT_CAP):
+                 generators: Sequence[Sequence[int]], cap: int = DEFAULT_CAP,
+                 target: Optional[Sequence[int]] = None):
         self.columns = tuple(columns)
         self.k = len(self.columns)
         self.cap = cap
@@ -379,7 +405,9 @@ class TupleClosure:
         keys = _row_keys(gens, self._base)
         first = self._rows.firsts(keys)
         self._append(gens[first], keys[first], first, lambda i: ("gen", i))
-        self._run()
+        self._target = None if target is None else self._key(target)
+        if not self._reached():
+            self._run()
 
     def _build_maps(self) -> None:
         """`_maps`: each operation's last-argument slices in each column algebra, padded
@@ -420,12 +448,22 @@ class TupleClosure:
     def __len__(self) -> int:
         return self.n
 
-    def lookup(self, tup: Sequence[int]) -> Optional[int]:
-        """The row index of the tuple, None when it is not a row (a key is
-        exact only for a tuple of length k with every entry in range)."""
+    def _key(self, tup: Sequence[int]) -> Optional[np.ndarray]:
+        """The one-entry key array of the tuple, None when no row can have it
+        (a key is exact only for a tuple of length k with every entry in range)."""
         if len(tup) != self.k or any(not 0 <= v < n for v, n in zip(tup, self._sizes)):
             return None
-        hit = int(self._rows.get(_row_keys(np.asarray([tup]), self._base))[0])
+        return _row_keys(np.asarray([tup]), self._base)
+
+    def _reached(self) -> bool:
+        """Is the target given to the constructor a row?"""
+        return self._target is not None and self._rows.get(self._target)[0] >= 0
+
+    def lookup(self, tup: Sequence[int]) -> Optional[int]:
+        """The row index of the tuple, None when it is not a row."""
+        if (key := self._key(tup)) is None:
+            return None
+        hit = int(self._rows.get(key)[0])
         return hit if hit >= 0 else None
 
     # -- main loop --
@@ -486,7 +524,7 @@ class TupleClosure:
                         cand = weighted[at[part].T, z0:]   # [column, record, row]
                         keys = _limb_keys([np.add.reduce(cand[c:c + g], axis=0, dtype=cand.dtype)
                                            .ravel() for c in range(0, self.k, g)])
-                        if not len(new := (self._rows.get(keys) < 0).nonzero()[0]):
+                        if not len(new := self._rows.absent(keys)):
                             continue
                         # first occurrences in batch order, until the row count passes the cap
                         first = new[self._rows.firsts(keys[new])][:max(1, self.cap + 1 - self.n)]
@@ -495,7 +533,7 @@ class TupleClosure:
                         self._append(self._maps[st["ids"][part[rec]], zs[z]], keys[first],
                                      first, lambda q: ("step", name, (
                                          *combos[q // m].tolist(), z0 + q % m)))
-                        if self.n > self.cap:
+                        if self.n > self.cap or self._reached():
                             return
             self._registered = n_cur
             if self.n == n_cur:
@@ -508,9 +546,9 @@ class TupleClosure:
 
 
 def subpower_membership(query: SubpowerQuery) -> SubpowerAnswer:
-    """Close the generators under the coordinatewise operations and look for
-    the target.  Found answers carry a re-verified witness term."""
-    cl = TupleClosure(query.columns, query.generators, query.cap)
+    """Close the generators under the coordinatewise operations until the
+    target is a row.  Found answers carry a re-verified witness term."""
+    cl = TupleClosure(query.columns, query.generators, query.cap, query.target)
     if (hit := cl.lookup(query.target)) is not None:
         w = cl.witness(hit)
         for c, alg in enumerate(query.columns):
@@ -536,6 +574,10 @@ MALTSEV = "maltsev"
 
 @dataclass(frozen=True)
 class PairWitness:
+    """A term of the given kind on the pair (or, for Mal'tsev, the algebra).
+    `closure_size` is the number of rows built when the search settled it,
+    as in `Found`; 0 for the projection of a one-element algebra."""
+
     kind: str
     term: Term
     absorber: Optional[int] = None   # semilattice only: the absorbing element
@@ -570,10 +612,14 @@ def find_pair_witness(algebra: FiniteAlgebra, kind: str, a: int = 0, b: int = 0,
 
     Semilattice tries both absorbers, b first.  Absent answers always come
     from complete closures; a cap hit is CapExceeded, never absence."""
-    if kind in (SEMILATTICE, MAJORITY) and a == b:
-        raise ValueError("need two distinct elements")
+    if kind in (SEMILATTICE, MAJORITY):
+        algebra.check_elements((a, b))
+        if a == b:
+            raise ValueError("need two distinct elements")
     if kind == SEMILATTICE:
-        cl = TupleClosure((algebra, algebra), ((a, b), (b, a)), cap)
+        # only (b, b) may stop the closure: stopped at (a, a), it could
+        # miss a (b, b) that the complete closure has
+        cl = TupleClosure((algebra, algebra), ((a, b), (b, a)), cap, (b, b))
         for absorber in (b, a):
             if (hit := cl.lookup((absorber, absorber))) is not None:
                 w = cl.witness(hit)

@@ -9,6 +9,7 @@ from idemalg import fixtures
 from idemalg.algebra import (
     FiniteAlgebra,
     align_signatures,
+    is_closed_subset,
     is_set,
     product_algebra,
     quotient,
@@ -24,6 +25,7 @@ from idemalg.errors import (
     NonIdempotent,
     NotClosed,
     SignatureMismatch,
+    ValidationError,
 )
 
 
@@ -148,6 +150,16 @@ def test_restrict_full_universe_is_identity(a_ne):
 def test_restrict_open_pair_not_closed(a_ne):
     with pytest.raises(NotClosed):
         restrict(a_ne, [0, 1])
+
+
+def test_kernel_checks_its_elements(a_ne):
+    # a negative element would wrap around the tables, a large one escape them
+    calls = (lambda: restrict(a_ne, [-1]), lambda: restrict(a_ne, [0, 3]),
+             lambda: is_closed_subset(a_ne, [-1]), lambda: is_closed_subset(a_ne, [3]),
+             lambda: quotient(a_ne, [[-1, 0], [1, 2]]), lambda: quotient(a_ne, [[0, 1, 2], [3]]))
+    for call in calls:
+        with pytest.raises(ValidationError, match="not in 0..2"):
+            call()
 
 
 def test_is_set():

@@ -320,6 +320,9 @@ CLOSURE_CLASSES = (
 
 
 def test_subpower_membership_matches_naive_oracle_seeded():
+    # a Found closure stops at its target, so the closure sizes are checked
+    # on a full closure of the same query, built without a target; the
+    # stopped closure must be a prefix of it that holds the same witness
     rng = random.Random(5)
     seen = {Found: 0, Absent: 0, CapExceeded: 0}
     for i in range(240):
@@ -335,17 +338,146 @@ def test_subpower_membership_matches_naive_oracle_seeded():
         q = SubpowerQuery(cols, gens, target, rng.choice(caps))
         fast = subpower_membership(q)
         slow = naive_subpower_membership(q)
+        full = generate.TupleClosure(cols, gens, q.cap)
         seen[type(slow)] += 1
         if isinstance(slow, CapExceeded):
             # the closure outgrows the cap in both; the fast engine may
             # meet the target among its first cap + 1 rows
             assert isinstance(fast, (CapExceeded, Found)), (i, fast)
-            if isinstance(fast, Found):
-                assert fast.closure_size == q.cap + 1, i
+            assert not full.complete and len(full) == q.cap + 1, i
         else:
             assert type(fast) is type(slow), (i, fast, slow)
-            assert fast.closure_size == slow.closure_size, i
+            assert full.complete and len(full) == slow.closure_size, i
+            if isinstance(fast, Absent):
+                assert fast.closure_size == slow.closure_size, i
+        assert isinstance(fast, Found) == (full.lookup(target) is not None), i
+        if isinstance(fast, Found):
+            n = fast.closure_size
+            stopped = generate.TupleClosure(cols, gens, q.cap, target)
+            assert len(stopped) == n <= len(full) and not stopped.complete, i
+            assert (stopped.rows == full.rows[:n]).all(), i
+            assert stopped.provenance == full.provenance[:n], i
+            assert fast.witness.text() == full.witness(full.lookup(target)).text(), i
     assert min(seen.values()) >= 30, seen
+
+
+def test_closure_stops_at_a_generator_target(a_ne):
+    gens = ((0, 2), (0, 2), (2, 0))
+    cl = generate.TupleClosure((a_ne, a_ne), gens, target=(2, 0))
+    assert len(cl) == 2 and not cl.complete
+    assert cl.provenance == [("gen", 0), ("gen", 2)]
+    ans = subpower_membership(SubpowerQuery((a_ne, a_ne), gens, (2, 0)))
+    assert ans == Found(terms.proj(2, 3), 2)
+    # without a target the closure runs on past the generators
+    assert len(generate.TupleClosure((a_ne, a_ne), gens)) > 2
+
+
+def test_semilattice_search_keeps_absorber_b_when_a_a_comes_first():
+    # (0, 0) is row 6 and (1, 1) row 8 of the closure of (0, 1), (1, 0): a
+    # closure stopped at (0, 0) would answer absorber 0
+    alg = validate_algebra("r", 3, [("f", 2, [0, 0, 2, 2, 1, 0, 1, 2, 2])])
+    full = generate.TupleClosure((alg, alg), ((0, 1), (1, 0)))
+    assert (full.lookup((0, 0)), full.lookup((1, 1)), len(full)) == (6, 8, 9)
+    got = find_pair_witness(alg, SEMILATTICE, 0, 1)
+    assert (got.absorber, got.closure_size) == (1, 9)
+    assert got.term.text() == full.witness(8).text()
+
+
+def test_closure_stops_at_a_target_keyed_by_two_limbs():
+    # the Mal'tsev query of x - y + z mod 5 has 40 columns of base 5: row
+    # keys of two int64 limbs; its complete closure is the 25 idempotent
+    # affine ternary operations
+    z5 = validate_algebra("z5", 5, [("h", 3, [(x - y + z) % 5 for x, y, z in
+                                             product(range(5), repeat=3)])])
+    q = generate.maltsev_query(z5)
+    assert len(q.columns) == 40 and generate._key_layout(5, 40)[1] < 40
+    full = generate.TupleClosure(q.columns, q.generators, q.cap)
+    assert full.complete and len(full) == 25
+    stopped = generate.TupleClosure(q.columns, q.generators, q.cap, q.target)
+    hit = full.lookup(q.target)
+    # the stop comes after the sweep chunk that appends the target
+    assert hit < len(stopped) < 25 and not stopped.complete
+    assert (stopped.rows == full.rows[:len(stopped)]).all()
+    assert stopped.provenance == full.provenance[:len(stopped)]
+    ans = subpower_membership(q)
+    assert ans.witness.text() == full.witness(hit).text() == "h(p0, p1, p2)"
+    assert ans.closure_size == len(stopped)
+
+
+# find_pair_witness(fixture, kind, a, b) for SEMILATTICE, MAJORITY and MALTSEV:
+# (kind, term text, absorber) or ("absent", closure size)
+PAIR_WITNESSES = {
+    ('no-edge', 0, 1): (('absent', 7), ('absent', 67), ('absent', 34)),
+    ('no-edge', 0, 2): (('semilattice', 'f(p0, p1)', 2), ('absent', 7), ('absent', 34)),
+    ('no-edge', 1, 2): (('semilattice', 'f(p0, p1)', 2), ('absent', 7), ('absent', 34)),
+    ('no-edge-factor', 0, 1): (('absent', 2), ('majority', 'm(p0, p1, p2)', None), ('absent', 102)),
+    ('no-edge-factor', 0, 2): (('absent', 7), ('absent', 67), ('absent', 102)),
+    ('no-edge-factor', 0, 3): (('absent', 14), ('absent', 268), ('absent', 102)),
+    ('no-edge-factor', 0, 4): (('semilattice', 'f(p0, p1)', 4), ('absent', 7), ('absent', 102)),
+    ('no-edge-factor', 0, 5): (('absent', 6), ('absent', 28), ('absent', 102)),
+    ('no-edge-factor', 1, 2): (('absent', 14), ('absent', 268), ('absent', 102)),
+    ('no-edge-factor', 1, 3): (('absent', 7), ('absent', 67), ('absent', 102)),
+    ('no-edge-factor', 1, 4): (('absent', 6), ('absent', 28), ('absent', 102)),
+    ('no-edge-factor', 1, 5): (('semilattice', 'f(p0, p1)', 5), ('absent', 7), ('absent', 102)),
+    ('no-edge-factor', 2, 3): (('absent', 2), ('majority', 'm(p0, p1, p2)', None), ('absent', 102)),
+    ('no-edge-factor', 2, 4): (('semilattice', 'f(p0, p1)', 4), ('absent', 7), ('absent', 102)),
+    ('no-edge-factor', 2, 5): (('absent', 6), ('absent', 28), ('absent', 102)),
+    ('no-edge-factor', 3, 4): (('absent', 6), ('absent', 28), ('absent', 102)),
+    ('no-edge-factor', 3, 5): (('semilattice', 'f(p0, p1)', 5), ('absent', 7), ('absent', 102)),
+    ('no-edge-factor', 4, 5): (('absent', 2), ('majority', 'm(p0, p1, p2)', None), ('absent', 102)),
+    ('no-majority-symmetry', 0, 1): (('absent', 8), ('absent', 128), ('absent', 48)),
+    ('no-majority-symmetry', 0, 2): (('absent', 2), ('absent', 4), ('absent', 48)),
+    ('no-majority-symmetry', 0, 3): (('absent', 8), ('absent', 128), ('absent', 48)),
+    ('no-majority-symmetry', 1, 2): (('absent', 8), ('absent', 128), ('absent', 48)),
+    ('no-majority-symmetry', 1, 3): (('absent', 2), ('absent', 4), ('absent', 48)),
+    ('no-majority-symmetry', 2, 3): (('absent', 8), ('absent', 128), ('absent', 48)),
+    ('z3-affine', 0, 1): (('absent', 3), ('absent', 9), ('maltsev', 'h(p0, p1, p2)', None)),
+    ('z3-affine', 0, 2): (('absent', 3), ('absent', 9), ('maltsev', 'h(p0, p1, p2)', None)),
+    ('z3-affine', 1, 2): (('absent', 3), ('absent', 9), ('maltsev', 'h(p0, p1, p2)', None)),
+    ('sl2', 0, 1): (('semilattice', 'meet(p0, p1)', 0), ('absent', 7), ('absent', 6)),
+    ('mj2', 0, 1): (('absent', 2), ('majority', 'maj(p0, p1, p2)', None), ('absent', 3)),
+}
+
+
+def test_pair_witnesses_are_pinned():
+    from idemalg import fixtures
+    got = {}
+    for name in fixtures.FIXTURES:
+        alg = fixtures.fixture(name)
+        for a, b in combinations(range(alg.size), 2):
+            answers = []
+            for kind in (SEMILATTICE, MAJORITY, MALTSEV):
+                ans = find_pair_witness(alg, kind, a, b)
+                assert isinstance(ans, (PairWitness, Absent)), (name, a, b, kind)
+                answers.append((ans.kind, ans.term.text(), ans.absorber)
+                               if isinstance(ans, PairWitness) else ("absent", ans.closure_size))
+            got[name, a, b] = tuple(answers)
+    assert got == PAIR_WITNESSES
+
+
+def test_pair_witness_and_query_elements_are_checked(a_ne):
+    for kind in (SEMILATTICE, MAJORITY):
+        for a, b in ((-1, 0), (0, 3)):
+            with pytest.raises(ValidationError, match="not in 0..2"):
+                find_pair_witness(a_ne, kind, a, b)
+    for gens, target in ((((0, -1),), (0, 0)), (((0, 1),), (3, 0))):
+        with pytest.raises(ValidationError, match="not in 0..2"):
+            SubpowerQuery((a_ne, a_ne), gens, target)
+    with pytest.raises(ValidationError, match="coordinate count"):
+        SubpowerQuery((a_ne, a_ne), ((0, 1),), (0,))
+
+
+def test_key_index_absent_agrees_on_dense_slots_and_the_dict():
+    rng = np.random.default_rng(4)
+    added = np.unique(rng.integers(0, 500, 120))
+    batch = rng.integers(0, 500, 300)
+    want = np.flatnonzero(~np.isin(batch, added))
+    for space in (500, generate._DENSE + 1):
+        index = generate._KeyIndex(space)
+        index.add(added)
+        assert index._dense == (space == 500)
+        assert index.absent(batch).tolist() == want.tolist()
+        assert index.absent(batch[:0]).tolist() == []
 
 
 def _closure_digest(cl):
