@@ -8,12 +8,16 @@ read-only numpy array of shape (n,)*r, so that f(a_1,...,a_r) is
 array[a_1, ..., a_r]; every bulk computation indexes it, and `apply` is the
 scalar lookup.  Every algebra is validated on construction, idempotency
 included.
+
+Rows over range(base) (closure rows, signatures, map slices, translations)
+are deduplicated by one exact integer key kept here, `row_keys`: numbered
+as they come by `KeyIndex`, or all at once by `distinct_rows`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Callable, Hashable, Iterable, Mapping, Optional, Sequence, TypeVar
 
 import numpy as np
@@ -35,6 +39,9 @@ MAX_ANALYSIS_SIZE = 10
 
 #: default node cap for closures
 DEFAULT_CAP = 1_000_000
+
+#: widest key space a `KeyIndex` holds in dense slot arrays (see generate.TupleClosure)
+DENSE = 1 << 18
 
 T = TypeVar("T")
 
@@ -378,3 +385,86 @@ def align_signatures(algebras: Sequence[FiniteAlgebra]) -> list[FiniteAlgebra]:
         out.append(alg if tuple(ops) == alg.operations else
                    FiniteAlgebra(alg.name, alg.size, tuple(ops), alg.labels))
     return out
+
+
+@lru_cache(maxsize=None)
+def key_layout(base: int, k: int) -> tuple[np.ndarray, int]:
+    """The exact key of k digits in range(base): one limb per g columns, g
+    the largest with base**g < 2**62 (k when all fit), column c weighted by
+    base**(c mod g) in the narrowest of int16, int32, int64 that holds base**g."""
+    g = next((g for g in range(1, k) if base ** (g + 1) >= 1 << 62), k)
+    dtype = next(t for t in (np.int16, np.int32, np.int64) if base ** g <= np.iinfo(t).max)
+    weights = base ** (np.arange(k) % g).astype(dtype)
+    weights.flags.writeable = False   # one array per (base, k), shared by every caller
+    return weights, g
+
+
+def limb_keys(limbs: list[np.ndarray]) -> np.ndarray:
+    """Exact keys from their limbs (`key_layout`): one limb is the key
+    itself, as int64; several are viewed as one fixed-width void scalar,
+    whose `.tolist()` gives its bytes."""
+    if len(limbs) == 1:
+        return limbs[0].astype(np.int64)
+    return np.stack(limbs, axis=1, dtype=np.int64).view(np.dtype((np.void, 8 * len(limbs))))[:, 0]
+
+
+def row_keys(rows: np.ndarray, base: int) -> np.ndarray:
+    """One exact, hashable key per row of a 2-d array whose entries lie in
+    range(base); a single limb is the row as a base-`base` integer."""
+    weights, g = key_layout(base, rows.shape[1])
+    return limb_keys([rows[:, c:c + g] @ weights[c:c + g] for c in range(0, len(weights), g)])
+
+
+class KeyIndex:
+    """Ids 0, 1, ... of distinct exact keys (`row_keys`), in the order they
+    are added: a dense int32 slot per key (id + 1, 0 for absent) when the
+    key space has at most `DENSE` keys, so no batch is sorted, else a dict."""
+
+    def __init__(self, space: int):
+        self.n, self._dense = 0, space <= DENSE
+        self._ids = np.zeros(space, np.int32) if self._dense else {}
+
+    def get(self, keys: np.ndarray) -> np.ndarray:
+        """The id of each key, -1 where it is absent."""
+        if self._dense:
+            return self._ids[keys] - 1
+        return np.array([self._ids.get(key, -1) for key in keys.tolist()], dtype=np.intp)
+
+    def absent(self, keys: np.ndarray) -> np.ndarray:
+        """Batch positions of the keys that have no id, ascending."""
+        if self._dense:
+            return (self._ids[keys] == 0).nonzero()[0]
+        return np.flatnonzero([key not in self._ids for key in keys.tolist()])
+
+    def firsts(self, keys: np.ndarray) -> np.ndarray:
+        """Batch positions of the first occurrence of each distinct key, in
+        batch order.  Dense, the slots of the batch's keys hold the least
+        position of their key while this runs, by `minimum.at` (numpy leaves
+        open which of repeated fancy writes wins), and their ids again after."""
+        if not self._dense:
+            return np.sort(np.unique(keys, return_index=True)[1])
+        slot, at = self._ids, np.arange(len(keys), dtype=np.int32)
+        saved = slot[keys]
+        slot[keys] = len(keys)
+        np.minimum.at(slot, keys, at)
+        first = (slot[keys] == at).nonzero()[0]
+        slot[keys[first]] = saved[first]
+        return first
+
+    def add(self, keys: np.ndarray) -> np.ndarray:
+        """Give distinct absent keys the next ids, in order; return them."""
+        ids = np.arange(self.n, self.n + len(keys))
+        if self._dense:
+            self._ids[keys] = ids + 1
+        else:
+            self._ids.update(zip(keys.tolist(), ids.tolist()))
+        self.n += len(keys)
+        return ids
+
+
+def distinct_rows(rows: np.ndarray, base: int) -> tuple[np.ndarray, np.ndarray]:
+    """The position of the first occurrence of each distinct row of a 2-d
+    array with entries in range(base), in order of their keys, and the
+    index into those of every row."""
+    _, first, inv = np.unique(row_keys(rows, base), return_index=True, return_inverse=True)
+    return first, inv

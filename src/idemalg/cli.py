@@ -53,6 +53,13 @@ EXIT_INPUT = 2
 EXIT_CAP = 3
 
 
+def positive_int(text: str) -> int:
+    """The argparse type of --cap and --arity: below 1 exits 2 before any output."""
+    if (value := int(text)) < 1:
+        raise ValueError(text)
+    return value
+
+
 def _load_algebras(args: argparse.Namespace
                    ) -> tuple[list[FiniteAlgebra], Limits]:
     """The input algebras, and the limits every analysis step applies."""
@@ -304,7 +311,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--fixture", action="append",
                        choices=sorted(FIXTURES), help="built-in algebra")
         p.add_argument("--file", action="append", help="algebra file")
-        p.add_argument("--cap", type=int, default=DEFAULT_CAP,
+        p.add_argument("--cap", type=positive_int, default=DEFAULT_CAP,
                        help="node cap for closures")
         p.add_argument("--max-size", type=int, default=MAX_ANALYSIS_SIZE,
                        help="largest universe any analysis step accepts "
@@ -320,7 +327,7 @@ def build_parser() -> argparse.ArgumentParser:
         if name == "reduct":
             p.add_argument("--pair", type=int, nargs=2,
                            help="edge pair (default: first usable edge)")
-            p.add_argument("--arity", type=int, default=DEFAULT_MAX_ARITY)
+            p.add_argument("--arity", type=positive_int, default=DEFAULT_MAX_ARITY)
         if name == "verify":
             p.add_argument("--seed", type=int, default=0,
                            help="seed for randomized property checks")

@@ -4,8 +4,9 @@ Congruences are canonical partitions of 0..n-1.  Principal congruences are
 generated by union-find saturation under the translations of the algebra,
 the maps x |-> f(c-bar with x at position i) of every basic operation f
 (closure under those implies closure under all unary polynomials).  They
-are kept once per algebra, deduplicated, as the rows of one integer matrix,
-so each pair is pushed through all of them by one gather (R. Freese,
+are kept once per algebra, deduplicated by the exact row key of the table
+kernel (`algebra.distinct_rows`), as the rows of one integer matrix, so
+each pair is pushed through all of them by one gather (R. Freese,
 Computing congruences efficiently, Algebra Universalis 59, 2008).  The full
 lattice is the join closure of the principal congruences; joins of
 congruences are transitive closures of unions.
@@ -34,6 +35,7 @@ from .algebra import (
     FiniteAlgebra,
     Limits,
     OperationTable,
+    distinct_rows,
     is_set,
     product_algebra,
 )
@@ -143,25 +145,30 @@ def cg(algebra: FiniteAlgebra, pairs: Iterable[tuple[int, int]]) -> Congruence:
 
 def _translations(algebra: FiniteAlgebra) -> np.ndarray:
     """The distinct translations x |-> f(c-bar with x at position i), one
-    per row, memoized on the algebra."""
+    per row in order of their exact keys, memoized on the algebra."""
     def compute() -> np.ndarray:
         n = algebra.size
-        rows = [np.moveaxis(op.array, pos, -1).reshape(-1, n)
-                for op in algebra.operations for pos in range(op.arity)]
-        # asked for an index array too, numpy does not import numpy.ma (1.3 MB)
-        distinct, _ = np.unique(np.concatenate(rows), axis=0, return_index=True)
-        return distinct
+        rows = np.concatenate([np.moveaxis(op.array, pos, -1).reshape(-1, n)
+                               for op in algebra.operations for pos in range(op.arity)])
+        return rows[distinct_rows(rows, n)[0]]
     return algebra.memoized(("translations",), compute)
+
+
+def components(n: int, links: Iterable[Sequence[int]]) -> list[tuple[int, ...]]:
+    """Components of 0..n-1 when the members of each link are joined."""
+    uf = _UnionFind(n)
+    for link in links:
+        for x in link[1:]:
+            uf.union(link[0], x)
+    comps: dict[int, list[int]] = {}
+    for x in range(n):
+        comps.setdefault(uf.find(x), []).append(x)
+    return sorted(tuple(c) for c in comps.values())
 
 
 def join(a: Congruence, b: Congruence) -> Congruence:
     """Join in the congruence lattice: the transitive closure of the union."""
-    uf = _UnionFind(a.size)
-    for part in (a, b):
-        for blk in part.blocks:
-            for x in blk[1:]:
-                uf.union(blk[0], x)
-    return Congruence.from_parent([uf.find(x) for x in range(a.size)])
+    return Congruence.from_blocks(a.size, components(a.size, a.blocks + b.blocks))
 
 
 def congruence_lattice(algebra: FiniteAlgebra, limits: Limits = DEFAULT_LIMITS
@@ -226,10 +233,7 @@ class Tolerance:
         return len(self.pairs) == self.size * self.size
 
     def transitive_closure(self) -> Congruence:
-        uf = _UnionFind(self.size)
-        for x, y in self.pairs:
-            uf.union(x, y)
-        return Congruence.from_parent([uf.find(x) for x in range(self.size)])
+        return Congruence.from_blocks(self.size, components(self.size, self.pairs))
 
     def classes(self) -> list[tuple[int, ...]]:
         """Maximal cliques of the relation graph, sorted, each sorted, by

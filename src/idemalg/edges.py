@@ -30,8 +30,8 @@ from .algebra import (
 from .congruence import (
     MODULE,
     Congruence,
-    _UnionFind,
     classify_simple_quotient,
+    components,
     maximal_congruences,
 )
 from .errors import PostconditionFailed
@@ -209,20 +209,8 @@ def hypergraph(algebra: FiniteAlgebra,
     return Hypergraph(algebra.size, tuple(proper))
 
 
-def _components(n: int, links: Iterable[tuple[int, ...]]) -> list[tuple[int, ...]]:
-    """Components of 0..n-1 when the members of each link are joined."""
-    uf = _UnionFind(n)
-    for link in links:
-        for x in link[1:]:
-            uf.union(link[0], x)
-    comps: dict[int, list[int]] = {}
-    for x in range(n):
-        comps.setdefault(uf.find(x), []).append(x)
-    return sorted(tuple(c) for c in comps.values())
-
-
 def connected_components(graph: StructureGraph) -> list[tuple[int, ...]]:
-    return _components(graph.algebra.size, graph.edges())
+    return components(graph.algebra.size, graph.edges())
 
 
 def is_connected(graph: StructureGraph) -> bool:
@@ -234,7 +222,7 @@ def hypergraph_connected(hg: Hypergraph) -> bool:
     pairwise intersecting hyperedges."""
     if hg.size <= 1:
         return True
-    if len(_components(hg.size, hg.hyperedges)) > 1:
+    if len(components(hg.size, hg.hyperedges)) > 1:
         return False
     covered = {x for he in hg.hyperedges for x in he}
     return covered == set(range(hg.size))
@@ -254,7 +242,7 @@ def x_connected(algebra: FiniteAlgebra, allowed: Iterable[str],
         b_alg, _ = restrict(algebra, emb)
         graph = structure_graph(b_alg, limits)
         links = [pair for pair, labels in graph.edges().items() if labels & allowed]
-        comps = _components(b_alg.size, links)
+        comps = components(b_alg.size, links)
         if len(comps) > 1:
             u, v = comps[0][0], comps[1][0]
             return (emb, (emb[u], emb[v]))

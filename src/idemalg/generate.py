@@ -10,13 +10,13 @@ they induce per coordinate, which is what makes desk-scale instances with
 ternary operations tractable.  One map table per closure holds the distinct
 unary maps of all operations, and one store holds each signature once,
 whichever operations induce it.  Every arity, unary included, runs through
-one sweep path in one discovery order (see `TupleClosure`), and rows and
-signatures are deduplicated by one exact key in one key index
-(`_KeyIndex`): a sum of weighted digits, one int64 limb per g columns
-(`_key_layout`).  The sweep sums each candidate row's key from weighted
-map lookups and builds only the rows it appends.  Coordinates may live in
-different algebras of one signature, so queries over products of
-quotients need no product algebras.
+one sweep path in one discovery order (see `TupleClosure`).  Rows,
+signatures and maps are deduplicated by the exact key of the table kernel
+in `algebra.py` (`row_keys`, `KeyIndex`, `distinct_rows`): a sum of
+weighted digits, one int64 limb per g columns.  The sweep sums each
+candidate row's key from weighted map lookups and builds only the rows it
+appends.  Coordinates may live in different algebras of one signature, so
+queries over products of quotients need no product algebras.
 
 A closure given a target stops after the sweep chunk that appends it (after
 the generators when it is one of them): the rows, provenance and witness up
@@ -30,7 +30,6 @@ returned.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import product
 from math import prod
 from typing import Optional, Sequence, Union
@@ -41,9 +40,14 @@ from .algebra import (
     DEFAULT_CAP,
     DEFAULT_LIMITS,
     FiniteAlgebra,
+    KeyIndex,
     Limits,
     OperationTable,
     coordinate,
+    distinct_rows,
+    key_layout,
+    limb_keys,
+    row_keys,
 )
 from .errors import (
     CapExceededError,
@@ -56,7 +60,6 @@ from . import terms
 from .terms import Term
 
 _CHUNK = 1 << 19   # entries per numpy batch: combinations or candidates x columns
-_DENSE = 1 << 18   # widest key space held in dense slot arrays (see TupleClosure)
 
 
 # --------------------------------------------------------------------------
@@ -218,81 +221,6 @@ class CapExceeded:
 SubpowerAnswer = Union[Found, Absent, CapExceeded]
 
 
-@lru_cache(maxsize=None)
-def _key_layout(base: int, k: int) -> tuple[np.ndarray, int]:
-    """The exact key of k digits in range(base): one limb per g columns, g
-    the largest with base**g < 2**62 (k when all fit), column c weighted by
-    base**(c mod g) in the narrowest of int16, int32, int64 that holds base**g."""
-    g = next((g for g in range(1, k) if base ** (g + 1) >= 1 << 62), k)
-    dtype = next(t for t in (np.int16, np.int32, np.int64) if base ** g <= np.iinfo(t).max)
-    weights = base ** (np.arange(k) % g).astype(dtype)
-    weights.flags.writeable = False   # one array per (base, k), shared by every caller
-    return weights, g
-
-
-def _limb_keys(limbs: list[np.ndarray]) -> np.ndarray:
-    """Exact keys from their limbs (`_key_layout`): one limb is the key
-    itself, as int64; several are viewed as one fixed-width void scalar,
-    whose `.tolist()` gives its bytes."""
-    if len(limbs) == 1:
-        return limbs[0].astype(np.int64)
-    return np.stack(limbs, axis=1, dtype=np.int64).view(np.dtype((np.void, 8 * len(limbs))))[:, 0]
-
-
-def _row_keys(rows: np.ndarray, base: int) -> np.ndarray:
-    """One exact, hashable key per row of a 2-d array whose entries lie in
-    range(base); a single limb is the row as a base-`base` integer."""
-    weights, g = _key_layout(base, rows.shape[1])
-    return _limb_keys([rows[:, c:c + g] @ weights[c:c + g] for c in range(0, len(weights), g)])
-
-
-class _KeyIndex:
-    """Ids 0, 1, ... of distinct exact keys (`_row_keys`), in the order they
-    are added: a dense int32 slot per key (id + 1, 0 for absent) when the
-    key space has at most `_DENSE` keys, so no batch is sorted, else a dict."""
-
-    def __init__(self, space: int):
-        self.n, self._dense = 0, space <= _DENSE
-        self._ids = np.zeros(space, np.int32) if self._dense else {}
-
-    def get(self, keys: np.ndarray) -> np.ndarray:
-        """The id of each key, -1 where it is absent."""
-        if self._dense:
-            return self._ids[keys] - 1
-        return np.array([self._ids.get(key, -1) for key in keys.tolist()], dtype=np.intp)
-
-    def absent(self, keys: np.ndarray) -> np.ndarray:
-        """Batch positions of the keys that have no id, ascending."""
-        if self._dense:
-            return (self._ids[keys] == 0).nonzero()[0]
-        return np.flatnonzero([key not in self._ids for key in keys.tolist()])
-
-    def firsts(self, keys: np.ndarray) -> np.ndarray:
-        """Batch positions of the first occurrence of each distinct key, in
-        batch order.  Dense, the slots of the batch's keys hold the least
-        position of their key while this runs, by `minimum.at` (numpy leaves
-        open which of repeated fancy writes wins), and their ids again after."""
-        if not self._dense:
-            return np.sort(np.unique(keys, return_index=True)[1])
-        slot, at = self._ids, np.arange(len(keys), dtype=np.int32)
-        saved = slot[keys]
-        slot[keys] = len(keys)
-        np.minimum.at(slot, keys, at)
-        first = (slot[keys] == at).nonzero()[0]
-        slot[keys[first]] = saved[first]
-        return first
-
-    def add(self, keys: np.ndarray) -> np.ndarray:
-        """Give distinct absent keys the next ids, in order; return them."""
-        ids = np.arange(self.n, self.n + len(keys))
-        if self._dense:
-            self._ids[keys] = ids + 1
-        else:
-            self._ids.update(zip(keys.tolist(), ids.tolist()))
-        self.n += len(keys)
-        return ids
-
-
 def _new_spans(length: int, old: int, cur: int) -> list[list[tuple[int, int]]]:
     """Products of row ranges (start, stop), one range per position, that
     cover once each, in C order, the combinations of the given length over
@@ -329,14 +257,14 @@ class TupleClosure:
 
     Rows live in a growing uint8 matrix.  Rows, by their exact keys, and
     signatures, by the exact keys of their map ids, are numbered in one
-    `_KeyIndex` each: a dense int32 slot array while `base**k` (rows) or
-    `len(_maps)**k` (signatures) is at most `_DENSE` = 2**18 (1 MB), which
-    covers every closure of the subpower benchmark; a dict beyond, for the
-    wide closures of term operations and reducts.  Peak RSS stays within 2%
-    of the dict's on every benchmark workload; int64 slots up to 2**22
-    added 8-10% on the CLI workloads.
+    `KeyIndex` each, from the key kernel in `algebra.py`: a dense int32
+    slot array while `base**k` (rows) or `len(_maps)**k` (signatures) is at
+    most `DENSE` = 2**18 (1 MB), which covers every closure of the subpower
+    benchmark; a dict beyond, for the wide closures of term operations and
+    reducts.  Peak RSS stays within 2% of the dict's on every benchmark
+    workload; int64 slots up to 2**22 added 8-10% on the CLI workloads.
     A row's key sums its weighted digits, one limb per g columns
-    (`_key_layout`), so a candidate row's key, a signature's maps applied to
+    (`key_layout`), so a candidate row's key, a signature's maps applied to
     a row, is a sum of k lookups in the round's table of weighted map
     values; only the rows appended are built.
     The last argument of every operation is swept vectorized; combinations
@@ -387,7 +315,7 @@ class TupleClosure:
         self._base = int(self._sizes.max())
         self.n = 0
         self._buf = np.zeros((256, self.k), dtype=np.uint8)
-        self._rows = _KeyIndex(self._base ** self.k)
+        self._rows = KeyIndex(self._base ** self.k)
         self.provenance: list[Provenance] = []
         self.complete = False
         self._build_maps()
@@ -395,14 +323,14 @@ class TupleClosure:
         width = max(arity for _, arity in sig) - 1
         self._store = np.zeros(64, dtype=[("ids", np.int32, (self.k,)), ("owner", np.intp),
                                           ("combo", np.int64, (width,)), ("seq", np.int64)])
-        self._sigs = _KeyIndex(len(self._maps) ** self.k)   # signature key -> record
+        self._sigs = KeyIndex(len(self._maps) ** self.k)   # signature key -> record
         self._seq = 0
         self._registered = 0       # rows whose prefix combinations are registered
         self.n_generators = len(generators)
         gens = np.asarray(generators, dtype=np.int64).reshape(len(generators), self.k)
         if ((gens < 0) | (gens >= self._sizes)).any():
             raise ValueError("generator entry out of range")
-        keys = _row_keys(gens, self._base)
+        keys = row_keys(gens, self._base)
         first = self._rows.firsts(keys)
         self._append(gens[first], keys[first], first, lambda i: ("gen", i))
         self._target = None if target is None else self._key(target)
@@ -417,10 +345,9 @@ class TupleClosure:
         slices = [alg.op(name).array.reshape(-1, alg.size)
                   for name, _ in self.signature for alg in algs]
         table = np.concatenate([s.take(range(self._base), axis=1, mode="clip") for s in slices])
-        _, first, inv = np.unique(_row_keys(table, self._base), return_index=True,
-                                  return_inverse=True)
+        first, inv = distinct_rows(table, self._base)
         self._maps = table[first].astype(np.uint8)
-        ids = np.split(inv.reshape(-1).astype(np.int32), np.cumsum([len(s) for s in slices]))
+        ids = np.split(inv.astype(np.int32), np.cumsum([len(s) for s in slices]))
         cols = [np.flatnonzero([c is alg for c in self.columns]) for alg in algs]
         self._groups = []
         for arity in sorted({arity for _, arity in self.signature}):
@@ -453,7 +380,7 @@ class TupleClosure:
         (a key is exact only for a tuple of length k with every entry in range)."""
         if len(tup) != self.k or any(not 0 <= v < n for v, n in zip(tup, self._sizes)):
             return None
-        return _row_keys(np.asarray([tup]), self._base)
+        return row_keys(np.asarray([tup]), self._base)
 
     def _reached(self) -> bool:
         """Is the target given to the constructor a row?"""
@@ -484,7 +411,7 @@ class TupleClosure:
                 for cols, lut in luts:
                     sig[:, :, cols] = lut[:, packed[:, cols]]
                 sig = sig.reshape(-1, self.k)
-                keys = _row_keys(sig, len(self._maps))
+                keys = row_keys(sig, len(self._maps))
                 first = self._sigs.firsts(keys)
                 recs = self._sigs.get(keys[first])
                 new = recs < 0
@@ -501,7 +428,7 @@ class TupleClosure:
 
     def _run(self) -> None:
         nmaps = len(self._maps)
-        weights, g = _key_layout(self._base, self.k)
+        weights, g = key_layout(self._base, self.k)
         while not self.complete:
             n_cur, seq0 = self.n, self._seq
             self._register(n_cur)
@@ -522,7 +449,7 @@ class TupleClosure:
                     for lo in range(0, len(recs), per):
                         part = recs[lo:lo + per]
                         cand = weighted[at[part].T, z0:]   # [column, record, row]
-                        keys = _limb_keys([np.add.reduce(cand[c:c + g], axis=0, dtype=cand.dtype)
+                        keys = limb_keys([np.add.reduce(cand[c:c + g], axis=0, dtype=cand.dtype)
                                            .ravel() for c in range(0, self.k, g)])
                         if not len(new := self._rows.absent(keys)):
                             continue

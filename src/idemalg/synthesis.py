@@ -175,44 +175,20 @@ def _thick_edge(alg: FiniteAlgebra, ai: int, pair: tuple[int, int],
 
 
 def _index_period(t: Sequence[int]) -> tuple[int, int]:
-    """Tail length and cycle lcm of one transformation's functional graph."""
-    m = len(t)
-    state = [0] * m
-    incycle = [False] * m
-    for s in range(m):
-        if state[s]:
-            continue
-        path, pos = [], {}
-        x = s
-        while state[x] == 0:
-            state[x] = 1
-            pos[x] = len(path)
-            path.append(x)
-            x = t[x]
-        if state[x] == 1:
-            for node in path[pos[x]:]:
-                incycle[node] = True
-        for node in path:
-            state[node] = 2
+    """Tail length and cycle lcm of one transformation's functional graph.
+    The image of t^i shrinks until i is the tail length, and is then the
+    set of points on cycles."""
+    idx, image = 0, set(range(len(t)))
+    while (smaller := {t[x] for x in image}) != image:
+        idx, image = idx + 1, smaller
     per = 1
-    seen: set[int] = set()
-    for s in range(m):
-        if incycle[s] and s not in seen:
-            clen, x = 0, s
-            while True:
-                seen.add(x)
-                clen += 1
-                x = t[x]
-                if x == s:
-                    break
-            per = math.lcm(per, clen)
-    idx = 0
-    for s in range(m):
-        d, x = 0, s
-        while not incycle[x]:
-            d += 1
-            x = t[x]
-        idx = max(idx, d)
+    while image:
+        start = x = image.pop()
+        clen = 1
+        while (x := t[x]) != start:
+            image.discard(x)
+            clen += 1
+        per = math.lcm(per, clen)
     return idx, per
 
 

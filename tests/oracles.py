@@ -7,6 +7,7 @@ numpy kernels they check: each reads operation tables only through
 """
 
 from itertools import combinations, product
+from operator import getitem
 from typing import Optional
 
 from idemalg import terms
@@ -44,6 +45,32 @@ def naive_tolerance_generated(algebra, pairs):
                     rel.add((u, v))
                     rel.add((v, u))
                     changed = True
+    return frozenset(rel)
+
+
+def naive_cg(algebra, pairs):
+    """Least congruence containing the pairs, as a frozenset of ordered
+    pairs: the reflexive symmetric relation on the pairs, closed under every
+    translation x |-> f(c-bar with x at position i), read through
+    `op.apply`, and under transitivity, until neither adds a pair."""
+    n = algebra.size
+    moves = {tuple(op.apply(c[:i] + (x,) + c[i:], n) for x in range(n))
+             for op in algebra.operations for i in range(op.arity)
+             for c in product(range(n), repeat=op.arity - 1)}
+    rel: set[tuple[int, int]] = set()
+    new = {(x, x) for x in range(n)} | set(pairs) | {(y, x) for x, y in pairs}
+    while new:
+        rel |= new
+        grown = rel | {(t[x], t[y]) for x, y in new for t in moves}
+        while True:
+            succ: dict[int, set[int]] = {}
+            for x, y in grown:
+                succ.setdefault(x, set()).add(y)
+            longer = {(x, z) for x, y in grown for z in succ[y]} - grown
+            if not longer:
+                break
+            grown |= longer
+        new = grown - rel
     return frozenset(rel)
 
 
@@ -111,12 +138,17 @@ def is_abelian_brute(algebra, max_arity: int = 3, limits=TERM_SEARCH_LIMITS) -> 
 
 def naive_subpower_membership(query):
     """Independent reference closure: plain dict of tuples, nested loops, no
-    vectorization and no signature sharing.  Used as the test oracle."""
+    vectorization and no signature sharing.  Used as the test oracle.
+
+    Semi-naive: per round, every prefix of leading arguments over the rows
+    in C order; the last argument runs over every row after a prefix that
+    uses a row new in the round before, else over the new rows only.  That
+    covers each argument tuple with a new row once, in C order.  Per prefix,
+    each coordinate's table is sliced at the prefix, so the last argument
+    is one lookup per coordinate."""
     cols = query.columns
-    k = len(cols)
-    ops = [(name, arity, [alg.op(name).table for alg in cols])
+    ops = [(arity, [(alg.op(name).table, alg.size) for alg in cols])
            for name, arity in cols[0].signature]
-    sizes = [alg.size for alg in cols]
     known: dict[tuple[int, ...], int] = {}
     rows: list[tuple[int, ...]] = []
     for g in query.generators:
@@ -129,18 +161,21 @@ def naive_subpower_membership(query):
         cur = len(rows)
         if cur == old:
             break
-        for name, arity, tables in ops:
-            for combo in product(range(cur), repeat=arity):
-                if all(c < old for c in combo):
-                    continue
-                args = [rows[c] for c in combo]
-                res = tuple(tables[c][table_index([a[c] for a in args], sizes[c])]
-                            for c in range(k))
-                if res not in known:
-                    known[res] = len(rows)
-                    rows.append(res)
-                    if len(rows) > query.cap:
-                        return CapExceeded(query.cap)
+        for arity, tables in ops:
+            for prefix in product(range(cur), repeat=arity - 1):
+                fresh = old == 0 or max(prefix, default=-1) >= old   # uses a new row
+                lasts = rows[0 if fresh else old:cur]
+                slices = []
+                for c, (table, size) in enumerate(tables):
+                    lo = table_index([rows[p][c] for p in prefix], size) * size
+                    slices.append(table[lo:lo + size])
+                for last in lasts:
+                    res = tuple(map(getitem, slices, last))
+                    if res not in known:
+                        known[res] = len(rows)
+                        rows.append(res)
+                        if len(rows) > query.cap:
+                            return CapExceeded(query.cap)
         old = cur
     if tuple(query.target) in known:
         # no witness tracking on purpose; the fast engine provides terms

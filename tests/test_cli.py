@@ -148,6 +148,18 @@ def test_cli_cap_exit_code():
     assert main(["edges", "--fixture", "no-edge", "--cap", "1"]) == EXIT_CAP
 
 
+def test_cli_rejects_caps_and_arities_below_one(capsys):
+    # rejected while parsing: exit 2 before anything reaches stdout
+    for argv in (["edges", "--fixture", "sl2", "--cap", "0"],
+                 ["edges", "--fixture", "sl2", "--cap", "-5"],
+                 ["reduct", "--fixture", "sl2", "--arity", "0"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == EXIT_INPUT, argv
+        out, err = capsys.readouterr()
+        assert out == "" and f"invalid positive_int value: '{argv[-1]}'" in err
+
+
 def test_cli_graph_writes_dot(tmp_path):
     dot = tmp_path / "g.dot"
     hyper = tmp_path / "h.dot"

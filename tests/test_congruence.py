@@ -8,13 +8,14 @@ import pytest
 from oracles import (
     is_abelian_brute,
     is_compatible,
+    naive_cg,
     naive_relation_compatible,
     naive_tolerance_classes,
     naive_tolerance_generated,
 )
 
 from idemalg import fixtures
-from idemalg.algebra import quotient, validate_algebra
+from idemalg.algebra import key_layout, product_algebra, quotient, validate_algebra
 from idemalg.congruence import (
     MODULE,
     OTHER,
@@ -137,6 +138,32 @@ def _random_idempotent_algebra(rng, name):
                  for args in product(range(n), repeat=ar)]
         ops.append((f"o{oi}", ar, table))
     return validate_algebra(name, n, ops)
+
+
+def test_cg_matches_naive_oracle_on_random_algebras_and_squares():
+    # the squares have 4-25 elements; from 16 on, a translation's row key
+    # takes two int64 limbs.  In a square no two translations share the
+    # first limb, so two algebras are added whose translations x |-> f(c, x)
+    # differ only at n - 1, in the second limb: f(c, x) = x, f(c, n - 1) = c
+    rng = random.Random(23)
+    algebras = []
+    for i in range(12):
+        while (alg := _random_idempotent_algebra(rng, f"r{i}")).size < 2:
+            pass
+        algebras += [alg, product_algebra(alg, alg)]
+    for n in (16, 25):
+        table = [c if x == n - 1 else x for c in range(n) for x in range(n)]
+        algebras.append(validate_algebra(f"tail{n}", n, [("f", 2, table)]))
+    limbs = set()
+    for a in algebras:
+        limbs.add(-(-a.size // key_layout(a.size, a.size)[1]))
+        for k in (1, 1, 2):
+            pairs = [tuple(rng.sample(range(a.size), 2)) for _ in range(k)]
+            theta = cg(a, pairs)
+            together = {(x, y) for x in range(a.size) for y in range(a.size)
+                        if theta.together(x, y)}
+            assert together == naive_cg(a, pairs), (a, pairs)
+    assert limbs == {1, 2}
 
 
 def test_tolerance_generated_matches_oracle():

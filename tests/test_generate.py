@@ -12,7 +12,16 @@ import pytest
 from oracles import naive_subpower_membership
 
 from idemalg import generate, terms
-from idemalg.algebra import DEFAULT_CAP, restrict, validate_algebra
+from idemalg.algebra import (
+    DEFAULT_CAP,
+    DENSE,
+    KeyIndex,
+    distinct_rows,
+    key_layout,
+    restrict,
+    row_keys,
+    validate_algebra,
+)
 from idemalg.edges import structure_graph
 from idemalg.errors import TooLarge, ValidationError
 from idemalg.generate import (
@@ -307,8 +316,8 @@ def _random_closure_input(rng, arities, max_size, max_k):
 
 
 # signature, largest universe, most coordinates, caps: sized so that the
-# naive oracle, which applies every operation to every tuple of rows each
-# round, stays quick
+# naive oracle, which applies every operation to every tuple of rows that
+# uses a row new in the round before, stays quick
 CLOSURE_CLASSES = (
     ((2,), 4, 9, (20, 100, 400)),
     ((1, 2), 4, 9, (20, 100, 400)),
@@ -390,7 +399,7 @@ def test_closure_stops_at_a_target_keyed_by_two_limbs():
     z5 = validate_algebra("z5", 5, [("h", 3, [(x - y + z) % 5 for x, y, z in
                                              product(range(5), repeat=3)])])
     q = generate.maltsev_query(z5)
-    assert len(q.columns) == 40 and generate._key_layout(5, 40)[1] < 40
+    assert len(q.columns) == 40 and key_layout(5, 40)[1] < 40
     full = generate.TupleClosure(q.columns, q.generators, q.cap)
     assert full.complete and len(full) == 25
     stopped = generate.TupleClosure(q.columns, q.generators, q.cap, q.target)
@@ -472,8 +481,8 @@ def test_key_index_absent_agrees_on_dense_slots_and_the_dict():
     added = np.unique(rng.integers(0, 500, 120))
     batch = rng.integers(0, 500, 300)
     want = np.flatnonzero(~np.isin(batch, added))
-    for space in (500, generate._DENSE + 1):
-        index = generate._KeyIndex(space)
+    for space in (500, DENSE + 1):
+        index = KeyIndex(space)
         index.add(added)
         assert index._dense == (space == 500)
         assert index.absent(batch).tolist() == want.tolist()
@@ -572,7 +581,7 @@ def test_closures_across_the_dense_key_bound_agree():
         assert small._rows._dense and small._sigs._dense
         assert small.complete == (cap == DEFAULT_CAP) and len(small) > 8
         for index, space in (("_rows", size), ("_sigs", len(small._maps))):
-            k = next(k for k in range(3, 40) if space ** k > generate._DENSE)
+            k = next(k for k in range(3, 40) if space ** k > DENSE)
             for wide in (k - 1, k):
                 cl = generate.TupleClosure((alg,) * wide, [g + g[:1] * (wide - 3) for g in gens], cap)
                 assert getattr(cl, index)._dense == (wide < k), (seed, index, wide)
@@ -595,7 +604,7 @@ def test_closures_across_the_limb_bound_agree():
         for space in (size, len(small._maps)):
             k = next(k for k in range(3, 80) if space ** k >= 1 << 62)
             for wide in (k - 1, k):
-                assert (generate._key_layout(space, wide)[1] == wide) == (wide < k)
+                assert (key_layout(space, wide)[1] == wide) == (wide < k)
                 cl = generate.TupleClosure((alg,) * wide, [g + g[:1] * (wide - 3) for g in gens],
                                            cap)
                 assert (len(cl), cl.complete) == (len(small), small.complete)
@@ -606,13 +615,17 @@ def test_closures_across_the_limb_bound_agree():
 
 def test_sweep_keys_are_row_keys(monkeypatch):
     # every row a closure appends, generators and swept rows alike, carries
-    # the key `_row_keys` gives it; base 256 at k = 7, 8, 9 has one, two and
-    # two limbs (g = 7), bases 2-6 one, in dense slots or in the dict
+    # the key `row_keys` gives it; base 256 at k = 7, 8, 9 has one, two and
+    # two limbs (g = 7), bases 2-6 one, in dense slots or in the dict.
+    # `distinct_rows` over the rows, repeated out of order and with copies
+    # that differ only in the last column (with two limbs, only in the
+    # second), finds the distinct rows of `np.unique(axis=0)`, each at its
+    # first position
     appended = []
 
     def check(self, rows, keys, picks, mk_prov):
         appended.append(len(rows))
-        assert generate._row_keys(rows, self._base).tolist() == keys.tolist()
+        assert row_keys(rows, self._base).tolist() == keys.tolist()
         append(self, rows, keys, picks, mk_prov)
 
     append = generate.TupleClosure._append
@@ -628,8 +641,17 @@ def test_sweep_keys_are_row_keys(monkeypatch):
                 gens = [tuple(rng.randrange(c.size) for c in cols)
                         for _ in range(rng.randint(2, 3))]
                 cl = generate.TupleClosure(cols, gens, 40 if 3 in arity else 150)
-                ids = cl._rows.get(generate._row_keys(cl.rows, size))
+                ids = cl._rows.get(row_keys(cl.rows, size))
                 assert (ids == np.arange(len(cl))).all()
+                moved = cl.rows.astype(int)
+                moved[:, -1] = (moved[:, -1] + 1) % size
+                batch = np.concatenate([cl.rows[1::2], moved, cl.rows, cl.rows[::3]])
+                first, inv = distinct_rows(batch, size)
+                assert (batch[first][inv] == batch).all()
+                assert (first[inv] <= np.arange(len(batch))).all()
+                want = np.unique(batch, axis=0)
+                assert len(first) == len(want)
+                assert {tuple(r) for r in batch[first].tolist()} == {tuple(r) for r in want.tolist()}
     assert sum(appended) > 3000
 
 

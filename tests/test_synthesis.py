@@ -2,7 +2,8 @@
 and the thin-edge combination terms."""
 
 import json
-from itertools import product
+import random
+from itertools import count, product
 from pathlib import Path
 
 import pytest
@@ -19,6 +20,7 @@ from idemalg.synthesis import (
     affine_pair,
     affine_stable_ops,
     build_edge_inventory,
+    idempotent_exponent,
     majority_triple,
     mixed_pair,
     module_projection_fix,
@@ -38,6 +40,26 @@ def _class_ops(*names):
 # --------------------------------------------------------------------------
 # normalizations
 # --------------------------------------------------------------------------
+
+
+def test_idempotent_exponent_is_the_least_by_definition():
+    # against powers composed one step at a time, on random maps (tails and
+    # cycles), permutations and one long tail into a 2-cycle
+    def power(t, e):
+        out = list(range(len(t)))
+        for _ in range(e):
+            out = [t[x] for x in out]
+        return out
+
+    rng = random.Random(3)
+    cases = [[[rng.randrange(m) for _ in range(m)] for _ in range(rng.randint(1, 3))]
+             for m in rng.choices(range(1, 13), k=200)]
+    cases += [[rng.sample(range(m), m)] for m in range(1, 9)]
+    cases.append([[1, 2, 3, 4, 5, 6, 7, 8, 7]])
+    for maps in cases:
+        want = next(e for e in count(1)
+                    if all(power(t, 2 * e) == power(t, e) for t in maps))
+        assert idempotent_exponent(maps) == want, maps
 
 def test_normalize_all_five_equations(a_ne, sl2, z3a, a_nms):
     f_ne = app("f", [proj(0, 2), proj(1, 2)])
