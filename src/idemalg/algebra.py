@@ -92,7 +92,7 @@ class OperationTable:
             raise BadTableLength(self.name, expected, len(self.table))
         out = (self.array < 0) | (self.array >= size)
         if out.any():
-            raise EntryOutOfRange(self.name, int(self.array[_first(out)]), size)
+            raise EntryOutOfRange(self.name, int(self.array[first_index(out)]), size)
         diagonal = self.array[(np.arange(size),) * self.arity]
         wrong = diagonal != np.arange(size)
         if wrong.any():
@@ -121,7 +121,7 @@ def _grid(array: np.ndarray, coords: Sequence[int]) -> np.ndarray:
     return array
 
 
-def _first(mask: np.ndarray) -> tuple[int, ...]:
+def first_index(mask: np.ndarray) -> tuple[int, ...]:
     """The lexicographically first index where the bool array is True."""
     return tuple(np.argwhere(mask)[0].tolist())
 
@@ -290,7 +290,7 @@ def _quotient(a: FiniteAlgebra, blocks: tuple[tuple[int, ...], ...],
         # compatibility: every choice of representatives lands in the same block
         clash = block[op.array] != _grid(table, block)
         if clash.any():
-            args = _first(clash)
+            args = first_index(clash)
             witness = tuple(reps[block_of[x]] for x in args)
             raise NotACongruence(op.name, args, witness, op.apply(args, a.size),
                                  op.apply(witness, a.size))
@@ -320,7 +320,7 @@ def _restrict(a: FiniteAlgebra, emb: tuple[int, ...],
     for op in a.operations:
         table = _reindexed(op, emb, a.size)
         if (table < 0).any():
-            args = tuple(emb[i] for i in _first(table < 0))
+            args = tuple(emb[i] for i in first_index(table < 0))
             raise NotClosed(op.name, args, op.apply(args, a.size))
         ops.append(OperationTable.from_array(op.name, table))
     labels = tuple(a.label(x) for x in emb) if a.labels is not None else None

@@ -90,8 +90,11 @@ def check_connectedness(algebra: FiniteAlgebra,
     return rows
 
 
+#: how many seeded tolerances check_tolerance_classes generates
+_TOLERANCE_SAMPLES = 25
+
+
 def check_tolerance_classes(algebra: FiniteAlgebra, seed: int = 0,
-                            count: int = 25,
                             limits: Limits = DEFAULT_LIMITS) -> list[CheckResult]:
     """Classes of seeded generated tolerances are subuniverses; transitive
     closures are congruences."""
@@ -99,7 +102,7 @@ def check_tolerance_classes(algebra: FiniteAlgebra, seed: int = 0,
     n = algebra.size
     bad = None
     lattice = congruence_lattice(algebra, limits)
-    for i in range(count):
+    for i in range(_TOLERANCE_SAMPLES):
         k = rng.randint(0, max(1, n // 2))
         pairs = [(rng.randrange(n), rng.randrange(n)) for _ in range(k)]
         tol = tolerance_generated(algebra, pairs)
@@ -112,7 +115,7 @@ def check_tolerance_classes(algebra: FiniteAlgebra, seed: int = 0,
             bad = f"transitive closure of tolerance #{i} is not a congruence"
         if bad:
             break
-    return [CheckResult(f"tolerance classes are subuniverses ({count} seeded)",
+    return [CheckResult(f"tolerance classes are subuniverses ({_TOLERANCE_SAMPLES} seeded)",
                         bad is None, bad or "")]
 
 

@@ -145,12 +145,14 @@ def cg(algebra: FiniteAlgebra, pairs: Iterable[tuple[int, int]]) -> Congruence:
 
 def _translations(algebra: FiniteAlgebra) -> np.ndarray:
     """The distinct translations x |-> f(c-bar with x at position i), one
-    per row in order of their exact keys, memoized on the algebra."""
+    per row in order of their exact keys, memoized on the algebra.  Constant
+    maps and the identity are left out: they never merge a pair."""
     def compute() -> np.ndarray:
         n = algebra.size
         rows = np.concatenate([np.moveaxis(op.array, pos, -1).reshape(-1, n)
                                for op in algebra.operations for pos in range(op.arity)])
-        return rows[distinct_rows(rows, n)[0]]
+        rows = rows[distinct_rows(rows, n)[0]]
+        return rows[(rows != rows[:, :1]).any(axis=1) & (rows != np.arange(n)).any(axis=1)]
     return algebra.memoized(("translations",), compute)
 
 
@@ -369,10 +371,11 @@ def classify_simple_quotient(algebra: FiniteAlgebra,
     return OTHER
 
 
-def absorbing_elements(algebra: FiniteAlgebra, max_arity: int = 3,
-                       limits: Limits = TERM_SEARCH_LIMITS) -> tuple[list[int], int]:
-    """Elements a such that every term operation (up to the reported arity)
-    depending on a variable maps a there to a, whatever the companions.
+def absorbing_elements(algebra: FiniteAlgebra, limits: Limits = TERM_SEARCH_LIMITS
+                       ) -> tuple[list[int], int]:
+    """Elements a such that every term operation (up to the reported arity,
+    at most 3) depending on a variable maps a there to a, whatever the
+    companions.
 
     Returns (elements, arity_reached): the search walks arities upward and
     stops early when the term enumeration exceeds the cap, so the result is
@@ -380,7 +383,7 @@ def absorbing_elements(algebra: FiniteAlgebra, max_arity: int = 3,
     n = algebra.size
     candidates = set(range(n))
     reached = 0
-    for arity in range(1, max_arity + 1):
+    for arity in (1, 2, 3):
         try:
             tops = term_operations(algebra, arity, limits.cap)
         except CapExceededError:

@@ -5,8 +5,8 @@ witnesses, straightening its behaviour on module quotients by idempotent
 powers, forcing the first projection, normalizing the absorption identity
 and finally refining to the shift condition.  The ternary majority
 operation is chained from per-edge witnesses after each has been separated
-from the module quotients; variable permutations are resolved by trying all
-six and taking the first that verifies.  The ternary Mal'tsev operation is
+from the module quotients; a variable permutation is read off the chain's
+restriction type on each edge.  The ternary Mal'tsev operation is
 found in one shot as a simultaneous subpower query across all module
 quotients and then steered off majority and semilattice edges by
 composition.  Every constructed operation is re-verified exhaustively on
@@ -17,12 +17,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import permutations
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .algebra import DEFAULT_LIMITS, FiniteAlgebra, Limits, align_signatures, restrict
+from .algebra import (DEFAULT_LIMITS, FiniteAlgebra, Limits, align_signatures, first_index,
+                      restrict)
 from .congruence import Congruence
 from .edges import (
     AFFINE,
@@ -94,15 +94,10 @@ class ThickEdge:
     subuniverse: tuple[int, ...]
     theta: Congruence
     quotient: FiniteAlgebra
-    qa: int
-    qb: int
     block_a: tuple[int, ...]     # parent ids
     block_b: tuple[int, ...]
     edge_algebra: FiniteAlgebra  # 2-element restriction for sl/maj, quotient for affine
-    ea_a: int                    # local id of the a-block inside edge_algebra
-    ea_b: int
     witness: Term
-    absorber: Optional[int]
 
     def describe(self) -> str:
         return (f"{self.algebra.name}:{self.pair} {self.label} "
@@ -157,16 +152,11 @@ def build_edge_inventory(algebras: Sequence[FiniteAlgebra],
 
 def _thick_edge(alg: FiniteAlgebra, ai: int, pair: tuple[int, int],
                 w: EdgeWitness) -> ThickEdge:
-    block_a = w.parent_block(w.a_block)
-    block_b = w.parent_block(w.b_block)
-    if w.label in (SEMILATTICE, MAJORITY):
-        edge_alg, emb = restrict(w.quotient, [w.a_block, w.b_block])
-        ea_a, ea_b = emb.index(w.a_block), emb.index(w.b_block)
-    else:
-        edge_alg, ea_a, ea_b = w.quotient, w.a_block, w.b_block
-    return ThickEdge(alg, ai, pair, w.label, w.subuniverse, w.theta,
-                     w.quotient, w.a_block, w.b_block, block_a, block_b,
-                     edge_alg, ea_a, ea_b, w.witness, w.absorber)
+    edge_alg = restrict(w.quotient, [w.a_block, w.b_block])[0] \
+        if w.label in (SEMILATTICE, MAJORITY) else w.quotient
+    return ThickEdge(alg, ai, pair, w.label, w.subuniverse, w.theta, w.quotient,
+                     w.parent_block(w.a_block), w.parent_block(w.b_block),
+                     edge_alg, w.witness)
 
 
 # --------------------------------------------------------------------------
@@ -202,48 +192,11 @@ def idempotent_exponent(maps: Iterable[Sequence[int]]) -> int:
     return lcm_per * -(-max_idx // lcm_per)
 
 
-def _unary_slices(algebras: Sequence[FiniteAlgebra], op: Term,
-                  shape: str) -> list[tuple[int, ...]]:
-    """The families of unary maps driving each normalization."""
-    out = []
-    for alg in algebras:
-        arr = realize_table(op, alg).array
-        if shape == "fix-first":         # y -> map x |-> op(x, y)
-            maps = arr.T
-        elif shape == "fix-second":      # x -> map y |-> op(x, y)
-            maps = arr
-        elif shape == "collapse23":      # x -> map y |-> op(x, y, y)
-            maps = np.diagonal(arr, axis1=1, axis2=2)
-        elif shape == "collapse23-first":  # y -> map x |-> op(x, y, y)
-            maps = np.diagonal(arr, axis1=1, axis2=2).T
-        else:
-            raise ValueError(shape)
-        out.extend(map(tuple, maps.tolist()))
-    return out
-
-
-def _pair_exchange_maps(algebras: Sequence[FiniteAlgebra], op: Term) -> list[tuple[int, ...]]:
-    """Per algebra, the map (x, y) |-> (op(x, y), op(y, x)) on pairs coded
-    x*n + y."""
-    out = []
-    for alg in algebras:
-        arr = realize_table(op, alg).array
-        out.append(tuple((arr * alg.size + arr.T).ravel().tolist()))
-    return out
-
-
-def _triple_cycle_maps(algebras: Sequence[FiniteAlgebra], op: Term) -> list[tuple[int, ...]]:
-    """Per algebra, the map (x, y, z) |-> (op(x, y, z), op(y, z, x),
-    op(z, x, y)) on triples coded (x*n + y)*n + z."""
-    out = []
-    for alg in algebras:
-        n = alg.size
-        arr = realize_table(op, alg).array
-        # axes (x, y, z): op(y, z, x) is arr[y, z, x], op(z, x, y) is arr[z, x, y]
-        rot1 = np.transpose(arr, (2, 0, 1))
-        rot2 = np.transpose(arr, (1, 2, 0))
-        out.append(tuple(((arr * n + rot1) * n + rot2).ravel().tolist()))
-    return out
+def _maps(algebras: Sequence[FiniteAlgebra], op: Term, view) -> list[tuple[int, ...]]:
+    """The unary maps driving a normalization: the rows of view(array) for
+    the realized table of op on every member."""
+    return [tuple(row) for alg in algebras
+            for row in view(realize_table(op, alg).array).tolist()]
 
 
 def normalization_identity(op: Term, which: str) -> Identity:
@@ -264,37 +217,45 @@ def normalization_identity(op: Term, which: str) -> Identity:
     raise ValueError(f"unknown normalization {which!r}")
 
 
+#: the largest exponent the exchange and cycle normalizations unroll
+_MAX_LEVELS = 4096
+
+
 def normalize_identities(algebras: Sequence[FiniteAlgebra], op: Term,
-                         which: str, max_levels: int = 4096) -> Term:
+                         which: str) -> Term:
     """Iterated-composition normalization making one of the five equations
     hold on every member; exponents are computed from the realized tables.
     The result is verified before being returned."""
     algebras = list(algebras)
-    if which == F_ABSORPTION:
-        e = idempotent_exponent(_unary_slices(algebras, op, "fix-second"))
+    if which == F_ABSORPTION:     # x -> the map y |-> op(x, y)
+        e = idempotent_exponent(_maps(algebras, op, np.asarray))
         result = power(op, 1, e)
-    elif which == H_SHIFT:
-        e = idempotent_exponent(_unary_slices(algebras, op, "collapse23-first"))
+    elif which == H_SHIFT:        # y -> the map x |-> op(x, y, y)
+        e = idempotent_exponent(_maps(algebras, op, lambda a: np.diagonal(a, 0, 1, 2).T))
         body = substitute(op, [_X3, _Y3, _Y3])
         shifted = power(body, 0, e - 1) if e > 1 else _X3
         result = substitute(op, [shifted, _Y3, _Z3])
-    elif which == M_ABSORPTION:
-        e = idempotent_exponent(_unary_slices(algebras, op, "collapse23"))
+    elif which == M_ABSORPTION:   # x -> the map y |-> op(x, y, y)
+        e = idempotent_exponent(_maps(algebras, op, lambda a: np.diagonal(a, 0, 1, 2)))
         body = substitute(op, [_X3, _Y3, _Y3])
         stepper = power(body, 1, e - 1) if e > 1 else _Y3
         result = substitute(stepper, [_X3, op, _Z3])
     elif which == F_EXCHANGE:
-        e = idempotent_exponent(_pair_exchange_maps(algebras, op))
-        if e > max_levels:
-            raise CapExceededError(max_levels, "exchange normalization depth")
+        # the one map (x, y) |-> (op(x, y), op(y, x)) on pairs coded x*n + y
+        e = idempotent_exponent(_maps(algebras, op, lambda a: (a * len(a) + a.T).reshape(1, -1)))
+        if e > _MAX_LEVELS:
+            raise CapExceededError(_MAX_LEVELS, "exchange normalization depth")
         u, v = _X2, _Y2
         for _ in range(e):
             u, v = substitute(op, [u, v]), substitute(op, [v, u])
         result = u
     elif which == M_CYCLE:
-        e = idempotent_exponent(_triple_cycle_maps(algebras, op))
-        if e > max_levels:
-            raise CapExceededError(max_levels, "cycle normalization depth")
+        # the one map (x, y, z) |-> (op(x, y, z), op(y, z, x), op(z, x, y)) on
+        # triples coded (x*n + y)*n + z; op(y, z, x) is a[y, z, x], op(z, x, y) a[z, x, y]
+        e = idempotent_exponent(_maps(algebras, op, lambda a: (
+            (a * len(a) + a.transpose(2, 0, 1)) * len(a) + a.transpose(1, 2, 0)).reshape(1, -1)))
+        if e > _MAX_LEVELS:
+            raise CapExceededError(_MAX_LEVELS, "cycle normalization depth")
         u, v, w = _X3, _Y3, _Z3
         for _ in range(e):
             u, v, w = (substitute(op, [u, v, w]), substitute(op, [v, w, u]),
@@ -316,39 +277,21 @@ def normalize_identities(algebras: Sequence[FiniteAlgebra], op: Term,
 # --------------------------------------------------------------------------
 
 
-def _binary_on_edge(term: Term, edge: ThickEdge) -> str:
-    """Restriction type of a binary term on a 2-element edge algebra:
-    'proj1', 'proj2', or 'sl:<absorber local id>'."""
-    tab = realize_table(term, edge.edge_algebra)
-    v01 = tab.apply((0, 1), 2)
-    v10 = tab.apply((1, 0), 2)
-    if (v01, v10) == (0, 1):
-        return "proj1"
-    if (v01, v10) == (1, 0):
-        return "proj2"
-    if v01 != v10:
-        raise PostconditionFailed(f"{term.text()} is no binary operation on {edge.describe()}")
-    return f"sl:{v01}"
+#: the six points of _ternary_on_edge, one (2, 3) index array per axis:
+#: _LONE[:, 0, k] has a lone 0 at position k, _LONE[:, 1, k] a lone 1
+_LONE = np.stack([1 - np.eye(3, dtype=np.intp), np.eye(3, dtype=np.intp)], axis=1)
 
 
 def _ternary_on_edge(term: Term, edge: ThickEdge) -> str:
     """Restriction type of a ternary term on a 2-element edge algebra, as
     the pattern (t(x,y,y), t(y,x,y), t(y,y,x)) written with x for 'the lone
     argument wins' and y for 'the pair wins'."""
-    tab = realize_table(term, edge.edge_algebra)
-
-    def pat(args01, args10) -> str:
-        a, b = tab.apply(args01, 2), tab.apply(args10, 2)
-        if (a, b) == (0, 1):
-            return "x"
-        if (a, b) == (1, 0):
-            return "y"
+    lone0, lone1 = realize_table(term, edge.edge_algebra).array[tuple(_LONE)]
+    if (lone0 == lone1).any():
         raise CaseNotRecognized(
             f"a binary identification of the term is not a projection on the "
             f"edge {edge.describe()}; the edge cannot be of the majority type")
-
-    return pat((0, 1, 1), (1, 0, 0)) + pat((1, 0, 1), (0, 1, 0)) \
-        + pat((1, 1, 0), (0, 0, 1))
+    return "".join("xy"[v] for v in lone0.tolist())
 
 
 _TERNARY_KINDS = {
@@ -361,6 +304,14 @@ _TERNARY_KINDS = {
 
 def _projection_index(term: Term, algebra: FiniteAlgebra) -> Optional[int]:
     return realize_table(term, algebra).is_projection(algebra.size)
+
+
+def _equals(term: Term, algebra: FiniteAlgebra, table: np.ndarray) -> bool:
+    return bool((realize_table(term, algebra).array == table).all())
+
+
+#: the majority operation on {0, 1}
+_MAJORITY = (np.indices((2, 2, 2)).sum(axis=0) >= 2).astype(np.intp)
 
 
 # --------------------------------------------------------------------------
@@ -381,8 +332,7 @@ def module_projection_fix(algebras: Sequence[FiniteAlgebra], op: Term,
     case routes through a separating binary term built from the Mal'tsev
     operation by the case analysis of its restriction to the edge."""
     if which == "f":
-        maps = _unary_slices(list(algebras) + [module_quotient], op, "fix-first")
-        e = idempotent_exponent(maps)
+        e = idempotent_exponent(_maps(list(algebras) + [module_quotient], op, np.transpose))
         fprime = power(op, 0, e)
         fixed = substitute(fprime, [fprime, _X2])
         if _projection_index(fixed, module_quotient) != 0:
@@ -436,7 +386,7 @@ def separating_term(edge: ThickEdge, module_quotients: Sequence[FiniteAlgebra],
         p = substitute(h, [s1, s2, y])
     else:
         raise CaseNotRecognized(kind)
-    if _binary_on_edge(p, edge) != "proj1":
+    if _projection_index(p, edge.edge_algebra) != 0:
         raise CaseNotRecognized(
             f"separating term is not the first projection on {edge.describe()}")
     for quo in module_quotients:
@@ -508,8 +458,7 @@ def build_f(algebras: Sequence[FiniteAlgebra], inventory: EdgeInventory) -> Term
     needs_fix = [e for e in inventory.affine
                  if _projection_index(fcur, e.quotient) is None]
     if needs_fix:
-        maps = _unary_slices(list(algebras), fcur, "fix-first")
-        e = idempotent_exponent(maps)
+        e = idempotent_exponent(_maps(algebras, fcur, np.transpose))
         fcur = power(fcur, 0, e)
     fcur = substitute(fcur, [fcur, _X2])
     fcur = normalize_identities(algebras, fcur, F_ABSORPTION)
@@ -543,6 +492,11 @@ def build_maltsev_core(inventory: EdgeInventory,
     return ans.witness
 
 
+#: by the first position k where the lone argument wins, the first variable
+#: permutation (in itertools order) that moves position k to the front
+_STRAIGHTEN = ((0, 1, 2), (1, 0, 2), (1, 2, 0))
+
+
 def build_g_core(algebras: Sequence[FiniteAlgebra], inventory: EdgeInventory,
                  h_core: Term) -> Term:
     """Chain the majority witnesses into one term that is majority on every
@@ -561,20 +515,10 @@ def build_g_core(algebras: Sequence[FiniteAlgebra], inventory: EdgeInventory,
         if gcur is None:
             gcur = gi
             continue
-        if _ternary_on_edge(gcur, edge) == "yyy":
+        pattern = _ternary_on_edge(gcur, edge)
+        if pattern == "yyy":
             continue
-        fixed = None
-        for perm in permutations(range(3)):
-            gs = substitute(gcur, [proj(perm[0], 3), proj(perm[1], 3),
-                                   proj(perm[2], 3)])
-            tab = realize_table(gs, edge.edge_algebra)
-            if tab.apply((0, 1, 1), 2) == 0 and tab.apply((1, 0, 0), 2) == 1:
-                fixed = gs
-                break
-        if fixed is None:
-            raise CaseNotRecognized(
-                f"no variable permutation straightens the chain on "
-                f"{edge.describe()}")
+        fixed = substitute(gcur, [proj(i, 3) for i in _STRAIGHTEN[pattern.index("x")]])
         p = substitute(fixed, [_X2, _Y2, _Y2])     # binary: fixed(x, y, y)
         gcur = substitute(p, [gi, fixed])
     if module_quotients:
@@ -636,38 +580,25 @@ def verify_uniform(inventory: EdgeInventory, f: Term, g: Term, h: Term
 
     for e in inventory.semilattice:
         ea = e.edge_algebra
-        ft = realize_table(f, ea)
-        ok = ft.apply((0, 1), 2) == ft.apply((1, 0), 2)
-        add("f semilattice", e.describe(), ok)
-        gt = realize_table(g, ea)
-        ht = realize_table(h, ea)
-        patt = [(x, y, z) for x in range(2) for y in range(2) for z in range(2)]
-        want = {p: ft.apply((p[0], ft.apply((p[1], p[2]), 2)), 2) for p in patt}
-        add("g = f(x,f(y,z)) on semilattice edge", e.describe(),
-            all(gt.apply(p, 2) == want[p] for p in patt))
-        add("h = f(x,f(y,z)) on semilattice edge", e.describe(),
-            all(ht.apply(p, 2) == want[p] for p in patt))
+        ft = realize_table(f, ea).array
+        add("f semilattice", e.describe(), bool((ft == ft.T).all()))
+        want = ft[np.arange(2)[:, None, None], ft]      # f(x, f(y, z))
+        add("g = f(x,f(y,z)) on semilattice edge", e.describe(), _equals(g, ea, want))
+        add("h = f(x,f(y,z)) on semilattice edge", e.describe(), _equals(h, ea, want))
     for e in inventory.majority:
         ea = e.edge_algebra
-        add("f first projection", e.describe(),
-            _projection_index(f, ea) == 0)
-        gt = realize_table(g, ea)
-        ok = all(gt.apply((x, y, z), 2) == (1 if x + y + z >= 2 else 0)
-                 for x in range(2) for y in range(2) for z in range(2))
-        add("g majority", e.describe(), ok)
-        add("h first projection", e.describe(),
-            _projection_index(h, ea) == 0)
+        add("f first projection", e.describe(), _projection_index(f, ea) == 0)
+        add("g majority", e.describe(), _equals(g, ea, _MAJORITY))
+        add("h first projection", e.describe(), _projection_index(h, ea) == 0)
     for e in inventory.affine:
         quo = e.quotient
-        add("f first projection", e.describe(),
-            _projection_index(f, quo) == 0)
-        add("g first projection", e.describe(),
-            _projection_index(g, quo) == 0)
-        ht = realize_table(h, quo)
-        n = quo.size
-        ok = all(ht.apply((x, x, y), n) == y and ht.apply((y, x, x), n) == y
-                 for x in range(n) for y in range(n))
-        add("h Mal'tsev on quotient", e.describe(), ok)
+        add("f first projection", e.describe(), _projection_index(f, quo) == 0)
+        add("g first projection", e.describe(), _projection_index(g, quo) == 0)
+        ht = realize_table(h, quo).array
+        z = np.arange(quo.size)[:, None]
+        # diagonal(ht, 0, 0, 1)[z, x] = h(x, x, z), diagonal(ht, 0, 1, 2)[z, x] = h(z, x, x)
+        add("h Mal'tsev on quotient", e.describe(),
+            bool((np.diagonal(ht, 0, 0, 1) == z).all() and (np.diagonal(ht, 0, 1, 2) == z).all()))
     for alg in inventory.algebras:
         for which, opterm in ((F_ABSORPTION, f), (M_ABSORPTION, g), (H_SHIFT, h)):
             cx = check_identity(alg, normalization_identity(opterm, which))
@@ -687,12 +618,7 @@ def satisfies_majority_condition(ops_g: Term, inventory: EdgeInventory) -> bool:
     for alg in inventory.algebras:
         if check_identity(alg, normalization_identity(ops_g, M_ABSORPTION)) is not None:
             return False
-    for e in inventory.majority:
-        gt = realize_table(ops_g, e.edge_algebra)
-        if not all(gt.apply((x, y, z), 2) == (1 if x + y + z >= 2 else 0)
-                   for x in range(2) for y in range(2) for z in range(2)):
-            return False
-    return True
+    return all(_equals(ops_g, e.edge_algebra, _MAJORITY) for e in inventory.majority)
 
 
 def _certify(term: Term, what: str, *checks, majority: Optional[EdgeInventory] = None):
@@ -826,9 +752,9 @@ def affine_stable_ops(ops: DistinguishedOps, edge: ThinEdge, kind: str) -> Term:
         t = substitute(r, [_X2, gxyy])
         _certify(t, "t_ab", (edge.algebra, (a, b), b))
         for aff in ops.inventory.affine:
-            block = dict(zip(aff.subuniverse, aff.theta.block_index))
+            block = _block_of(aff)
             c, d = aff.pair
-            if block[evaluate(t, aff.algebra, (c, d))] != block[c]:
+            if block[realize_table(t, aff.algebra).array[c, d]] != block[c]:
                 raise PostconditionFailed(
                     f"t_ab drifts off the block on {aff.describe()}")
         return t
@@ -842,18 +768,26 @@ def affine_stable_ops(ops: DistinguishedOps, edge: ThinEdge, kind: str) -> Term:
         t = substitute(s, [_X3, h])
         _certify(t, "h_ab", (edge.algebra, (a, a, b), b))
         for aff in ops.inventory.affine:
-            alg, sub = aff.algebra, aff.subuniverse
-            block = dict(zip(sub, aff.theta.block_index))
+            sub, block = aff.subuniverse, _block_of(aff)
+            tab = realize_table(t, aff.algebra).array
             c, d = aff.pair
-            if block[evaluate(t, alg, (d, c, c))] != block[d]:
+            if block[tab[d, c, c]] != block[d]:
                 raise PostconditionFailed(
                     f"h_ab drifts off the block on {aff.describe()}")
-            for cp in sub:
-                for dp in sub:
-                    image = {block[evaluate(t, alg, (x, cp, dp))] for x in sub}
-                    if len(image) != len(aff.theta.blocks):
-                        raise PostconditionFailed(
-                            f"h_ab(x, {cp}, {dp}) is not a permutation of the "
-                            f"quotient on {aff.describe()}")
+            # hit[k, cp, dp]: some x in sub has h_ab(x, cp, dp) in block k
+            images = block[tab[np.ix_(sub, sub, sub)]]
+            hit = (images == np.arange(len(aff.theta.blocks))[:, None, None, None]).any(axis=1)
+            if not hit.all():
+                cp, dp = (sub[i] for i in first_index(~hit.all(axis=0)))
+                raise PostconditionFailed(
+                    f"h_ab(x, {cp}, {dp}) is not a permutation of the "
+                    f"quotient on {aff.describe()}")
         return t
     raise ValueError(f"kind must be 't_ab' or 'h_ab', got {kind!r}")
+
+
+def _block_of(aff: ThickEdge) -> np.ndarray:
+    """Element -> its block under the edge's congruence (-1 off its subuniverse)."""
+    block = np.full(aff.algebra.size, -1)
+    block[list(aff.subuniverse)] = aff.theta.block_index
+    return block

@@ -22,7 +22,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .algebra import FiniteAlgebra, OperationTable, coordinate
+from .algebra import FiniteAlgebra, OperationTable, coordinate, first_index
 from .errors import ArityMismatch, TermSyntaxError, UnknownSymbol
 
 _INTERN: dict[tuple, "Term"] = {}
@@ -308,7 +308,7 @@ def _op_of(node: Term, algebra: FiniteAlgebra) -> OperationTable:
     return op
 
 
-def realize_table(t: Term, algebra: FiniteAlgebra, name: str = "t") -> OperationTable:
+def realize_table(t: Term, algebra: FiniteAlgebra) -> OperationTable:
     """Full table of the induced operation, computed bottom-up over the DAG,
     one array per node.  Nodes realize at their own arity (composition
     outers differ from the root)."""
@@ -335,7 +335,7 @@ def realize_table(t: Term, algebra: FiniteAlgebra, name: str = "t") -> Operation
                 times >>= 1
             arr = np.moveaxis(result, -1, node.hole)
         arrays[id(node)] = arr
-    return OperationTable.from_array(name, arrays[id(t)])
+    return OperationTable.from_array("t", arrays[id(t)])
 
 
 @dataclass(frozen=True)
@@ -363,7 +363,7 @@ def check_identity(algebra: FiniteAlgebra, ident: Identity
     or None if the identity holds."""
     differ = realize_table(ident.left, algebra).array \
         != realize_table(ident.right, algebra).array
-    return tuple(np.argwhere(differ)[0].tolist()) if differ.any() else None
+    return first_index(differ) if differ.any() else None
 
 
 # --- parsing ---

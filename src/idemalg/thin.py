@@ -16,7 +16,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
-from .algebra import DEFAULT_LIMITS, FiniteAlgebra, Limits
+import numpy as np
+
+from .algebra import DEFAULT_LIMITS, FiniteAlgebra, Limits, first_index
 from .edges import (
     AFFINE,
     MAJORITY,
@@ -62,37 +64,30 @@ def sls_chain(algebras: Sequence[FiniteAlgebra], f0: Term
     """Iterate f_{i+1}(x,y) = f(x, f(f_i(x,y), x)) until the shift chains of
     all pairs in all member algebras stabilize; returns (f_ell, ell).
 
-    The stabilization index of a pair (a, b) with f(a,b) != a is the first k
-    where the chain b_0 = f(a,b), b_{i+1} = f(a, f(b_i, a)) repeats; a cycle
-    that never reaches a fixed point means the input was not semilattice on
-    a thick edge it should have been, and is reported as such."""
+    The shift chain of (a, b) is b_0 = f(a,b), b_{i+1} = f(a, f(b_i, a)); it
+    stands still at b_0 = a when f(a,b) = a.  All chains of a member advance
+    together on the realized table; ell is the number of steps until none
+    moves.  A chain reaching a fixed point has distinct values up to it, so
+    one still moving after n steps cycles: the input was not semilattice on
+    a thick edge it should have been.  The first cycling pair is reported."""
     ell = 0
     for alg in algebras:
-        tab = terms.realize_table(f0, alg)
-
-        def f(x: int, y: int) -> int:
-            return tab.apply((x, y), alg.size)
-
-        for a in alg.elements():
-            for b in alg.elements():
-                if f(a, b) == a:
-                    continue
-                bi = f(a, b)
-                seen = {bi: 0}
-                i = 0
-                while True:
-                    nxt = f(a, f(bi, a))
-                    if nxt == bi:
-                        break
-                    i += 1
-                    if nxt in seen:
-                        raise PostconditionFailed(
-                            f"shift chain of ({a},{b}) in {alg.name} cycles "
-                            f"without stabilizing; the starting operation is "
-                            f"not semilattice on its thick semilattice edges")
-                    seen[nxt] = i
-                    bi = nxt
-                ell = max(ell, i)
+        arr = terms.realize_table(f0, alg).array
+        a = np.arange(alg.size)[:, None]
+        chain = arr
+        for steps in range(alg.size):
+            nxt = arr[a, arr[chain, a]]
+            moving = nxt != chain
+            if not moving.any():
+                break
+            chain = nxt
+        else:
+            a0, b0 = first_index(moving)
+            raise PostconditionFailed(
+                f"shift chain of ({a0},{b0}) in {alg.name} cycles "
+                f"without stabilizing; the starting operation is "
+                f"not semilattice on its thick semilattice edges")
+        ell = max(ell, steps)
     fi = f0
     x, y = terms.proj(0, 2), terms.proj(1, 2)
     for _ in range(ell):
@@ -103,17 +98,11 @@ def sls_chain(algebras: Sequence[FiniteAlgebra], f0: Term
 def satisfies_sls(algebra: FiniteAlgebra, f_term: Term
                   ) -> Optional[tuple[int, int]]:
     """None when the shift condition holds; else the counterexample pair:
-    some (a, b) with c = f(a,b) distinct from a but not a.c = c.a = c."""
-    tab = terms.realize_table(f_term, algebra)
-    n = algebra.size
-    for a in range(n):
-        for b in range(n):
-            c = tab.apply((a, b), n)
-            if c == a:
-                continue
-            if tab.apply((a, c), n) != c or tab.apply((c, a), n) != c:
-                return (a, b)
-    return None
+    the first (a, b) with c = f(a,b) distinct from a but not a.c = c.a = c."""
+    arr = terms.realize_table(f_term, algebra).array
+    a = np.arange(algebra.size)[:, None]
+    bad = (arr != a) & ((arr[a, arr] != arr) | (arr[arr, a] != arr))
+    return first_index(bad) if bad.any() else None
 
 
 def synth_sls(algebra: FiniteAlgebra, f0: Term,
@@ -142,32 +131,30 @@ def _check_edge_behaviour(algebra: FiniteAlgebra, f0: Term, refined: Term,
     first projection on majority/affine thick edges."""
     for rep in graph.reports:
         for w in rep.witnesses:
-            quo = w.quotient
-            old = terms.realize_table(f0, quo)
-            new = terms.realize_table(refined, quo)
-            qa, qb = w.a_block, w.b_block
+            if w.label not in (SEMILATTICE, MAJORITY, AFFINE):
+                continue
+            pts = ([w.a_block, w.b_block], [w.b_block, w.a_block])   # (qa, qb), (qb, qa)
+            new = terms.realize_table(refined, w.quotient).array[pts]
             if w.label == SEMILATTICE:
-                pairs = [(qa, qb), (qb, qa)]
-                for p in pairs:
-                    if new.apply(p, quo.size) != old.apply(p, quo.size):
-                        raise PostconditionFailed(
-                            f"refinement changed the semilattice edge "
-                            f"{rep.pair} at {p}")
-            elif w.label in (MAJORITY, AFFINE):
-                for p in [(qa, qb), (qb, qa)]:
-                    if new.apply(p, quo.size) != p[0]:
-                        raise PostconditionFailed(
-                            f"refinement is not the first projection on the "
-                            f"{w.label} edge {rep.pair}")
+                changed = new != terms.realize_table(f0, w.quotient).array[pts]
+                if changed.any():
+                    i = int(np.argmax(changed))
+                    raise PostconditionFailed(
+                        f"refinement changed the semilattice edge {rep.pair} at "
+                        f"{(pts[0][i], pts[1][i])}")
+            elif (new != pts[0]).any():
+                raise PostconditionFailed(
+                    f"refinement is not the first projection on the "
+                    f"{w.label} edge {rep.pair}")
 
 
 def thin_semilattice_order(algebra: FiniteAlgebra, f_term: Term
                            ) -> list[tuple[int, int]]:
     """All pairs a != b with f(a,b) = f(b,a) = b."""
-    tab = terms.realize_table(f_term, algebra)
-    n = algebra.size
-    return [(a, b) for a in range(n) for b in range(n)
-            if a != b and tab.apply((a, b), n) == b and tab.apply((b, a), n) == b]
+    arr = terms.realize_table(f_term, algebra).array
+    b = np.arange(algebra.size)
+    order = (arr == b) & (arr.T == b) & (b[:, None] != b)
+    return [tuple(p) for p in np.argwhere(order).tolist()]
 
 
 # --------------------------------------------------------------------------

@@ -48,15 +48,22 @@ def naive_tolerance_generated(algebra, pairs):
     return frozenset(rel)
 
 
+def naive_translations(algebra):
+    """Every translation x |-> f(c-bar with x at position i), as a set of
+    tuples, read through `op.apply`."""
+    n = algebra.size
+    return {tuple(op.apply(c[:i] + (x,) + c[i:], n) for x in range(n))
+            for op in algebra.operations for i in range(op.arity)
+            for c in product(range(n), repeat=op.arity - 1)}
+
+
 def naive_cg(algebra, pairs):
     """Least congruence containing the pairs, as a frozenset of ordered
     pairs: the reflexive symmetric relation on the pairs, closed under every
     translation x |-> f(c-bar with x at position i), read through
     `op.apply`, and under transitivity, until neither adds a pair."""
     n = algebra.size
-    moves = {tuple(op.apply(c[:i] + (x,) + c[i:], n) for x in range(n))
-             for op in algebra.operations for i in range(op.arity)
-             for c in product(range(n), repeat=op.arity - 1)}
+    moves = naive_translations(algebra)
     rel: set[tuple[int, int]] = set()
     new = {(x, x) for x in range(n)} | set(pairs) | {(y, x) for x, y in pairs}
     while new:
@@ -284,3 +291,70 @@ def naive_product(a, b):
             table.append(op_a.apply(xs, a.size) * b.size + op_b.apply(ys, b.size))
         tables.append(tuple(table))
     return tables
+
+
+def naive_satisfies_sls(op, size):
+    """The first pair (a, b), in row-major order, where c = f(a, b) differs
+    from a but a.c = c.a = c fails, for the binary table `op`; else None."""
+    for a, b in product(range(size), repeat=2):
+        c = op.apply((a, b), size)
+        if c != a and not op.apply((a, c), size) == op.apply((c, a), size) == c:
+            return (a, b)
+    return None
+
+
+def naive_thin_semilattice_order(op, size):
+    """All pairs a != b with f(a, b) = f(b, a) = b, in row-major order."""
+    return [(a, b) for a, b in product(range(size), repeat=2)
+            if a != b and op.apply((a, b), size) == op.apply((b, a), size) == b]
+
+
+def naive_sls_ell(op, size):
+    """The stabilization index of the shift chains of the binary table `op`:
+    (ell, None), or (None, (a, b)) for the first pair in row-major order
+    whose chain b_0 = f(a, b), b_{i+1} = f(a, f(b_i, a)) repeats a value
+    without reaching a fixed point."""
+    ell = 0
+    for a, b in product(range(size), repeat=2):
+        chain = [op.apply((a, b), size)]
+        while True:
+            nxt = op.apply((a, op.apply((chain[-1], a), size)), size)
+            if nxt == chain[-1]:
+                break
+            if nxt in chain:
+                return None, (a, b)
+            chain.append(nxt)
+        ell = max(ell, len(chain) - 1)
+    return ell, None
+
+
+def naive_edge_conditions(inventory, f, g, h):
+    """(condition, edge, ok) for conditions (i)-(iii) of `verify_uniform` on
+    every thick edge, in its order, by scalar `terms.evaluate`."""
+    def ev(t, algebra, args):
+        return terms.evaluate(t, algebra, args)
+
+    out = []
+    cube = list(product(range(2), repeat=3))
+    for e in inventory.semilattice:
+        a = e.edge_algebra
+        out.append(("f semilattice", e.describe(), ev(f, a, (0, 1)) == ev(f, a, (1, 0))))
+        for name, t in (("g", g), ("h", h)):
+            out.append((f"{name} = f(x,f(y,z)) on semilattice edge", e.describe(),
+                        all(ev(t, a, p) == ev(f, a, (p[0], ev(f, a, p[1:]))) for p in cube)))
+    for e in inventory.majority:
+        a = e.edge_algebra
+        out.append(("f first projection", e.describe(),
+                    all(ev(f, a, p) == p[0] for p in product(range(2), repeat=2))))
+        out.append(("g majority", e.describe(), all(ev(g, a, p) == (sum(p) >= 2) for p in cube)))
+        out.append(("h first projection", e.describe(), all(ev(h, a, p) == p[0] for p in cube)))
+    for e in inventory.affine:
+        q, n = e.quotient, e.quotient.size
+        out.append(("f first projection", e.describe(),
+                    all(ev(f, q, p) == p[0] for p in product(range(n), repeat=2))))
+        out.append(("g first projection", e.describe(),
+                    all(ev(g, q, p) == p[0] for p in product(range(n), repeat=3))))
+        out.append(("h Mal'tsev on quotient", e.describe(),
+                    all(ev(h, q, (x, x, y)) == y == ev(h, q, (y, x, x))
+                        for x, y in product(range(n), repeat=2))))
+    return out

@@ -12,6 +12,7 @@ from oracles import (
     naive_relation_compatible,
     naive_tolerance_classes,
     naive_tolerance_generated,
+    naive_translations,
 )
 
 from idemalg import fixtures
@@ -23,6 +24,7 @@ from idemalg.congruence import (
     Congruence,
     Tolerance,
     _compatible,
+    _translations,
     absorbing_elements,
     cg,
     classify_simple_quotient,
@@ -164,6 +166,22 @@ def test_cg_matches_naive_oracle_on_random_algebras_and_squares():
                         if theta.together(x, y)}
             assert together == naive_cg(a, pairs), (a, pairs)
     assert limbs == {1, 2}
+
+
+def test_translations_leave_out_constants_and_the_identity():
+    """cg's translations are the distinct translations but the constant maps
+    and the identity, which never merge a pair."""
+    nef = fixtures.no_edge_factor()
+    algebras = [nef, product_algebra(nef, nef), fixtures.no_majority_symmetry()]
+    assert [len(_translations(a)) for a in algebras] == [15, 129, 14]
+    rng = random.Random(31)
+    algebras += [_random_idempotent_algebra(rng, f"r{i}") for i in range(30)]
+    for a in algebras:
+        rows = [tuple(r) for r in _translations(a).tolist()]
+        assert not any(len(set(r)) == 1 or r == tuple(range(a.size)) for r in rows), a
+        want = {r for r in naive_translations(a)
+                if len(set(r)) > 1 and r != tuple(range(a.size))}
+        assert len(rows) == len(want) and set(rows) == want, a
 
 
 def test_tolerance_generated_matches_oracle():

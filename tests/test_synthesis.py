@@ -1,16 +1,18 @@
 """The synthesis engine: normalizations, module fixes, the unified triple,
 and the thin-edge combination terms."""
 
+import dataclasses
 import json
 import random
-from itertools import count, product
+from itertools import count, permutations, product
 from pathlib import Path
 
 import pytest
 
 from idemalg import fixtures, synthesis, terms
 from idemalg.algebra import align_signatures, product_algebra, validate_algebra
-from idemalg.errors import PreconditionViolated, UnsupportedCombination
+from idemalg.congruence import Congruence
+from idemalg.errors import PostconditionFailed, PreconditionViolated, UnsupportedCombination
 from idemalg.synthesis import (
     F_ABSORPTION,
     F_EXCHANGE,
@@ -30,7 +32,9 @@ from idemalg.synthesis import (
     uniform_ops,
 )
 from idemalg.terms import app, check_identity, evaluate, proj, realize_table, substitute
-from idemalg.thin import SPECIAL_THIN_MAJORITY, THIN_AFFINE, THIN_SEMILATTICE, thin_graph
+from idemalg.thin import SPECIAL_THIN_MAJORITY, THIN_AFFINE, THIN_SEMILATTICE, ThinEdge, thin_graph
+
+from oracles import naive_edge_conditions
 
 
 def _class_ops(*names):
@@ -157,6 +161,28 @@ def test_separating_term_minority_case(z3a, mm2):
                for x in range(2) for y in range(2) for z in range(2))
 
 
+def test_restriction_pattern_picks_the_first_straightening_permutation():
+    """On a 2-element edge carrying an operation of each pattern, the pattern
+    is read correctly and names the first variable permutation, in
+    itertools order, under which the lone first argument wins."""
+    edge = _class_ops("mj2").inventory.majority[0]
+    for pattern in map("".join, product("xy", repeat=3)):
+        def t(args, pattern=pattern):
+            if len(set(args)) == 1:
+                return args[0]
+            k = next(i for i in range(3) if args.count(args[i]) == 1)
+            return args[k] if pattern[k] == "x" else 1 - args[k]
+        two = validate_algebra("two", 2, [("t", 3, [t(a) for a in product(range(2), repeat=3)])])
+        term = app("t", [proj(0, 3), proj(1, 3), proj(2, 3)])
+        on_two = dataclasses.replace(edge, edge_algebra=two)
+        assert synthesis._ternary_on_edge(term, on_two) == pattern
+        if pattern != "yyy":
+            first = next(p for p in permutations(range(3))
+                         if evaluate(term, two, [(0, 1, 1)[i] for i in p]) == 0
+                         and evaluate(term, two, [(1, 0, 0)[i] for i in p]) == 1)
+            assert synthesis._STRAIGHTEN[pattern.index("x")] == first, pattern
+
+
 # --------------------------------------------------------------------------
 # inventories and the unified operations
 # --------------------------------------------------------------------------
@@ -220,6 +246,28 @@ def test_uniform_ops_tables_on_acceptance_class():
     assert ht.table == tuple((x - y + z) % 3
                              for x, y, z in product(range(3), repeat=3))
     assert realize_table(ops.h, mj).is_projection(2) == 0
+
+
+def test_verify_uniform_matches_scalar_oracle():
+    """Every edge condition of verify_uniform, on candidate triples that
+    pass and fail each of them, agrees with scalar evaluation; every verdict
+    is a Python bool, so the report serializes to JSON."""
+    ops = _class_ops("sl2", "mj2", "z3-affine", "no-majority-symmetry")
+    x, y, z = proj(0, 3), proj(1, 3), proj(2, 3)
+    binary = [proj(0, 2), proj(1, 2), ops.f, substitute(ops.f, [proj(1, 2), proj(0, 2)])]
+    ternary = [x, y, z, ops.g, ops.h, substitute(ops.g, [y, x, z]),
+               substitute(ops.h, [z, y, x]), substitute(ops.f, [x, substitute(ops.f, [y, z])])]
+    rng = random.Random(12)
+    seen = set()
+    for f, g, h in rng.sample(list(product(binary, ternary, ternary)), 80):
+        report = synthesis.verify_uniform(ops.inventory, f, g, h)
+        assert all(type(c.ok) is bool for c in report.checks)
+        got = [(c.condition, c.edge, c.ok) for c in report.checks
+               if not c.condition.startswith("identity")]
+        assert got == naive_edge_conditions(ops.inventory, f, g, h)
+        seen |= {(cond, ok) for cond, _, ok in got}
+    conditions = {cond for cond, _ in seen}
+    assert len(conditions) == 8 and seen == {(c, ok) for c in conditions for ok in (True, False)}
 
 
 def test_uniform_ops_deterministic():
@@ -370,6 +418,28 @@ def test_affine_stable_h_ab_permutation_on_blocks():
         for dp in sub:
             image = {evaluate(h, alg, (x, cp, dp)) for x in sub}
             assert image == {0, 2}
+
+
+def test_affine_stable_h_ab_names_the_first_failing_block_check(monkeypatch):
+    """With the generation witness the second projection, h_ab is the given
+    h; on a 3-element affine edge made up for the purpose, the two block
+    checks fail with their first counterexample."""
+    monkeypatch.setattr(synthesis, "_gen_witness", lambda algebra, a, v, target: proj(1, 2))
+    ops = _class_ops("z3-affine")
+    cases = [(lambda x, y, z: z if x == y else x, (0, 2),
+              "h_ab(x, 0, 2) is not a permutation of the quotient on s:(0, 2) "
+              "affine blocks (0,)|(1,)"),
+             (lambda x, y, z: z if x == y else x if y != z else y, (0, 1),
+              "h_ab drifts off the block on s:(0, 1) affine blocks (0,)|(1,)")]
+    for rule, sub, message in cases:
+        s = validate_algebra("s", 3, [("s", 3, [rule(*a) for a in product(range(3), repeat=3)])])
+        aff = dataclasses.replace(ops.inventory.affine[0], algebra=s, subuniverse=sub, pair=sub,
+                                  theta=Congruence.from_blocks(2, [[0], [1]]))
+        fake = dataclasses.replace(ops, h=app("s", [proj(0, 3), proj(1, 3), proj(2, 3)]),
+                                   inventory=dataclasses.replace(ops.inventory, affine=(aff,)))
+        with pytest.raises(PostconditionFailed) as exc:
+            affine_stable_ops(fake, ThinEdge(s, 0, 1, THIN_AFFINE), "h_ab")
+        assert str(exc.value) == message
 
 
 def test_construction_certificates_raise_under_O(run_optimized):

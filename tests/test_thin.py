@@ -1,9 +1,14 @@
 """Thin edges: the shift condition refinement, minimal pairs, thin
 majority/affine discovery, necessary-condition verdicts."""
 
+import random
+from pathlib import Path
+
 import pytest
 
 from idemalg import fixtures, synthesis, terms, thin
+from idemalg.algebra import validate_algebra
+from idemalg.cli import EXIT_OK, main
 from idemalg.edges import AFFINE, classify_pair, structure_graph
 from idemalg.errors import PostconditionFailed
 from idemalg.terms import app, proj, realize_table
@@ -16,10 +21,15 @@ from idemalg.thin import (
     find_thin_affine,
     is_minimal_pair,
     satisfies_sls,
+    sls_chain,
     synth_sls,
     thin_graph,
     thin_semilattice_order,
 )
+
+from oracles import naive_satisfies_sls, naive_sls_ell, naive_thin_semilattice_order
+
+PINNED = Path(__file__).parent / "data" / "thin"
 
 
 def _ops_for(*names):
@@ -222,3 +232,71 @@ def test_thin_thick_colors_match():
         tg = thin_graph(alg, ops)
         thin_kinds = {e.kind for e in tg.arcs}
         assert thin_kinds == {kind_of[lab] for lab in thick}, name
+
+
+def _random_binary(rng, name):
+    n = rng.randint(2, 5)
+    table = [a if a == b else rng.randrange(n) for a in range(n) for b in range(n)]
+    return validate_algebra(name, n, [("f", 2, table)])
+
+
+def test_thin_checks_match_scalar_oracles():
+    """satisfies_sls, thin_semilattice_order and the stabilization index of
+    sls_chain (or the pair it raises on) agree with per-entry loops on
+    seeded random binary algebras."""
+    rng = random.Random(1212)
+    f = app("f", [proj(0, 2), proj(1, 2)])
+    outcomes = {"ell": 0, "cycle": 0}
+    for i in range(50):
+        alg = _random_binary(rng, f"r{i}")
+        n, op = alg.size, alg.op("f")
+        assert satisfies_sls(alg, f) == naive_satisfies_sls(op, n), alg
+        assert thin_semilattice_order(alg, f) == naive_thin_semilattice_order(op, n), alg
+        ell, cycling = naive_sls_ell(op, n)
+        if cycling is not None:
+            outcomes["cycle"] += 1
+            with pytest.raises(PostconditionFailed,
+                               match=rf"shift chain of \({cycling[0]},{cycling[1]}\) in r{i} "):
+                sls_chain([alg], f)
+            continue
+        outcomes["ell"] += 1
+        refined, got = sls_chain([alg], f)
+        assert got == ell, alg
+        assert satisfies_sls(alg, refined) == \
+            naive_satisfies_sls(realize_table(refined, alg), n), alg
+    assert min(outcomes.values()) >= 10, outcomes
+
+
+def test_sls_chain_raises_on_a_two_cycle():
+    """f(b,0) = b, f(0,1) = 2, f(0,2) = 1: the chain of (0,1) runs 2, 1, 2, ..."""
+    table = [0, 2, 1,
+             1, 1, 1,
+             2, 2, 2]
+    alg = validate_algebra("cyc", 3, [("f", 2, table)])
+    with pytest.raises(PostconditionFailed, match=r"shift chain of \(0,1\) in cyc cycles"):
+        sls_chain([alg], app("f", [proj(0, 2), proj(1, 2)]))
+
+
+@pytest.mark.parametrize("name", sorted(fixtures.FIXTURES))
+def test_cli_thin_stdout_pinned(name, capsys):
+    """`idemalg thin --fixture NAME` prints exactly the pinned DOT and arcs."""
+    assert main(["thin", "--fixture", name]) == EXIT_OK
+    assert capsys.readouterr().out == (PINNED / f"{name}.out").read_text()
+
+
+def test_edge_behaviour_check_names_the_first_changed_point():
+    meet, f = (app(op, [proj(0, 2), proj(1, 2)]) for op in ("meet", "f"))
+    cases = [
+        ("sl2", meet, proj(1, 2), "refinement changed the semilattice edge (0, 1) at (0, 1)"),
+        ("sl2", meet, proj(0, 2), "refinement changed the semilattice edge (0, 1) at (1, 0)"),
+        ("no-edge", f, proj(0, 2), "refinement changed the semilattice edge (0, 2) at (0, 1)"),
+        ("mj2", proj(0, 2), proj(1, 2),
+         "refinement is not the first projection on the majority edge (0, 1)"),
+        ("z3-affine", proj(0, 2), proj(1, 2),
+         "refinement is not the first projection on the affine edge (0, 1)"),
+    ]
+    for name, f0, refined, message in cases:
+        alg = fixtures.fixture(name)
+        with pytest.raises(PostconditionFailed) as exc:
+            thin._check_edge_behaviour(alg, f0, refined, structure_graph(alg))
+        assert str(exc.value) == message
