@@ -76,8 +76,7 @@ class UnknownSymbol(IdemalgError):
 
 
 class ArityMismatch(IdemalgError):
-    def __init__(self, detail):
-        super().__init__(detail)
+    pass
 
 
 class TermSyntaxError(IdemalgError):
@@ -121,8 +120,7 @@ class NotSmooth(SynthesisError):
 
 
 class PostconditionFailed(SynthesisError):
-    def __init__(self, detail):
-        super().__init__(detail)
+    pass
 
 
 class VerificationFailed(SynthesisError):
@@ -132,25 +130,20 @@ class VerificationFailed(SynthesisError):
 
 
 class WitnessNotFound(SynthesisError):
-    def __init__(self, detail):
-        super().__init__(detail)
+    pass
 
 
 class EmptyResult(SynthesisError):
-    def __init__(self, detail):
-        super().__init__(detail)
+    pass
 
 
 class UnsupportedCombination(SynthesisError):
-    def __init__(self, detail):
-        super().__init__(detail)
+    pass
 
 
 class CaseNotRecognized(SynthesisError):
-    def __init__(self, detail):
-        super().__init__(detail)
+    pass
 
 
 class PreconditionViolated(IdemalgError):
-    def __init__(self, detail):
-        super().__init__(detail)
+    pass

@@ -3,11 +3,12 @@
 Nodes are interned: structurally equal terms are the same object, so
 identity doubles as structural equality.  Besides projections and symbol
 applications there is a power node iterating a unary context, which keeps
-the lcm-exponent constructions small; it is never expanded literally: a
-point evaluates by cycle shortcutting, a table (one array per node) by
-repeated squaring.  An explicit composition node carries substitutions
-whose target position is a power hole (a power node iterates one of its own
-variable slots, so that slot cannot be rewritten structurally).
+the lcm-exponent constructions small; it is never expanded literally: its
+table (one array per node) is computed by repeated squaring, and a point
+that needs it reads that table.  An explicit composition node carries
+substitutions whose target position is a power hole (a power node iterates
+one of its own variable slots, so that slot cannot be rewritten
+structurally).
 
 Terms serialize to a parenthesized prefix form, e.g. ``f(p0, g(p1, p0, p1))``
 with ``pK`` for projections, ``pow(times, hole, body)`` for power nodes and
@@ -27,12 +28,16 @@ from .errors import ArityMismatch, TermSyntaxError, UnknownSymbol
 
 _INTERN: dict[tuple, "Term"] = {}
 
+_TREE_SIZE_CAP = 1 << 20
+
 
 class Term:
     """One interned node of a term DAG.  Do not construct directly; use
-    proj(), app() and power()."""
+    proj(), app() and power().  `tree_size` is the size of the fully
+    expanded tree (what text() would print), capped at _TREE_SIZE_CAP."""
 
-    __slots__ = ("kind", "arity", "index", "op", "children", "hole", "times")
+    __slots__ = ("kind", "arity", "index", "op", "children", "hole", "times",
+                 "tree_size")
 
     def __init__(self, kind, arity, index=None, op=None, children=None,
                  hole=None, times=None):
@@ -43,6 +48,8 @@ class Term:
         self.children = children
         self.hole = hole
         self.times = times
+        self.tree_size = 1 if children is None else min(
+            1 + sum(c.tree_size for c in children), _TREE_SIZE_CAP)
 
     def __repr__(self) -> str:
         return f"Term({self.text()})"
@@ -153,27 +160,6 @@ def uses_variable(t: Term, index: int) -> bool:
     return False
 
 
-_TREE_SIZE_CAP = 1 << 20
-_TREE_SIZE: dict[int, int] = {}
-
-
-def tree_size(t: Term) -> int:
-    """Size of the fully expanded tree (what text() would print), capped.
-    Nodes are interned and immortal, so caching by identity is sound."""
-    known = _TREE_SIZE.get(id(t))
-    if known is not None:
-        return known
-    for node in t.nodes():
-        if id(node) in _TREE_SIZE:
-            continue
-        if node.kind == "proj":
-            s = 1
-        else:
-            s = 1 + sum(_TREE_SIZE[id(c)] for c in node.children)
-        _TREE_SIZE[id(node)] = min(s, _TREE_SIZE_CAP)
-    return _TREE_SIZE[id(t)]
-
-
 #: structural substitution above this expanded-tree size switches to an
 #: explicit composition node, whose printed form shares subterms
 _SUBSTITUTE_COMPACT = 4096
@@ -193,7 +179,7 @@ def substitute(t: Term, replacements: Sequence[Term]) -> Term:
             and all(r.arity == t.arity for r in replacements):
         return t
     if any(r.kind != "proj" for r in replacements) and \
-            tree_size(t) * max(tree_size(r) for r in replacements) \
+            t.tree_size * max(r.tree_size for r in replacements) \
             > _SUBSTITUTE_COMPACT:
         return compose(t, replacements)
     try:
@@ -230,71 +216,30 @@ def _rewrite(t: Term, replacements: Sequence[Term]) -> Term:
     return done[id(t)]
 
 
-#: per term (by identity: nodes are interned and immortal), the nodes other
-#: than projections evaluated at its own values; a projection, itself
-_CONTEXT_NODES: dict[int, list[Term]] = {}
-
-
 def evaluate(t: Term, algebra: FiniteAlgebra, args: Sequence[int]) -> int:
-    """Value of the induced term operation at args, memoized by (node,
-    values), on an explicit stack of contexts.  A context is a term at some
-    values; its nodes at those values (`nodes(outers=False, bodies=False)`,
-    projections read off the values) are evaluated bottom-up, each once.  A
-    composition outer or a power body missing at other values suspends the
-    context below a new one for it."""
+    """Value of the induced term operation at args, bottom-up over the nodes
+    evaluated at args (`nodes(outers=False, bodies=False)`): a projection
+    reads args, an application one flat table entry.  The first composition
+    or power node met sends the whole term to its realized table, which
+    costs one n**arity table per algebra (memoized there); only the
+    arity-2/3 synthesis and thin-edge terms have such nodes, provenance
+    witnesses have projection and application nodes only."""
     if len(args) != t.arity:
         raise ArityMismatch(f"term has arity {t.arity}, got {len(args)} arguments")
-    args = tuple(args)
-    memo: dict[tuple[int, tuple[int, ...]], int] = {}
-    size, stack = algebra.size, [(t, args, 0)]
-    while stack:
-        term, vals, start = stack.pop()
-        if (nodes := _CONTEXT_NODES.get(id(term))) is None:
-            nodes = _CONTEXT_NODES[id(term)] = [
-                n for n in term.nodes(outers=False, bodies=False) if n.kind != "proj"] or [term]
-        for i in range(start, len(nodes)):
-            node = nodes[i]
-            if (key := (id(node), vals)) in memo:
-                continue
-            if node.kind == "app":
-                r = 0
-                for c in node.children:
-                    r = r * size + (vals[c.index] if c.kind == "proj" else memo[id(c), vals])
-                r = _op_of(node, algebra).table[r]
-            elif node.kind == "proj":
-                r = vals[node.index]
-            else:
-                if node.kind == "pow":
-                    r, pending = _power_at(node, vals, memo)
-                else:
-                    outer = node.children[0]
-                    inner = tuple([vals[c.index] if c.kind == "proj" else memo[id(c), vals]
-                                   for c in node.children[1:]])
-                    r, pending = memo.get((id(outer), inner)), (outer, inner)
-                if r is None:
-                    stack += [(term, vals, i), (*pending, 0)]
-                    break
-            memo[key] = r
-    return memo[id(t), args]
-
-
-def _power_at(node: Term, vals: tuple[int, ...], memo: dict
-              ) -> tuple[Optional[int], Optional[tuple]]:
-    """The value of a power node at vals from memoized values of its body,
-    iterating its unary context with a shortcut through the cycle; or None
-    and the first (body, values) pair still missing."""
-    body, hole, times = node.children[0], node.hole, node.times
-    seq, seen = [vals[hole]], {vals[hole]: 0}
-    while len(seq) <= times:
-        at = vals[:hole] + (seq[-1],) + vals[hole + 1:]
-        if (v := memo.get((id(body), at))) is None:
-            return None, (body, at)
-        if v in seen:   # seq[first:] repeats with period len(seq) - first
-            first = seen[v]
-            return seq[first + (times - first) % (len(seq) - first)], None
-        seen[v] = len(seq)
-        seq.append(v)
-    return seq[times], None
+    algebra.check_elements(args)
+    size, values = algebra.size, {}
+    for node in t.nodes(outers=False, bodies=False):
+        if node.kind == "proj":
+            r = args[node.index]
+        elif node.kind == "app":
+            r = 0
+            for c in node.children:
+                r = r * size + values[id(c)]
+            r = _op_of(node, algebra).table[r]
+        else:
+            return int(realize_table(t, algebra).array[tuple(args)])
+        values[id(node)] = r
+    return values[id(t)]
 
 
 def _op_of(node: Term, algebra: FiniteAlgebra) -> OperationTable:
@@ -309,9 +254,17 @@ def _op_of(node: Term, algebra: FiniteAlgebra) -> OperationTable:
 
 
 def realize_table(t: Term, algebra: FiniteAlgebra) -> OperationTable:
-    """Full table of the induced operation, computed bottom-up over the DAG,
-    one array per node.  Nodes realize at their own arity (composition
-    outers differ from the root)."""
+    """Full table of the induced operation, memoized on the algebra per term
+    (terms are interned, so the term is its own key).  It is computed
+    bottom-up over the DAG, one array per node, kept only for this call;
+    nodes realize at their own arity (composition outers differ from the
+    root), and a power node by repeated squaring.  `evaluate` reads this
+    table for a term with a composition or power node at its own variables:
+    the arity-2/3 synthesis and thin-edge terms."""
+    return algebra.memoized(("realize", t), lambda: _realize(t, algebra))
+
+
+def _realize(t: Term, algebra: FiniteAlgebra) -> OperationTable:
     n = algebra.size
     arrays: dict[int, np.ndarray] = {}
     for node in t.nodes():

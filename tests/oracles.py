@@ -8,13 +8,14 @@ numpy kernels they check: each reads operation tables only through
 
 from itertools import combinations, product
 from operator import getitem
-from typing import Optional
+from types import SimpleNamespace
+from typing import Optional, Sequence
 
 from idemalg import terms
-from idemalg.algebra import signature_map
+from idemalg.algebra import signature_map, validate_algebra
 from idemalg.congruence import TERM_SEARCH_LIMITS
-from idemalg.errors import NotACongruence, NotClosed, SignatureMismatch
-from idemalg.generate import Absent, CapExceeded, Found, term_operations
+from idemalg.errors import ArityMismatch, NotACongruence, NotClosed, SignatureMismatch
+from idemalg.generate import Absent, CapExceeded, Found, SubpowerQuery, term_operations
 
 
 def table_index(args, size):
@@ -22,6 +23,70 @@ def table_index(args, size):
     for a in args:
         idx = idx * size + a
     return idx
+
+
+def scalar_evaluate(t, algebra, args: Sequence[int]) -> int:
+    """Value of the induced term operation at args, memoized by (node,
+    values), on an explicit stack of contexts, reading flat tables only.  A
+    context is a term at some values; its nodes at those values
+    (`nodes(outers=False, bodies=False)`, projections read off the values)
+    are evaluated bottom-up, each once.  A composition outer or a power body
+    missing at other values suspends the context below a new one for it; a
+    power node iterates its unary context with a shortcut through the
+    cycle."""
+    if len(args) != t.arity:
+        raise ArityMismatch(f"term has arity {t.arity}, got {len(args)} arguments")
+    args = tuple(args)
+    memo: dict[tuple[int, tuple[int, ...]], int] = {}
+    contexts: dict[int, list] = {}
+    size, stack = algebra.size, [(t, args, 0)]
+    while stack:
+        term, vals, start = stack.pop()
+        if (nodes := contexts.get(id(term))) is None:
+            nodes = contexts[id(term)] = [
+                n for n in term.nodes(outers=False, bodies=False) if n.kind != "proj"] or [term]
+        for i in range(start, len(nodes)):
+            node = nodes[i]
+            if (key := (id(node), vals)) in memo:
+                continue
+            if node.kind == "app":
+                r = 0
+                for c in node.children:
+                    r = r * size + (vals[c.index] if c.kind == "proj" else memo[id(c), vals])
+                r = algebra.op(node.op).table[r]
+            elif node.kind == "proj":
+                r = vals[node.index]
+            else:
+                if node.kind == "pow":
+                    r, pending = _scalar_power_at(node, vals, memo)
+                else:
+                    outer = node.children[0]
+                    inner = tuple([vals[c.index] if c.kind == "proj" else memo[id(c), vals]
+                                   for c in node.children[1:]])
+                    r, pending = memo.get((id(outer), inner)), (outer, inner)
+                if r is None:
+                    stack += [(term, vals, i), (*pending, 0)]
+                    break
+            memo[key] = r
+    return memo[id(t), args]
+
+
+def _scalar_power_at(node, vals, memo):
+    """The value of a power node at vals from memoized values of its body,
+    iterating its unary context with a shortcut through the cycle; or None
+    and the first (body, values) pair still missing."""
+    body, hole, times = node.children[0], node.hole, node.times
+    seq, seen = [vals[hole]], {vals[hole]: 0}
+    while len(seq) <= times:
+        at = vals[:hole] + (seq[-1],) + vals[hole + 1:]
+        if (v := memo.get((id(body), at))) is None:
+            return None, (body, at)
+        if v in seen:   # seq[first:] repeats with period len(seq) - first
+            first = seen[v]
+            return seq[first + (times - first) % (len(seq) - first)], None
+        seen[v] = len(seq)
+        seq.append(v)
+    return seq[times], None
 
 
 def naive_tolerance_generated(algebra, pairs):
@@ -330,10 +395,8 @@ def naive_sls_ell(op, size):
 
 def naive_edge_conditions(inventory, f, g, h):
     """(condition, edge, ok) for conditions (i)-(iii) of `verify_uniform` on
-    every thick edge, in its order, by scalar `terms.evaluate`."""
-    def ev(t, algebra, args):
-        return terms.evaluate(t, algebra, args)
-
+    every thick edge, in its order, by `scalar_evaluate`."""
+    ev = scalar_evaluate
     out = []
     cube = list(product(range(2), repeat=3))
     for e in inventory.semilattice:
@@ -358,3 +421,89 @@ def naive_edge_conditions(inventory, f, g, h):
                     all(ev(h, q, (x, x, y)) == y == ev(h, q, (y, x, x))
                         for x, y in product(range(n), repeat=2))))
     return out
+
+
+def naive_subuniverse(algebra, generators):
+    """Sg(generators), sorted: every operation applied to every tuple of
+    members, until a round adds nothing."""
+    members = set(generators)
+    while True:
+        new = {op.apply(args, algebra.size) for op in algebra.operations
+               for args in product(sorted(members), repeat=op.arity)} - members
+        if not new:
+            return tuple(sorted(members))
+        members |= new
+
+
+def partitions(elements):
+    """Every partition of the list, as a list of blocks."""
+    if not elements:
+        yield []
+        return
+    first, rest = elements[0], elements[1:]
+    for part in partitions(rest):
+        yield [[first]] + part
+        for i in range(len(part)):
+            yield part[:i] + [[first] + part[i]] + part[i + 1:]
+
+
+def _is_projection_table(table, arity, size):
+    return any(all(table[table_index(args, size)] == args[pos]
+                   for args in product(range(size), repeat=arity))
+               for pos in range(arity))
+
+
+def naive_classify_pair(algebra, a, b):
+    """The labels of the pair {a, b}, from the definitions: per maximal
+    congruence theta of Sg{a, b} (partitions that pass `is_compatible`,
+    maximal among the proper ones), the quotient by theta is unary when
+    every operation is a projection, else semilattice when some binary term
+    sends (a/theta, b/theta) and (b/theta, a/theta) to the same one of the
+    two blocks (b's first), else majority when some ternary term is a
+    majority operation on the two blocks, else affine when it is abelian.
+    Returns Sg{a, b} and {theta: (label, absorber)}, theta as a frozenset
+    of blocks and the semilattice absorber as a block, in parent ids; a
+    congruence with no label is left out."""
+    sub = naive_subuniverse(algebra, (a, b))
+    tables = naive_restrict(algebra, sub)
+    local = validate_algebra("sg", len(sub), [
+        (op.name, op.arity, t) for op, t in zip(algebra.operations, tables)])
+    proper = []
+    for blocks in partitions(list(range(local.size))):
+        blocks = sorted(sorted(blk) for blk in blocks)
+        index = {x: i for i, blk in enumerate(blocks) for x in blk}
+        part = SimpleNamespace(blocks=blocks, block_index=[index[x] for x in range(local.size)])
+        if len(blocks) > 1 and is_compatible(local, part):
+            proper.append(part)
+    out = {}
+    for theta in proper:
+        if any(eta is not theta and all(any(set(blk) <= set(big) for big in eta.blocks)
+                                        for blk in theta.blocks) for eta in proper):
+            continue      # strictly below another proper congruence
+        n = len(theta.blocks)
+        quot = validate_algebra("q", n, [
+            (op.name, op.arity, t)
+            for op, t in zip(local.operations, naive_quotient(local, theta.blocks))])
+        qa, qb = theta.block_index[sub.index(a)], theta.block_index[sub.index(b)]
+        label, absorber = None, None
+        if all(_is_projection_table(op.table, op.arity, n) for op in quot.operations):
+            label = "unary"
+        else:
+            for c in (qb, qa):
+                query = SubpowerQuery((quot, quot), ((qa, qb), (qb, qa)), (c, c))
+                if isinstance(naive_subpower_membership(query), Found):
+                    label, absorber = "semilattice", c
+                    break
+        if label is None:
+            points = [p for p in product((qa, qb), repeat=3) if len(set(p)) > 1]
+            query = SubpowerQuery((quot,) * len(points),
+                                  tuple(tuple(p[i] for p in points) for i in range(3)),
+                                  tuple(max(p, key=p.count) for p in points))
+            if isinstance(naive_subpower_membership(query), Found):
+                label = "majority"
+            elif is_abelian_brute(quot):
+                label = "affine"
+        if label is not None:
+            parent = [tuple(sub[x] for x in blk) for blk in theta.blocks]
+            out[frozenset(parent)] = (label, None if absorber is None else parent[absorber])
+    return sub, out

@@ -1,7 +1,11 @@
 """Pair classification, graphs, connectivity, smoothness."""
 
+import random
+from collections import Counter
 from dataclasses import replace
-from itertools import combinations
+from itertools import combinations, product
+
+from oracles import naive_classify_pair
 
 from idemalg import fixtures
 from idemalg.algebra import DEFAULT_CAP, restrict, validate_algebra
@@ -253,3 +257,48 @@ def test_merged_generators_raise_under_O(run_optimized):
     assert run_optimized(code) == (
         "False\n"
         "the maximal congruence {0,1} of Sg{0,1} merges its generators\n")
+
+
+def _random_labelled_algebra(rng, name):
+    """A seeded random idempotent algebra with n <= 4 and one or two
+    operations of arity 2-3: random tables, or the dual discriminator (a
+    majority operation) beside a conservative binary operation, or the
+    Mal'tsev operation of Z_n beside an affine binary one, so that
+    majority, affine and multi-labelled pairs occur too."""
+    n = rng.randint(2, 4)
+    cube = list(product(range(n), repeat=3))
+    square = list(product(range(n), repeat=2))
+    family = rng.choice(("random", "random", "majority", "affine"))
+    if family == "majority":
+        ops = [("d", 3, [x if x == y else z for x, y, z in cube]),
+               ("o", 2, [rng.choice((x, y)) for x, y in square])]
+    elif family == "affine":
+        r = rng.randrange(n)
+        ops = [("m", 3, [(x - y + z) % n for x, y, z in cube]),
+               ("o", 2, [(r * x + (1 - r) * y) % n for x, y in square])]
+    else:
+        ops = []
+        for k in range(rng.randint(1, 2)):
+            arity = rng.choice((2, 2, 3))
+            ops.append((f"o{k}", arity, [args[0] if len(set(args)) == 1 else rng.randrange(n)
+                                         for args in product(range(n), repeat=arity)]))
+    return validate_algebra(name, n, ops[:rng.randint(1, len(ops))])
+
+
+def test_classify_pair_matches_naive_oracle():
+    """Per maximal congruence of Sg{a, b}, the label and the semilattice
+    absorber equal those of `naive_classify_pair`, which is built from the
+    other oracles, on 200 seeded random idempotent algebras."""
+    rng = random.Random(1212)
+    labels = Counter()
+    for i in range(200):
+        alg = _random_labelled_algebra(rng, f"r{i}")
+        for a, b in combinations(range(alg.size), 2):
+            rep = classify_pair(alg, a, b)
+            assert not rep.inconclusive
+            got = {frozenset(w.theta_parent_blocks()): (
+                w.label, None if w.absorber is None else w.parent_block(w.absorber))
+                for w in rep.witnesses}
+            assert (rep.subuniverse, got) == naive_classify_pair(alg, a, b), (alg, a, b)
+            labels.update(label for label, _ in got.values())
+    assert min(labels[x] for x in (SEMILATTICE, MAJORITY, AFFINE, UNARY)) >= 10, labels

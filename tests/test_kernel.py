@@ -1,13 +1,21 @@
 """The table kernel against per-entry loops: restrict, quotient, products,
 congruence lattices and realized term tables on seeded random idempotent
 algebras, checked against the oracles in `oracles.py`, which never read
-`OperationTable.array`."""
+`OperationTable.array`.  `evaluate` reads realized tables for composition
+and power nodes, so terms are checked against `scalar_evaluate` too."""
 
 import random
 from collections import Counter
 from itertools import product
 
-from oracles import is_compatible, naive_product, naive_quotient, naive_restrict
+from oracles import (
+    is_compatible,
+    naive_product,
+    naive_quotient,
+    naive_restrict,
+    partitions,
+    scalar_evaluate,
+)
 
 from idemalg.algebra import (
     is_closed_subset,
@@ -37,17 +45,6 @@ def _random_algebra(rng, name, size, signature):
                  for args in product(range(size), repeat=arity)]
         ops.append((op_name, arity, table))
     return validate_algebra(name, size, ops)
-
-
-def _partitions(elements):
-    if not elements:
-        yield []
-        return
-    first, rest = elements[0], elements[1:]
-    for part in _partitions(rest):
-        yield [[first]] + part
-        for i in range(len(part)):
-            yield part[:i] + [[first] + part[i]] + part[i + 1:]
 
 
 def _outcome(build, *args):
@@ -98,7 +95,7 @@ def test_kernel_matches_per_entry_oracles():
             seen["restrict " + expect[0]] += 1
 
         lattice = set(congruence_lattice(alg))
-        for blocks in _partitions(list(range(n))):
+        for blocks in partitions(list(range(n))):
             part = Congruence.from_blocks(n, blocks)
             assert (part in lattice) == is_compatible(alg, part), (alg, part)
             # blocks in random order, each led by a random representative
@@ -117,10 +114,13 @@ def test_kernel_matches_per_entry_oracles():
             realized = realize_table(left, alg)
             points = list(product(range(n), repeat=arity))
             assert [realized.apply(p, n) for p in points] == \
-                [evaluate(left, alg, p) for p in points], left
+                [evaluate(left, alg, p) for p in points] == \
+                [scalar_evaluate(left, alg, p) for p in points], left
             first_clash = next((p for p in points if evaluate(left, alg, p)
                                 != evaluate(right, alg, p)), None)
             assert check_identity(alg, Identity(left, right)) == first_clash
+            assert first_clash == next((p for p in points if scalar_evaluate(left, alg, p)
+                                        != scalar_evaluate(right, alg, p)), None)
     # every path was exercised: both outcomes of restrict and quotient, and
     # terms with power and composition nodes
     assert min(seen.values()) >= 50, seen

@@ -1,15 +1,18 @@
 """Term DAGs: evaluation, realization, identities, serialization."""
 
 import gc
+import random
+from collections import Counter
 from itertools import product
 
 import pytest
 from hypothesis import given, settings, strategies as st
+from oracles import scalar_evaluate
 
 from idemalg import terms
 from idemalg.algebra import quotient, restrict, validate_algebra
 from idemalg.congruence import cg
-from idemalg.errors import ArityMismatch, TermSyntaxError, UnknownSymbol
+from idemalg.errors import ArityMismatch, TermSyntaxError, UnknownSymbol, ValidationError
 from idemalg.terms import (
     Identity,
     app,
@@ -44,7 +47,8 @@ def test_eval_agrees_with_realize_everywhere(a_ne, z3a, mj2):
     for alg, t in cases:
         tab = realize_table(t, alg)
         for args in product(range(alg.size), repeat=t.arity):
-            assert tab.apply(args, alg.size) == evaluate(t, alg, args)
+            assert tab.apply(args, alg.size) == evaluate(t, alg, args) \
+                == scalar_evaluate(t, alg, args)
 
 
 def test_realize_maltsev_composition_oracle(z3a):
@@ -154,7 +158,7 @@ def test_parse_rejects_garbage():
 def test_power_node_semantics(a_ne):
     # iterating y -> f(a, y) from b: b -> c -> c -> ...
     t = power(app("f", [proj(0, 2), proj(1, 2)]), 1, 2520)
-    assert evaluate(t, a_ne, (0, 1)) == 2
+    assert evaluate(t, a_ne, (0, 1)) == scalar_evaluate(t, a_ne, (0, 1)) == 2
     assert realize_table(t, a_ne).table == (0, 2, 2, 1, 1, 2, 2, 2, 2)
     # times=0 collapses to the projection, times=1 to the body
     assert power(app("f", [proj(0, 2), proj(1, 2)]), 1, 0) is proj(1, 2)
@@ -180,6 +184,8 @@ def test_compose_node(z3a):
     for args in product(range(3), repeat=3):
         inner = evaluate(h, z3a, args)
         assert tab.apply(args, 3) == evaluate(outer, z3a, (inner, args[1]))
+        assert tab.apply(args, 3) == scalar_evaluate(c, z3a, args) \
+            == scalar_evaluate(outer, z3a, (inner, args[1]))
 
 
 def test_check_identity_examples(sl2, z3a, a_ne):
@@ -200,6 +206,61 @@ def test_unknown_symbol_and_arity_errors(sl2):
         evaluate(app("nosuch", [proj(0, 1)]), sl2, (0,))
     with pytest.raises(ArityMismatch):
         evaluate(app("meet", [proj(0, 1)]), sl2, (0,))
+
+
+def test_evaluate_checks_its_elements(a_ne):
+    # a negative or large entry would wrap into another entry of the flat
+    # table, or of a realized table for composition and power nodes
+    t = app("f", [proj(0, 2), proj(1, 2)])
+    for term in (t, power(t, 1, 3)):
+        for args in ((-1, 0), (0, 5), (3, 0), (0, -1)):
+            with pytest.raises(ValidationError):
+                evaluate(term, a_ne, args)
+
+
+def test_evaluate_matches_the_scalar_oracle_on_random_dags(a_ne, a_nms, z3a):
+    """Seeded random DAGs with power nodes iterated up to 2**62 times and
+    compositions nested in outer and argument positions: `evaluate` at every
+    point equals `scalar_evaluate`, which shortcuts power cycles instead of
+    squaring; `tree_size` equals the size of the expanded tree."""
+    rng = random.Random(1313)
+    seen = Counter()
+
+    def random_term(alg, arity, depth):
+        if depth == 0 or rng.random() < 0.2:
+            return proj(rng.randrange(arity), arity)
+        roll = rng.random()
+        if roll < 0.4:
+            op = rng.choice(alg.operations)
+            return app(op.name, [random_term(alg, arity, depth - 1)
+                                 for _ in range(op.arity)])
+        if roll < 0.7:
+            times = rng.choice((rng.randint(2, 50), rng.randint(2 ** 40, 2 ** 62)))
+            return power(random_term(alg, arity, depth - 1), rng.randrange(arity), times)
+        inner = rng.randint(1, 3)
+        return compose(random_term(alg, inner, depth - 1),
+                       [random_term(alg, arity, depth - 1) for _ in range(inner)])
+
+    def expanded(t):
+        return 1 + sum(expanded(c) for c in t.children or ())
+
+    for alg in (a_ne, a_nms, z3a):
+        for _ in range(40):
+            arity = rng.randint(1, 3)
+            t = random_term(alg, arity, 4)
+            for node in t.nodes():
+                seen["huge pow"] += node.kind == "pow" and node.times >= 2 ** 40
+                seen["nested comp"] += node.kind == "comp" and any(
+                    c.kind == "comp" for c in node.children)
+            assert t.tree_size == expanded(t)
+            for args in product(range(alg.size), repeat=arity):
+                assert evaluate(t, alg, args) == scalar_evaluate(t, alg, args), t
+            assert realize_table(t, alg) is realize_table(t, alg)
+    assert min(seen["huge pow"], seen["nested comp"]) >= 20, seen
+    t = proj(0, 2)
+    for _ in range(25):
+        t = app("f", [t, t])
+    assert t.tree_size == 1 << 20
 
 
 def test_operation_table_name_guard():
@@ -241,7 +302,8 @@ def test_random_term_dags_evaluate_consistently(a_ne, a_nms):
             reparsed = parse_term(t.text(), arity)
             assert reparsed is t
             for args in product(range(alg.size), repeat=arity):
-                assert tab.apply(args, alg.size) == evaluate(t, alg, args)
+                assert tab.apply(args, alg.size) == evaluate(t, alg, args) \
+                    == scalar_evaluate(t, alg, args)
 
 
 def test_nodes_order_on_a_shared_dag():
@@ -321,6 +383,22 @@ def test_evaluate_a_deep_chain(a_ne):
     t, _ = _deep_chain(3000)
     table = realize_table(t, a_ne).table
     assert tuple(evaluate(t, a_ne, args) for args in product(range(3), repeat=2)) == table
+    assert tuple(scalar_evaluate(t, a_ne, args)
+                 for args in product(range(3), repeat=2)) == table
+
+
+def test_evaluate_compositions_nested_in_arguments(a_ne):
+    # every composition is an argument of the next, so all of them are
+    # nodes at the root's own variables; one realized table serves them all
+    x, y = proj(0, 2), proj(1, 2)
+    outer = app("g", [x, y])
+    t = x
+    for _ in range(3000):
+        t = compose(outer, [app("f", [t, y]), y])
+    table = realize_table(t, a_ne).table
+    for args in product(range(3), repeat=2):
+        assert evaluate(t, a_ne, args) == scalar_evaluate(t, a_ne, args) \
+            == table[args[0] * 3 + args[1]]
 
 
 def test_print_a_deep_chain():
@@ -341,4 +419,5 @@ def test_substitute_into_a_deep_chain(a_ne):
     swapped = substitute(t, [y, x])
     assert swapped is not t and substitute(swapped, [y, x]) is t
     for a, b in product(range(3), repeat=2):
-        assert evaluate(swapped, a_ne, (a, b)) == evaluate(t, a_ne, (b, a))
+        assert evaluate(swapped, a_ne, (a, b)) == evaluate(t, a_ne, (b, a)) \
+            == scalar_evaluate(swapped, a_ne, (a, b))
