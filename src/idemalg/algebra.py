@@ -40,7 +40,9 @@ MAX_ANALYSIS_SIZE = 10
 #: default node cap for closures
 DEFAULT_CAP = 1_000_000
 
-#: widest key space a `KeyIndex` holds in dense slot arrays (see generate.TupleClosure)
+#: widest key space a `KeyIndex` holds in dense slot arrays: a tuple closure's
+#: rows (base**k keys) and signatures (len(maps)**k keys, summed from weighted
+#: map ids), see generate.TupleClosure
 DENSE = 1 << 18
 
 T = TypeVar("T")
@@ -404,7 +406,7 @@ def limb_keys(limbs: list[np.ndarray]) -> np.ndarray:
     itself, as int64; several are viewed as one fixed-width void scalar,
     whose `.tolist()` gives its bytes."""
     if len(limbs) == 1:
-        return limbs[0].astype(np.int64)
+        return limbs[0].astype(np.int64, copy=False)
     return np.stack(limbs, axis=1, dtype=np.int64).view(np.dtype((np.void, 8 * len(limbs))))[:, 0]
 
 
@@ -438,28 +440,50 @@ class KeyIndex:
 
     def firsts(self, keys: np.ndarray) -> np.ndarray:
         """Batch positions of the first occurrence of each distinct key, in
-        batch order.  Dense, the slots of the batch's keys hold the least
-        position of their key while this runs, by `minimum.at` (numpy leaves
-        open which of repeated fancy writes wins), and their ids again after."""
+        batch order."""
         if not self._dense:
             return np.sort(np.unique(keys, return_index=True)[1])
+        first, saved = self._claim(keys)
+        self._ids[keys[first]] = saved
+        return first
+
+    def number(self, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """`firsts`, the id of the key at each, and which of those keys were
+        absent: they get the next ids, in batch order."""
+        if not self._dense:
+            first = self.firsts(keys)
+            ids = self.get(keys[first])
+            new = ids < 0
+            ids[new] = np.arange(self.n, self.n + np.count_nonzero(new))
+            self.add(keys[first[new]])
+            return first, ids, new
+        first, saved = self._claim(keys)
+        ids, new = saved - 1, saved == 0
+        fresh = new.nonzero()[0]
+        ids[fresh] = np.arange(self.n, self.n + len(fresh))
+        self._ids[keys[first]] = ids + 1
+        self.n += len(fresh)
+        return first, ids, new
+
+    def _claim(self, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Dense: `firsts`, and the slots of their keys as they were.  While
+        this runs the slots of the batch's keys hold the least position of
+        their key, by `minimum.at` (numpy leaves open which of repeated fancy
+        writes wins); the caller writes them again at the firsts."""
         slot, at = self._ids, np.arange(len(keys), dtype=np.int32)
         saved = slot[keys]
         slot[keys] = len(keys)
         np.minimum.at(slot, keys, at)
         first = (slot[keys] == at).nonzero()[0]
-        slot[keys[first]] = saved[first]
-        return first
+        return first, saved[first]
 
-    def add(self, keys: np.ndarray) -> np.ndarray:
-        """Give distinct absent keys the next ids, in order; return them."""
-        ids = np.arange(self.n, self.n + len(keys))
+    def add(self, keys: np.ndarray) -> None:
+        """Give distinct absent keys the next ids, in order."""
         if self._dense:
-            self._ids[keys] = ids + 1
+            self._ids[keys] = np.arange(self.n + 1, self.n + 1 + len(keys))
         else:
-            self._ids.update(zip(keys.tolist(), ids.tolist()))
+            self._ids.update(zip(keys.tolist(), range(self.n, self.n + len(keys))))
         self.n += len(keys)
-        return ids
 
 
 def distinct_rows(rows: np.ndarray, base: int) -> tuple[np.ndarray, np.ndarray]:

@@ -7,16 +7,19 @@ order).  Subpower queries close a set of tuples under the coordinatewise
 operations; that engine is vectorized with numpy and deduplicates the
 partial applications of the operations by the signature of the unary maps
 they induce per coordinate, which is what makes desk-scale instances with
-ternary operations tractable.  One map table per closure holds the distinct
-unary maps of all operations, and one store holds each signature once,
-whichever operations induce it.  Every arity, unary included, runs through
-one sweep path in one discovery order (see `TupleClosure`).  Rows,
+ternary operations tractable.  One map table holds the distinct unary maps
+of all operations, built once per algebra (memoized on it) or, for columns
+in several algebras, once per closure; one store holds each signature once,
+whichever operations induce it.  Every arity, unary included, runs
+through one sweep path in one discovery order (see `TupleClosure`).  Rows,
 signatures and maps are deduplicated by the exact key of the table kernel
 in `algebra.py` (`row_keys`, `KeyIndex`, `distinct_rows`): a sum of
 weighted digits, one int64 limb per g columns.  The sweep sums each
 candidate row's key from weighted map lookups and builds only the rows it
-appends.  Coordinates may live in different algebras of one signature, so
-queries over products of quotients need no product algebras.
+appends; registration sums each signature's key from weighted map ids and
+stores the map ids of the signatures it records only.  Coordinates may live
+in different algebras of one signature, so queries over products of
+quotients need no product algebras.
 
 A closure given a target stops after the sweep chunk that appends it (after
 the generators when it is one of them): the rows, provenance and witness up
@@ -30,6 +33,7 @@ returned.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 from itertools import product
 from math import prod
 from typing import Optional, Sequence, Union
@@ -53,6 +57,7 @@ from .errors import (
     CapExceededError,
     ElementNotGenerated,
     PostconditionFailed,
+    SignatureMismatch,
     TooLarge,
     ValidationError,
 )
@@ -233,22 +238,47 @@ def _new_spans(length: int, old: int, cur: int) -> list[list[tuple[int, int]]]:
     if length == 0:
         return []
     inner = _new_spans(length - 1, old, cur)
-    # when the shorter ones form one product, the old heads share one range
-    heads = [[(0, old)]] if len(inner) == 1 else [[(a, a + 1)] for a in range(old)]
+    # when the shorter ones form at most one product, the old heads share one range
+    heads = [[(0, old)]] if len(inner) <= 1 else [[(a, a + 1)] for a in range(old)]
     return [h + s for h in heads for s in inner] + [[(old, cur)] + [(0, cur)] * (length - 1)]
 
 
 def _prefix_blocks(length: int, old: int, cur: int, chunk: int = _CHUNK):
-    """The combinations of `_new_spans` in order, as (index arrays, count) chunks."""
+    """The combinations of `_new_spans` in order, as (index arrays, count) chunks.
+    A combination's flat C-order index has the later positions as its digits;
+    what is left after dividing them out is the first position."""
     for spans in _new_spans(length, old, cur):
         total = prod(hi - lo for lo, hi in spans)
         for lo in range(0, total, chunk):
             flat = np.arange(lo, min(total, lo + chunk))
             m, idx = len(flat), []
-            for start, stop in reversed(spans):
+            for start, stop in reversed(spans[1:]):
                 flat, digit = np.divmod(flat, stop - start)
                 idx.append(digit + start)
-            yield idx[::-1], m
+            yield [flat + spans[0][0]] + idx[::-1] if spans else [], m
+
+
+def _map_tables(algs: Sequence[FiniteAlgebra], base: int):
+    """The map table of closures over the given column algebras: `maps`, each
+    operation's last-argument slices in each algebra, padded to `base` with their
+    last entry, once per content; and per arity, (arity, its operations, luts),
+    where luts[a][i, prefix] is the map id of the i-th of them at the prefix (a
+    radix-size integer of leading arguments) in algs[a].  The arrays are read-only:
+    over one algebra they are memoized on it and shared by its closures."""
+    sig = algs[0].signature
+    slices = [alg.op(name).array.reshape(-1, alg.size) for name, _ in sig for alg in algs]
+    table = np.concatenate([s.take(range(base), axis=1, mode="clip") for s in slices])
+    first, inv = distinct_rows(table, base)
+    maps = table[first].astype(np.uint8)
+    ids = np.split(inv.astype(np.int32), np.cumsum([len(s) for s in slices]))
+    groups = []
+    for arity in sorted({arity for _, arity in sig}):
+        ops = np.array([i for i, (_, a) in enumerate(sig) if a == arity])
+        luts = [np.stack([ids[o * len(algs) + a] for o in ops]) for a in range(len(algs))]
+        groups.append((arity, ops, luts))
+    for arr in [maps] + [lut for _, _, luts in groups for lut in luts]:
+        arr.flags.writeable = False
+    return maps, groups
 
 
 class TupleClosure:
@@ -266,7 +296,11 @@ class TupleClosure:
     A row's key sums its weighted digits, one limb per g columns
     (`key_layout`), so a candidate row's key, a signature's maps applied to
     a row, is a sum of k lookups in the round's table of weighted map
-    values; only the rows appended are built.
+    values; only the rows appended are built.  Likewise a signature's key
+    sums its weighted map ids, gathered per column algebra from the map
+    table's lookup tables (`_map_tables`, memoized on the algebra when every
+    column is the same one); only the map ids of the signatures recorded
+    are stored.
     The last argument of every operation is swept vectorized; combinations
     of the leading ones (the empty one for a unary operation) are
     registered by the signature of the per-coordinate unary maps they
@@ -278,10 +312,12 @@ class TupleClosure:
     rows, last argument ascending.  Within a batch a row counts where it
     first occurs.
 
-    One store holds each signature once.  It belongs to the lowest-indexed
-    operation that has registered it, with that operation's first
-    combination as the provenance of its rows, and only its owner sweeps
-    it; rows, provenance and cap cut stay those of one store per operation:
+    One store, four arrays indexed by signature id, holds each signature
+    once: its map id per column, owner, owner's first combination and
+    sequence number.  It belongs to the lowest-indexed operation that has
+    registered it, with that operation's first combination as the
+    provenance of its rows, and only its owner sweeps it; rows, provenance
+    and cap cut stay those of one store per operation:
     - a lower operation that registers a signature a higher one owns takes
       it over, new in the round (a fresh sequence number): with a store of
       its own, it would sweep it over every row before the higher one;
@@ -307,53 +343,61 @@ class TupleClosure:
         sig = self.columns[0].signature
         for alg in self.columns:
             if alg.signature != sig:
-                raise ValueError("all coordinate algebras must share one signature")
+                raise SignatureMismatch(f"coordinate algebras {self.columns[0].name} "
+                                        f"and {alg.name} differ")
             if alg.size > 256:
                 raise TooLarge(alg.size, 256, "tuple closures store elements as bytes")
         self.signature = sig
         self._sizes = np.array([alg.size for alg in self.columns])
-        self._base = int(self._sizes.max())
+        self._base = max(alg.size for alg in self.columns)
         self.n = 0
         self._buf = np.zeros((256, self.k), dtype=np.uint8)
         self._rows = KeyIndex(self._base ** self.k)
         self.provenance: list[Provenance] = []
         self.complete = False
         self._build_maps()
-        # per signature: map id per column, owner, owner's first combination, sequence
+        # the signature store: per signature id, map id per column, owner,
+        # owner's first combination and sequence number
         width = max(arity for _, arity in sig) - 1
-        self._store = np.zeros(64, dtype=[("ids", np.int32, (self.k,)), ("owner", np.intp),
-                                          ("combo", np.int64, (width,)), ("seq", np.int64)])
-        self._sigs = KeyIndex(len(self._maps) ** self.k)   # signature key -> record
+        self._map_ids = np.zeros((256, self.k), np.int32)
+        self._owner = np.zeros(256, np.intp)
+        self._combo = np.zeros((256, width), np.int64)
+        self._seq_of = np.zeros(256, np.int64)
+        self._sigs = KeyIndex(len(self._maps) ** self.k)   # signature key -> id
         self._seq = 0
         self._registered = 0       # rows whose prefix combinations are registered
         self.n_generators = len(generators)
+        if any(len(g) != self.k for g in generators):
+            raise ValidationError("generator length does not match coordinate count")
         gens = np.asarray(generators, dtype=np.int64).reshape(len(generators), self.k)
         if ((gens < 0) | (gens >= self._sizes)).any():
-            raise ValueError("generator entry out of range")
+            raise ValidationError("generator entry out of range of its column")
         keys = row_keys(gens, self._base)
         first = self._rows.firsts(keys)
-        self._append(gens[first], keys[first], first, lambda i: ("gen", i))
+        self._append(gens[first], keys[first], [("gen", i) for i in first.tolist()])
         self._target = None if target is None else self._key(target)
         if not self._reached():
             self._run()
 
     def _build_maps(self) -> None:
-        """`_maps`: each operation's last-argument slices in each column algebra, padded
-        to the widest column with their last entry, once per content; `_groups`: per arity,
-        its operations and per column algebra its columns and map id per (op, prefix)."""
-        algs = list({id(alg): alg for alg in self.columns}.values())
-        slices = [alg.op(name).array.reshape(-1, alg.size)
-                  for name, _ in self.signature for alg in algs]
-        table = np.concatenate([s.take(range(self._base), axis=1, mode="clip") for s in slices])
-        first, inv = distinct_rows(table, self._base)
-        self._maps = table[first].astype(np.uint8)
-        ids = np.split(inv.astype(np.int32), np.cumsum([len(s) for s in slices]))
-        cols = [np.flatnonzero([c is alg for c in self.columns]) for alg in algs]
-        self._groups = []
-        for arity in sorted({arity for _, arity in self.signature}):
-            ops = np.array([i for i, (_, a) in enumerate(self.signature) if a == arity])
-            luts = [np.stack([ids[o * len(algs) + a] for o in ops]) for a in range(len(algs))]
-            self._groups.append((arity, ops, list(zip(cols, luts))))
+        """`_maps`, and per arity its operations and per column algebra its columns,
+        lookup table and limb weights: w[i, limb] weighs the map id at the i-th of
+        those columns in the signature key's limb (`key_layout`), 0 in the others."""
+        distinct = {id(alg): alg for alg in self.columns}
+        algs, position = list(distinct.values()), {key: a for a, key in enumerate(distinct)}
+        if len(algs) == 1:
+            self._maps, groups = algs[0].memoized(("closure maps",),
+                                                  lambda: _map_tables(algs, self._base))
+        else:
+            self._maps, groups = _map_tables(algs, self._base)
+        weights, g = key_layout(len(self._maps), self.k)
+        self._n_limbs = -(-self.k // g)
+        limb_weights = np.zeros((self.k, self._n_limbs), weights.dtype)
+        limb_weights[np.arange(self.k), np.arange(self.k) // g] = weights
+        which = np.array([position[id(alg)] for alg in self.columns])
+        cols = [(which == a).nonzero()[0] for a in range(len(algs))]
+        self._groups = [(arity, ops, [(c, lut, limb_weights[c]) for c, lut in zip(cols, luts)])
+                        for arity, ops, luts in groups]
 
     # -- row storage --
 
@@ -361,15 +405,15 @@ class TupleClosure:
     def rows(self) -> np.ndarray:
         return self._buf[:self.n]
 
-    def _append(self, rows: np.ndarray, keys: np.ndarray, picks: np.ndarray, mk_prov) -> None:
-        """Append rows, new and distinct, with their keys; mk_prov maps the
-        batch position (picks) of each to its provenance."""
-        end = self.n + len(picks)
+    def _append(self, rows: np.ndarray, keys: np.ndarray,
+                provenance: list[Provenance]) -> None:
+        """Append rows, new and distinct, with their keys and provenance."""
+        end = self.n + len(rows)
         if end > len(self._buf):   # entries past n are never read
             self._buf = np.resize(self._buf, (max(2 * len(self._buf), end), self.k))
         self._buf[self.n:end] = rows
         self._rows.add(keys)
-        self.provenance.extend(map(mk_prov, picks.tolist()))
+        self.provenance.extend(provenance)
         self.n = end
 
     def __len__(self) -> int:
@@ -378,7 +422,7 @@ class TupleClosure:
     def _key(self, tup: Sequence[int]) -> Optional[np.ndarray]:
         """The one-entry key array of the tuple, None when no row can have it
         (a key is exact only for a tuple of length k with every entry in range)."""
-        if len(tup) != self.k or any(not 0 <= v < n for v, n in zip(tup, self._sizes)):
+        if len(tup) != self.k or any(not 0 <= v < alg.size for v, alg in zip(tup, self.columns)):
             return None
         return row_keys(np.asarray([tup]), self._base)
 
@@ -397,51 +441,68 @@ class TupleClosure:
 
     def _register(self, n_cur: int) -> None:
         """Register the signatures of the prefix combinations over rows[:n_cur]
-        that use a row new since the last round, a batch of one arity at a
-        time (flat index = operation position * m + combination): the first
-        occurrence of each, unless an operation below it owns it."""
-        rows = self.rows
-        for arity, ops, luts in self._groups:
+        that use a row new since the last round, a block of one arity at a
+        time: the first occurrence of each, unless an operation below it owns
+        it."""
+        for arity, ops, groups in self._groups:
             for idx, m in _prefix_blocks(arity - 1, self._registered, n_cur,
                                          max(1, _CHUNK // (len(ops) * self.k))):
-                packed = np.zeros((m, self.k), dtype=np.intp)
-                for arr in idx:
-                    packed = packed * self._sizes + rows[arr]
-                sig = np.empty((len(ops), m, self.k), dtype=np.int32)
-                for cols, lut in luts:
-                    sig[:, :, cols] = lut[:, packed[:, cols]]
-                sig = sig.reshape(-1, self.k)
-                keys = row_keys(sig, len(self._maps))
-                first = self._sigs.firsts(keys)
-                recs = self._sigs.get(keys[first])
-                new = recs < 0
-                recs[new] = self._sigs.add(keys[first[new]])
-                if self._sigs.n > len(st := self._store):   # written before read
-                    self._store = st = np.resize(st, 2 * self._sigs.n)
-                take = new | (st["owner"][recs] > ops[first // m])
-                recs, first = recs[take], first[take]
-                st["ids"][recs], st["owner"][recs] = sig[first], ops[first // m]
-                for p, arr in enumerate(idx):
-                    st["combo"][recs, p] = arr[first % m]
-                st["seq"][recs] = self._seq + np.arange(len(recs))
-                self._seq += len(recs)
+                self._register_block(ops, groups, idx, m)
+
+    def _register_block(self, ops: np.ndarray, groups: list, idx: list, m: int) -> None:
+        """One block of m combinations, the rows at idx, for each of ops (flat
+        index = operation position * m + combination).  A method of its own, so
+        that a block's arrays are freed before the next block's are built."""
+        rows = self.rows
+        # the leading arguments at each column as one radix-size integer
+        packed = rows[idx[0]] if idx else np.zeros((1, self.k), np.intp)
+        for arr in idx[1:]:
+            packed = packed * self._sizes + rows[arr]
+        # per column algebra, [operation, combination, column] map ids
+        got = [lut[:, packed[:, cols]] for cols, lut, _ in groups]
+        limbs = reduce(np.add, (ids @ w for ids, (_, _, w) in zip(got, groups)))
+        keys = limb_keys(list(limbs.reshape(-1, self._n_limbs).T))
+        first, recs, new = self._sigs.number(keys)
+        if self._sigs.n > len(self._owner):   # written before read
+            self._grow_store(2 * self._sigs.n)
+        op, j = np.divmod(first, m)
+        take = (new | (self._owner[recs] > ops[op])).nonzero()[0]
+        if not len(take):
+            return
+        recs, op, j = recs[take], op[take], j[take]
+        for ids, (cols, _, _) in zip(got, groups):
+            self._map_ids[recs[:, None], cols] = ids[op, j]
+        self._owner[recs] = ops[op]
+        for p, arr in enumerate(idx):
+            self._combo[recs, p] = arr[j]
+        self._seq_of[recs] = np.arange(self._seq, self._seq + len(recs))
+        self._seq += len(recs)
+
+    def _grow_store(self, size: int) -> None:
+        """Room for `size` signatures; entries past `_sigs.n` are never read."""
+        self._map_ids = np.resize(self._map_ids, (size, self.k))
+        self._owner = np.resize(self._owner, size)
+        self._combo = np.resize(self._combo, (size, self._combo.shape[1]))
+        self._seq_of = np.resize(self._seq_of, size)
 
     def _run(self) -> None:
         nmaps = len(self._maps)
         weights, g = key_layout(self._base, self.k)
+        offsets = np.arange(self.k) * nmaps
         while not self.complete:
             n_cur, seq0 = self.n, self._seq
             self._register(n_cur)
             # [column * nmaps + map, z]: the weighted value of the map at rows[z, column]
             weighted = (self._maps[:, self.rows[:n_cur]] * weights).transpose(2, 0, 1)
             weighted = weighted.reshape(self.k * nmaps, n_cur)
-            st = self._store[:self._sigs.n]
-            at = st["ids"] + np.arange(self.k) * nmaps   # row in `weighted` of each map id
-            order = np.lexsort((st["seq"], st["owner"]))   # by owner, then sequence
-            bounds = np.searchsorted(st["owner"][order], np.arange(len(self.signature) + 1))
+            n_sigs = self._sigs.n
+            at = self._map_ids[:n_sigs] + offsets   # row in `weighted` of each map id
+            owner, seq = self._owner[:n_sigs], self._seq_of[:n_sigs]
+            order = np.lexsort((seq, owner))   # by owner, then sequence
+            bounds = owner[order].searchsorted(np.arange(len(self.signature) + 1)).tolist()
             for opi, (name, arity) in enumerate(self.signature):
                 mine = order[bounds[opi]:bounds[opi + 1]]
-                split = np.searchsorted(st["seq"][mine], seq0)
+                split = seq[mine].searchsorted(seq0)
                 # signatures new in the round sweep every row, older ones the new rows
                 for recs, z0 in ((mine[split:], 0), (mine[:split], self._registered)):
                     zs, m = self.rows[z0:n_cur], n_cur - z0   # appends never write here
@@ -456,10 +517,10 @@ class TupleClosure:
                         # first occurrences in batch order, until the row count passes the cap
                         first = new[self._rows.firsts(keys[new])][:max(1, self.cap + 1 - self.n)]
                         rec, z = np.divmod(first, m)
-                        combos = st["combo"][part, :arity - 1]
-                        self._append(self._maps[st["ids"][part[rec]], zs[z]], keys[first],
-                                     first, lambda q: ("step", name, (
-                                         *combos[q // m].tolist(), z0 + q % m)))
+                        sigs = part[rec]
+                        args = zip(self._combo[sigs, :arity - 1].tolist(), (z + z0).tolist())
+                        self._append(self._maps[self._map_ids[sigs], zs[z]], keys[first],
+                                     [("step", name, (*c, last)) for c, last in args])
                         if self.n > self.cap or self._reached():
                             return
             self._registered = n_cur

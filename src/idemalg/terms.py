@@ -34,10 +34,12 @@ _TREE_SIZE_CAP = 1 << 20
 class Term:
     """One interned node of a term DAG.  Do not construct directly; use
     proj(), app() and power().  `tree_size` is the size of the fully
-    expanded tree (what text() would print), capped at _TREE_SIZE_CAP."""
+    expanded tree (what text() would print), capped at _TREE_SIZE_CAP.
+    `evaluate` keeps the nodes it walks in `_evaluated`, filled on the term
+    it is called on, never on its subterms, so a deep chain keeps one list."""
 
     __slots__ = ("kind", "arity", "index", "op", "children", "hole", "times",
-                 "tree_size")
+                 "tree_size", "_evaluated")
 
     def __init__(self, kind, arity, index=None, op=None, children=None,
                  hole=None, times=None):
@@ -50,6 +52,7 @@ class Term:
         self.times = times
         self.tree_size = 1 if children is None else min(
             1 + sum(c.tree_size for c in children), _TREE_SIZE_CAP)
+        self._evaluated: Optional[list[Term]] = None
 
     def __repr__(self) -> str:
         return f"Term({self.text()})"
@@ -218,8 +221,8 @@ def _rewrite(t: Term, replacements: Sequence[Term]) -> Term:
 
 def evaluate(t: Term, algebra: FiniteAlgebra, args: Sequence[int]) -> int:
     """Value of the induced term operation at args, bottom-up over the nodes
-    evaluated at args (`nodes(outers=False, bodies=False)`): a projection
-    reads args, an application one flat table entry.  The first composition
+    evaluated at args (`nodes(outers=False, bodies=False)`, kept on t): a
+    projection reads args, an application one flat table entry.  The first composition
     or power node met sends the whole term to its realized table, which
     costs one n**arity table per algebra (memoized there); only the
     arity-2/3 synthesis and thin-edge terms have such nodes, provenance
@@ -227,8 +230,10 @@ def evaluate(t: Term, algebra: FiniteAlgebra, args: Sequence[int]) -> int:
     if len(args) != t.arity:
         raise ArityMismatch(f"term has arity {t.arity}, got {len(args)} arguments")
     algebra.check_elements(args)
+    if t._evaluated is None:
+        t._evaluated = t.nodes(outers=False, bodies=False)
     size, values = algebra.size, {}
-    for node in t.nodes(outers=False, bodies=False):
+    for node in t._evaluated:
         if node.kind == "proj":
             r = args[node.index]
         elif node.kind == "app":

@@ -15,7 +15,9 @@ from idemalg import generate, terms
 from idemalg.algebra import (
     DEFAULT_CAP,
     DENSE,
+    FiniteAlgebra,
     KeyIndex,
+    align_signatures,
     distinct_rows,
     key_layout,
     restrict,
@@ -23,7 +25,7 @@ from idemalg.algebra import (
     validate_algebra,
 )
 from idemalg.edges import structure_graph
-from idemalg.errors import TooLarge, ValidationError
+from idemalg.errors import SignatureMismatch, TooLarge, ValidationError
 from idemalg.generate import (
     Absent,
     CapExceeded,
@@ -489,6 +491,29 @@ def test_key_index_absent_agrees_on_dense_slots_and_the_dict():
         assert index.absent(batch[:0]).tolist() == []
 
 
+def test_key_index_number_agrees_on_dense_slots_and_the_dict():
+    # batches with repeats and keys already present, against a dict: the
+    # first occurrences, their ids (absent keys take the next ones, in batch
+    # order) and which were absent
+    rng = np.random.default_rng(6)
+    batches = [rng.integers(0, 300, 200) for _ in range(4)]
+    batches += [np.array([7, 7, 7]), np.array([], int)]
+    for space in (300, DENSE + 1):
+        index, ref = KeyIndex(space), {5: 0, 17: 1, 250: 2}
+        index.add(np.array([5, 17, 250]))
+        assert index._dense == (space == 300)
+        for batch in batches:
+            first, ids, new = index.number(batch)
+            listed = batch.tolist()
+            assert first.tolist() == [j for j, key in enumerate(listed) if listed.index(key) == j]
+            keys = batch[first].tolist()
+            assert new.tolist() == [key not in ref for key in keys]
+            for key in keys:
+                ref.setdefault(key, len(ref))
+            assert ids.tolist() == [ref[key] for key in keys] and index.n == len(ref)
+            assert index.get(batch).tolist() == [ref[key] for key in listed]
+
+
 def _closure_digest(cl):
     h = hashlib.sha256(cl.rows.tobytes())
     h.update(repr(cl.provenance).encode())
@@ -623,10 +648,10 @@ def test_sweep_keys_are_row_keys(monkeypatch):
     # first position
     appended = []
 
-    def check(self, rows, keys, picks, mk_prov):
+    def check(self, rows, keys, provenance):
         appended.append(len(rows))
         assert row_keys(rows, self._base).tolist() == keys.tolist()
-        append(self, rows, keys, picks, mk_prov)
+        append(self, rows, keys, provenance)
 
     append = generate.TupleClosure._append
     monkeypatch.setattr(generate.TupleClosure, "_append", check)
@@ -681,8 +706,164 @@ def test_signature_store_holds_each_signature_once(c_nef):
                    for pre in product(cl.rows.tolist(), repeat=arity - 1)}
                   for name, arity in red.signature]
         n = cl._sigs.n
-        assert n == len(set().union(*per_op)) == len(np.unique(cl._store["ids"][:n], axis=0))
+        assert n == len(set().union(*per_op)) == len(np.unique(cl._map_ids[:n], axis=0))
         assert n < sum(map(len, per_op))
+
+
+def test_tuple_closure_raises_the_package_errors(sl2, mj2, z3a):
+    with pytest.raises(SignatureMismatch, match="sl2 and mj2 differ"):
+        generate.TupleClosure((sl2, mj2), ((0, 1),))
+    s, z = align_signatures([sl2, z3a])
+    for cols, gens in (((sl2, sl2), ((0, 2),)), ((sl2, sl2), ((-1, 0),)),
+                       ((s, z), ((0, 2), (2, 0))), ((z, s), ((1, 1), (0, 256)))):
+        with pytest.raises(ValidationError, match="out of range"):
+            generate.TupleClosure(cols, gens)
+    for gens in (((0, 1), (1,)), ((0, 1, 0),)):
+        with pytest.raises(ValidationError, match="coordinate count"):
+            generate.TupleClosure((sl2, sl2), gens)
+
+
+def _copy(alg):
+    """An algebra equal to alg, with no memo of its own yet."""
+    return validate_algebra(alg.name, alg.size,
+                            [(op.name, op.arity, op.table) for op in alg.operations])
+
+
+MAPS_KEY = ("closure maps",)
+
+
+def test_map_table_memo_matches_fresh_algebras_and_the_oracle():
+    # a closure on an algebra that already holds the map table must build
+    # what one on a fresh, equal algebra builds, and the answers must be
+    # the oracle's; equal algebras keep a table each
+    rng = random.Random(12)
+    seen = {Found: 0, Absent: 0, CapExceeded: 0}
+    for i in range(120):
+        arities, max_size, max_k, caps = CLOSURE_CLASSES[i % len(CLOSURE_CLASSES)]
+        warm = _random_algebra(rng, "r", rng.randint(2, max_size), arities)
+        cols = (warm,) * rng.randint(1, max_k)
+        gens = tuple(tuple(rng.randrange(warm.size) for _ in cols)
+                     for _ in range(rng.randint(1, 3)))
+        target = tuple(rng.randrange(warm.size) for _ in cols)
+        cap = rng.choice(caps)
+        first = generate.TupleClosure(cols, gens, cap)
+        table = warm._memo[MAPS_KEY]
+        fresh = _copy(warm)
+        assert fresh == warm and MAPS_KEY not in fresh._memo
+        again = generate.TupleClosure(cols, gens, cap)
+        assert again._maps is table[0]
+        other = generate.TupleClosure((fresh,) * len(cols), gens, cap)
+        assert fresh._memo[MAPS_KEY] is not table
+        assert not np.shares_memory(fresh._memo[MAPS_KEY][0], table[0])
+        for cl in (again, other):
+            assert (len(cl), cl.complete) == (len(first), first.complete), i
+            assert (cl.rows == first.rows).all() and cl.provenance == first.provenance, i
+        answers = [subpower_membership(SubpowerQuery(c, gens, target, cap))
+                   for c in (cols, (fresh,) * len(cols))]
+        slow = naive_subpower_membership(SubpowerQuery(cols, gens, target, cap))
+        seen[type(slow)] += 1
+        assert answers[0] == answers[1], i
+        if isinstance(slow, CapExceeded):
+            assert isinstance(answers[0], (CapExceeded, Found)), i
+        else:
+            assert type(answers[0]) is type(slow), i
+            if isinstance(slow, Absent):
+                assert answers[0] == slow, i
+    assert min(seen.values()) >= 5, seen
+
+
+def test_mixed_columns_never_read_a_single_algebra_memo(monkeypatch, sl2, z3a):
+    s, z = align_signatures([sl2, z3a])
+    for alg in (s, z):
+        generate.TupleClosure((alg, alg), ((0, 1), (1, 0)))
+        assert alg._memo[MAPS_KEY][0].shape[1] == alg.size
+    asked = []
+    memoized = FiniteAlgebra.memoized
+
+    def record(self, key, compute):
+        asked.append(key)
+        return memoized(self, key, compute)
+
+    monkeypatch.setattr(FiniteAlgebra, "memoized", record)
+    rng = random.Random(3)
+    for _ in range(20):
+        cols = tuple(rng.choice((s, z)) for _ in range(rng.randint(2, 5)))
+        cols = cols if s in cols and z in cols else (s, z) + cols
+        gens = tuple(tuple(rng.randrange(c.size) for c in cols)
+                     for _ in range(rng.randint(1, 3)))
+        target = tuple(rng.randrange(c.size) for c in cols)
+        cl = generate.TupleClosure(cols, gens)
+        # padded to the widest column: a size-2 table of s would not do
+        assert cl._maps.shape[1] == 3
+        copies = {id(s): _copy(s), id(z): _copy(z)}
+        twin = generate.TupleClosure(tuple(copies[id(c)] for c in cols), gens)
+        assert cl.provenance == twin.provenance and (cl.rows == twin.rows).all()
+        fast = subpower_membership(SubpowerQuery(cols, gens, target))
+        slow = naive_subpower_membership(SubpowerQuery(cols, gens, target))
+        assert type(fast) is type(slow)
+        if isinstance(slow, Absent):
+            assert fast == slow
+    assert MAPS_KEY not in asked
+
+
+def _registered_keys_are_row_keys(monkeypatch, columns, gens, cap=DEFAULT_CAP):
+    """Close the generators, recording each registration block and the
+    signature keys it numbers; rebuild each block's signature array from
+    the operation tables, map ids read off `_maps` by content, and compare
+    its `row_keys` with the recorded keys."""
+    blocks, numbered = [], []
+    prefix_blocks, number = generate._prefix_blocks, KeyIndex.number
+
+    def record_blocks(length, old, cur, chunk):
+        for idx, m in prefix_blocks(length, old, cur, chunk):
+            blocks.append((length + 1, [a.tolist() for a in idx], m))
+            yield idx, m
+
+    def record_number(self, keys):
+        numbered.append((self, keys.copy()))
+        return number(self, keys)
+
+    monkeypatch.setattr(generate, "_prefix_blocks", record_blocks)
+    monkeypatch.setattr(KeyIndex, "number", record_number)
+    cl = generate.TupleClosure(columns, gens, cap)
+    monkeypatch.undo()
+    keys = [k for index, k in numbered if index is cl._sigs]
+    assert len(keys) == len(blocks) > 0
+    ids = {tuple(r): i for i, r in enumerate(cl._maps.tolist())}
+    base, rows = cl._maps.shape[1], cl.rows.tolist()
+    for (arity, idx, m), got in zip(blocks, keys):
+        names = [name for name, a in cl.signature if a == arity]
+        sig = np.empty((len(names), m, cl.k), np.int64)
+        for c, alg in enumerate(columns):
+            for i, name in enumerate(names):
+                for j in range(m):
+                    last = alg.op(name).array[tuple(rows[a[j]][c] for a in idx)].tolist()
+                    sig[i, j, c] = ids[tuple(last + last[-1:] * (base - alg.size))]
+        assert row_keys(sig.reshape(-1, cl.k), len(cl._maps)).tolist() == got.tolist()
+    return cl
+
+
+def test_summed_signature_keys_are_row_keys(monkeypatch, c_nef):
+    # one limb in dense slots, mixed columns included
+    for seed in range(6):
+        rng = random.Random(seed)
+        cols, gens = _random_closure_input(rng, (1, 2, 3), 3, 5)
+        cl = _registered_keys_are_row_keys(monkeypatch, cols, gens, 60)
+        assert cl._sigs._dense and key_layout(len(cl._maps), cl.k)[1] == cl.k
+    # one limb in the dict: copies of column 0 until len(_maps)**k passes DENSE
+    rng = random.Random(3)
+    alg = _random_algebra(rng, "r", 3, (1, 2))
+    gens = [tuple(rng.randrange(3) for _ in range(3)) for _ in range(2)]
+    nmaps = len(generate.TupleClosure((alg,) * 3, gens)._maps)
+    k = next(k for k in range(3, 40) if nmaps ** k > DENSE)
+    cl = _registered_keys_are_row_keys(monkeypatch, (alg,) * k,
+                                       [g + g[:1] * (k - 3) for g in gens])
+    assert not cl._sigs._dense and key_layout(len(cl._maps), k)[1] == k
+    # several limbs: the binary term operations of no-edge-factor, 36 columns
+    gens = [tuple(a for a in range(6) for _ in range(6)),
+            tuple(b for _ in range(6) for b in range(6))]
+    cl = _registered_keys_are_row_keys(monkeypatch, (c_nef,) * 36, gens)
+    assert cl.complete and key_layout(len(cl._maps), 36)[1] < 36
 
 
 def test_lookup_rejects_entries_outside_their_column(sl2, z3a):

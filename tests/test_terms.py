@@ -401,6 +401,21 @@ def test_evaluate_compositions_nested_in_arguments(a_ne):
             == table[args[0] * 3 + args[1]]
 
 
+def test_evaluate_keeps_its_node_walk_on_the_evaluated_term_only():
+    # kept on the term evaluated, never on its subterms: a chain of n
+    # applications keeps n + 2 nodes, not about n**2 / 2
+    alg = validate_algebra("left", 2, [("chainop", 2, [0, 0, 1, 1])])
+    x, y = proj(0, 2), proj(1, 2)
+    chain = [x]
+    for _ in range(200):
+        chain.append(app("chainop", [chain[-1], y]))
+    t = chain[-1]
+    for args in product(range(2), repeat=2):
+        assert evaluate(t, alg, args) == scalar_evaluate(t, alg, args) == args[0]
+    assert len(t._evaluated) == 202
+    assert all(c._evaluated is None for c in chain[1:-1])
+
+
 def test_print_a_deep_chain():
     t, text = _deep_chain(3000)
     assert t.text() == text
