@@ -167,7 +167,10 @@ class FiniteAlgebra:
     def memoized(self, key: Hashable, compute: Callable[[], T]) -> T:
         """compute(), run once per key for this object.  The analyses keep
         their results here, so a result lives and dies with the object, and
-        two equal algebras never share one."""
+        two equal algebras never share one.  A key may name content, as the
+        pair searches of `edges.classify_pair` do: equal quotients met in
+        classifying this algebra's pairs share one search, which no other
+        algebra object reads."""
         memo = self._memo
         if key not in memo:
             memo[key] = compute()

@@ -5,7 +5,9 @@ together the way the command-line `verify` runs them.  Witnesses
 re-evaluate and constructions re-verify their defining equations.
 Analyses are memoized per algebra object, so the cross-checks compare
 computations made on distinct objects: a subalgebra or quotient against
-the algebra itself, never one cache against itself.
+the algebra itself, never one cache against itself.  Equal quotients share
+one pair search within one algebra's classification, never across algebra
+objects, so a subalgebra or quotient still classifies on a memo of its own.
 """
 
 from __future__ import annotations

@@ -42,6 +42,7 @@ from .generate import (
     PairWitness,
     SEMILATTICE,
     all_subalgebras,
+    check_pair_witness,
     find_pair_witness,
     subuniverse,
 )
@@ -104,7 +105,9 @@ def classify_pair(algebra: FiniteAlgebra, a: int, b: int,
                   limits: Limits = DEFAULT_LIMITS) -> EdgeReport:
     """Classify the pair through every maximal congruence of the subalgebra
     it generates, in canonical congruence order.  The report is memoized on
-    the algebra, per ordered pair and cap."""
+    the algebra, per ordered pair and cap.  So are its witness searches, per
+    quotient content and search input, so that the pairs of this algebra
+    whose quotients are equal share one (`_pair_search`)."""
     if a == b:
         raise ValueError("need two distinct elements")
     return algebra.memoized(("classify_pair", a, b, limits.cap),
@@ -130,7 +133,7 @@ def _classify_pair(algebra: FiniteAlgebra, a: int, b: int,
             witnesses.append(EdgeWitness(UNARY, (a, b), sub, theta, quot,
                                          bmap, qa, qb, None))
             continue
-        sl = find_pair_witness(quot, SEMILATTICE, qa, qb, cap)
+        sl = _pair_search(algebra, quot, SEMILATTICE, qa, qb, cap)
         if isinstance(sl, CapExceeded):
             inconclusive.append(theta)
             continue
@@ -138,7 +141,7 @@ def _classify_pair(algebra: FiniteAlgebra, a: int, b: int,
             witnesses.append(EdgeWitness(SEMILATTICE, (a, b), sub, theta, quot,
                                          bmap, qa, qb, sl.term, sl.absorber))
             continue
-        mj = find_pair_witness(quot, MAJORITY, qa, qb, cap)
+        mj = _pair_search(algebra, quot, MAJORITY, qa, qb, cap)
         if isinstance(mj, CapExceeded):
             inconclusive.append(theta)
             continue
@@ -147,7 +150,7 @@ def _classify_pair(algebra: FiniteAlgebra, a: int, b: int,
                                          bmap, qa, qb, mj.term))
             continue
         if classify_simple_quotient(quot, limits) == MODULE:
-            mal = find_pair_witness(quot, MALTSEV, cap=cap)
+            mal = _pair_search(algebra, quot, MALTSEV, 0, 0, cap)
             if isinstance(mal, CapExceeded):
                 inconclusive.append(theta)
                 continue
@@ -157,6 +160,22 @@ def _classify_pair(algebra: FiniteAlgebra, a: int, b: int,
             witnesses.append(EdgeWitness(AFFINE, (a, b), sub, theta, quot,
                                          bmap, qa, qb, mal.term))
     return EdgeReport((a, b), sub, tuple(witnesses), tuple(inconclusive))
+
+
+def _pair_search(algebra: FiniteAlgebra, quot: FiniteAlgebra, kind: str,
+                 a: int, b: int, cap: int):
+    """`find_pair_witness(quot, kind, a, b, cap)`, run once per content of
+    quot (its tables, not its name) and search input among the quotients met
+    in classifying algebra's pairs.  The search reads only tables,
+    generators and target, so every quotient gets the answer its own search
+    would give; a witness found on another quotient re-evaluates on quot."""
+    key = ("pair search", quot.size, tuple((op.name, op.table) for op in quot.operations),
+           kind, a, b, cap)
+    searched, ans = algebra.memoized(
+        key, lambda: (quot, find_pair_witness(quot, kind, a, b, cap)))
+    if searched is not quot and isinstance(ans, PairWitness):
+        check_pair_witness(quot, kind, a, b, ans)
+    return ans
 
 
 # --------------------------------------------------------------------------

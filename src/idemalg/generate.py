@@ -539,16 +539,22 @@ def subpower_membership(query: SubpowerQuery) -> SubpowerAnswer:
     cl = TupleClosure(query.columns, query.generators, query.cap, query.target)
     if (hit := cl.lookup(query.target)) is not None:
         w = cl.witness(hit)
-        for c, alg in enumerate(query.columns):
-            value = terms.evaluate(w, alg, [g[c] for g in query.generators])
-            if value != query.target[c]:
-                raise PostconditionFailed(
-                    f"subpower witness {w.text()} gives {value} at coordinate "
-                    f"{c}, not {query.target[c]}")
+        _check_member(query, w)
         return Found(w, len(cl))
     if cl.complete:
         return Absent(len(cl))
     return CapExceeded(query.cap)
+
+
+def _check_member(query: SubpowerQuery, w: Term) -> None:
+    """PostconditionFailed unless w sends the generators to the target at
+    every coordinate."""
+    for c, alg in enumerate(query.columns):
+        value = terms.evaluate(w, alg, [g[c] for g in query.generators])
+        if value != query.target[c]:
+            raise PostconditionFailed(
+                f"subpower witness {w.text()} gives {value} at coordinate "
+                f"{c}, not {query.target[c]}")
 
 
 # --------------------------------------------------------------------------
@@ -610,13 +616,9 @@ def find_pair_witness(algebra: FiniteAlgebra, kind: str, a: int = 0, b: int = 0,
         cl = TupleClosure((algebra, algebra), ((a, b), (b, a)), cap, (b, b))
         for absorber in (b, a):
             if (hit := cl.lookup((absorber, absorber))) is not None:
-                w = cl.witness(hit)
-                for args in ((a, b), (b, a)):
-                    if terms.evaluate(w, algebra, args) != absorber:
-                        raise PostconditionFailed(
-                            f"semilattice witness {w.text()} does not send "
-                            f"{args} to {absorber}")
-                return PairWitness(SEMILATTICE, w, absorber, len(cl))
+                found = PairWitness(SEMILATTICE, cl.witness(hit), absorber, len(cl))
+                check_pair_witness(algebra, SEMILATTICE, a, b, found)
+                return found
         return Absent(len(cl)) if cl.complete else CapExceeded(cap)
     if kind == MAJORITY:
         q = majority_query(algebra, a, b, cap)
@@ -630,6 +632,24 @@ def find_pair_witness(algebra: FiniteAlgebra, kind: str, a: int = 0, b: int = 0,
     if isinstance(ans, Found):
         return PairWitness(kind, ans.witness, None, ans.closure_size)
     return ans
+
+
+def check_pair_witness(algebra: FiniteAlgebra, kind: str, a: int, b: int,
+                       witness: PairWitness) -> None:
+    """Re-evaluate a witness of `find_pair_witness(algebra, kind, a, b)` on
+    algebra: PostconditionFailed unless its term sends (a, b) and (b, a) to
+    its absorber (semilattice), or the generators of the majority or
+    Mal'tsev query to its target."""
+    w = witness.term
+    if kind == SEMILATTICE:
+        for args in ((a, b), (b, a)):
+            if terms.evaluate(w, algebra, args) != witness.absorber:
+                raise PostconditionFailed(
+                    f"semilattice witness {w.text()} does not send "
+                    f"{args} to {witness.absorber}")
+    else:
+        _check_member(majority_query(algebra, a, b) if kind == MAJORITY
+                      else maltsev_query(algebra), w)
 
 
 def term_operations(algebra: FiniteAlgebra, arity: int, cap: int = DEFAULT_CAP

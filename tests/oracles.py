@@ -18,6 +18,13 @@ from idemalg.errors import ArityMismatch, NotACongruence, NotClosed, SignatureMi
 from idemalg.generate import Absent, CapExceeded, Found, SubpowerQuery, term_operations
 
 
+def random_idempotent_table(rng, size, arity):
+    """A flat idempotent table (radix-`size`, last argument fastest): the
+    diagonal fixed, every other entry `rng.randrange(size)` in table order."""
+    return [args[0] if len(set(args)) == 1 else rng.randrange(size)
+            for args in product(range(size), repeat=arity)]
+
+
 def table_index(args, size):
     idx = 0
     for a in args:

@@ -4,6 +4,7 @@ import gc
 import json
 import time
 from itertools import product
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -12,6 +13,8 @@ from idemalg import algfile, cli, fixtures
 from idemalg.algebra import validate_algebra
 from idemalg.cli import EXIT_CAP, EXIT_INPUT, EXIT_OK, main
 from idemalg.errors import ValidationError
+
+PINNED = Path(__file__).parent / "data"
 
 SAMPLE = """\
 # a three-element example
@@ -270,3 +273,13 @@ def test_cli_verify_all_fixtures_under_budget(capsys):
     assert time.perf_counter() - t0 < 60
     out = capsys.readouterr().out
     assert "[FAIL]" not in out
+
+
+@pytest.mark.parametrize("name", sorted(fixtures.FIXTURES))
+@pytest.mark.parametrize("command", [["verify", "--seed", "0"], ["edges"], ["synth"]],
+                         ids=lambda command: command[0])
+def test_cli_report_stdout_pinned(command, name, capsys):
+    """`idemalg COMMAND --fixture NAME` prints exactly the report pinned in
+    tests/data/COMMAND/NAME.out."""
+    assert main([command[0], "--fixture", name, *command[1:]]) == EXIT_OK
+    assert capsys.readouterr().out == (PINNED / command[0] / f"{name}.out").read_text()

@@ -5,9 +5,9 @@ from collections import Counter
 from dataclasses import replace
 from itertools import combinations, product
 
-from oracles import naive_classify_pair
+from oracles import naive_classify_pair, random_idempotent_table
 
-from idemalg import fixtures
+from idemalg import edges, fixtures, generate
 from idemalg.algebra import DEFAULT_CAP, restrict, validate_algebra
 from idemalg.checks import check_edge_factor, check_edge_subalgebra
 from idemalg.edges import (
@@ -26,7 +26,7 @@ from idemalg.edges import (
     structure_graph,
     x_connected,
 )
-from idemalg.generate import Absent, SEMILATTICE as SLKIND, find_pair_witness
+from idemalg.generate import Absent, PairWitness, SEMILATTICE as SLKIND, find_pair_witness
 
 
 def test_no_edge_classification(a_ne):
@@ -240,6 +240,55 @@ def test_cross_checks_do_not_share_a_cache(c_nef):
     assert not check_edge_factor(c_nef)[0].ok
 
 
+def _search_key(witness, kind):
+    """The key of the search for a witness of kind on the quotient of an
+    edge witness, at the default cap."""
+    q = witness.quotient
+    return ("pair search", q.size, tuple((op.name, op.table) for op in q.operations),
+            kind, witness.a_block, witness.b_block, DEFAULT_CAP)
+
+
+def test_poisoned_shared_search_fails_the_cross_checks():
+    """Make the semilattice search that the quotient of pair (2, 4) shares
+    with other pairs answer Absent: the pairs classified after it lose the
+    label, and the checks that classify them again on a subalgebra or from
+    a quotient, each with a memo of its own, must disagree."""
+    fresh = fixtures.no_edge_factor()
+    assert check_edge_subalgebra(fresh)[0].ok
+    assert check_edge_factor(fresh)[0].ok
+    alg = fixtures.no_edge_factor()
+    key = _search_key(classify_pair(alg, 2, 4).witnesses[0], SLKIND)
+    searched, ans = alg._memo[key]
+    assert isinstance(ans, PairWitness)
+    alg._memo[key] = (searched, Absent(ans.closure_size))
+    assert not check_edge_subalgebra(alg)[0].ok
+    assert not check_edge_factor(alg)[0].ok
+
+
+def test_wrong_shared_witness_raises_under_O(run_optimized):
+    # the next pair whose quotient shares the search re-evaluates the
+    # witness on its own quotient
+    code = (
+        "from dataclasses import replace\n"
+        "from idemalg import fixtures, terms\n"
+        "from idemalg.algebra import DEFAULT_CAP\n"
+        "from idemalg.edges import classify_pair, structure_graph\n"
+        "from idemalg.errors import PostconditionFailed\n"
+        "alg = fixtures.no_edge_factor()\n"
+        "w = classify_pair(alg, 2, 4).witnesses[0]\n"
+        "q = w.quotient\n"
+        "key = ('pair search', q.size, tuple((op.name, op.table) for op in q.operations),\n"
+        "       'semilattice', w.a_block, w.b_block, DEFAULT_CAP)\n"
+        "searched, ans = alg._memo[key]\n"
+        "alg._memo[key] = (searched, replace(ans, term=terms.proj(0, 2)))\n"
+        "print(__debug__)\n"
+        "try:\n"
+        "    structure_graph(alg)\n"
+        "except PostconditionFailed as exc:\n"
+        "    print(exc)\n")
+    assert run_optimized(code) == "False\nsemilattice witness p0 does not send (0, 1) to 1\n"
+
+
 def test_merged_generators_raise_under_O(run_optimized):
     # a corrupt lattice step hands classify_pair the total congruence as a
     # maximal one; it merges the pair, which no classification may accept
@@ -280,8 +329,7 @@ def _random_labelled_algebra(rng, name):
         ops = []
         for k in range(rng.randint(1, 2)):
             arity = rng.choice((2, 2, 3))
-            ops.append((f"o{k}", arity, [args[0] if len(set(args)) == 1 else rng.randrange(n)
-                                         for args in product(range(n), repeat=arity)]))
+            ops.append((f"o{k}", arity, random_idempotent_table(rng, n, arity)))
     return validate_algebra(name, n, ops[:rng.randint(1, len(ops))])
 
 
@@ -302,3 +350,37 @@ def test_classify_pair_matches_naive_oracle():
             assert (rep.subuniverse, got) == naive_classify_pair(alg, a, b), (alg, a, b)
             labels.update(label for label, _ in got.values())
     assert min(labels[x] for x in (SEMILATTICE, MAJORITY, AFFINE, UNARY)) >= 10, labels
+
+
+def test_shared_searches_give_the_reports_of_unshared_ones():
+    """On the six fixtures and 50 seeded random algebras, the structure
+    graph, whose pairs share searches over equal quotients, equals the
+    reports of pairs classified each on a fresh copy of the algebra."""
+    rng = random.Random(1515)
+    algebras = [fixtures.fixture(name) for name in sorted(fixtures.FIXTURES)]
+    algebras += [_random_labelled_algebra(rng, f"s{i}") for i in range(50)]
+    for alg in algebras:
+        alone = tuple(classify_pair(replace(alg), a, b)
+                      for a, b in combinations(range(alg.size), 2))
+        assert structure_graph(alg).reports == alone, alg
+
+
+def test_one_closure_per_memo_key(monkeypatch):
+    """Classifying no-edge-factor builds one closure per memo key, and fewer
+    keys than searches: a key that never hits, such as one that names the
+    quotient, would build one closure per search."""
+    built, searches = [], []
+
+    class Counted(generate.TupleClosure):
+        def __init__(self, *args, **kwargs):
+            built.append(args)
+            super().__init__(*args, **kwargs)
+
+    search = edges._pair_search
+    monkeypatch.setattr(generate, "TupleClosure", Counted)
+    monkeypatch.setattr(edges, "_pair_search",
+                        lambda *args: searches.append(args) or search(*args))
+    alg = fixtures.no_edge_factor()
+    structure_graph(alg)
+    keys = [key for key in alg._memo if key[0] == "pair search"]
+    assert len(built) == len(keys) < len(searches)

@@ -9,7 +9,7 @@ from itertools import combinations, product
 
 import numpy as np
 import pytest
-from oracles import naive_subpower_membership
+from oracles import naive_subpower_membership, random_idempotent_table
 
 from idemalg import generate, terms
 from idemalg.algebra import (
@@ -300,9 +300,7 @@ def test_tuple_closure_rejects_columns_beyond_one_byte():
 def _random_algebra(rng, name, size, arities):
     ops = []
     for j, ar in enumerate(arities):
-        table = [args[0] if len(set(args)) == 1 else rng.randrange(size)
-                 for args in product(range(size), repeat=ar)]
-        ops.append((f"o{j}", ar, table))
+        ops.append((f"o{j}", ar, random_idempotent_table(rng, size, ar)))
     return validate_algebra(name, size, ops)
 
 
@@ -534,8 +532,7 @@ def _shared_slice_input(rng, arity, n_ops, max_size, max_k):
         size = rng.randint(2, max_size)
         tables = []
         for mode in modes:
-            table = [args[0] if len(set(args)) == 1 else rng.randrange(size)
-                     for args in product(range(size), repeat=arity)]
+            table = random_idempotent_table(rng, size, arity)
             if mode != "random":
                 earlier = rng.choice(tables)
                 starts = list(range(0, len(table), size))

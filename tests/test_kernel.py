@@ -14,6 +14,7 @@ from oracles import (
     naive_quotient,
     naive_restrict,
     partitions,
+    random_idempotent_table,
     scalar_evaluate,
 )
 
@@ -41,9 +42,7 @@ from idemalg.terms import (
 def _random_algebra(rng, name, size, signature):
     ops = []
     for op_name, arity in signature:
-        table = [args[0] if len(set(args)) == 1 else rng.randrange(size)
-                 for args in product(range(size), repeat=arity)]
-        ops.append((op_name, arity, table))
+        ops.append((op_name, arity, random_idempotent_table(rng, size, arity)))
     return validate_algebra(name, size, ops)
 
 

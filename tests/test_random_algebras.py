@@ -3,9 +3,10 @@ arbitrary small idempotent algebras, not just the curated examples, and the
 failure paths must raise their typed errors."""
 
 import random
-from itertools import combinations, product
+from itertools import combinations
 
 import pytest
+from oracles import random_idempotent_table
 
 from idemalg.algebra import validate_algebra
 from idemalg.edges import (
@@ -27,9 +28,7 @@ def _random_algebra(rng, name):
     ops = []
     for oi in range(rng.randint(1, 2)):
         ar = rng.choice([2, 2, 3])
-        table = [args[0] if len(set(args)) == 1 else rng.randrange(n)
-                 for args in product(range(n), repeat=ar)]
-        ops.append((f"o{oi}", ar, table))
+        ops.append((f"o{oi}", ar, random_idempotent_table(rng, n, ar)))
     return validate_algebra(name, n, ops)
 
 
