@@ -167,10 +167,9 @@ class FiniteAlgebra:
     def memoized(self, key: Hashable, compute: Callable[[], T]) -> T:
         """compute(), run once per key for this object.  The analyses keep
         their results here, so a result lives and dies with the object, and
-        two equal algebras never share one.  A key may name content, as the
-        pair searches of `edges.classify_pair` do: equal quotients met in
-        classifying this algebra's pairs share one search, which no other
-        algebra object reads."""
+        two equal algebras never share one.  Pair searches are not kept
+        here: they are shared by content within one request
+        (`generate.search_scope`), and re-checked at each reuse."""
         memo = self._memo
         if key not in memo:
             memo[key] = compute()

@@ -5,9 +5,11 @@ together the way the command-line `verify` runs them.  Witnesses
 re-evaluate and constructions re-verify their defining equations.
 Analyses are memoized per algebra object, so the cross-checks compare
 computations made on distinct objects: a subalgebra or quotient against
-the algebra itself, never one cache against itself.  Equal quotients share
-one pair search within one algebra's classification, never across algebra
-objects, so a subalgebra or quotient still classifies on a memo of its own.
+the algebra itself, never one cache against itself.  Reports, lattices
+and graphs stay per object; only pair searches are shared, by content,
+within one request (`generate.search_scope`), and every shared answer is
+re-checked where it is reused: a witness re-evaluates on the algebra in
+hand, and an Absent passes `generate.check_absent` once.
 """
 
 from __future__ import annotations
@@ -188,7 +190,10 @@ def check_edge_factor(algebra: FiniteAlgebra,
 def check_majority_requires_no_semilattice(
         algebra: FiniteAlgebra, limits: Limits = DEFAULT_LIMITS) -> list[CheckResult]:
     """Each majority witness re-verifies that no semilattice term exists on
-    its blocks (complete closure, not a cap hit)."""
+    its blocks (complete closure, not a cap hit).  Inside a search scope, as
+    in every CLI command, the search is the classification's own, so it
+    re-verifies through that Absent's certificate (`check_absent`), not by
+    a fresh closure."""
     bad = None
     for rep in structure_graph(algebra, limits).reports:
         for w in rep.witnesses:

@@ -42,6 +42,7 @@ from .edges import (
 )
 from .errors import CapExceededError, IdemalgError, TooLarge, ValidationError
 from .fixtures import FIXTURES, fixture
+from .generate import search_scope
 from .reduct import DEFAULT_MAX_ARITY, bounded_reduct, reduct_edge_report
 from .terms import realize_table
 
@@ -338,7 +339,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        with search_scope():
+            return args.func(args)
     except CapExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CAP

@@ -42,8 +42,8 @@ from .generate import (
     PairWitness,
     SEMILATTICE,
     all_subalgebras,
-    check_pair_witness,
     find_pair_witness,
+    search_scope,
     subuniverse,
 )
 from .terms import Term
@@ -105,13 +105,16 @@ def classify_pair(algebra: FiniteAlgebra, a: int, b: int,
                   limits: Limits = DEFAULT_LIMITS) -> EdgeReport:
     """Classify the pair through every maximal congruence of the subalgebra
     it generates, in canonical congruence order.  The report is memoized on
-    the algebra, per ordered pair and cap.  So are its witness searches, per
-    quotient content and search input, so that the pairs of this algebra
-    whose quotients are equal share one (`_pair_search`)."""
+    the algebra, per ordered pair and cap.  Its witness searches run in a
+    `search_scope`, the caller's if one is active: they are shared by
+    content with every equal quotient met in the request, whichever algebra
+    it belongs to, and every shared witness re-evaluates and every shared
+    Absent passes `check_absent` once."""
     if a == b:
         raise ValueError("need two distinct elements")
-    return algebra.memoized(("classify_pair", a, b, limits.cap),
-                            lambda: _classify_pair(algebra, a, b, limits))
+    with search_scope():
+        return algebra.memoized(("classify_pair", a, b, limits.cap),
+                                lambda: _classify_pair(algebra, a, b, limits))
 
 
 def _classify_pair(algebra: FiniteAlgebra, a: int, b: int,
@@ -133,7 +136,7 @@ def _classify_pair(algebra: FiniteAlgebra, a: int, b: int,
             witnesses.append(EdgeWitness(UNARY, (a, b), sub, theta, quot,
                                          bmap, qa, qb, None))
             continue
-        sl = _pair_search(algebra, quot, SEMILATTICE, qa, qb, cap)
+        sl = find_pair_witness(quot, SEMILATTICE, qa, qb, cap)
         if isinstance(sl, CapExceeded):
             inconclusive.append(theta)
             continue
@@ -141,7 +144,7 @@ def _classify_pair(algebra: FiniteAlgebra, a: int, b: int,
             witnesses.append(EdgeWitness(SEMILATTICE, (a, b), sub, theta, quot,
                                          bmap, qa, qb, sl.term, sl.absorber))
             continue
-        mj = _pair_search(algebra, quot, MAJORITY, qa, qb, cap)
+        mj = find_pair_witness(quot, MAJORITY, qa, qb, cap)
         if isinstance(mj, CapExceeded):
             inconclusive.append(theta)
             continue
@@ -150,7 +153,7 @@ def _classify_pair(algebra: FiniteAlgebra, a: int, b: int,
                                          bmap, qa, qb, mj.term))
             continue
         if classify_simple_quotient(quot, limits) == MODULE:
-            mal = _pair_search(algebra, quot, MALTSEV, 0, 0, cap)
+            mal = find_pair_witness(quot, MALTSEV, 0, 0, cap)
             if isinstance(mal, CapExceeded):
                 inconclusive.append(theta)
                 continue
@@ -160,22 +163,6 @@ def _classify_pair(algebra: FiniteAlgebra, a: int, b: int,
             witnesses.append(EdgeWitness(AFFINE, (a, b), sub, theta, quot,
                                          bmap, qa, qb, mal.term))
     return EdgeReport((a, b), sub, tuple(witnesses), tuple(inconclusive))
-
-
-def _pair_search(algebra: FiniteAlgebra, quot: FiniteAlgebra, kind: str,
-                 a: int, b: int, cap: int):
-    """`find_pair_witness(quot, kind, a, b, cap)`, run once per content of
-    quot (its tables, not its name) and search input among the quotients met
-    in classifying algebra's pairs.  The search reads only tables,
-    generators and target, so every quotient gets the answer its own search
-    would give; a witness found on another quotient re-evaluates on quot."""
-    key = ("pair search", quot.size, tuple((op.name, op.table) for op in quot.operations),
-           kind, a, b, cap)
-    searched, ans = algebra.memoized(
-        key, lambda: (quot, find_pair_witness(quot, kind, a, b, cap)))
-    if searched is not quot and isinstance(ans, PairWitness):
-        check_pair_witness(quot, kind, a, b, ans)
-    return ans
 
 
 # --------------------------------------------------------------------------
@@ -210,14 +197,15 @@ class Hypergraph:
 
 def structure_graph(algebra: FiniteAlgebra,
                     limits: Limits = DEFAULT_LIMITS) -> StructureGraph:
-    """Every pair, classified; the reports are memoized on the algebra per
-    cap (not the graph, which refers back to the algebra: the cycle would
-    keep the memo alive after its last user)."""
+    """Every pair, classified in one `search_scope`; the reports are
+    memoized on the algebra per cap (not the graph, which refers back to the
+    algebra: the cycle would keep the memo alive after its last user)."""
     limits.check(algebra)
-    return StructureGraph(algebra, algebra.memoized(
-        ("structure_graph", limits.cap),
-        lambda: tuple(classify_pair(algebra, a, b, limits)
-                      for a, b in combinations(range(algebra.size), 2))))
+    with search_scope():
+        return StructureGraph(algebra, algebra.memoized(
+            ("structure_graph", limits.cap),
+            lambda: tuple(classify_pair(algebra, a, b, limits)
+                          for a, b in combinations(range(algebra.size), 2))))
 
 
 def hypergraph(algebra: FiniteAlgebra,

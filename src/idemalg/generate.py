@@ -27,16 +27,21 @@ to that point are those of the complete closure, so a Found answer is
 settled there, and its `closure_size` counts the rows built by then.  A
 stopped closure is not complete; Absent comes only from a complete one.
 Every Found answer is re-evaluated against its target before being
-returned.
+returned.  An Absent answer keeps the rows of its complete closure, which
+`check_absent` re-checks without the closure engine.  Inside a
+`search_scope`, pair-witness searches are shared by content, and every
+shared answer is re-checked at its reuse.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from contextlib import contextmanager
+from contextvars import ContextVar
+from dataclasses import dataclass, field
 from functools import reduce
 from itertools import product
 from math import prod
-from typing import Optional, Sequence, Union
+from typing import Iterator, Optional, Sequence, Union
 
 import numpy as np
 
@@ -215,7 +220,16 @@ class Found:
 
 @dataclass(frozen=True)
 class Absent:
+    """The target is not in the complete closure.  `rows` is that closure,
+    the certificate `check_absent` re-checks; it takes no part in equality
+    or repr."""
+
     closure_size: int
+    rows: Optional[np.ndarray] = field(default=None, compare=False, repr=False)
+
+    def __post_init__(self) -> None:
+        if self.rows is not None:   # one array, shared by every reuse
+            self.rows.flags.writeable = False
 
 
 @dataclass(frozen=True)
@@ -542,7 +556,7 @@ def subpower_membership(query: SubpowerQuery) -> SubpowerAnswer:
         _check_member(query, w)
         return Found(w, len(cl))
     if cl.complete:
-        return Absent(len(cl))
+        return Absent(len(cl), cl.rows.copy())
     return CapExceeded(query.cap)
 
 
@@ -555,6 +569,85 @@ def _check_member(query: SubpowerQuery, w: Term) -> None:
             raise PostconditionFailed(
                 f"subpower witness {w.text()} gives {value} at coordinate "
                 f"{c}, not {query.target[c]}")
+
+
+def check_absent(columns: Sequence[FiniteAlgebra], generators: Sequence[Sequence[int]],
+                 targets: Sequence[Sequence[int]], rows: Optional[np.ndarray]) -> None:
+    """PostconditionFailed unless rows certify that no target is in the
+    closure of the generators under the coordinatewise operations of
+    columns: the rows hold every generator, miss every target and are closed
+    under every operation.
+
+    Nothing of `TupleClosure` but the key kernel is used.  The last-argument
+    maps of all operations are numbered by content; per arity, the tuples of
+    map ids, one per column, of its operations at every combination of
+    leading rows are collected; each distinct one is applied to every row,
+    and the result must be a row, looked up among the sorted row keys."""
+    if rows is None:
+        raise PostconditionFailed("an Absent answer without rows certifies nothing")
+    k, sizes = len(columns), np.array([alg.size for alg in columns])
+    base = int(sizes.max())
+    rows = np.asarray(rows, dtype=np.intp)
+    if rows.ndim != 2 or rows.shape[1] != k or (rows < 0).any() or (rows >= sizes).any():
+        raise PostconditionFailed(f"absence rows of shape {rows.shape} do not fit the columns")
+    keys = np.sort(row_keys(rows, base))
+
+    def held(got: np.ndarray) -> np.ndarray:
+        """Which of the keys got are row keys."""
+        if not len(keys):
+            return np.zeros(len(got), bool)
+        return keys[keys.searchsorted(got).clip(max=len(keys) - 1)] == got
+
+    def tuple_keys(tuples) -> np.ndarray:
+        return row_keys(np.asarray(tuples, dtype=np.intp).reshape(-1, k), base)
+
+    if not held(tuple_keys(generators)).all():
+        raise PostconditionFailed("the absence rows miss a generator")
+    if held(tuple_keys(targets)).any():
+        raise PostconditionFailed("the absence rows hold a target")
+    if not (n := len(rows)):
+        return   # no operation has arguments among no rows
+    sig = columns[0].signature
+    algs = list({id(alg): alg for alg in columns}.values())
+    which = np.array([next(a for a, other in enumerate(algs) if other is alg) for alg in columns])
+    # every last-argument map of every operation in each column algebra, padded to base
+    table = np.concatenate([np.concatenate([alg.op(name).array.reshape(-1, alg.size)
+                                            for name, _ in sig])
+                            .take(range(base), axis=1, mode="clip") for alg in algs])
+    first, inv = distinct_rows(table, base)
+    maps = table[first]
+    # the map of operation o at prefix p in column c has id inv[at[o, c] + p]
+    at = np.cumsum([0] + [alg.size ** (arity - 1) for alg in algs for _, arity in sig])[
+        which * len(sig) + np.arange(len(sig))[:, None]]
+    found = []
+    for arity in sorted({arity for _, arity in sig}):
+        ops = at[[o for o, (_, ar) in enumerate(sig) if ar == arity]]
+        # the leading arguments at each column as one radix-size integer: a
+        # head row, then every combination of the rest (the empty one at first)
+        heads = rows * sizes ** (arity - 2) if arity > 1 else np.zeros((1, k), np.intp)
+        rest = np.zeros((1, k), np.intp)
+        for _ in range(arity - 2):
+            rest = (rest[:, None, :] * sizes + rows).reshape(-1, k)
+        step = max(1, _CHUNK // (len(ops) * k * len(rest)))
+        for lo in range(0, len(heads), step):
+            ids = inv[ops[:, None, None, :] + heads[lo:lo + step, None, :] + rest].reshape(-1, k)
+            found.append(ids[distinct_rows(ids, len(maps))[0]])
+    sigs = np.concatenate(found)
+    if len(found) > 1:   # distinct within each block only
+        sigs = sigs[distinct_rows(sigs, len(maps))[0]]
+    # [column, map, z]: the map at rows[z, column], weighted as in the row key;
+    # the table a closure's sweep builds over these rows, no larger
+    weights, g = key_layout(base, k)
+    weighted = (maps.astype(weights.dtype)[:, rows] * weights).transpose(2, 0, 1)
+    per = max(1, _CHUNK // (n * k))
+    for lo in range(0, len(sigs), per):
+        part = sigs[lo:lo + per]
+        got = limb_keys([sum(weighted[c][part[:, c]] for c in range(c0, min(k, c0 + g))).ravel()
+                         for c0 in range(0, k, g)])
+        if not (ok := held(got)).all():
+            s, z = divmod(int(ok.argmin()), n)
+            raise PostconditionFailed("the absence rows are not closed under the operations: "
+                                      f"they miss {tuple(maps[part[s], rows[z]].tolist())}")
 
 
 # --------------------------------------------------------------------------
@@ -576,6 +669,35 @@ class PairWitness:
     term: Term
     absorber: Optional[int] = None   # semilattice only: the absorbing element
     closure_size: int = 0
+
+
+#: the pair-search cache of the active `search_scope`, None outside any
+_SEARCHES: ContextVar[Optional[dict]] = ContextVar("pair searches", default=None)
+
+
+@contextmanager
+def search_scope() -> Iterator[dict]:
+    """Share `find_pair_witness` answers by content until the outermost
+    scope exits, so that no cache outlives its request; an inner scope
+    uses the outer one's cache.  Yields the cache: `search_key` ->
+    (answer, whether an Absent answer has passed `check_absent`)."""
+    if (cache := _SEARCHES.get()) is not None:
+        yield cache
+        return
+    token = _SEARCHES.set({})
+    try:
+        yield _SEARCHES.get()
+    finally:
+        _SEARCHES.reset(token)
+
+
+def search_key(algebra: FiniteAlgebra, kind: str, a: int, b: int, cap: int) -> tuple:
+    """What `find_pair_witness(algebra, kind, a, b, cap)` reads: the
+    algebra's content (its tables, not its name), the pair, unordered for
+    majority (`majority_query` sorts its columns), and the cap."""
+    pair = (min(a, b), max(a, b)) if kind == MAJORITY else (a, b)
+    return (kind, algebra.size, tuple((op.name, op.table) for op in algebra.operations),
+            pair, cap)
 
 
 def majority_query(algebra: FiniteAlgebra, a: int, b: int,
@@ -605,7 +727,29 @@ def find_pair_witness(algebra: FiniteAlgebra, kind: str, a: int = 0, b: int = 0,
     the pair {a, b}, or a Mal'tsev term on the whole algebra.
 
     Semilattice tries both absorbers, b first.  Absent answers always come
-    from complete closures; a cap hit is CapExceeded, never absence."""
+    from complete closures; a cap hit is CapExceeded, never absence.
+
+    Inside a `search_scope` the answer is shared by every search of the
+    same key (`search_key`), whichever algebra object it runs on: at each
+    reuse a witness re-evaluates on the algebra in hand; an Absent passes
+    `check_absent` once, before its first reuse; CapExceeded claims nothing."""
+    if (cache := _SEARCHES.get()) is None:
+        return _find_pair_witness(algebra, kind, a, b, cap)
+    key = search_key(algebra, kind, a, b, cap)
+    if key not in cache:
+        cache[key] = (_find_pair_witness(algebra, kind, a, b, cap), False)
+        return cache[key][0]
+    ans, certified = cache[key]
+    if isinstance(ans, PairWitness):
+        check_pair_witness(algebra, kind, a, b, ans)
+    elif isinstance(ans, Absent) and not certified:
+        check_absent(*_search_input(algebra, kind, a, b), ans.rows)
+        cache[key] = (ans, True)
+    return ans
+
+
+def _find_pair_witness(algebra: FiniteAlgebra, kind: str, a: int, b: int, cap: int
+                       ) -> Union[PairWitness, Absent, CapExceeded]:
     if kind in (SEMILATTICE, MAJORITY):
         algebra.check_elements((a, b))
         if a == b:
@@ -619,7 +763,7 @@ def find_pair_witness(algebra: FiniteAlgebra, kind: str, a: int = 0, b: int = 0,
                 found = PairWitness(SEMILATTICE, cl.witness(hit), absorber, len(cl))
                 check_pair_witness(algebra, SEMILATTICE, a, b, found)
                 return found
-        return Absent(len(cl)) if cl.complete else CapExceeded(cap)
+        return Absent(len(cl), cl.rows.copy()) if cl.complete else CapExceeded(cap)
     if kind == MAJORITY:
         q = majority_query(algebra, a, b, cap)
     elif kind == MALTSEV:
@@ -632,6 +776,15 @@ def find_pair_witness(algebra: FiniteAlgebra, kind: str, a: int = 0, b: int = 0,
     if isinstance(ans, Found):
         return PairWitness(kind, ans.witness, None, ans.closure_size)
     return ans
+
+
+def _search_input(algebra: FiniteAlgebra, kind: str, a: int, b: int):
+    """The columns, generators and targets of the closure that
+    `find_pair_witness(algebra, kind, a, b)` searches."""
+    if kind == SEMILATTICE:
+        return (algebra, algebra), ((a, b), (b, a)), ((a, a), (b, b))
+    q = majority_query(algebra, a, b) if kind == MAJORITY else maltsev_query(algebra)
+    return q.columns, q.generators, (q.target,)
 
 
 def check_pair_witness(algebra: FiniteAlgebra, kind: str, a: int, b: int,

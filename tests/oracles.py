@@ -11,6 +11,8 @@ from operator import getitem
 from types import SimpleNamespace
 from typing import Optional, Sequence
 
+import numpy as np
+
 from idemalg import terms
 from idemalg.algebra import signature_map, validate_algebra
 from idemalg.congruence import TERM_SEARCH_LIMITS
@@ -259,7 +261,7 @@ def naive_subpower_membership(query):
     if tuple(query.target) in known:
         # no witness tracking on purpose; the fast engine provides terms
         return Found(terms.proj(0, max(1, len(query.generators))), len(rows))
-    return Absent(len(rows))
+    return Absent(len(rows), np.array(rows, dtype=np.intp).reshape(len(rows), len(cols)))
 
 
 def find_isomorphism(a, b, max_size: int = 8) -> Optional[tuple[int, ...]]:

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from idemalg import algfile, cli, fixtures
+from idemalg import algfile, cli, fixtures, generate
 from idemalg.algebra import validate_algebra
 from idemalg.cli import EXIT_CAP, EXIT_INPUT, EXIT_OK, main
 from idemalg.errors import ValidationError
@@ -110,6 +110,27 @@ def test_cli_main_leaves_no_cyclic_garbage(capsys):
             gc.enable()
     assert leaked == []
     assert "semilattice" in capsys.readouterr().out
+
+
+def test_each_cli_command_starts_with_a_cold_search_cache(capsys, monkeypatch):
+    """The pair-search cache lives for one command: a second identical
+    command builds every closure the first one built."""
+    built = []
+
+    class Counted(generate.TupleClosure):
+        def __init__(self, *args, **kwargs):
+            built.append(args)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(generate, "TupleClosure", Counted)
+    argv = ["verify", "--fixture", "no-edge-factor", "--seed", "0"]
+    counts = []
+    for _ in range(2):
+        assert main(argv) == EXIT_OK
+        counts.append(len(built))
+        built.clear()
+    assert counts[0] == counts[1] > 0
+    assert capsys.readouterr().out.count("[FAIL]") == 0
 
 
 def test_cli_requires_input():

@@ -5,6 +5,8 @@ from collections import Counter
 from dataclasses import replace
 from itertools import combinations, product
 
+import numpy as np
+import pytest
 from oracles import naive_classify_pair, random_idempotent_table
 
 from idemalg import edges, fixtures, generate
@@ -26,7 +28,15 @@ from idemalg.edges import (
     structure_graph,
     x_connected,
 )
-from idemalg.generate import Absent, PairWitness, SEMILATTICE as SLKIND, find_pair_witness
+from idemalg.errors import PostconditionFailed
+from idemalg.generate import (
+    Absent,
+    PairWitness,
+    SEMILATTICE as SLKIND,
+    find_pair_witness,
+    search_key,
+    search_scope,
+)
 
 
 def test_no_edge_classification(a_ne):
@@ -240,29 +250,38 @@ def test_cross_checks_do_not_share_a_cache(c_nef):
     assert not check_edge_factor(c_nef)[0].ok
 
 
-def _search_key(witness, kind):
-    """The key of the search for a witness of kind on the quotient of an
-    edge witness, at the default cap."""
-    q = witness.quotient
-    return ("pair search", q.size, tuple((op.name, op.table) for op in q.operations),
-            kind, witness.a_block, witness.b_block, DEFAULT_CAP)
+def _poison_key(cache, alg):
+    """The cache key of the semilattice search on the quotient of pair
+    (2, 4) of alg, after classifying that pair, with the answer it holds:
+    a witness, which other pairs' quotients share."""
+    w = classify_pair(alg, 2, 4).witnesses[0]
+    key = search_key(w.quotient, SLKIND, w.a_block, w.b_block, DEFAULT_CAP)
+    ans, _ = cache[key]
+    assert isinstance(ans, PairWitness)
+    return key, w
 
 
 def test_poisoned_shared_search_fails_the_cross_checks():
     """Make the semilattice search that the quotient of pair (2, 4) shares
-    with other pairs answer Absent: the pairs classified after it lose the
-    label, and the checks that classify them again on a subalgebra or from
-    a quotient, each with a memo of its own, must disagree."""
+    with other pairs answer Absent, with no rows, with rows that are not
+    closed, or with rows that hold its target.  The cross-checks classify
+    those pairs again on subalgebras and quotients, which share the search
+    within the scope; the first reuse must raise, not drop the label."""
     fresh = fixtures.no_edge_factor()
     assert check_edge_subalgebra(fresh)[0].ok
     assert check_edge_factor(fresh)[0].ok
-    alg = fixtures.no_edge_factor()
-    key = _search_key(classify_pair(alg, 2, 4).witnesses[0], SLKIND)
-    searched, ans = alg._memo[key]
-    assert isinstance(ans, PairWitness)
-    alg._memo[key] = (searched, Absent(ans.closure_size))
-    assert not check_edge_subalgebra(alg)[0].ok
-    assert not check_edge_factor(alg)[0].ok
+    for check in (check_edge_subalgebra, check_edge_factor):
+        for poison, message in ((None, "without rows"), ("generators", "not closed"),
+                                ("closure", "hold a target")):
+            with search_scope() as cache:
+                alg = fixtures.no_edge_factor()
+                key, w = _poison_key(cache, alg)
+                q, gens = w.quotient, ((w.a_block, w.b_block), (w.b_block, w.a_block))
+                rows = {None: None, "generators": np.array(gens),
+                        "closure": generate.TupleClosure((q, q), gens).rows}[poison]
+                cache[key] = (Absent(len(gens), rows), False)
+                with pytest.raises(PostconditionFailed, match=message):
+                    check(alg)
 
 
 def test_wrong_shared_witness_raises_under_O(run_optimized):
@@ -274,19 +293,46 @@ def test_wrong_shared_witness_raises_under_O(run_optimized):
         "from idemalg.algebra import DEFAULT_CAP\n"
         "from idemalg.edges import classify_pair, structure_graph\n"
         "from idemalg.errors import PostconditionFailed\n"
-        "alg = fixtures.no_edge_factor()\n"
-        "w = classify_pair(alg, 2, 4).witnesses[0]\n"
-        "q = w.quotient\n"
-        "key = ('pair search', q.size, tuple((op.name, op.table) for op in q.operations),\n"
-        "       'semilattice', w.a_block, w.b_block, DEFAULT_CAP)\n"
-        "searched, ans = alg._memo[key]\n"
-        "alg._memo[key] = (searched, replace(ans, term=terms.proj(0, 2)))\n"
-        "print(__debug__)\n"
-        "try:\n"
-        "    structure_graph(alg)\n"
-        "except PostconditionFailed as exc:\n"
-        "    print(exc)\n")
+        "from idemalg.generate import search_key, search_scope\n"
+        "with search_scope() as cache:\n"
+        "    alg = fixtures.no_edge_factor()\n"
+        "    w = classify_pair(alg, 2, 4).witnesses[0]\n"
+        "    key = search_key(w.quotient, 'semilattice', w.a_block, w.b_block, DEFAULT_CAP)\n"
+        "    ans, certified = cache[key]\n"
+        "    cache[key] = (replace(ans, term=terms.proj(0, 2)), certified)\n"
+        "    print(__debug__)\n"
+        "    try:\n"
+        "        structure_graph(alg)\n"
+        "    except PostconditionFailed as exc:\n"
+        "        print(exc)\n")
     assert run_optimized(code) == "False\nsemilattice witness p0 does not send (0, 1) to 1\n"
+
+
+def test_uncertified_shared_absent_raises_under_O(run_optimized):
+    # a shared Absent passes check_absent before its first reuse; without
+    # rows, or with rows that miss a row of the closure, it raises
+    code = (
+        "import numpy as np\n"
+        "from idemalg import fixtures, generate\n"
+        "from idemalg.algebra import DEFAULT_CAP\n"
+        "from idemalg.edges import classify_pair, structure_graph\n"
+        "from idemalg.errors import PostconditionFailed\n"
+        "with generate.search_scope() as cache:\n"
+        "    alg = fixtures.no_edge_factor()\n"
+        "    w = classify_pair(alg, 2, 4).witnesses[0]\n"
+        "    key = generate.search_key(w.quotient, 'semilattice', w.a_block, w.b_block,\n"
+        "                              DEFAULT_CAP)\n"
+        "    print(__debug__)\n"
+        "    for rows in (None, np.array([(0, 1), (1, 0)])):\n"
+        "        cache[key] = (generate.Absent(2, rows), False)\n"
+        "        try:\n"
+        "            structure_graph(alg)\n"
+        "        except PostconditionFailed as exc:\n"
+        "            print(exc)\n")
+    assert run_optimized(code) == (
+        "False\n"
+        "an Absent answer without rows certifies nothing\n"
+        "the absence rows are not closed under the operations: they miss (1, 1)\n")
 
 
 def test_merged_generators_raise_under_O(run_optimized):
@@ -365,10 +411,8 @@ def test_shared_searches_give_the_reports_of_unshared_ones():
         assert structure_graph(alg).reports == alone, alg
 
 
-def test_one_closure_per_memo_key(monkeypatch):
-    """Classifying no-edge-factor builds one closure per memo key, and fewer
-    keys than searches: a key that never hits, such as one that names the
-    quotient, would build one closure per search."""
+def _count_closures_and_searches(monkeypatch):
+    """Lists that record each closure built and each search edges runs."""
     built, searches = [], []
 
     class Counted(generate.TupleClosure):
@@ -376,11 +420,46 @@ def test_one_closure_per_memo_key(monkeypatch):
             built.append(args)
             super().__init__(*args, **kwargs)
 
-    search = edges._pair_search
+    search = edges.find_pair_witness
     monkeypatch.setattr(generate, "TupleClosure", Counted)
-    monkeypatch.setattr(edges, "_pair_search",
+    monkeypatch.setattr(edges, "find_pair_witness",
                         lambda *args: searches.append(args) or search(*args))
-    alg = fixtures.no_edge_factor()
-    structure_graph(alg)
-    keys = [key for key in alg._memo if key[0] == "pair search"]
-    assert len(built) == len(keys) < len(searches)
+    return built, searches
+
+
+def test_one_closure_per_memo_key(monkeypatch):
+    """Classifying no-edge-factor in one search scope builds one closure
+    per cache key, and fewer keys than searches: a key that never hits, such
+    as one that names the quotient, would build one closure per search."""
+    built, searches = _count_closures_and_searches(monkeypatch)
+    with search_scope() as cache:
+        structure_graph(fixtures.no_edge_factor())
+    assert len(built) == len(cache) < len(searches)
+
+
+def test_majority_searches_share_one_key_for_either_order(monkeypatch):
+    """The majority query sorts its columns, so (a, b) and (b, a) are one
+    search: no-edge-factor classifies in 6 closures, not 7."""
+    built, _ = _count_closures_and_searches(monkeypatch)
+    structure_graph(fixtures.no_edge_factor())
+    assert len(built) == 6
+    sl2 = fixtures.sl2()
+    with search_scope():
+        assert find_pair_witness(sl2, MAJORITY, 0, 1) == find_pair_witness(sl2, MAJORITY, 1, 0)
+    assert len(built) == 7
+
+
+def test_pair_searches_outside_a_scope_build_a_closure_each(monkeypatch):
+    """Outside any scope find_pair_witness shares nothing, and a scope
+    leaves no cache behind when it exits."""
+    built, _ = _count_closures_and_searches(monkeypatch)
+    sl2 = fixtures.sl2()
+    assert find_pair_witness(sl2, SLKIND, 0, 1) == find_pair_witness(sl2, SLKIND, 0, 1)
+    assert len(built) == 2
+    with search_scope() as outer:
+        with search_scope() as inner:
+            assert inner is outer
+            find_pair_witness(sl2, SLKIND, 0, 1)
+        find_pair_witness(fixtures.sl2(), SLKIND, 0, 1)
+    assert len(built) == 3 and len(outer) == 1
+    assert generate._SEARCHES.get() is None

@@ -5,6 +5,8 @@ import hashlib
 import random
 import sys
 import weakref
+from collections import Counter
+from functools import partial
 from itertools import combinations, product
 
 import numpy as np
@@ -25,7 +27,7 @@ from idemalg.algebra import (
     validate_algebra,
 )
 from idemalg.edges import structure_graph
-from idemalg.errors import SignatureMismatch, TooLarge, ValidationError
+from idemalg.errors import PostconditionFailed, SignatureMismatch, TooLarge, ValidationError
 from idemalg.generate import (
     Absent,
     CapExceeded,
@@ -36,6 +38,7 @@ from idemalg.generate import (
     SEMILATTICE,
     SubpowerQuery,
     all_subalgebras,
+    check_absent,
     find_pair_witness,
     generate_subalgebra,
     provenance_term,
@@ -328,12 +331,10 @@ CLOSURE_CLASSES = (
 )
 
 
-def test_subpower_membership_matches_naive_oracle_seeded():
-    # a Found closure stops at its target, so the closure sizes are checked
-    # on a full closure of the same query, built without a target; the
-    # stopped closure must be a prefix of it that holds the same witness
+def _seeded_closure_queries():
+    """240 seeded subpower queries over CLOSURE_CLASSES, every other one
+    with a target that one operation gives on the generators."""
     rng = random.Random(5)
-    seen = {Found: 0, Absent: 0, CapExceeded: 0}
     for i in range(240):
         arities, max_size, max_k, caps = CLOSURE_CLASSES[i % len(CLOSURE_CLASSES)]
         cols, gens = _random_closure_input(rng, arities, max_size, max_k)
@@ -344,7 +345,16 @@ def test_subpower_membership_matches_naive_oracle_seeded():
             args = [rng.choice(gens) for _ in range(arity)]
             target = tuple(alg.apply(name, [g[c] for g in args])
                            for c, alg in enumerate(cols))
-        q = SubpowerQuery(cols, gens, target, rng.choice(caps))
+        yield i, SubpowerQuery(cols, gens, target, rng.choice(caps))
+
+
+def test_subpower_membership_matches_naive_oracle_seeded():
+    # a Found closure stops at its target, so the closure sizes are checked
+    # on a full closure of the same query, built without a target; the
+    # stopped closure must be a prefix of it that holds the same witness
+    seen = {Found: 0, Absent: 0, CapExceeded: 0}
+    for i, q in _seeded_closure_queries():
+        cols, gens, target = q.columns, q.generators, q.target
         fast = subpower_membership(q)
         slow = naive_subpower_membership(q)
         full = generate.TupleClosure(cols, gens, q.cap)
@@ -368,6 +378,123 @@ def test_subpower_membership_matches_naive_oracle_seeded():
             assert stopped.provenance == full.provenance[:n], i
             assert fast.witness.text() == full.witness(full.lookup(target)).text(), i
     assert min(seen.values()) >= 30, seen
+
+
+def test_check_absent_matches_naive_oracle_seeded():
+    """On the seeded queries, the rows of a complete closure certify absence
+    exactly when the oracle answers Absent, and the rows of the Absent
+    answers of both engines certify it; the rows of a closure cut at the
+    cap certify nothing."""
+    outcomes = Counter()
+    for i, q in _seeded_closure_queries():
+        slow = naive_subpower_membership(q)
+        full = generate.TupleClosure(q.columns, q.generators, q.cap)
+        check = partial(check_absent, q.columns, q.generators, (q.target,))
+        if isinstance(slow, Absent):
+            check(full.rows)
+            check(slow.rows)
+            check(subpower_membership(q).rows)
+            outcomes["absent"] += 1
+            continue
+        if full.complete:
+            with pytest.raises(PostconditionFailed, match="hold a target"):
+                check(full.rows)
+            outcomes["found"] += 1
+        else:
+            # the closure is cut short of closed, wherever the target is
+            with pytest.raises(PostconditionFailed, match="not closed"):
+                check_absent(q.columns, q.generators, (), full.rows)
+            outcomes["cut"] += 1
+    assert min(outcomes.values()) >= 30, outcomes
+
+
+def _absent_closure(rng, arities):
+    """A seeded complete closure, over an algebra with the given arities,
+    of at least 8 rows that misses a target; with the target."""
+    while True:
+        alg = _random_algebra(rng, "r", rng.randint(2, 3), arities)
+        cols = (alg,) * rng.randint(2, 4)
+        gens = tuple(tuple(rng.randrange(alg.size) for _ in cols) for _ in range(2))
+        cl = generate.TupleClosure(cols, gens, 400)
+        missed = [t for t in product(range(alg.size), repeat=len(cols))
+                  if cl.lookup(t) is None]
+        if cl.complete and len(cl) >= 8 and missed:
+            return cols, gens, rng.choice(missed), cl
+
+
+def test_check_absent_rejects_a_dropped_row_and_cut_or_stopped_closures():
+    """Each row dropped from a complete closure that misses the target
+    breaks the certificate; so does a closure cut at the cap, or stopped at
+    a target, passed off as complete.  Several operations of one arity
+    exercise the batched signatures."""
+    rng = random.Random(16)
+    for arities in ((2,), (2, 2, 3, 3), (1, 1, 2)):
+        cols, gens, target, cl = _absent_closure(rng, arities)
+        check_absent(cols, gens, [target], cl.rows)
+        check_absent(cols, (), [target], cl.rows[:0])   # the closure of no generators
+        with pytest.raises(PostconditionFailed, match="miss a generator"):
+            check_absent(cols, gens, [target], cl.rows[:0])
+        for i in range(len(cl)):
+            with pytest.raises(PostconditionFailed, match="miss a generator|not closed"):
+                check_absent(cols, gens, [target], np.delete(cl.rows, i, axis=0))
+        cut = generate.TupleClosure(cols, gens, len(cl) - 2)
+        assert not cut.complete
+        with pytest.raises(PostconditionFailed, match="not closed"):
+            check_absent(cols, gens, [target], cut.rows)
+        member = tuple(cl.rows[-1].tolist())
+        stopped = generate.TupleClosure(cols, gens, 400, member)
+        with pytest.raises(PostconditionFailed, match="hold a target"):
+            check_absent(cols, gens, [member], stopped.rows)
+
+
+def test_check_absent_reads_every_operation_of_an_arity():
+    """Rows closed under the first of two binary operations, and not under
+    the second, fail on the algebra with both."""
+    rng = random.Random(160)
+    while True:
+        both = _random_algebra(rng, "r", 3, (2, 2))
+        first = validate_algebra("r1", 3, [("o0", 2, both.op("o0").table)])
+        gens = ((0, 1, 2), (1, 2, 0))
+        one = generate.TupleClosure((first,) * 3, gens)
+        if len(generate.TupleClosure((both,) * 3, gens)) > len(one):
+            break
+    check_absent((first,) * 3, gens, [], one.rows)
+    with pytest.raises(PostconditionFailed, match="not closed under the operations"):
+        check_absent((both,) * 3, gens, [], one.rows)
+
+
+def test_check_absent_on_keys_of_several_limbs(sl2):
+    """63 columns of a two-element algebra need row keys of two limbs."""
+    rng = random.Random(63)
+    cols = (sl2,) * 63
+    gens = tuple(tuple(rng.randrange(2) for _ in cols) for _ in range(3))
+    cl = generate.TupleClosure(cols, gens)
+    target = next(t for t in product((0, 1), repeat=63) if cl.lookup(t) is None)
+    assert cl.complete and len(key_layout(2, 63)[0]) == 63 and key_layout(2, 63)[1] < 63
+    check_absent(cols, gens, [target], cl.rows)
+    for i in range(len(cl)):
+        with pytest.raises(PostconditionFailed, match="miss a generator|not closed"):
+            check_absent(cols, gens, [target], np.delete(cl.rows, i, axis=0))
+
+
+def test_check_absent_raises_under_O(run_optimized):
+    code = (
+        "import numpy as np\n"
+        "from idemalg import fixtures, generate\n"
+        "from idemalg.errors import PostconditionFailed\n"
+        "alg = fixtures.no_majority_symmetry()\n"
+        "q = generate.majority_query(alg, 0, 1)\n"
+        "full = generate.TupleClosure(q.columns, q.generators)\n"
+        "cut = generate.TupleClosure(q.columns, q.generators, 20)\n"
+        "print(__debug__, full.complete, cut.complete)\n"
+        "for rows in (np.delete(full.rows, 5, axis=0), cut.rows):\n"
+        "    try:\n"
+        "        generate.check_absent(q.columns, q.generators, [q.target], rows)\n"
+        "    except PostconditionFailed as exc:\n"
+        "        print(exc)\n")
+    out = run_optimized(code).splitlines()
+    assert out[0] == "False True False" and len(out) == 3
+    assert all("not closed under the operations" in line for line in out[1:])
 
 
 def test_closure_stops_at_a_generator_target(a_ne):
