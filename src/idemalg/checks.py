@@ -2,10 +2,13 @@
 
 Each check returns CheckResult rows; `verify_algebra` strings the suites
 together the way the command-line `verify` runs them.  Witnesses
-re-evaluate and constructions re-verify their defining equations.
-Analyses are memoized per algebra object, so the cross-checks compare
-computations made on distinct objects: a subalgebra or quotient against
-the algebra itself, never one cache against itself.  Reports, lattices
+re-evaluate and constructions re-verify their defining equations, and a
+failing row names the first counterexample in the check's iteration order.
+Analyses are memoized per algebra object.  A check's whole universe is the
+algebra itself (`edges.subalgebra_graphs` hands out the algebra's own
+graph, not a restricted copy), and every cross-check still compares
+computations made on distinct objects: a proper subalgebra or quotient
+against the algebra, never one cache against itself.  Reports, lattices
 and graphs stay per object; only pair searches are shared, by content,
 within one request (`generate.search_scope`), and every shared answer is
 re-checked where it is reused: a witness re-evaluates on the algebra in
@@ -17,6 +20,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from itertools import combinations
+from typing import Iterator
 
 from .algebra import (
     DEFAULT_LIMITS,
@@ -24,7 +28,6 @@ from .algebra import (
     Limits,
     is_closed_subset,
     quotient,
-    restrict,
 )
 from .congruence import congruence_lattice, tolerance_generated
 from .edges import (
@@ -36,11 +39,11 @@ from .edges import (
     is_connected,
     is_smooth,
     structure_graph,
+    subalgebra_graphs,
 )
 from .errors import IdemalgError
 from .generate import (
     Absent,
-    all_subalgebras,
     find_pair_witness,
     generate_subalgebra,
     witness_term,
@@ -59,39 +62,34 @@ class CheckResult:
             (f": {self.detail}" if self.detail else "")
 
 
+def _first_failure(name: str, failures: Iterator[str]) -> list[CheckResult]:
+    """One row that fails with the first message `failures` yields; the
+    search stops there."""
+    bad = next(failures, None)
+    return [CheckResult(name, bad is None, bad or "")]
+
+
 def check_generation(algebra: FiniteAlgebra) -> list[CheckResult]:
     """Provenance replays and witness terms re-evaluate for every generated
     element of every pair."""
-    ok = True
-    detail = ""
-    for a, b in combinations(range(algebra.size), 2):
-        trace = generate_subalgebra(algebra, [a, b])
-        if not trace.replay():
-            ok, detail = False, f"replay failed for {{{a},{b}}}"
-            break
-        for e in trace.elements:
-            w = witness_term(trace, e)
-            if terms.evaluate(w, algebra, (a, b)) != e:
-                ok, detail = False, f"witness for {e} from {{{a},{b}}} broken"
-                break
-    return [CheckResult("generation provenance replays", ok, detail)]
+    def failures():
+        for a, b in combinations(range(algebra.size), 2):
+            trace = generate_subalgebra(algebra, [a, b])
+            if not trace.replay():
+                yield f"replay failed for {{{a},{b}}}"
+            for e in trace.elements:
+                if terms.evaluate(witness_term(trace, e), algebra, (a, b)) != e:
+                    yield f"witness for {e} from {{{a},{b}}} broken"
+    return _first_failure("generation provenance replays", failures())
 
 
 def check_connectedness(algebra: FiniteAlgebra,
                         limits: Limits = DEFAULT_LIMITS) -> list[CheckResult]:
     """The pair graph of every subuniverse is connected."""
-    rows = []
-    for sub in sorted(all_subalgebras(algebra, limits), key=sorted):
-        if len(sub) < 2:
-            continue
-        b_alg, emb = restrict(algebra, sorted(sub))
-        graph = structure_graph(b_alg, limits)
-        rows.append(CheckResult(
-            f"pair graph connected on {{{','.join(map(str, emb))}}}",
-            is_connected(graph)))
-    if not rows:
-        rows.append(CheckResult("pair graph connected (no subalgebra of size >= 2)", True))
-    return rows
+    rows = [CheckResult(f"pair graph connected on {{{','.join(map(str, emb))}}}",
+                        is_connected(graph))
+            for emb, graph in subalgebra_graphs(algebra, limits)]
+    return rows or [CheckResult("pair graph connected (no subalgebra of size >= 2)", True)]
 
 
 #: how many seeded tolerances check_tolerance_classes generates
@@ -101,26 +99,28 @@ _TOLERANCE_SAMPLES = 25
 def check_tolerance_classes(algebra: FiniteAlgebra, seed: int = 0,
                             limits: Limits = DEFAULT_LIMITS) -> list[CheckResult]:
     """Classes of seeded generated tolerances are subuniverses; transitive
-    closures are congruences."""
-    rng = random.Random(seed)
-    n = algebra.size
-    bad = None
-    lattice = congruence_lattice(algebra, limits)
-    for i in range(_TOLERANCE_SAMPLES):
-        k = rng.randint(0, max(1, n // 2))
-        pairs = [(rng.randrange(n), rng.randrange(n)) for _ in range(k)]
-        tol = tolerance_generated(algebra, pairs)
-        for cls in tol.classes():
-            if not is_closed_subset(algebra, cls):
-                bad = f"class {cls} of tolerance #{i} not closed"
-                break
-        closure = tol.transitive_closure()
-        if closure not in lattice:
-            bad = f"transitive closure of tolerance #{i} is not a congruence"
-        if bad:
-            break
-    return [CheckResult(f"tolerance classes are subuniverses ({_TOLERANCE_SAMPLES} seeded)",
-                        bad is None, bad or "")]
+    closures are congruences.  A generating set drawn again (as unordered
+    pairs off the diagonal) generates the same tolerance, checked at its
+    first draw."""
+    def failures():
+        rng = random.Random(seed)
+        n = algebra.size
+        lattice = congruence_lattice(algebra, limits)
+        seen = set()
+        for i in range(_TOLERANCE_SAMPLES):
+            k = rng.randint(0, max(1, n // 2))
+            pairs = [(rng.randrange(n), rng.randrange(n)) for _ in range(k)]
+            if (key := frozenset(frozenset(p) for p in pairs if p[0] != p[1])) in seen:
+                continue
+            seen.add(key)
+            tol = tolerance_generated(algebra, pairs)
+            if tol.transitive_closure() not in lattice:
+                yield f"transitive closure of tolerance #{i} is not a congruence"
+            for cls in tol.classes():
+                if not is_closed_subset(algebra, cls):
+                    yield f"class {cls} of tolerance #{i} not closed"
+    return _first_failure(
+        f"tolerance classes are subuniverses ({_TOLERANCE_SAMPLES} seeded)", failures())
 
 
 def check_many_edges(algebra: FiniteAlgebra,
@@ -128,63 +128,48 @@ def check_many_edges(algebra: FiniteAlgebra,
     """Every pair across the blocks of a witness is an edge of the same
     type."""
     graph = structure_graph(algebra, limits)
-    bad = None
-    for rep in graph.reports:
-        for w in rep.witnesses:
-            for c in w.parent_block(w.a_block):
-                for d in w.parent_block(w.b_block):
-                    other = graph.report(c, d) if c != d else None
-                    if other is None:
-                        continue
-                    if w.label not in other.labels:
-                        bad = (f"pair {(c, d)} misses label {w.label} "
-                               f"inherited from {rep.pair}")
-                        break
-    return [CheckResult("block-mates inherit the edge type", bad is None, bad or "")]
+    return _first_failure("block-mates inherit the edge type", (
+        f"pair {(c, d)} misses label {w.label} inherited from {rep.pair}"
+        for rep in graph.reports for w in rep.witnesses
+        for c in w.parent_block(w.a_block) for d in w.parent_block(w.b_block)
+        if c != d and w.label not in graph.report(c, d).labels))
 
 
 def check_edge_subalgebra(algebra: FiniteAlgebra,
                           limits: Limits = DEFAULT_LIMITS) -> list[CheckResult]:
-    """Pair classification agrees computed inside any subalgebra or in the
-    whole algebra."""
-    bad = None
-    for sub in sorted(all_subalgebras(algebra, limits), key=sorted):
-        if len(sub) < 2 or len(sub) == algebra.size:
-            continue
-        emb = tuple(sorted(sub))
-        b_alg, _ = restrict(algebra, emb)
-        for i, j in combinations(range(b_alg.size), 2):
-            inner = classify_pair(b_alg, i, j, limits)
-            outer = classify_pair(algebra, emb[i], emb[j], limits)
-            if inner.labels != outer.labels:
-                bad = (f"{(emb[i], emb[j])}: {sorted(outer.labels)} in the "
-                       f"algebra vs {sorted(inner.labels)} in "
-                       f"{{{','.join(map(str, emb))}}}")
-    return [CheckResult("classification agrees inside subalgebras", bad is None,
-                        bad or "")]
+    """Pair classification agrees computed inside any proper subalgebra or
+    in the whole algebra."""
+    def failures():
+        for emb, graph in subalgebra_graphs(algebra, limits):
+            if graph.algebra is algebra:
+                continue
+            for inner in graph.reports:
+                pair = tuple(emb[i] for i in inner.pair)
+                outer = classify_pair(algebra, *pair, limits)
+                if inner.labels != outer.labels:
+                    yield (f"{pair}: {sorted(outer.labels)} in the algebra vs "
+                           f"{sorted(inner.labels)} in {{{','.join(map(str, emb))}}}")
+    return _first_failure("classification agrees inside subalgebras", failures())
 
 
 def check_edge_factor(algebra: FiniteAlgebra,
                       limits: Limits = DEFAULT_LIMITS) -> list[CheckResult]:
     """An edge of a quotient lifts to an edge of the algebra with the same
     type available."""
-    bad = None
-    for theta in congruence_lattice(algebra, limits):
-        if theta.is_equality or theta.is_total:
-            continue
-        quot, bmap = quotient(algebra, theta.blocks)
-        for qa, qb in combinations(range(quot.size), 2):
-            qrep = classify_pair(quot, qa, qb, limits)
-            if not qrep.is_edge:
+    def failures():
+        for theta in congruence_lattice(algebra, limits):
+            if theta.is_equality or theta.is_total:
                 continue
-            a = theta.blocks[qa][0]
-            b = theta.blocks[qb][0]
-            rep = classify_pair(algebra, a, b, limits)
-            missing = qrep.labels - rep.labels
-            if missing:
-                bad = (f"quotient edge {(qa, qb)} mod {theta} has "
-                       f"{sorted(missing)} not present on {(a, b)}")
-    return [CheckResult("quotient edges lift with their types", bad is None, bad or "")]
+            quot, _ = quotient(algebra, theta.blocks)
+            for qa, qb in combinations(range(quot.size), 2):
+                qrep = classify_pair(quot, qa, qb, limits)
+                if not qrep.is_edge:
+                    continue
+                a, b = theta.blocks[qa][0], theta.blocks[qb][0]
+                if missing := qrep.labels - classify_pair(algebra, a, b, limits).labels:
+                    yield (f"quotient edge {(qa, qb)} mod {theta} has "
+                           f"{sorted(missing)} not present on {(a, b)}")
+    return _first_failure("quotient edges lift with their types", failures())
 
 
 def check_majority_requires_no_semilattice(
@@ -194,28 +179,20 @@ def check_majority_requires_no_semilattice(
     in every CLI command, the search is the classification's own, so it
     re-verifies through that Absent's certificate (`check_absent`), not by
     a fresh closure."""
-    bad = None
-    for rep in structure_graph(algebra, limits).reports:
-        for w in rep.witnesses:
-            if w.label != MAJORITY:
-                continue
-            ans = find_pair_witness(w.quotient, SEMILATTICE, w.a_block,
-                                    w.b_block, limits.cap)
-            if not isinstance(ans, Absent):
-                bad = f"semilattice witness not excluded on {rep.pair}"
-    return [CheckResult("majority labels exclude semilattice terms", bad is None,
-                        bad or "")]
+    return _first_failure("majority labels exclude semilattice terms", (
+        f"semilattice witness not excluded on {rep.pair}"
+        for rep in structure_graph(algebra, limits).reports for w in rep.witnesses
+        if w.label == MAJORITY and not isinstance(
+            find_pair_witness(w.quotient, SEMILATTICE, w.a_block, w.b_block, limits.cap),
+            Absent)))
 
 
 def check_hypergraph(algebra: FiniteAlgebra,
                      limits: Limits = DEFAULT_LIMITS) -> list[CheckResult]:
-    hg = hypergraph(algebra, limits)
     # connectivity itself is algebra-specific; just re-verify the hyperedges
-    bad = None
-    for he in hg.hyperedges:
-        if not is_closed_subset(algebra, he):
-            bad = f"hyperedge {he} is not closed"
-    return [CheckResult("hyperedges are proper subuniverses", bad is None, bad or "")]
+    return _first_failure("hyperedges are proper subuniverses", (
+        f"hyperedge {he} is not closed" for he in hypergraph(algebra, limits).hyperedges
+        if not is_closed_subset(algebra, he)))
 
 
 def check_synthesis(algebra: FiniteAlgebra,

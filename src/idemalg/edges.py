@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterable, Optional
+from typing import Iterable, Iterator, Optional
 
 from .algebra import (
     DEFAULT_LIMITS,
@@ -121,6 +121,9 @@ def _classify_pair(algebra: FiniteAlgebra, a: int, b: int,
                    limits: Limits) -> EdgeReport:
     cap = limits.cap
     sub = tuple(sorted(subuniverse(algebra, [a, b])))
+    # a copy even when Sg{a,b} is the whole universe: `restrict` memoizes
+    # its children, so classifying on `algebra` itself would put the inner
+    # and outer classifications of `checks.check_edge_subalgebra` on one object
     b_alg, emb = restrict(algebra, sub)
     local = {x: i for i, x in enumerate(emb)}
     la, lb = local[a], local[b]
@@ -208,6 +211,18 @@ def structure_graph(algebra: FiniteAlgebra,
                           for a, b in combinations(range(algebra.size), 2))))
 
 
+def subalgebra_graphs(algebra: FiniteAlgebra, limits: Limits = DEFAULT_LIMITS
+                      ) -> Iterator[tuple[tuple[int, ...], StructureGraph]]:
+    """(embedding, structure graph) of every subuniverse of two or more
+    elements, in sorted order, built as it is reached.  The whole universe
+    is the algebra itself, so its graph is the algebra's own memoized one."""
+    for sub in sorted(all_subalgebras(algebra, limits), key=sorted):
+        if len(sub) >= 2:
+            emb = tuple(sorted(sub))
+            yield emb, structure_graph(
+                algebra if len(emb) == algebra.size else restrict(algebra, emb)[0], limits)
+
+
 def hypergraph(algebra: FiniteAlgebra,
                limits: Limits = DEFAULT_LIMITS) -> Hypergraph:
     """Vertices plus all proper subalgebras as hyperedges."""
@@ -242,14 +257,9 @@ def x_connected(algebra: FiniteAlgebra, allowed: Iterable[str],
     subalgebra).  Returns True or a counterexample (subuniverse, pair) in
     parent element ids."""
     allowed = frozenset(allowed)
-    for sub in sorted(all_subalgebras(algebra, limits), key=sorted):
-        if len(sub) < 2:
-            continue
-        emb = tuple(sorted(sub))
-        b_alg, _ = restrict(algebra, emb)
-        graph = structure_graph(b_alg, limits)
+    for emb, graph in subalgebra_graphs(algebra, limits):
         links = [pair for pair, labels in graph.edges().items() if labels & allowed]
-        comps = components(b_alg.size, links)
+        comps = components(len(emb), links)
         if len(comps) > 1:
             u, v = comps[0][0], comps[1][0]
             return (emb, (emb[u], emb[v]))

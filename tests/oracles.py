@@ -6,6 +6,7 @@ numpy kernels they check: each reads operation tables only through
 `OperationTable.array`.
 """
 
+import random
 from itertools import combinations, product
 from operator import getitem
 from types import SimpleNamespace
@@ -14,8 +15,9 @@ from typing import Optional, Sequence
 import numpy as np
 
 from idemalg import terms
-from idemalg.algebra import signature_map, validate_algebra
-from idemalg.congruence import TERM_SEARCH_LIMITS
+from idemalg.algebra import is_closed_subset, signature_map, validate_algebra
+from idemalg.checks import _TOLERANCE_SAMPLES, CheckResult
+from idemalg.congruence import TERM_SEARCH_LIMITS, congruence_lattice, tolerance_generated
 from idemalg.errors import ArityMismatch, NotACongruence, NotClosed, SignatureMismatch
 from idemalg.generate import Absent, CapExceeded, Found, SubpowerQuery, term_operations
 
@@ -120,6 +122,34 @@ def naive_tolerance_generated(algebra, pairs):
                     rel.add((v, u))
                     changed = True
     return frozenset(rel)
+
+
+def naive_tolerance_check(algebra, seed):
+    """The seeded tolerance check as a plain loop: every one of the
+    `_TOLERANCE_SAMPLES` draws is saturated and checked, however often its
+    generating set repeats, the failure of its transitive closure taking
+    precedence over that of one of its classes.  It checks the sampling,
+    not the kernels: tolerances and the lattice come from the package
+    (`naive_tolerance_generated` and `naive_cg` check those), so it is
+    given an algebra object of its own and shares no memoized lattice."""
+    rng = random.Random(seed)
+    n = algebra.size
+    bad = None
+    lattice = congruence_lattice(algebra)
+    for i in range(_TOLERANCE_SAMPLES):
+        k = rng.randint(0, max(1, n // 2))
+        pairs = [(rng.randrange(n), rng.randrange(n)) for _ in range(k)]
+        tol = tolerance_generated(algebra, pairs)
+        for cls in tol.classes():
+            if not is_closed_subset(algebra, cls):
+                bad = f"class {cls} of tolerance #{i} not closed"
+                break
+        if tol.transitive_closure() not in lattice:
+            bad = f"transitive closure of tolerance #{i} is not a congruence"
+        if bad:
+            break
+    return [CheckResult(f"tolerance classes are subuniverses ({_TOLERANCE_SAMPLES} seeded)",
+                        bad is None, bad or "")]
 
 
 def naive_translations(algebra):
