@@ -264,21 +264,20 @@ def product_algebra(a: FiniteAlgebra, b: FiniteAlgebra,
     return FiniteAlgebra(f"{a.name}x{b.name}", size, tuple(ops), labels)
 
 
-def quotient(a: FiniteAlgebra, blocks: Sequence[Sequence[int]],
-             name: Optional[str] = None) -> tuple[FiniteAlgebra, tuple[int, ...]]:
+def quotient(a: FiniteAlgebra, blocks: Sequence[Sequence[int]]
+             ) -> tuple[FiniteAlgebra, tuple[int, ...]]:
     """Factor algebra modulo the partition given as blocks.
 
     Verifies compatibility (raising NotACongruence with a witnessing pair of
     tuples otherwise) and returns the quotient together with the
-    element -> block index map.  The child is memoized on `a`, so repeated
-    calls return the same object with its own analyses."""
+    element -> block index map.  The child is memoized on `a` by the blocks
+    only, so repeated calls return the same object with its own analyses."""
     blocks = tuple(tuple(blk) for blk in blocks)
-    return a.memoized(("quotient", blocks, name),
-                      lambda: _quotient(a, blocks, name))
+    return a.memoized(("quotient", blocks), lambda: _quotient(a, blocks))
 
 
-def _quotient(a: FiniteAlgebra, blocks: tuple[tuple[int, ...], ...],
-              name: Optional[str]) -> tuple[FiniteAlgebra, tuple[int, ...]]:
+def _quotient(a: FiniteAlgebra, blocks: tuple[tuple[int, ...], ...]
+              ) -> tuple[FiniteAlgebra, tuple[int, ...]]:
     a.check_elements(x for blk in blocks for x in blk)
     block_of = [-1] * a.size
     for bi, blk in enumerate(blocks):
@@ -302,23 +301,21 @@ def _quotient(a: FiniteAlgebra, blocks: tuple[tuple[int, ...], ...],
     labels = None
     if a.labels is not None:
         labels = tuple("|".join(a.label(x) for x in sorted(blk)) for blk in blocks)
-    qname = name or f"{a.name}/theta"
-    return FiniteAlgebra(qname, len(blocks), tuple(ops), labels), tuple(block_of)
+    return FiniteAlgebra(f"{a.name}/theta", len(blocks), tuple(ops), labels), tuple(block_of)
 
 
-def restrict(a: FiniteAlgebra, subset: Iterable[int],
-             name: Optional[str] = None) -> tuple[FiniteAlgebra, tuple[int, ...]]:
+def restrict(a: FiniteAlgebra, subset: Iterable[int]) -> tuple[FiniteAlgebra, tuple[int, ...]]:
     """Subalgebra on a closed subset, with re-indexed tables.
 
     Returns (algebra, embedding) where embedding[i] is the element of `a`
     that the new element i stands for.  Raises NotClosed with the escaping
-    application otherwise.  Memoized on `a` like `quotient`."""
+    application otherwise.  Memoized on `a` like `quotient`, by the subset
+    only."""
     emb = tuple(sorted(set(subset)))
-    return a.memoized(("restrict", emb, name), lambda: _restrict(a, emb, name))
+    return a.memoized(("restrict", emb), lambda: _restrict(a, emb))
 
 
-def _restrict(a: FiniteAlgebra, emb: tuple[int, ...],
-              name: Optional[str]) -> tuple[FiniteAlgebra, tuple[int, ...]]:
+def _restrict(a: FiniteAlgebra, emb: tuple[int, ...]) -> tuple[FiniteAlgebra, tuple[int, ...]]:
     a.check_elements(emb)
     ops = []
     for op in a.operations:
@@ -328,7 +325,7 @@ def _restrict(a: FiniteAlgebra, emb: tuple[int, ...],
             raise NotClosed(op.name, args, op.apply(args, a.size))
         ops.append(OperationTable.from_array(op.name, table))
     labels = tuple(a.label(x) for x in emb) if a.labels is not None else None
-    rname = name or f"{a.name}|{{{','.join(str(x) for x in emb)}}}"
+    rname = f"{a.name}|{{{','.join(str(x) for x in emb)}}}"
     return FiniteAlgebra(rname, len(emb), tuple(ops), labels), emb
 
 

@@ -107,8 +107,12 @@ def render(af: AlgebraFile) -> str:
 
 
 def load(path: str) -> FiniteAlgebra:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse(fh.read()).to_algebra()
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"{path} is not UTF-8 text: {exc}") from None
+    return parse(text).to_algebra()
 
 
 def save(algebra: FiniteAlgebra, path: str) -> None:

@@ -23,7 +23,7 @@ from typing import Optional, Sequence
 from . import algfile, checks, synthesis, thin
 from .algebra import DEFAULT_CAP, MAX_ANALYSIS_SIZE, FiniteAlgebra, Limits
 from .congruence import (
-    TERM_SEARCH_LIMITS,
+    TERM_SEARCH_CAP,
     absorbing_elements,
     congruence_lattice,
     is_abelian,
@@ -141,8 +141,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     print(f"congruences ({len(lattice)}): " + ", ".join(str(c) for c in lattice))
     print("maximal: " + ", ".join(str(c) for c in maximal_congruences(algebra, limits)))
     print(f"abelian: {is_abelian(algebra, limits)}")
-    absorbing, reached = absorbing_elements(
-        algebra, limits=Limits(cap=min(limits.cap, TERM_SEARCH_LIMITS.cap)))
+    absorbing, reached = absorbing_elements(algebra, min(limits.cap, TERM_SEARCH_CAP))
     print(f"absorbing up to arity {reached}: "
           f"{[algebra.label(x) for x in absorbing] or 'none'}")
     graph = structure_graph(algebra, limits)
@@ -344,7 +343,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except CapExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CAP
-    except (ValidationError, TooLarge, FileNotFoundError) as exc:
+    except (ValidationError, TooLarge, OSError) as exc:   # OSError: a path given to read or write
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except IdemalgError as exc:

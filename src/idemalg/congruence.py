@@ -46,8 +46,8 @@ SET = "set"
 MODULE = "module"
 OTHER = "other"
 
-#: limits of the brute-force term searches (a smaller cap than the default)
-TERM_SEARCH_LIMITS = Limits(cap=20000)
+#: the cap of the brute-force term searches (smaller than the default)
+TERM_SEARCH_CAP = 20000
 
 
 @dataclass(frozen=True)
@@ -371,7 +371,7 @@ def classify_simple_quotient(algebra: FiniteAlgebra,
     return OTHER
 
 
-def absorbing_elements(algebra: FiniteAlgebra, limits: Limits = TERM_SEARCH_LIMITS
+def absorbing_elements(algebra: FiniteAlgebra, cap: int = TERM_SEARCH_CAP
                        ) -> tuple[list[int], int]:
     """Elements a such that every term operation (up to the reported arity,
     at most 3) depending on a variable maps a there to a, whatever the
@@ -385,7 +385,7 @@ def absorbing_elements(algebra: FiniteAlgebra, limits: Limits = TERM_SEARCH_LIMI
     reached = 0
     for arity in (1, 2, 3):
         try:
-            tops = term_operations(algebra, arity, limits.cap)
+            tops = term_operations(algebra, arity, cap)
         except CapExceededError:
             break
         reached = arity

@@ -106,10 +106,10 @@ def classify_pair(algebra: FiniteAlgebra, a: int, b: int,
     """Classify the pair through every maximal congruence of the subalgebra
     it generates, in canonical congruence order.  The report is memoized on
     the algebra, per ordered pair and cap.  Its witness searches run in a
-    `search_scope`, the caller's if one is active: they are shared by
-    content with every equal quotient met in the request, whichever algebra
-    it belongs to, and every shared witness re-evaluates and every shared
-    Absent passes `check_absent` once."""
+    `search_scope`, the caller's if one is active: they are shared by the
+    content of their `pair_search` with every equal quotient met in the
+    request, whichever algebra it belongs to, and every shared witness
+    re-evaluates and every shared Absent passes `check_absent` once."""
     if a == b:
         raise ValueError("need two distinct elements")
     with search_scope():
@@ -130,7 +130,7 @@ def _classify_pair(algebra: FiniteAlgebra, a: int, b: int,
     witnesses: list[EdgeWitness] = []
     inconclusive: list[Congruence] = []
     for theta in maximal_congruences(b_alg, limits):
-        quot, bmap = quotient(b_alg, theta.blocks, name=f"Sg{{{a},{b}}}/{theta}")
+        quot, bmap = quotient(b_alg, theta.blocks)
         qa, qb = bmap[la], bmap[lb]
         if qa == qb:
             raise PostconditionFailed(
@@ -139,32 +139,21 @@ def _classify_pair(algebra: FiniteAlgebra, a: int, b: int,
             witnesses.append(EdgeWitness(UNARY, (a, b), sub, theta, quot,
                                          bmap, qa, qb, None))
             continue
-        sl = find_pair_witness(quot, SEMILATTICE, qa, qb, cap)
-        if isinstance(sl, CapExceeded):
-            inconclusive.append(theta)
-            continue
-        if isinstance(sl, PairWitness):
-            witnesses.append(EdgeWitness(SEMILATTICE, (a, b), sub, theta, quot,
-                                         bmap, qa, qb, sl.term, sl.absorber))
-            continue
-        mj = find_pair_witness(quot, MAJORITY, qa, qb, cap)
-        if isinstance(mj, CapExceeded):
-            inconclusive.append(theta)
-            continue
-        if isinstance(mj, PairWitness):
-            witnesses.append(EdgeWitness(MAJORITY, (a, b), sub, theta, quot,
-                                         bmap, qa, qb, mj.term))
-            continue
-        if classify_simple_quotient(quot, limits) == MODULE:
-            mal = find_pair_witness(quot, MALTSEV, 0, 0, cap)
-            if isinstance(mal, CapExceeded):
+        # each search kind with its label; Absent moves on to the next
+        for kind, label in ((SEMILATTICE, SEMILATTICE), (MAJORITY, MAJORITY), (MALTSEV, AFFINE)):
+            if kind == MALTSEV and classify_simple_quotient(quot, limits) != MODULE:
+                break
+            found = find_pair_witness(quot, kind, qa, qb, cap)
+            if isinstance(found, CapExceeded):
                 inconclusive.append(theta)
-                continue
-            if not isinstance(mal, PairWitness):
+                break
+            if isinstance(found, PairWitness):
+                witnesses.append(EdgeWitness(label, (a, b), sub, theta, quot,
+                                             bmap, qa, qb, found.term, found.absorber))
+                break
+            if kind == MALTSEV:
                 raise PostconditionFailed(
                     f"the module quotient Sg{{{a},{b}}}/{theta} has no Mal'tsev term")
-            witnesses.append(EdgeWitness(AFFINE, (a, b), sub, theta, quot,
-                                         bmap, qa, qb, mal.term))
     return EdgeReport((a, b), sub, tuple(witnesses), tuple(inconclusive))
 
 

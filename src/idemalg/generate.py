@@ -28,9 +28,9 @@ settled there, and its `closure_size` counts the rows built by then.  A
 stopped closure is not complete; Absent comes only from a complete one.
 Every Found answer is re-evaluated against its target before being
 returned.  An Absent answer keeps the rows of its complete closure, which
-`check_absent` re-checks without the closure engine.  Inside a
-`search_scope`, pair-witness searches are shared by content, and every
-shared answer is re-checked at its reuse.
+`check_absent` re-checks without the closure engine.  `pair_search`
+defines each pair-witness search once: the search, its reuse checks and
+its key in a `search_scope`, which is the search's content, all read it.
 """
 
 from __future__ import annotations
@@ -352,6 +352,8 @@ class TupleClosure:
                  generators: Sequence[Sequence[int]], cap: int = DEFAULT_CAP,
                  target: Optional[Sequence[int]] = None):
         self.columns = tuple(columns)
+        if not self.columns:
+            raise ValidationError("a tuple closure needs at least one coordinate")
         self.k = len(self.columns)
         self.cap = cap
         sig = self.columns[0].signature
@@ -550,25 +552,35 @@ class TupleClosure:
 def subpower_membership(query: SubpowerQuery) -> SubpowerAnswer:
     """Close the generators under the coordinatewise operations until the
     target is a row.  Found answers carry a re-verified witness term."""
-    cl = TupleClosure(query.columns, query.generators, query.cap, query.target)
-    if (hit := cl.lookup(query.target)) is not None:
-        w = cl.witness(hit)
-        _check_member(query, w)
-        return Found(w, len(cl))
-    if cl.complete:
-        return Absent(len(cl), cl.rows.copy())
-    return CapExceeded(query.cap)
+    return _search(query.columns, query.generators, (query.target,), query.cap)[1]
 
 
-def _check_member(query: SubpowerQuery, w: Term) -> None:
+def _search(columns: Sequence[FiniteAlgebra], generators: Sequence[Sequence[int]],
+            targets: Sequence[Sequence[int]], cap: int
+            ) -> tuple[Optional[Sequence[int]], SubpowerAnswer]:
+    """The closure of the generators, stopped at targets[0] only (stopped at
+    a later one, it could miss an earlier one).  The first target that is a
+    row is returned with its Found answer, the witness re-checked; else no
+    target, with Absent (the complete closure's rows) or CapExceeded."""
+    cl = TupleClosure(columns, generators, cap, targets[0])
+    for target in targets:
+        if (hit := cl.lookup(target)) is not None:
+            w = cl.witness(hit)
+            _check_member(columns, generators, target, w)
+            return target, Found(w, len(cl))
+    return None, Absent(len(cl), cl.rows.copy()) if cl.complete else CapExceeded(cap)
+
+
+def _check_member(columns: Sequence[FiniteAlgebra], generators: Sequence[Sequence[int]],
+                  target: Sequence[int], w: Term) -> None:
     """PostconditionFailed unless w sends the generators to the target at
     every coordinate."""
-    for c, alg in enumerate(query.columns):
-        value = terms.evaluate(w, alg, [g[c] for g in query.generators])
-        if value != query.target[c]:
+    for c, alg in enumerate(columns):
+        value = terms.evaluate(w, alg, [g[c] for g in generators])
+        if value != target[c]:
             raise PostconditionFailed(
                 f"subpower witness {w.text()} gives {value} at coordinate "
-                f"{c}, not {query.target[c]}")
+                f"{c}, not {target[c]}")
 
 
 def check_absent(columns: Sequence[FiniteAlgebra], generators: Sequence[Sequence[int]],
@@ -692,18 +704,25 @@ def search_scope() -> Iterator[dict]:
 
 
 def search_key(algebra: FiniteAlgebra, kind: str, a: int, b: int, cap: int) -> tuple:
-    """What `find_pair_witness(algebra, kind, a, b, cap)` reads: the
-    algebra's content (its tables, not its name), the pair, unordered for
-    majority (`majority_query` sorts its columns), and the cap."""
-    pair = (min(a, b), max(a, b)) if kind == MAJORITY else (a, b)
+    """What `find_pair_witness(algebra, kind, a, b, cap)` reads: the kind, the
+    algebra's tables (not its name), the generators and targets of its
+    `pair_search` and the cap, so equal searches share a key whatever pair."""
+    _, generators, targets = pair_search(algebra, kind, a, b)
     return (kind, algebra.size, tuple((op.name, op.table) for op in algebra.operations),
-            pair, cap)
+            generators, targets, cap)
+
+
+def _check_pair(algebra: FiniteAlgebra, a: int, b: int) -> None:
+    algebra.check_elements((a, b))
+    if a == b:
+        raise ValueError("need two distinct elements")
 
 
 def majority_query(algebra: FiniteAlgebra, a: int, b: int,
                    cap: int = DEFAULT_CAP) -> SubpowerQuery:
     """Coordinates are the six non-constant triples over {a, b}; the target
     takes the repeated element at each."""
+    _check_pair(algebra, a, b)
     cols = sorted(t for t in product((a, b), repeat=3) if len(set(t)) > 1)
     gens = tuple(tuple(c[i] for c in cols) for i in range(3))
     target = tuple(max(set(c), key=c.count) for c in cols)
@@ -720,89 +739,55 @@ def maltsev_query(algebra: FiniteAlgebra, cap: int = DEFAULT_CAP) -> SubpowerQue
     return SubpowerQuery((algebra,) * len(cols), gens, target, cap)
 
 
+def pair_search(algebra: FiniteAlgebra, kind: str, a: int, b: int):
+    """The one definition of the closure that `find_pair_witness(algebra,
+    kind, a, b)` runs: its columns, generators and targets, in order of
+    preference.  A semilattice target's entry is its absorber."""
+    if kind == SEMILATTICE:
+        _check_pair(algebra, a, b)
+        return (algebra, algebra), ((a, b), (b, a)), ((b, b), (a, a))
+    if kind == MAJORITY:
+        q = majority_query(algebra, a, b)
+    elif kind == MALTSEV:
+        q = maltsev_query(algebra)
+    else:
+        raise ValueError(f"unknown witness kind {kind!r}")
+    return q.columns, q.generators, (q.target,)
+
+
 def find_pair_witness(algebra: FiniteAlgebra, kind: str, a: int = 0, b: int = 0,
                       cap: int = DEFAULT_CAP
                       ) -> Union[PairWitness, Absent, CapExceeded]:
     """Search for a term that is a semilattice (resp. majority) operation on
-    the pair {a, b}, or a Mal'tsev term on the whole algebra.
-
-    Semilattice tries both absorbers, b first.  Absent answers always come
-    from complete closures; a cap hit is CapExceeded, never absence.
+    the pair {a, b}, or a Mal'tsev term on the whole algebra, by `_search`
+    on its `pair_search`: semilattice tries both absorbers, b first.  Absent
+    answers always come from complete closures; a cap hit is CapExceeded,
+    never absence.
 
     Inside a `search_scope` the answer is shared by every search of the
     same key (`search_key`), whichever algebra object it runs on: at each
     reuse a witness re-evaluates on the algebra in hand; an Absent passes
     `check_absent` once, before its first reuse; CapExceeded claims nothing."""
-    if (cache := _SEARCHES.get()) is None:
-        return _find_pair_witness(algebra, kind, a, b, cap)
-    key = search_key(algebra, kind, a, b, cap)
-    if key not in cache:
-        cache[key] = (_find_pair_witness(algebra, kind, a, b, cap), False)
-        return cache[key][0]
+    if kind == MALTSEV and algebra.size < 2:
+        return PairWitness(MALTSEV, terms.proj(0, 3), None, 0)
+    columns, generators, targets = search = pair_search(algebra, kind, a, b)
+    cache = _SEARCHES.get()
+    if cache is None or (key := search_key(algebra, kind, a, b, cap)) not in cache:
+        target, ans = _search(*search, cap)
+        if isinstance(ans, Found):
+            ans = PairWitness(kind, ans.witness, target[0] if kind == SEMILATTICE else None,
+                              ans.closure_size)
+        if cache is not None:
+            cache[key] = (ans, False)
+        return ans
     ans, certified = cache[key]
     if isinstance(ans, PairWitness):
-        check_pair_witness(algebra, kind, a, b, ans)
+        target = targets[0] if ans.absorber is None else (ans.absorber,) * 2
+        _check_member(columns, generators, target, ans.term)
     elif isinstance(ans, Absent) and not certified:
-        check_absent(*_search_input(algebra, kind, a, b), ans.rows)
+        check_absent(*search, ans.rows)
         cache[key] = (ans, True)
     return ans
-
-
-def _find_pair_witness(algebra: FiniteAlgebra, kind: str, a: int, b: int, cap: int
-                       ) -> Union[PairWitness, Absent, CapExceeded]:
-    if kind in (SEMILATTICE, MAJORITY):
-        algebra.check_elements((a, b))
-        if a == b:
-            raise ValueError("need two distinct elements")
-    if kind == SEMILATTICE:
-        # only (b, b) may stop the closure: stopped at (a, a), it could
-        # miss a (b, b) that the complete closure has
-        cl = TupleClosure((algebra, algebra), ((a, b), (b, a)), cap, (b, b))
-        for absorber in (b, a):
-            if (hit := cl.lookup((absorber, absorber))) is not None:
-                found = PairWitness(SEMILATTICE, cl.witness(hit), absorber, len(cl))
-                check_pair_witness(algebra, SEMILATTICE, a, b, found)
-                return found
-        return Absent(len(cl), cl.rows.copy()) if cl.complete else CapExceeded(cap)
-    if kind == MAJORITY:
-        q = majority_query(algebra, a, b, cap)
-    elif kind == MALTSEV:
-        if algebra.size < 2:
-            return PairWitness(MALTSEV, terms.proj(0, 3), None, 0)
-        q = maltsev_query(algebra, cap)
-    else:
-        raise ValueError(f"unknown witness kind {kind!r}")
-    ans = subpower_membership(q)
-    if isinstance(ans, Found):
-        return PairWitness(kind, ans.witness, None, ans.closure_size)
-    return ans
-
-
-def _search_input(algebra: FiniteAlgebra, kind: str, a: int, b: int):
-    """The columns, generators and targets of the closure that
-    `find_pair_witness(algebra, kind, a, b)` searches."""
-    if kind == SEMILATTICE:
-        return (algebra, algebra), ((a, b), (b, a)), ((a, a), (b, b))
-    q = majority_query(algebra, a, b) if kind == MAJORITY else maltsev_query(algebra)
-    return q.columns, q.generators, (q.target,)
-
-
-def check_pair_witness(algebra: FiniteAlgebra, kind: str, a: int, b: int,
-                       witness: PairWitness) -> None:
-    """Re-evaluate a witness of `find_pair_witness(algebra, kind, a, b)` on
-    algebra: PostconditionFailed unless its term sends (a, b) and (b, a) to
-    its absorber (semilattice), or the generators of the majority or
-    Mal'tsev query to its target."""
-    w = witness.term
-    if kind == SEMILATTICE:
-        for args in ((a, b), (b, a)):
-            if terms.evaluate(w, algebra, args) != witness.absorber:
-                raise PostconditionFailed(
-                    f"semilattice witness {w.text()} does not send "
-                    f"{args} to {witness.absorber}")
-    else:
-        _check_member(majority_query(algebra, a, b) if kind == MAJORITY
-                      else maltsev_query(algebra), w)
 
 
 def term_operations(algebra: FiniteAlgebra, arity: int, cap: int = DEFAULT_CAP

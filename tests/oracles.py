@@ -17,7 +17,7 @@ import numpy as np
 from idemalg import terms
 from idemalg.algebra import is_closed_subset, signature_map, validate_algebra
 from idemalg.checks import _TOLERANCE_SAMPLES, CheckResult
-from idemalg.congruence import TERM_SEARCH_LIMITS, congruence_lattice, tolerance_generated
+from idemalg.congruence import TERM_SEARCH_CAP, congruence_lattice, tolerance_generated
 from idemalg.errors import ArityMismatch, NotACongruence, NotClosed, SignatureMismatch
 from idemalg.generate import Absent, CapExceeded, Found, SubpowerQuery, term_operations
 
@@ -225,7 +225,7 @@ def is_compatible(algebra, part) -> bool:
     return True
 
 
-def is_abelian_brute(algebra, max_arity: int = 3, limits=TERM_SEARCH_LIMITS) -> bool:
+def is_abelian_brute(algebra, max_arity: int = 3, cap: int = TERM_SEARCH_CAP) -> bool:
     """Brute-force term condition at arity <= max_arity: for every term t
     and all u, v, a-bar, b-bar:
     t(u, a-bar) = t(u, b-bar)  implies  t(v, a-bar) = t(v, b-bar).
@@ -234,7 +234,7 @@ def is_abelian_brute(algebra, max_arity: int = 3, limits=TERM_SEARCH_LIMITS) -> 
     small fixtures; the true condition quantifies over all arities."""
     n = algebra.size
     for arity in range(2, max_arity + 1):
-        for table, _ in term_operations(algebra, arity, limits.cap):
+        for table, _ in term_operations(algebra, arity, cap):
             m = arity - 1
             for abar in product(range(n), repeat=m):
                 for bbar in product(range(n), repeat=m):

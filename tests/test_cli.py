@@ -297,10 +297,49 @@ def test_cli_verify_all_fixtures_under_budget(capsys):
 
 
 @pytest.mark.parametrize("name", sorted(fixtures.FIXTURES))
-@pytest.mark.parametrize("command", [["verify", "--seed", "0"], ["edges"], ["synth"]],
-                         ids=lambda command: command[0])
+@pytest.mark.parametrize("command", [["verify", "--seed", "0"], ["edges"], ["synth"],
+                                     ["analyze"]], ids=lambda command: command[0])
 def test_cli_report_stdout_pinned(command, name, capsys):
     """`idemalg COMMAND --fixture NAME` prints exactly the report pinned in
     tests/data/COMMAND/NAME.out."""
     assert main([command[0], "--fixture", name, *command[1:]]) == EXIT_OK
     assert capsys.readouterr().out == (PINNED / command[0] / f"{name}.out").read_text()
+
+
+@pytest.mark.parametrize("name", sorted(fixtures.FIXTURES))
+def test_cli_reduct_stdout_pinned(name, capsys):
+    """`reduct` at arity 3 (2 on no-edge-factor) prints exactly
+    tests/data/reduct/NAME.out; z3-affine has no edge to reduce at."""
+    arity = "2" if name == "no-edge-factor" else "3"
+    code = main(["reduct", "--fixture", name, "--arity", arity])
+    out, err = capsys.readouterr()
+    if name == "z3-affine":
+        assert (code, out) == (EXIT_INPUT, "")
+        assert err == (PINNED / "reduct" / f"{name}.err").read_text()
+    else:
+        assert (code, err) == (EXIT_OK, "")
+        assert out == (PINNED / "reduct" / f"{name}.out").read_text()
+
+
+@pytest.mark.parametrize("name", sorted(fixtures.FIXTURES))
+def test_cli_edges_json_pinned(name, tmp_path):
+    path = tmp_path / "edges.json"
+    assert main(["edges", "--fixture", name, "--json", str(path)]) == EXIT_OK
+    assert path.read_text() == (PINNED / "edges" / f"{name}.json").read_text()
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["edges", "--file", "dir"], "[Errno 21] Is a directory: 'dir'"),
+    (["edges", "--file", "latin.alg"], "latin.alg is not UTF-8 text: 'utf-8' codec can't "
+                                       "decode byte 0xe9 in position 35: invalid continuation byte"),
+    (["edges", "--fixture", "sl2", "--json", "dir"], "[Errno 21] Is a directory: 'dir'"),
+    (["graph", "--fixture", "sl2", "--dot", "dir"], "[Errno 21] Is a directory: 'dir'"),
+], ids=["file-dir", "file-not-utf8", "json-dir", "dot-dir"])
+def test_cli_bad_path_is_an_input_error(argv, message, tmp_path, monkeypatch, capsys):
+    """A path that cannot be read or written, or a file that is not UTF-8,
+    exits 2 with one error line, not a traceback."""
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "dir").mkdir()
+    (tmp_path / "latin.alg").write_bytes(SAMPLE.replace("demo", "d\xe9mo").encode("latin-1"))
+    assert main(argv) == EXIT_INPUT
+    assert capsys.readouterr().err == f"error: {message}\n"

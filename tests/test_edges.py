@@ -305,7 +305,7 @@ def test_wrong_shared_witness_raises_under_O(run_optimized):
         "        structure_graph(alg)\n"
         "    except PostconditionFailed as exc:\n"
         "        print(exc)\n")
-    assert run_optimized(code) == "False\nsemilattice witness p0 does not send (0, 1) to 1\n"
+    assert run_optimized(code) == "False\nsubpower witness p0 gives 0 at coordinate 0, not 1\n"
 
 
 def test_uncertified_shared_absent_raises_under_O(run_optimized):
@@ -463,3 +463,40 @@ def test_pair_searches_outside_a_scope_build_a_closure_each(monkeypatch):
         find_pair_witness(fixtures.sl2(), SLKIND, 0, 1)
     assert len(built) == 3 and len(outer) == 1
     assert generate._SEARCHES.get() is None
+
+
+def _walk_with(monkeypatch, kind, answer):
+    """Make `edges.find_pair_witness` answer `answer` for searches of the
+    given kind and search as usual for the others; the kinds searched."""
+    searched, search = [], edges.find_pair_witness
+
+    def patched(algebra, k, *args):
+        searched.append(k)
+        return answer if k == kind else search(algebra, k, *args)
+
+    monkeypatch.setattr(edges, "find_pair_witness", patched)
+    return searched
+
+
+def test_cap_at_the_majority_step_ends_the_walk(monkeypatch):
+    """A cap hit at the majority step leaves theta inconclusive; with the
+    quotient taken for a module, a walk that went on would search for a
+    Mal'tsev term, find none on mj2 and raise."""
+    searched = _walk_with(monkeypatch, generate.MAJORITY, generate.CapExceeded(7))
+    monkeypatch.setattr(edges, "classify_simple_quotient", lambda *args: edges.MODULE)
+    rep = classify_pair(fixtures.mj2(), 0, 1)
+    assert rep.witnesses == () and len(rep.inconclusive) == 1 and rep.is_unknown
+    assert searched == [SLKIND, generate.MAJORITY]
+
+
+def test_the_maltsev_step_answers_a_module_quotient(monkeypatch):
+    """On z3-affine a cap hit at the Mal'tsev step leaves theta
+    inconclusive, and an Absent there is a broken certificate."""
+    searched = _walk_with(monkeypatch, generate.MALTSEV, generate.CapExceeded(7))
+    rep = classify_pair(fixtures.z3_affine(), 0, 1)
+    assert rep.witnesses == () and len(rep.inconclusive) == 1
+    assert rep.inconclusive[0].is_equality
+    assert searched == [SLKIND, generate.MAJORITY, generate.MALTSEV]
+    _walk_with(monkeypatch, generate.MALTSEV, Absent(9))
+    with pytest.raises(PostconditionFailed, match="has no Mal'tsev term"):
+        classify_pair(fixtures.z3_affine(), 0, 1)

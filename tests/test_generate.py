@@ -41,7 +41,9 @@ from idemalg.generate import (
     check_absent,
     find_pair_witness,
     generate_subalgebra,
+    majority_query,
     provenance_term,
+    search_key,
     subpower_membership,
     subuniverse,
     term_operations,
@@ -291,7 +293,7 @@ def test_corrupted_witnesses_raise_under_O(run_optimized):
     assert run_optimized(code) == (
         "False\n"
         "subpower witness p0 gives 1 at coordinate 1, not 0\n"
-        "semilattice witness p0 does not send (1, 0) to 0\n")
+        "subpower witness p0 gives 1 at coordinate 1, not 0\n")
 
 
 def test_tuple_closure_rejects_columns_beyond_one_byte():
@@ -845,6 +847,30 @@ def test_tuple_closure_raises_the_package_errors(sl2, mj2, z3a):
     for gens in (((0, 1), (1,)), ((0, 1, 0),)):
         with pytest.raises(ValidationError, match="coordinate count"):
             generate.TupleClosure((sl2, sl2), gens)
+    for call in (lambda: generate.TupleClosure((), ((),)),
+                 lambda: subpower_membership(SubpowerQuery((), ((),), ()))):
+        with pytest.raises(ValidationError, match="at least one coordinate"):
+            call()
+
+
+def test_pair_queries_check_the_pair_before_building(sl2):
+    """A pair query over one element would have no coordinates."""
+    for kind in (SEMILATTICE, MAJORITY):
+        with pytest.raises(ValueError, match="need two distinct elements"):
+            find_pair_witness(sl2, kind, 1, 1)
+        with pytest.raises(ValidationError, match="element 2 is not in 0..1"):
+            find_pair_witness(sl2, kind, 0, 2)
+    with pytest.raises(ValueError, match="need two distinct elements"):
+        majority_query(sl2, 0, 0)
+
+
+def test_search_key_is_the_content_of_the_search(sl2, z3a):
+    """Mal'tsev reads no pair, majority sorts its columns, semilattice
+    keeps the order of its generators."""
+    assert search_key(z3a, MALTSEV, 0, 0, 9) == search_key(z3a, MALTSEV, 1, 2, 9)
+    assert search_key(sl2, MAJORITY, 0, 1, 9) == search_key(sl2, MAJORITY, 1, 0, 9)
+    assert search_key(sl2, SEMILATTICE, 0, 1, 9) != search_key(sl2, SEMILATTICE, 1, 0, 9)
+    assert search_key(sl2, SEMILATTICE, 0, 1, 9) != search_key(sl2, SEMILATTICE, 0, 1, 8)
 
 
 def _copy(alg):
