@@ -169,7 +169,7 @@ class FiniteAlgebra:
         their results here, so a result lives and dies with the object, and
         two equal algebras never share one.  Pair searches are not kept
         here: they are shared by content within one request
-        (`generate.search_scope`), and re-checked at each reuse."""
+        (`generate.request_scope`), and re-checked at each reuse."""
         memo = self._memo
         if key not in memo:
             memo[key] = compute()
@@ -201,9 +201,11 @@ class FiniteAlgebra:
 
 @dataclass(frozen=True)
 class Limits:
-    """The limits of one analysis: `cap` bounds every closure, `max_size`
-    the universe of every exhaustive analysis (None: unbounded).  The same
-    value flows into every subalgebra and quotient the analysis derives."""
+    """The limits of one request: `cap` bounds every closure, `max_size`
+    the universe of every exhaustive analysis (None: unbounded).  The
+    request holds them (`generate.request_scope`), so every analysis reads
+    the same value (`generate.current_limits`) on every subalgebra and
+    quotient it derives."""
 
     cap: int = DEFAULT_CAP
     max_size: Optional[int] = MAX_ANALYSIS_SIZE

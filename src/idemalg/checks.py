@@ -10,7 +10,8 @@ graph, not a restricted copy), and every cross-check still compares
 computations made on distinct objects: a proper subalgebra or quotient
 against the algebra, never one cache against itself.  Reports, lattices
 and graphs stay per object; only pair searches are shared, by content,
-within one request (`generate.search_scope`), and every shared answer is
+within one request (`generate.request_scope`, which also holds the limits
+every check reads), and every shared answer is
 re-checked where it is reused: a witness re-evaluates on the algebra in
 hand, and an Absent passes `generate.check_absent` once.
 """
@@ -22,13 +23,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterator
 
-from .algebra import (
-    DEFAULT_LIMITS,
-    FiniteAlgebra,
-    Limits,
-    is_closed_subset,
-    quotient,
-)
+from .algebra import FiniteAlgebra, is_closed_subset, quotient
 from .congruence import congruence_lattice, tolerance_generated
 from .edges import (
     MAJORITY,
@@ -44,6 +39,7 @@ from .edges import (
 from .errors import IdemalgError
 from .generate import (
     Absent,
+    current_limits,
     find_pair_witness,
     generate_subalgebra,
     witness_term,
@@ -83,12 +79,11 @@ def check_generation(algebra: FiniteAlgebra) -> list[CheckResult]:
     return _first_failure("generation provenance replays", failures())
 
 
-def check_connectedness(algebra: FiniteAlgebra,
-                        limits: Limits = DEFAULT_LIMITS) -> list[CheckResult]:
+def check_connectedness(algebra: FiniteAlgebra) -> list[CheckResult]:
     """The pair graph of every subuniverse is connected."""
     rows = [CheckResult(f"pair graph connected on {{{','.join(map(str, emb))}}}",
                         is_connected(graph))
-            for emb, graph in subalgebra_graphs(algebra, limits)]
+            for emb, graph in subalgebra_graphs(algebra)]
     return rows or [CheckResult("pair graph connected (no subalgebra of size >= 2)", True)]
 
 
@@ -96,8 +91,7 @@ def check_connectedness(algebra: FiniteAlgebra,
 _TOLERANCE_SAMPLES = 25
 
 
-def check_tolerance_classes(algebra: FiniteAlgebra, seed: int = 0,
-                            limits: Limits = DEFAULT_LIMITS) -> list[CheckResult]:
+def check_tolerance_classes(algebra: FiniteAlgebra, seed: int = 0) -> list[CheckResult]:
     """Classes of seeded generated tolerances are subuniverses; transitive
     closures are congruences.  A generating set drawn again (as unordered
     pairs off the diagonal) generates the same tolerance, checked at its
@@ -105,7 +99,7 @@ def check_tolerance_classes(algebra: FiniteAlgebra, seed: int = 0,
     def failures():
         rng = random.Random(seed)
         n = algebra.size
-        lattice = congruence_lattice(algebra, limits)
+        lattice = congruence_lattice(algebra)
         seen = set()
         for i in range(_TOLERANCE_SAMPLES):
             k = rng.randint(0, max(1, n // 2))
@@ -123,11 +117,10 @@ def check_tolerance_classes(algebra: FiniteAlgebra, seed: int = 0,
         f"tolerance classes are subuniverses ({_TOLERANCE_SAMPLES} seeded)", failures())
 
 
-def check_many_edges(algebra: FiniteAlgebra,
-                     limits: Limits = DEFAULT_LIMITS) -> list[CheckResult]:
+def check_many_edges(algebra: FiniteAlgebra) -> list[CheckResult]:
     """Every pair across the blocks of a witness is an edge of the same
     type."""
-    graph = structure_graph(algebra, limits)
+    graph = structure_graph(algebra)
     return _first_failure("block-mates inherit the edge type", (
         f"pair {(c, d)} misses label {w.label} inherited from {rep.pair}"
         for rep in graph.reports for w in rep.witnesses
@@ -135,45 +128,42 @@ def check_many_edges(algebra: FiniteAlgebra,
         if c != d and w.label not in graph.report(c, d).labels))
 
 
-def check_edge_subalgebra(algebra: FiniteAlgebra,
-                          limits: Limits = DEFAULT_LIMITS) -> list[CheckResult]:
+def check_edge_subalgebra(algebra: FiniteAlgebra) -> list[CheckResult]:
     """Pair classification agrees computed inside any proper subalgebra or
     in the whole algebra."""
     def failures():
-        for emb, graph in subalgebra_graphs(algebra, limits):
+        for emb, graph in subalgebra_graphs(algebra):
             if graph.algebra is algebra:
                 continue
             for inner in graph.reports:
                 pair = tuple(emb[i] for i in inner.pair)
-                outer = classify_pair(algebra, *pair, limits)
+                outer = classify_pair(algebra, *pair)
                 if inner.labels != outer.labels:
                     yield (f"{pair}: {sorted(outer.labels)} in the algebra vs "
                            f"{sorted(inner.labels)} in {{{','.join(map(str, emb))}}}")
     return _first_failure("classification agrees inside subalgebras", failures())
 
 
-def check_edge_factor(algebra: FiniteAlgebra,
-                      limits: Limits = DEFAULT_LIMITS) -> list[CheckResult]:
+def check_edge_factor(algebra: FiniteAlgebra) -> list[CheckResult]:
     """An edge of a quotient lifts to an edge of the algebra with the same
     type available."""
     def failures():
-        for theta in congruence_lattice(algebra, limits):
+        for theta in congruence_lattice(algebra):
             if theta.is_equality or theta.is_total:
                 continue
             quot, _ = quotient(algebra, theta.blocks)
             for qa, qb in combinations(range(quot.size), 2):
-                qrep = classify_pair(quot, qa, qb, limits)
+                qrep = classify_pair(quot, qa, qb)
                 if not qrep.is_edge:
                     continue
                 a, b = theta.blocks[qa][0], theta.blocks[qb][0]
-                if missing := qrep.labels - classify_pair(algebra, a, b, limits).labels:
+                if missing := qrep.labels - classify_pair(algebra, a, b).labels:
                     yield (f"quotient edge {(qa, qb)} mod {theta} has "
                            f"{sorted(missing)} not present on {(a, b)}")
     return _first_failure("quotient edges lift with their types", failures())
 
 
-def check_majority_requires_no_semilattice(
-        algebra: FiniteAlgebra, limits: Limits = DEFAULT_LIMITS) -> list[CheckResult]:
+def check_majority_requires_no_semilattice(algebra: FiniteAlgebra) -> list[CheckResult]:
     """Each majority witness re-verifies that no semilattice term exists on
     its blocks (complete closure, not a cap hit).  Inside a search scope, as
     in every CLI command, the search is the classification's own, so it
@@ -181,27 +171,26 @@ def check_majority_requires_no_semilattice(
     a fresh closure."""
     return _first_failure("majority labels exclude semilattice terms", (
         f"semilattice witness not excluded on {rep.pair}"
-        for rep in structure_graph(algebra, limits).reports for w in rep.witnesses
+        for rep in structure_graph(algebra).reports for w in rep.witnesses
         if w.label == MAJORITY and not isinstance(
-            find_pair_witness(w.quotient, SEMILATTICE, w.a_block, w.b_block, limits.cap),
+            find_pair_witness(w.quotient, SEMILATTICE, w.a_block, w.b_block,
+                              current_limits().cap),
             Absent)))
 
 
-def check_hypergraph(algebra: FiniteAlgebra,
-                     limits: Limits = DEFAULT_LIMITS) -> list[CheckResult]:
+def check_hypergraph(algebra: FiniteAlgebra) -> list[CheckResult]:
     # connectivity itself is algebra-specific; just re-verify the hyperedges
     return _first_failure("hyperedges are proper subuniverses", (
-        f"hyperedge {he} is not closed" for he in hypergraph(algebra, limits).hyperedges
+        f"hyperedge {he} is not closed" for he in hypergraph(algebra).hyperedges
         if not is_closed_subset(algebra, he)))
 
 
-def check_synthesis(algebra: FiniteAlgebra,
-                    limits: Limits = DEFAULT_LIMITS) -> list[CheckResult]:
+def check_synthesis(algebra: FiniteAlgebra) -> list[CheckResult]:
     """Uniform operations: construction, exhaustive verification, the shift
     condition, and the thin graph with its certificates."""
     rows: list[CheckResult] = []
-    graph = structure_graph(algebra, limits)
-    smooth = is_smooth(algebra, limits)
+    graph = structure_graph(algebra)
+    smooth = is_smooth(algebra)
     rows.append(CheckResult("algebra is smooth", smooth is True,
                             "" if smooth is True else str(smooth)))
     has_unary = any(UNARY in rep.labels for rep in graph.reports)
@@ -209,7 +198,7 @@ def check_synthesis(algebra: FiniteAlgebra,
         rows.append(CheckResult("unified operations (skipped: not applicable)", True))
         return rows
     try:
-        ops = synthesis.uniform_ops([algebra], limits)
+        ops = synthesis.uniform_ops([algebra])
     except IdemalgError as exc:
         rows.append(CheckResult("unified operations construct", False, str(exc)))
         return rows
@@ -221,7 +210,7 @@ def check_synthesis(algebra: FiniteAlgebra,
     rows.append(CheckResult("distinguished f satisfies the shift condition",
                             bad is None, "" if bad is None else f"pair {bad}"))
     try:
-        tg = thin.thin_graph(aligned, ops, limits)
+        tg = thin.thin_graph(aligned, ops)
         necessary_ok = all(e.necessary for e in tg.arcs)
         rows.append(CheckResult(
             f"thin graph builds ({len(tg.arcs)} arcs, all certificates pass)",
@@ -231,17 +220,16 @@ def check_synthesis(algebra: FiniteAlgebra,
     return rows
 
 
-def verify_algebra(algebra: FiniteAlgebra, seed: int = 0,
-                   limits: Limits = DEFAULT_LIMITS) -> list[CheckResult]:
+def verify_algebra(algebra: FiniteAlgebra, seed: int = 0) -> list[CheckResult]:
     """The full invariant suite for one algebra."""
     rows: list[CheckResult] = []
     rows.extend(check_generation(algebra))
-    rows.extend(check_hypergraph(algebra, limits))
-    rows.extend(check_connectedness(algebra, limits))
-    rows.extend(check_tolerance_classes(algebra, seed, limits=limits))
-    rows.extend(check_many_edges(algebra, limits))
-    rows.extend(check_edge_subalgebra(algebra, limits))
-    rows.extend(check_edge_factor(algebra, limits))
-    rows.extend(check_majority_requires_no_semilattice(algebra, limits))
-    rows.extend(check_synthesis(algebra, limits))
+    rows.extend(check_hypergraph(algebra))
+    rows.extend(check_connectedness(algebra))
+    rows.extend(check_tolerance_classes(algebra, seed))
+    rows.extend(check_many_edges(algebra))
+    rows.extend(check_edge_subalgebra(algebra))
+    rows.extend(check_edge_factor(algebra))
+    rows.extend(check_majority_requires_no_semilattice(algebra))
+    rows.extend(check_synthesis(algebra))
     return rows

@@ -42,7 +42,7 @@ from .edges import (
 )
 from .errors import CapExceededError, IdemalgError, TooLarge, ValidationError
 from .fixtures import FIXTURES, fixture
-from .generate import search_scope
+from .generate import current_limits, request_scope
 from .reduct import DEFAULT_MAX_ARITY, bounded_reduct, reduct_edge_report
 from .terms import realize_table
 
@@ -61,10 +61,8 @@ def positive_int(text: str) -> int:
     return value
 
 
-def _load_algebras(args: argparse.Namespace
-                   ) -> tuple[list[FiniteAlgebra], Limits]:
-    """The input algebras, and the limits every analysis step applies."""
-    limits = Limits(args.cap, None if args.force else args.max_size)
+def _load_algebras(args: argparse.Namespace) -> list[FiniteAlgebra]:
+    """The input algebras, each within the request's size limit."""
     out: list[FiniteAlgebra] = []
     for name in args.fixture or []:
         out.append(fixture(name))
@@ -73,8 +71,8 @@ def _load_algebras(args: argparse.Namespace
     if not out:
         raise ValidationError("no input: pass --fixture NAME or --file PATH")
     for alg in out:
-        limits.check(alg)
-    return out, limits
+        current_limits().check(alg)
+    return out
 
 
 def _pair_line(algebra: FiniteAlgebra, rep) -> str:
@@ -133,27 +131,26 @@ def _write_or_print(text: str, path: Optional[str]) -> None:
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
-    algebras, limits = _load_algebras(args)
-    algebra = algebras[0]
+    algebra = _load_algebras(args)[0]
     print(f"algebra {algebra.name}: {algebra.size} elements, "
           f"operations {', '.join(f'{o.name}/{o.arity}' for o in algebra.operations)}")
-    lattice = congruence_lattice(algebra, limits)
+    lattice = congruence_lattice(algebra)
     print(f"congruences ({len(lattice)}): " + ", ".join(str(c) for c in lattice))
-    print("maximal: " + ", ".join(str(c) for c in maximal_congruences(algebra, limits)))
-    print(f"abelian: {is_abelian(algebra, limits)}")
-    absorbing, reached = absorbing_elements(algebra, min(limits.cap, TERM_SEARCH_CAP))
+    print("maximal: " + ", ".join(str(c) for c in maximal_congruences(algebra)))
+    print(f"abelian: {is_abelian(algebra)}")
+    absorbing, reached = absorbing_elements(algebra, min(current_limits().cap, TERM_SEARCH_CAP))
     print(f"absorbing up to arity {reached}: "
           f"{[algebra.label(x) for x in absorbing] or 'none'}")
-    graph = structure_graph(algebra, limits)
+    graph = structure_graph(algebra)
     print("pair classification:")
     for rep in graph.reports:
         print(_pair_line(algebra, rep))
     print(f"graph connected: {is_connected(graph)}")
-    hg = hypergraph(algebra, limits)
+    hg = hypergraph(algebra)
     print(f"hypergraph connected: {hypergraph_connected(hg)}")
-    smooth = is_smooth(algebra, limits)
+    smooth = is_smooth(algebra)
     print(f"smooth: {smooth if smooth is not True else True}")
-    rows = checks.check_synthesis(algebra, limits)
+    rows = checks.check_synthesis(algebra)
     for row in rows:
         print(row.line())
     if args.json:
@@ -162,9 +159,8 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
 
 def cmd_edges(args: argparse.Namespace) -> int:
-    algebras, limits = _load_algebras(args)
-    algebra = algebras[0]
-    graph = structure_graph(algebra, limits)
+    algebra = _load_algebras(args)[0]
+    graph = structure_graph(algebra)
     for rep in graph.reports:
         print(_pair_line(algebra, rep))
     if args.json:
@@ -173,11 +169,10 @@ def cmd_edges(args: argparse.Namespace) -> int:
 
 
 def cmd_graph(args: argparse.Namespace) -> int:
-    algebras, limits = _load_algebras(args)
-    algebra = algebras[0]
-    graph = structure_graph(algebra, limits)
+    algebra = _load_algebras(args)[0]
+    graph = structure_graph(algebra)
     _write_or_print(graph_to_dot(graph, algebra.name), args.dot)
-    hg = hypergraph(algebra, limits)
+    hg = hypergraph(algebra)
     if args.hyper_dot or not args.dot:
         _write_or_print(hypergraph_to_dot(hg, algebra, f"{algebra.name}-hyper"),
                         args.hyper_dot)
@@ -185,10 +180,9 @@ def cmd_graph(args: argparse.Namespace) -> int:
 
 
 def cmd_thin(args: argparse.Namespace) -> int:
-    algebras, limits = _load_algebras(args)
-    ops = synthesis.uniform_ops(algebras, limits)
+    ops = synthesis.uniform_ops(_load_algebras(args))
     target = ops.inventory.algebras[0]
-    tg = thin.thin_graph(target, ops, limits)
+    tg = thin.thin_graph(target, ops)
     _write_or_print(thin.thin_graph_to_dot(tg, target.name), args.dot)
     for e in tg.arcs:
         print("  " + e.describe() + ("" if e.necessary else "  [necessary-condition FAILED]"))
@@ -197,8 +191,7 @@ def cmd_thin(args: argparse.Namespace) -> int:
 
 
 def cmd_synth(args: argparse.Namespace) -> int:
-    algebras, limits = _load_algebras(args)
-    ops = synthesis.uniform_ops(algebras, limits)
+    ops = synthesis.uniform_ops(_load_algebras(args))
     print("f =", ops.f.text())
     print("g =", ops.g.text())
     print("h =", ops.h.text())
@@ -229,9 +222,8 @@ def cmd_synth(args: argparse.Namespace) -> int:
 
 
 def cmd_reduct(args: argparse.Namespace) -> int:
-    algebras, limits = _load_algebras(args)
-    algebra = algebras[0]
-    graph = structure_graph(algebra, limits)
+    algebra = _load_algebras(args)[0]
+    graph = structure_graph(algebra)
     reports = graph.reports
     if args.pair:
         a, b = args.pair
@@ -246,9 +238,9 @@ def cmd_reduct(args: argparse.Namespace) -> int:
         raise ValidationError(
             f"pair {tuple(args.pair)} has no semilattice or majority witness"
             if args.pair else "no semilattice or majority edge to reduce at")
-    red = bounded_reduct(algebra, witness, args.arity, limits)
+    red = bounded_reduct(algebra, witness, args.arity)
     print(red.describe())
-    diff = reduct_edge_report(red, limits)
+    diff = reduct_edge_report(red)
     changed = diff.changed_pairs()
     if not changed:
         print(f"pair classification unchanged at arity <= {args.arity}")
@@ -279,11 +271,10 @@ def cmd_reduct(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    algebras, limits = _load_algebras(args)
     all_ok = True
-    for algebra in algebras:
+    for algebra in _load_algebras(args):
         print(f"verifying {algebra.name}:")
-        rows = checks.verify_algebra(algebra, args.seed, limits)
+        rows = checks.verify_algebra(algebra, args.seed)
         for row in rows:
             print("  " + row.line())
         all_ok &= all(r.ok for r in rows)
@@ -338,7 +329,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        with search_scope():
+        with request_scope(Limits(args.cap, None if args.force else args.max_size)):
             return args.func(args)
     except CapExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -31,16 +31,14 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .algebra import (
-    DEFAULT_LIMITS,
     FiniteAlgebra,
-    Limits,
     OperationTable,
     distinct_rows,
     is_set,
     product_algebra,
 )
 from .errors import CapExceededError, NotATolerance, ProjectionNotFull, ValidationError
-from .generate import term_operations
+from .generate import current_limits, term_operations
 
 SET = "set"
 MODULE = "module"
@@ -173,11 +171,10 @@ def join(a: Congruence, b: Congruence) -> Congruence:
     return Congruence.from_blocks(a.size, components(a.size, a.blocks + b.blocks))
 
 
-def congruence_lattice(algebra: FiniteAlgebra, limits: Limits = DEFAULT_LIMITS
-                       ) -> tuple[Congruence, ...]:
+def congruence_lattice(algebra: FiniteAlgebra) -> tuple[Congruence, ...]:
     """All congruences: the join closure of the principal ones plus
     equality, sorted canonically."""
-    limits.check(algebra)
+    current_limits().check(algebra)
     return algebra.memoized(("congruence_lattice",), lambda: _lattice(algebra))
 
 
@@ -200,11 +197,10 @@ def _lattice(algebra: FiniteAlgebra) -> tuple[Congruence, ...]:
     return tuple(sorted(found, key=lambda c: c.blocks))
 
 
-def maximal_congruences(algebra: FiniteAlgebra, limits: Limits = DEFAULT_LIMITS
-                        ) -> tuple[Congruence, ...]:
+def maximal_congruences(algebra: FiniteAlgebra) -> tuple[Congruence, ...]:
     """Proper congruences with nothing strictly between them and the total
     one; equivalently those with a simple quotient."""
-    proper = [c for c in congruence_lattice(algebra, limits) if not c.is_total]
+    proper = [c for c in congruence_lattice(algebra) if not c.is_total]
     return algebra.memoized(("maximal_congruences",), lambda: tuple(
         theta for theta in proper
         if not any(theta is not eta and theta.refines(eta) for eta in proper)))
@@ -343,10 +339,10 @@ def link_tolerance(algebra: FiniteAlgebra, relation: Iterable[Sequence[int]],
 # --------------------------------------------------------------------------
 
 
-def is_abelian(algebra: FiniteAlgebra, limits: Limits = DEFAULT_LIMITS) -> bool:
+def is_abelian(algebra: FiniteAlgebra) -> bool:
     """Diagonal test on A^2: abelian iff the diagonal is a block of the
     congruence of A^2 generated by all pairs of diagonal elements."""
-    limits.check(algebra)
+    current_limits().check(algebra)
     return algebra.memoized(("is_abelian",), lambda: _diagonal_test(algebra))
 
 
@@ -358,15 +354,14 @@ def _diagonal_test(algebra: FiniteAlgebra) -> bool:
     return set(theta.block_of(diag[0])) == set(diag)
 
 
-def classify_simple_quotient(algebra: FiniteAlgebra,
-                             limits: Limits = DEFAULT_LIMITS) -> str:
+def classify_simple_quotient(algebra: FiniteAlgebra) -> str:
     """For a simple idempotent algebra: SET if all basic operations are
     projections, MODULE if abelian but not a set, OTHER otherwise.  The
     caller guarantees simplicity; on simple idempotent algebras abelian and
     not-a-set means the full idempotent reduct of a module."""
     if is_set(algebra):
         return SET
-    if is_abelian(algebra, limits):
+    if is_abelian(algebra):
         return MODULE
     return OTHER
 

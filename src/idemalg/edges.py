@@ -19,9 +19,7 @@ from itertools import combinations
 from typing import Iterable, Iterator, Optional
 
 from .algebra import (
-    DEFAULT_LIMITS,
     FiniteAlgebra,
-    Limits,
     is_closed_subset,
     is_set,
     quotient,
@@ -42,8 +40,9 @@ from .generate import (
     PairWitness,
     SEMILATTICE,
     all_subalgebras,
+    current_limits,
     find_pair_witness,
-    search_scope,
+    request_scope,
     subuniverse,
 )
 from .terms import Term
@@ -101,25 +100,24 @@ class EdgeReport:
         return frozenset(w.label for w in self.witnesses)
 
 
-def classify_pair(algebra: FiniteAlgebra, a: int, b: int,
-                  limits: Limits = DEFAULT_LIMITS) -> EdgeReport:
+def classify_pair(algebra: FiniteAlgebra, a: int, b: int) -> EdgeReport:
     """Classify the pair through every maximal congruence of the subalgebra
-    it generates, in canonical congruence order.  The report is memoized on
-    the algebra, per ordered pair and cap.  Its witness searches run in a
-    `search_scope`, the caller's if one is active: they are shared by the
+    it generates, in canonical congruence order, under the limits of the
+    request in effect.  The report is memoized on the algebra, per ordered
+    pair and cap.  Its witness searches run in a `request_scope`, the
+    caller's if one is active: they are shared by the
     content of their `pair_search` with every equal quotient met in the
     request, whichever algebra it belongs to, and every shared witness
     re-evaluates and every shared Absent passes `check_absent` once."""
     if a == b:
         raise ValueError("need two distinct elements")
-    with search_scope():
-        return algebra.memoized(("classify_pair", a, b, limits.cap),
-                                lambda: _classify_pair(algebra, a, b, limits))
+    with request_scope():
+        cap = current_limits().cap
+        return algebra.memoized(("classify_pair", a, b, cap),
+                                lambda: _classify_pair(algebra, a, b, cap))
 
 
-def _classify_pair(algebra: FiniteAlgebra, a: int, b: int,
-                   limits: Limits) -> EdgeReport:
-    cap = limits.cap
+def _classify_pair(algebra: FiniteAlgebra, a: int, b: int, cap: int) -> EdgeReport:
     sub = tuple(sorted(subuniverse(algebra, [a, b])))
     # a copy even when Sg{a,b} is the whole universe: `restrict` memoizes
     # its children, so classifying on `algebra` itself would put the inner
@@ -129,7 +127,7 @@ def _classify_pair(algebra: FiniteAlgebra, a: int, b: int,
     la, lb = local[a], local[b]
     witnesses: list[EdgeWitness] = []
     inconclusive: list[Congruence] = []
-    for theta in maximal_congruences(b_alg, limits):
+    for theta in maximal_congruences(b_alg):
         quot, bmap = quotient(b_alg, theta.blocks)
         qa, qb = bmap[la], bmap[lb]
         if qa == qb:
@@ -141,7 +139,7 @@ def _classify_pair(algebra: FiniteAlgebra, a: int, b: int,
             continue
         # each search kind with its label; Absent moves on to the next
         for kind, label in ((SEMILATTICE, SEMILATTICE), (MAJORITY, MAJORITY), (MALTSEV, AFFINE)):
-            if kind == MALTSEV and classify_simple_quotient(quot, limits) != MODULE:
+            if kind == MALTSEV and classify_simple_quotient(quot) != MODULE:
                 break
             found = find_pair_witness(quot, kind, qa, qb, cap)
             if isinstance(found, CapExceeded):
@@ -187,35 +185,36 @@ class Hypergraph:
     hyperedges: tuple[tuple[int, ...], ...]
 
 
-def structure_graph(algebra: FiniteAlgebra,
-                    limits: Limits = DEFAULT_LIMITS) -> StructureGraph:
-    """Every pair, classified in one `search_scope`; the reports are
-    memoized on the algebra per cap (not the graph, which refers back to the
-    algebra: the cycle would keep the memo alive after its last user)."""
-    limits.check(algebra)
-    with search_scope():
+def structure_graph(algebra: FiniteAlgebra) -> StructureGraph:
+    """Every pair, classified in one `request_scope` under the limits of the
+    request in effect; the reports are memoized on the algebra per cap (not
+    the graph, which refers back to the algebra: the cycle would keep the
+    memo alive after its last user)."""
+    with request_scope():
+        limits = current_limits()
+        limits.check(algebra)
         return StructureGraph(algebra, algebra.memoized(
             ("structure_graph", limits.cap),
-            lambda: tuple(classify_pair(algebra, a, b, limits)
+            lambda: tuple(classify_pair(algebra, a, b)
                           for a, b in combinations(range(algebra.size), 2))))
 
 
-def subalgebra_graphs(algebra: FiniteAlgebra, limits: Limits = DEFAULT_LIMITS
+def subalgebra_graphs(algebra: FiniteAlgebra
                       ) -> Iterator[tuple[tuple[int, ...], StructureGraph]]:
     """(embedding, structure graph) of every subuniverse of two or more
-    elements, in sorted order, built as it is reached.  The whole universe
-    is the algebra itself, so its graph is the algebra's own memoized one."""
-    for sub in sorted(all_subalgebras(algebra, limits), key=sorted):
+    elements, in sorted order, built as it is reached, so under the limits
+    in effect when it is iterated.  The whole universe is the algebra
+    itself, so its graph is the algebra's own memoized one."""
+    for sub in sorted(all_subalgebras(algebra), key=sorted):
         if len(sub) >= 2:
             emb = tuple(sorted(sub))
             yield emb, structure_graph(
-                algebra if len(emb) == algebra.size else restrict(algebra, emb)[0], limits)
+                algebra if len(emb) == algebra.size else restrict(algebra, emb)[0])
 
 
-def hypergraph(algebra: FiniteAlgebra,
-               limits: Limits = DEFAULT_LIMITS) -> Hypergraph:
+def hypergraph(algebra: FiniteAlgebra) -> Hypergraph:
     """Vertices plus all proper subalgebras as hyperedges."""
-    subs = all_subalgebras(algebra, limits)
+    subs = all_subalgebras(algebra)
     proper = sorted(tuple(sorted(s)) for s in subs if len(s) < algebra.size)
     return Hypergraph(algebra.size, tuple(proper))
 
@@ -239,14 +238,13 @@ def hypergraph_connected(hg: Hypergraph) -> bool:
     return covered == set(range(hg.size))
 
 
-def x_connected(algebra: FiniteAlgebra, allowed: Iterable[str],
-                limits: Limits = DEFAULT_LIMITS):
+def x_connected(algebra: FiniteAlgebra, allowed: Iterable[str]):
     """Check that inside every subalgebra, every pair is joined by a path of
     edges carrying at least one type from `allowed` (classified within the
     subalgebra).  Returns True or a counterexample (subuniverse, pair) in
     parent element ids."""
     allowed = frozenset(allowed)
-    for emb, graph in subalgebra_graphs(algebra, limits):
+    for emb, graph in subalgebra_graphs(algebra):
         links = [pair for pair, labels in graph.edges().items() if labels & allowed]
         comps = components(len(emb), links)
         if len(comps) > 1:
@@ -255,11 +253,11 @@ def x_connected(algebra: FiniteAlgebra, allowed: Iterable[str],
     return True
 
 
-def is_smooth(algebra: FiniteAlgebra, limits: Limits = DEFAULT_LIMITS):
+def is_smooth(algebra: FiniteAlgebra):
     """Every thick semilattice or majority edge must be a subuniverse: the
     union of the two witnessing blocks, re-embedded into the algebra, is
     closed.  Returns True or the offending (pair, label, union)."""
-    for rep in structure_graph(algebra, limits).reports:
+    for rep in structure_graph(algebra).reports:
         for w in rep.witnesses:
             if w.label not in (SEMILATTICE, MAJORITY):
                 continue

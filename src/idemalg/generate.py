@@ -30,7 +30,11 @@ Every Found answer is re-evaluated against its target before being
 returned.  An Absent answer keeps the rows of its complete closure, which
 `check_absent` re-checks without the closure engine.  `pair_search`
 defines each pair-witness search once: the search, its reuse checks and
-its key in a `search_scope`, which is the search's content, all read it.
+its key in a `request_scope`, which is the search's content, all read it.
+A `request_scope` also carries the request's `Limits`: the exhaustive
+analyses read them there (`current_limits`), while the closure layer
+(`TupleClosure`, `find_pair_witness`, `term_operations`, ...) takes its
+cap as an argument.
 """
 
 from __future__ import annotations
@@ -161,10 +165,9 @@ def subuniverse(algebra: FiniteAlgebra, seeds: Sequence[int]) -> frozenset[int]:
                             lambda: generate_subalgebra(algebra, sorted(key)).subuniverse)
 
 
-def all_subalgebras(algebra: FiniteAlgebra, limits: Limits = DEFAULT_LIMITS
-                    ) -> frozenset[frozenset[int]]:
+def all_subalgebras(algebra: FiniteAlgebra) -> frozenset[frozenset[int]]:
     """Every subuniverse, as the closure system saturated from singletons."""
-    limits.check(algebra)
+    current_limits().check(algebra)
     return algebra.memoized(("all_subalgebras",), lambda: _all_subalgebras(algebra))
 
 
@@ -683,24 +686,34 @@ class PairWitness:
     closure_size: int = 0
 
 
-#: the pair-search cache of the active `search_scope`, None outside any
-_SEARCHES: ContextVar[Optional[dict]] = ContextVar("pair searches", default=None)
+#: the active request: its limits and its pair-search cache; None outside any
+_REQUEST: ContextVar[Optional[tuple[Limits, dict]]] = ContextVar("request", default=None)
 
 
 @contextmanager
-def search_scope() -> Iterator[dict]:
-    """Share `find_pair_witness` answers by content until the outermost
-    scope exits, so that no cache outlives its request; an inner scope
-    uses the outer one's cache.  Yields the cache: `search_key` ->
+def request_scope(limits: Optional[Limits] = None) -> Iterator[dict]:
+    """One request: the analyses run inside read its limits
+    (`current_limits`) and share `find_pair_witness` answers by content
+    until the outermost scope exits, so that no cache outlives its request.
+    Outside any scope it opens a request with `limits` (default
+    DEFAULT_LIMITS); an inner scope uses the outer one's cache and, given
+    limits, applies them until it exits.  Yields the cache: `search_key` ->
     (answer, whether an Absent answer has passed `check_absent`)."""
-    if (cache := _SEARCHES.get()) is not None:
-        yield cache
-        return
-    token = _SEARCHES.set({})
+    outer = _REQUEST.get()
+    cache = {} if outer is None else outer[1]
+    if limits is None:
+        limits = DEFAULT_LIMITS if outer is None else outer[0]
+    token = _REQUEST.set((limits, cache))
     try:
-        yield _SEARCHES.get()
+        yield cache
     finally:
-        _SEARCHES.reset(token)
+        _REQUEST.reset(token)
+
+
+def current_limits() -> Limits:
+    """The limits of the active request; DEFAULT_LIMITS outside any."""
+    request = _REQUEST.get()
+    return DEFAULT_LIMITS if request is None else request[0]
 
 
 def search_key(algebra: FiniteAlgebra, kind: str, a: int, b: int, cap: int) -> tuple:
@@ -764,14 +777,14 @@ def find_pair_witness(algebra: FiniteAlgebra, kind: str, a: int = 0, b: int = 0,
     answers always come from complete closures; a cap hit is CapExceeded,
     never absence.
 
-    Inside a `search_scope` the answer is shared by every search of the
+    Inside a `request_scope` the answer is shared by every search of the
     same key (`search_key`), whichever algebra object it runs on: at each
     reuse a witness re-evaluates on the algebra in hand; an Absent passes
     `check_absent` once, before its first reuse; CapExceeded claims nothing."""
     if kind == MALTSEV and algebra.size < 2:
         return PairWitness(MALTSEV, terms.proj(0, 3), None, 0)
     columns, generators, targets = search = pair_search(algebra, kind, a, b)
-    cache = _SEARCHES.get()
+    cache = None if (request := _REQUEST.get()) is None else request[1]
     if cache is None or (key := search_key(algebra, kind, a, b, cap)) not in cache:
         target, ans = _search(*search, cap)
         if isinstance(ans, Found):

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from .algebra import DEFAULT_LIMITS, FiniteAlgebra, Limits, OperationTable, preserves
+from .algebra import FiniteAlgebra, OperationTable, preserves
 from .edges import (
     MAJORITY,
     SEMILATTICE,
@@ -21,7 +21,7 @@ from .edges import (
     structure_graph,
 )
 from .errors import PreconditionViolated
-from .generate import term_operations
+from .generate import current_limits, term_operations
 from .terms import Term
 
 DEFAULT_MAX_ARITY = 3
@@ -53,8 +53,7 @@ class BoundedReduct:
 
 
 def bounded_reduct(algebra: FiniteAlgebra, witness: EdgeWitness,
-                   max_arity: int = DEFAULT_MAX_ARITY,
-                   limits: Limits = DEFAULT_LIMITS) -> BoundedReduct:
+                   max_arity: int = DEFAULT_MAX_ARITY) -> BoundedReduct:
     """Enumerate the arity-bounded term operations preserving the union of
     the witnessing blocks.  The witness must be of the semilattice or
     majority type."""
@@ -65,9 +64,9 @@ def bounded_reduct(algebra: FiniteAlgebra, witness: EdgeWitness,
     r_ab = frozenset(witness.parent_block(witness.a_block)
                      + witness.parent_block(witness.b_block))
     ops: list[tuple[OperationTable, Term]] = []
-    n = algebra.size
+    n, cap = algebra.size, current_limits().cap
     for arity in range(1, max_arity + 1):
-        for table, term in term_operations(algebra, arity, limits.cap):
+        for table, term in term_operations(algebra, arity, cap):
             op = OperationTable(f"t{len(ops)}", arity, table)
             if preserves(op, r_ab, n):
                 ops.append((op, term))
@@ -101,9 +100,8 @@ class ReductEdgeDiff:
                 if "affine" in new and "affine" not in old]
 
 
-def reduct_edge_report(reduct: BoundedReduct,
-                       limits: Limits = DEFAULT_LIMITS) -> ReductEdgeDiff:
+def reduct_edge_report(reduct: BoundedReduct) -> ReductEdgeDiff:
     """Classify every pair of the reduct (its stored operations acting as
     basic) and diff against the base algebra's classification."""
-    return ReductEdgeDiff(reduct, structure_graph(reduct.base, limits),
-                          structure_graph(reduct.algebra, limits))
+    return ReductEdgeDiff(reduct, structure_graph(reduct.base),
+                          structure_graph(reduct.algebra))

@@ -21,8 +21,7 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .algebra import (DEFAULT_LIMITS, FiniteAlgebra, Limits, align_signatures, first_index,
-                      restrict)
+from .algebra import FiniteAlgebra, align_signatures, first_index, restrict
 from .congruence import Congruence
 from .edges import (
     AFFINE,
@@ -48,6 +47,7 @@ from .generate import (
     Absent,
     CapExceeded,
     SubpowerQuery,
+    current_limits,
     generate_subalgebra,
     maltsev_query,
     subpower_membership,
@@ -113,8 +113,7 @@ class EdgeInventory:
     unary: tuple[ThickEdge, ...]
 
 
-def build_edge_inventory(algebras: Sequence[FiniteAlgebra],
-                         limits: Limits = DEFAULT_LIMITS) -> EdgeInventory:
+def build_edge_inventory(algebras: Sequence[FiniteAlgebra]) -> EdgeInventory:
     """Classify every pair of every member, check smoothness, and collect
     the thick edges with their witness terms, deduplicated (semilattice and
     majority edges by their block pair, affine edges by subalgebra and
@@ -126,13 +125,13 @@ def build_edge_inventory(algebras: Sequence[FiniteAlgebra],
                 "class members must be similar; run align_signatures first")
     found: dict[str, dict] = {label: {} for label in (SEMILATTICE, MAJORITY, AFFINE, UNARY)}
     for ai, alg in enumerate(algebras):
-        graph = structure_graph(alg, limits)
+        graph = structure_graph(alg)
         unknown = graph.unknown_pairs()
         if unknown:
             raise CapExceededError(
-                limits.cap, f"classification of {unknown} in {alg.name} is "
+                current_limits().cap, f"classification of {unknown} in {alg.name} is "
                      f"inconclusive; the inventory would be unsound")
-        smooth = is_smooth(alg, limits)
+        smooth = is_smooth(alg)
         if smooth is not True:
             pair, label, union = smooth
             raise NotSmooth(alg.name, (pair, label, union))
@@ -471,20 +470,20 @@ def build_f(algebras: Sequence[FiniteAlgebra], inventory: EdgeInventory) -> Term
     return fcur
 
 
-def build_maltsev_core(inventory: EdgeInventory,
-                       limits: Limits = DEFAULT_LIMITS) -> Term:
+def build_maltsev_core(inventory: EdgeInventory) -> Term:
     """One term that is Mal'tsev on every affine-edge quotient at once,
     found as a single subpower query with one coordinate block per
     quotient."""
     if not inventory.affine:
         return _X3
+    cap = current_limits().cap
     parts = [maltsev_query(edge.quotient) for edge in inventory.affine]
     query = SubpowerQuery(sum((q.columns for q in parts), ()),
                           tuple(sum(g, ()) for g in zip(*(q.generators for q in parts))),
-                          sum((q.target for q in parts), ()), limits.cap)
+                          sum((q.target for q in parts), ()), cap)
     ans = subpower_membership(query)
     if isinstance(ans, CapExceeded):
-        raise CapExceededError(limits.cap, "simultaneous Mal'tsev search")
+        raise CapExceededError(cap, "simultaneous Mal'tsev search")
     if isinstance(ans, Absent):
         raise SynthesisError(
             "no term is Mal'tsev on all affine quotients simultaneously; "
@@ -543,18 +542,17 @@ def _compose_with_f(core: Term, f: Term) -> Term:
     return substitute(core, [a1, a2, a3])
 
 
-def uniform_ops(members: Sequence[FiniteAlgebra],
-                limits: Limits = DEFAULT_LIMITS) -> DistinguishedOps:
+def uniform_ops(members: Sequence[FiniteAlgebra]) -> DistinguishedOps:
     """The full pipeline: align signatures, build the inventory (requires
     smooth members without unary edges), construct f, g, h and verify every
     condition exhaustively."""
     algebras = align_signatures(members)
-    inventory = build_edge_inventory(algebras, limits)
+    inventory = build_edge_inventory(algebras)
     if inventory.unary:
         raise PreconditionViolated(
             f"class has unary edges: {[e.describe() for e in inventory.unary]}")
     f = build_f(algebras, inventory)
-    h_core = build_maltsev_core(inventory, limits)
+    h_core = build_maltsev_core(inventory)
     g_core = build_g_core(algebras, inventory, h_core)
     g = _compose_with_f(g_core, f)
     g = normalize_identities(algebras, g, M_ABSORPTION)

@@ -18,7 +18,7 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .algebra import DEFAULT_LIMITS, FiniteAlgebra, Limits, first_index
+from .algebra import FiniteAlgebra, first_index
 from .edges import (
     AFFINE,
     MAJORITY,
@@ -105,8 +105,7 @@ def satisfies_sls(algebra: FiniteAlgebra, f_term: Term
     return first_index(bad) if bad.any() else None
 
 
-def synth_sls(algebra: FiniteAlgebra, f0: Term,
-              limits: Limits = DEFAULT_LIMITS) -> Term:
+def synth_sls(algebra: FiniteAlgebra, f0: Term) -> Term:
     """Refine a binary operation (semilattice on every thick semilattice
     edge, first projection on other thick edges, absorbing in the second
     argument) into one satisfying the shift condition, without changing its
@@ -121,7 +120,7 @@ def synth_sls(algebra: FiniteAlgebra, f0: Term,
     bad = satisfies_sls(algebra, refined)
     if bad is not None:
         raise PostconditionFailed(f"shift condition fails at pair {bad}")
-    _check_edge_behaviour(algebra, f0, refined, structure_graph(algebra, limits))
+    _check_edge_behaviour(algebra, f0, refined, structure_graph(algebra))
     return refined
 
 
@@ -285,8 +284,7 @@ class ThinGraph:
         return [e for e in self.arcs if e.kind == kind]
 
 
-def thin_graph(algebra: FiniteAlgebra, ops,
-               limits: Limits = DEFAULT_LIMITS) -> ThinGraph:
+def thin_graph(algebra: FiniteAlgebra, ops) -> ThinGraph:
     """All thin semilattice arcs under ops.f, all special thin majority arcs
     from majority witnesses, all thin affine arcs from affine witnesses;
     majority/affine arcs carry their necessary-condition verdict."""
@@ -295,7 +293,7 @@ def thin_graph(algebra: FiniteAlgebra, ops,
         arcs[(a, b, THIN_SEMILATTICE)] = ThinEdge(
             algebra, a, b, THIN_SEMILATTICE,
             (("equations", "a.b=b.a=b"),), necessary=True)
-    for rep in structure_graph(algebra, limits).reports:
+    for rep in structure_graph(algebra).reports:
         for w in rep.witnesses:
             if w.label == MAJORITY:
                 found = find_special_thin_majority(algebra, w)

@@ -24,8 +24,8 @@ def _unlabel(monkeypatch, alg, bad):
     witnesses (no labels); every other report is the real one."""
     real = checks.classify_pair
 
-    def fake(algebra, a, b, limits=checks.DEFAULT_LIMITS):
-        rep = real(algebra, a, b, limits)
+    def fake(algebra, a, b):
+        rep = real(algebra, a, b)
         return replace(rep, witnesses=()) if algebra is alg and (a, b) in bad else rep
     monkeypatch.setattr(checks, "classify_pair", fake)
 
@@ -42,7 +42,7 @@ def test_many_edges_names_the_first_block_mate(monkeypatch, c_nef):
     graph = structure_graph(c_nef)
     fake = StructureGraph(c_nef, tuple(replace(r, witnesses=()) if r.pair in {(2, 5), (3, 4)}
                                        else r for r in graph.reports))
-    monkeypatch.setattr(checks, "structure_graph", lambda algebra, limits: fake)
+    monkeypatch.setattr(checks, "structure_graph", lambda algebra: fake)
     assert _detail(checks.check_many_edges(c_nef)) == \
         "pair (2, 5) misses label majority inherited from (0, 3)"
 

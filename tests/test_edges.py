@@ -35,7 +35,7 @@ from idemalg.generate import (
     SEMILATTICE as SLKIND,
     find_pair_witness,
     search_key,
-    search_scope,
+    request_scope,
 )
 
 
@@ -273,7 +273,7 @@ def test_poisoned_shared_search_fails_the_cross_checks():
     for check in (check_edge_subalgebra, check_edge_factor):
         for poison, message in ((None, "without rows"), ("generators", "not closed"),
                                 ("closure", "hold a target")):
-            with search_scope() as cache:
+            with request_scope() as cache:
                 alg = fixtures.no_edge_factor()
                 key, w = _poison_key(cache, alg)
                 q, gens = w.quotient, ((w.a_block, w.b_block), (w.b_block, w.a_block))
@@ -293,8 +293,8 @@ def test_wrong_shared_witness_raises_under_O(run_optimized):
         "from idemalg.algebra import DEFAULT_CAP\n"
         "from idemalg.edges import classify_pair, structure_graph\n"
         "from idemalg.errors import PostconditionFailed\n"
-        "from idemalg.generate import search_key, search_scope\n"
-        "with search_scope() as cache:\n"
+        "from idemalg.generate import search_key, request_scope\n"
+        "with request_scope() as cache:\n"
         "    alg = fixtures.no_edge_factor()\n"
         "    w = classify_pair(alg, 2, 4).witnesses[0]\n"
         "    key = search_key(w.quotient, 'semilattice', w.a_block, w.b_block, DEFAULT_CAP)\n"
@@ -317,7 +317,7 @@ def test_uncertified_shared_absent_raises_under_O(run_optimized):
         "from idemalg.algebra import DEFAULT_CAP\n"
         "from idemalg.edges import classify_pair, structure_graph\n"
         "from idemalg.errors import PostconditionFailed\n"
-        "with generate.search_scope() as cache:\n"
+        "with generate.request_scope() as cache:\n"
         "    alg = fixtures.no_edge_factor()\n"
         "    w = classify_pair(alg, 2, 4).witnesses[0]\n"
         "    key = generate.search_key(w.quotient, 'semilattice', w.a_block, w.b_block,\n"
@@ -342,7 +342,7 @@ def test_merged_generators_raise_under_O(run_optimized):
         "from idemalg import edges, fixtures\n"
         "from idemalg.congruence import Congruence\n"
         "from idemalg.errors import PostconditionFailed\n"
-        "edges.maximal_congruences = lambda algebra, limits: "
+        "edges.maximal_congruences = lambda algebra: "
         "[Congruence.from_parent([0] * algebra.size)]\n"
         "print(__debug__)\n"
         "try:\n"
@@ -432,7 +432,7 @@ def test_one_closure_per_memo_key(monkeypatch):
     per cache key, and fewer keys than searches: a key that never hits, such
     as one that names the quotient, would build one closure per search."""
     built, searches = _count_closures_and_searches(monkeypatch)
-    with search_scope() as cache:
+    with request_scope() as cache:
         structure_graph(fixtures.no_edge_factor())
     assert len(built) == len(cache) < len(searches)
 
@@ -444,7 +444,7 @@ def test_majority_searches_share_one_key_for_either_order(monkeypatch):
     structure_graph(fixtures.no_edge_factor())
     assert len(built) == 6
     sl2 = fixtures.sl2()
-    with search_scope():
+    with request_scope():
         assert find_pair_witness(sl2, MAJORITY, 0, 1) == find_pair_witness(sl2, MAJORITY, 1, 0)
     assert len(built) == 7
 
@@ -456,13 +456,13 @@ def test_pair_searches_outside_a_scope_build_a_closure_each(monkeypatch):
     sl2 = fixtures.sl2()
     assert find_pair_witness(sl2, SLKIND, 0, 1) == find_pair_witness(sl2, SLKIND, 0, 1)
     assert len(built) == 2
-    with search_scope() as outer:
-        with search_scope() as inner:
+    with request_scope() as outer:
+        with request_scope() as inner:
             assert inner is outer
             find_pair_witness(sl2, SLKIND, 0, 1)
         find_pair_witness(fixtures.sl2(), SLKIND, 0, 1)
     assert len(built) == 3 and len(outer) == 1
-    assert generate._SEARCHES.get() is None
+    assert generate._REQUEST.get() is None
 
 
 def _walk_with(monkeypatch, kind, answer):
