@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 from typing import Optional, Sequence
 
@@ -75,6 +76,28 @@ def _load_algebras(args: argparse.Namespace) -> list[FiniteAlgebra]:
     return out
 
 
+def _load_one(args: argparse.Namespace) -> FiniteAlgebra:
+    """The input of a command that analyses one algebra."""
+    algebras = _load_algebras(args)
+    if len(algebras) > 1:
+        raise ValidationError(
+            f"{args.command} analyses one algebra, got {len(algebras)} inputs")
+    return algebras[0]
+
+
+def _check_outputs(args: argparse.Namespace) -> None:
+    """Open every output path for writing before any analysis runs, so a
+    path that cannot be written fails first.  The reports are written at
+    the end; a file this check creates is removed again, so a command that
+    fails later leaves none behind."""
+    for attr in ("json", "dot", "hyper_dot"):
+        if path := getattr(args, attr, None):
+            existed = os.path.lexists(path)
+            open(path, "a", encoding="utf-8").close()
+            if not existed:
+                os.remove(path)
+
+
 def _pair_line(algebra: FiniteAlgebra, rep) -> str:
     a, b = rep.pair
     names = f"{algebra.label(a)}{algebra.label(b)}"
@@ -131,7 +154,7 @@ def _write_or_print(text: str, path: Optional[str]) -> None:
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
-    algebra = _load_algebras(args)[0]
+    algebra = _load_one(args)
     print(f"algebra {algebra.name}: {algebra.size} elements, "
           f"operations {', '.join(f'{o.name}/{o.arity}' for o in algebra.operations)}")
     lattice = congruence_lattice(algebra)
@@ -159,7 +182,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
 
 def cmd_edges(args: argparse.Namespace) -> int:
-    algebra = _load_algebras(args)[0]
+    algebra = _load_one(args)
     graph = structure_graph(algebra)
     for rep in graph.reports:
         print(_pair_line(algebra, rep))
@@ -169,7 +192,7 @@ def cmd_edges(args: argparse.Namespace) -> int:
 
 
 def cmd_graph(args: argparse.Namespace) -> int:
-    algebra = _load_algebras(args)[0]
+    algebra = _load_one(args)
     graph = structure_graph(algebra)
     _write_or_print(graph_to_dot(graph, algebra.name), args.dot)
     hg = hypergraph(algebra)
@@ -222,7 +245,7 @@ def cmd_synth(args: argparse.Namespace) -> int:
 
 
 def cmd_reduct(args: argparse.Namespace) -> int:
-    algebra = _load_algebras(args)[0]
+    algebra = _load_one(args)
     graph = structure_graph(algebra)
     reports = graph.reports
     if args.pair:
@@ -329,6 +352,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _check_outputs(args)
         with request_scope(Limits(args.cap, None if args.force else args.max_size)):
             return args.func(args)
     except CapExceededError as exc:

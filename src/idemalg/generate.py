@@ -686,8 +686,10 @@ class PairWitness:
     closure_size: int = 0
 
 
-#: the active request: its limits and its pair-search cache; None outside any
-_REQUEST: ContextVar[Optional[tuple[Limits, dict]]] = ContextVar("request", default=None)
+#: the active request's limits and pair-search cache; outside any request,
+#: the default limits and no cache
+_REQUEST: ContextVar[tuple[Limits, Optional[dict]]] = ContextVar(
+    "request", default=(DEFAULT_LIMITS, None))
 
 
 @contextmanager
@@ -699,11 +701,9 @@ def request_scope(limits: Optional[Limits] = None) -> Iterator[dict]:
     DEFAULT_LIMITS); an inner scope uses the outer one's cache and, given
     limits, applies them until it exits.  Yields the cache: `search_key` ->
     (answer, whether an Absent answer has passed `check_absent`)."""
-    outer = _REQUEST.get()
-    cache = {} if outer is None else outer[1]
-    if limits is None:
-        limits = DEFAULT_LIMITS if outer is None else outer[0]
-    token = _REQUEST.set((limits, cache))
+    outer_limits, cache = _REQUEST.get()
+    cache = {} if cache is None else cache
+    token = _REQUEST.set((limits or outer_limits, cache))
     try:
         yield cache
     finally:
@@ -712,15 +712,18 @@ def request_scope(limits: Optional[Limits] = None) -> Iterator[dict]:
 
 def current_limits() -> Limits:
     """The limits of the active request; DEFAULT_LIMITS outside any."""
-    request = _REQUEST.get()
-    return DEFAULT_LIMITS if request is None else request[0]
+    return _REQUEST.get()[0]
 
 
 def search_key(algebra: FiniteAlgebra, kind: str, a: int, b: int, cap: int) -> tuple:
     """What `find_pair_witness(algebra, kind, a, b, cap)` reads: the kind, the
     algebra's tables (not its name), the generators and targets of its
     `pair_search` and the cap, so equal searches share a key whatever pair."""
-    _, generators, targets = pair_search(algebra, kind, a, b)
+    return _search_key(algebra, kind, pair_search(algebra, kind, a, b), cap)
+
+
+def _search_key(algebra: FiniteAlgebra, kind: str, search: tuple, cap: int) -> tuple:
+    _, generators, targets = search
     return (kind, algebra.size, tuple((op.name, op.table) for op in algebra.operations),
             generators, targets, cap)
 
@@ -784,8 +787,8 @@ def find_pair_witness(algebra: FiniteAlgebra, kind: str, a: int = 0, b: int = 0,
     if kind == MALTSEV and algebra.size < 2:
         return PairWitness(MALTSEV, terms.proj(0, 3), None, 0)
     columns, generators, targets = search = pair_search(algebra, kind, a, b)
-    cache = None if (request := _REQUEST.get()) is None else request[1]
-    if cache is None or (key := search_key(algebra, kind, a, b, cap)) not in cache:
+    cache = _REQUEST.get()[1]
+    if cache is None or (key := _search_key(algebra, kind, search, cap)) not in cache:
         target, ans = _search(*search, cap)
         if isinstance(ans, Found):
             ans = PairWitness(kind, ans.witness, target[0] if kind == SEMILATTICE else None,

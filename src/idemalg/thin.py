@@ -171,12 +171,12 @@ def is_minimal_pair(algebra: FiniteAlgebra, a: int, b: int,
     return all(b in subuniverse(algebra, [a, bp]) for bp in sorted(b_block))
 
 
-def _restricted_block(algebra: FiniteAlgebra, c: int, d: int,
-                      block: frozenset[int]) -> list[int]:
-    """d's block under the restriction of the witnessing congruence to
-    Sg{c,d}: the original block cut down to the generated subuniverse."""
+def _minimal_in_sg(algebra: FiniteAlgebra, c: int, d: int, block: Iterable[int]) -> bool:
+    """(c, d) is minimal for the witnessing congruence restricted to
+    Sg{c,d}: every d' of d's block (`block` cut down to Sg{c,d}), in
+    ascending order, generates d back together with c."""
     sub = subuniverse(algebra, [c, d])
-    return sorted(block & sub)
+    return all(d in subuniverse(algebra, [c, dp]) for dp in sorted(sub.intersection(block)))
 
 
 def find_special_thin_majority(algebra: FiniteAlgebra,
@@ -192,8 +192,7 @@ def find_special_thin_majority(algebra: FiniteAlgebra,
     for cs, ds in ((ablk, bblk), (bblk, ablk)):
         for c in cs:
             for d in ds:
-                dblk = _restricted_block(algebra, c, d, frozenset(ds))
-                if all(d in subuniverse(algebra, [c, dp]) for dp in dblk):
+                if _minimal_in_sg(algebra, c, d, ds):
                     out.append(ThinEdge(
                         algebra, c, d, SPECIAL_THIN_MAJORITY,
                         (("theta", _blocks_str(algebra, witness)),
@@ -218,16 +217,14 @@ def find_thin_affine(algebra: FiniteAlgebra, witness: EdgeWitness,
     out: dict[tuple[int, int], ThinEdge] = {}
     for a, blk in ((a0, bblk), (b0, ablk)):
         for bpp in blk:
-            dblk = _restricted_block(algebra, a, bpp, frozenset(blk))
-            if not all(bpp in subuniverse(algebra, [a, dp]) for dp in dblk):
+            if not _minimal_in_sg(algebra, a, bpp, blk):
                 continue
             bp = terms.evaluate(h_term, algebra, (bpp, a, a))
             if terms.evaluate(h_term, algebra, (bp, a, a)) != bp:
                 raise PostconditionFailed(
                     "h(h(x,y,y),y,y) = h(x,y,y) fails; the supplied operation "
                     "does not satisfy its normalization")
-            dblk2 = _restricted_block(algebra, a, bp, frozenset(blk))
-            if not all(bp in subuniverse(algebra, [a, dp]) for dp in dblk2):
+            if not _minimal_in_sg(algebra, a, bp, blk):
                 raise PostconditionFailed(
                     f"the shifted pair ({a}, {bp}) does not inherit minimality")
             key = (a, bp)

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from idemalg import algfile, cli, fixtures, generate
+from idemalg import algfile, cli, edges, fixtures, generate
 from idemalg.algebra import validate_algebra
 from idemalg.cli import EXIT_CAP, EXIT_INPUT, EXIT_OK, main
 from idemalg.errors import ValidationError
@@ -326,6 +326,54 @@ def test_cli_edges_json_pinned(name, tmp_path):
     path = tmp_path / "edges.json"
     assert main(["edges", "--fixture", name, "--json", str(path)]) == EXIT_OK
     assert path.read_text() == (PINNED / "edges" / f"{name}.json").read_text()
+
+
+@pytest.mark.parametrize("name", sorted(fixtures.FIXTURES))
+@pytest.mark.parametrize("cap", ["5", "30"])
+@pytest.mark.parametrize("command", ["edges", "verify", "analyze", "synth", "reduct"])
+def test_cli_output_at_cap_pinned(command, cap, name, capsys):
+    """At --cap 5 and --cap 30 the exit code, stdout and stderr of `idemalg
+    COMMAND --fixture NAME` are exactly tests/data/capN/COMMAND/NAME.txt:
+    these pin where the cap bites (unknown pairs, failing verify rows, a
+    reduct or synthesis that exits 3)."""
+    extra = {"verify": ["--seed", "0"],
+             "reduct": ["--arity", "2" if name == "no-edge-factor" else "3"]}.get(command, [])
+    code = main([command, "--fixture", name, "--cap", cap, *extra])
+    out, err = capsys.readouterr()
+    assert f"exit {code}\n--- stdout\n{out}--- stderr\n{err}" == \
+        (PINNED / f"cap{cap}" / command / f"{name}.txt").read_text()
+
+
+@pytest.mark.parametrize("command", ["analyze", "edges", "graph", "reduct"])
+def test_cli_single_algebra_commands_reject_several_inputs(command, capsys):
+    assert main([command, "--fixture", "sl2", "--fixture", "mj2"]) == EXIT_INPUT
+    assert capsys.readouterr() == ("", f"error: {command} analyses one algebra, got 2 inputs\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ["edges", "--fixture", "no-edge", "--json", "dir"],
+    ["graph", "--fixture", "no-edge", "--dot", "dir"],
+    ["thin", "--fixture", "no-majority-symmetry", "--dot", "dir"],
+], ids=lambda argv: argv[0])
+def test_cli_unwritable_output_fails_before_the_analysis(argv, tmp_path, monkeypatch, capsys):
+    """An output path that cannot be opened exits 2 with one error line
+    before any analysis runs (no pair is classified), so nothing reaches
+    stdout."""
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "dir").mkdir()
+    monkeypatch.setattr(edges, "classify_pair", lambda *args: pytest.fail("the analysis ran"))
+    assert main(argv) == EXIT_INPUT
+    assert capsys.readouterr() == ("", "error: [Errno 21] Is a directory: 'dir'\n")
+
+
+def test_cli_failed_command_leaves_its_output_files_as_they_were(tmp_path, capsys):
+    """The early check of the output paths creates no file a failing
+    command would leave behind, and changes no file that exists."""
+    new, old = tmp_path / "new.json", tmp_path / "old.dot"
+    old.write_text("kept\n")
+    assert main(["synth", "--fixture", "no-edge", "--cap", "5", "--json", str(new)]) == EXIT_CAP
+    assert main(["thin", "--fixture", "no-edge", "--cap", "5", "--dot", str(old)]) == EXIT_CAP
+    assert not new.exists() and old.read_text() == "kept\n"
 
 
 @pytest.mark.parametrize("argv, message", [

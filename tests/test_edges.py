@@ -10,7 +10,7 @@ import pytest
 from oracles import naive_classify_pair, random_idempotent_table
 
 from idemalg import edges, fixtures, generate
-from idemalg.algebra import DEFAULT_CAP, restrict, validate_algebra
+from idemalg.algebra import DEFAULT_CAP, DEFAULT_LIMITS, Limits, restrict, validate_algebra
 from idemalg.checks import check_edge_factor, check_edge_subalgebra
 from idemalg.edges import (
     AFFINE,
@@ -28,14 +28,15 @@ from idemalg.edges import (
     structure_graph,
     x_connected,
 )
-from idemalg.errors import PostconditionFailed
+from idemalg.errors import PostconditionFailed, TooLarge
 from idemalg.generate import (
     Absent,
     PairWitness,
     SEMILATTICE as SLKIND,
+    current_limits,
     find_pair_witness,
-    search_key,
     request_scope,
+    search_key,
 )
 
 
@@ -292,7 +293,7 @@ def test_wrong_shared_witness_raises_under_O(run_optimized):
         "from idemalg import fixtures, terms\n"
         "from idemalg.algebra import DEFAULT_CAP\n"
         "from idemalg.edges import classify_pair, structure_graph\n"
-        "from idemalg.errors import PostconditionFailed\n"
+        "from idemalg.errors import PostconditionFailed, TooLarge\n"
         "from idemalg.generate import search_key, request_scope\n"
         "with request_scope() as cache:\n"
         "    alg = fixtures.no_edge_factor()\n"
@@ -316,7 +317,7 @@ def test_uncertified_shared_absent_raises_under_O(run_optimized):
         "from idemalg import fixtures, generate\n"
         "from idemalg.algebra import DEFAULT_CAP\n"
         "from idemalg.edges import classify_pair, structure_graph\n"
-        "from idemalg.errors import PostconditionFailed\n"
+        "from idemalg.errors import PostconditionFailed, TooLarge\n"
         "with generate.request_scope() as cache:\n"
         "    alg = fixtures.no_edge_factor()\n"
         "    w = classify_pair(alg, 2, 4).witnesses[0]\n"
@@ -341,7 +342,7 @@ def test_merged_generators_raise_under_O(run_optimized):
     code = (
         "from idemalg import edges, fixtures\n"
         "from idemalg.congruence import Congruence\n"
-        "from idemalg.errors import PostconditionFailed\n"
+        "from idemalg.errors import PostconditionFailed, TooLarge\n"
         "edges.maximal_congruences = lambda algebra: "
         "[Congruence.from_parent([0] * algebra.size)]\n"
         "print(__debug__)\n"
@@ -462,7 +463,44 @@ def test_pair_searches_outside_a_scope_build_a_closure_each(monkeypatch):
             find_pair_witness(sl2, SLKIND, 0, 1)
         find_pair_witness(fixtures.sl2(), SLKIND, 0, 1)
     assert len(built) == 3 and len(outer) == 1
-    assert generate._REQUEST.get() is None
+    assert generate._REQUEST.get()[1] is None
+
+
+def test_scoped_search_builds_its_pair_search_once(monkeypatch):
+    """Inside a scope the cache key comes from the search in hand, not from
+    a second `pair_search`."""
+    calls = []
+    real = generate.pair_search
+    monkeypatch.setattr(generate, "pair_search",
+                        lambda *args: calls.append(args) or real(*args))
+    with request_scope():
+        for kind in (SLKIND, MAJORITY, generate.MALTSEV):
+            calls.clear()
+            find_pair_witness(fixtures.no_edge(), kind, 0, 1)
+            assert len(calls) == 1, kind
+
+
+def test_request_scope_limits_reach_the_analyses():
+    """The limits of the request in effect bound every analysis: a cap of 5
+    leaves ab of no-edge unknown, as `edges --cap 5` does."""
+    assert current_limits() is DEFAULT_LIMITS
+    with request_scope(Limits(cap=5)):
+        assert current_limits() == Limits(cap=5)
+        assert structure_graph(fixtures.no_edge()).unknown_pairs() == [(0, 1)]
+    assert current_limits() is DEFAULT_LIMITS
+    assert structure_graph(fixtures.no_edge()).unknown_pairs() == []
+
+
+def test_inner_request_scope_applies_its_limits_until_it_exits():
+    alg = fixtures.no_edge()
+    with request_scope() as outer:
+        with request_scope(Limits(max_size=2)) as inner:
+            assert inner is outer
+            with pytest.raises(TooLarge):
+                structure_graph(alg)
+        assert current_limits() is DEFAULT_LIMITS
+        assert structure_graph(alg).unknown_pairs() == []
+    assert current_limits() is DEFAULT_LIMITS
 
 
 def _walk_with(monkeypatch, kind, answer):
