@@ -105,10 +105,10 @@ def classify_pair(algebra: FiniteAlgebra, a: int, b: int) -> EdgeReport:
     it generates, in canonical congruence order, under the limits of the
     request in effect.  The report is memoized on the algebra, per ordered
     pair and cap.  Its witness searches run in a `request_scope`, the
-    caller's if one is active: they are shared by the
-    content of their `pair_search` with every equal quotient met in the
-    request, whichever algebra it belongs to, and every shared witness
-    re-evaluates and every shared Absent passes `check_absent` once."""
+    caller's if one is active: they are shared by the content of their
+    `pair_search` with every equal quotient met in the request, whichever
+    algebra it belongs to, and every shared witness re-evaluates and every
+    shared Absent passes `check_absent` once."""
     if a == b:
         raise ValueError("need two distinct elements")
     with request_scope():
