@@ -128,9 +128,9 @@ def build_edge_inventory(algebras: Sequence[FiniteAlgebra]) -> EdgeInventory:
         graph = structure_graph(alg)
         unknown = graph.unknown_pairs()
         if unknown:
-            raise CapExceededError(
-                current_limits().cap, f"classification of {unknown} in {alg.name} is "
-                     f"inconclusive; the inventory would be unsound")
+            raise CapExceededError(current_limits().cap,
+                                   f"classification of {unknown} in {alg.name} is "
+                                   f"inconclusive; the inventory would be unsound")
         smooth = is_smooth(alg)
         if smooth is not True:
             pair, label, union = smooth
