@@ -16,9 +16,11 @@ as they come by `KeyIndex`, or all at once by `distinct_rows`.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Callable, Hashable, Iterable, Mapping, Optional, Sequence, TypeVar
+from typing import Callable, Hashable, Iterable, Iterator, Mapping, Optional, Sequence, TypeVar
 
 import numpy as np
 
@@ -39,6 +41,9 @@ MAX_ANALYSIS_SIZE = 10
 
 #: default node cap for closures
 DEFAULT_CAP = 1_000_000
+
+#: most arguments of an operation: numpy 1 arrays have at most 32 axes
+MAX_ARITY = 32
 
 #: widest key space a `KeyIndex` holds in dense slot arrays: a tuple closure's
 #: rows (base**k keys) and signatures (len(maps)**k keys, summed from weighted
@@ -87,14 +92,13 @@ class OperationTable:
                 or self.name.startswith("p") and self.name[1:].isdigit() \
                 or not all(c.isalnum() or c == "_" for c in self.name):
             raise ValidationError(f"bad operation name {self.name!r}")
-        if self.arity < 1:
-            raise ValidationError(f"operation {self.name!r}: arity must be >= 1")
-        expected = size ** self.arity
+        expected = table_length(self.name, size, self.arity)
         if len(self.table) != expected:
             raise BadTableLength(self.name, expected, len(self.table))
-        out = (self.array < 0) | (self.array >= size)
-        if out.any():
-            raise EntryOutOfRange(self.name, int(self.array[first_index(out)]), size)
+        # before `array`: numpy cannot hold an entry beyond 64 bits
+        if self.table and not 0 <= min(self.table) <= max(self.table) < size:
+            raise EntryOutOfRange(self.name, next(x for x in self.table if not 0 <= x < size),
+                                  size)
         diagonal = self.array[(np.arange(size),) * self.arity]
         wrong = diagonal != np.arange(size)
         if wrong.any():
@@ -107,6 +111,15 @@ class OperationTable:
             if (self.array == coordinate(size, self.arity, pos)).all():
                 return pos
         return None
+
+
+def table_length(name: str, size: int, arity: int) -> int:
+    """size ** arity, the table length of operation `name`, once its arity
+    is known to lie in 1..MAX_ARITY: the power of a negative arity is a
+    float, and that of a huge one runs without bound."""
+    if not 1 <= arity <= MAX_ARITY:
+        raise ValidationError(f"operation {name!r}: arity {arity} not in range 1..{MAX_ARITY}")
+    return size ** arity
 
 
 def coordinate(size: int, arity: int, pos: int) -> np.ndarray:
@@ -165,15 +178,26 @@ class FiniteAlgebra:
         return {}
 
     def memoized(self, key: Hashable, compute: Callable[[], T]) -> T:
-        """compute(), run once per key for this object.  The analyses keep
-        their results here, so a result lives and dies with the object, and
-        two equal algebras never share one.  Pair searches are not kept
-        here: they are shared by content within one request
-        (`generate.request_scope`), and re-checked at each reuse."""
+        """compute(), run once per key for this object, so a result lives
+        and dies with the object, and two equal algebras never share one.
+        Exhaustive analyses go through `analysis`.  The memos kept here
+        directly need no size check: the `restrict` and `quotient`
+        children, "closure maps", "realize", "translations" and
+        "subuniverse" each cost time polynomial in the tables, where an
+        analysis enumerates congruences, subuniverses or pairs.  Pair
+        searches are shared by content within one request instead
+        (`request_scope`), and re-checked at each reuse."""
         memo = self._memo
         if key not in memo:
             memo[key] = compute()
         return memo[key]
+
+    def analysis(self, key: tuple, compute: Callable[[], T]) -> T:
+        """`memoized` under the key and the request's cap, after checking
+        the request's size limit on every call, hit or miss: a result cached
+        under looser limits is never returned under tighter ones."""
+        current_limits().check(self)
+        return self.memoized((*key, current_limits().cap), compute)
 
     def op(self, name: str) -> OperationTable:
         return self.by_name[name]
@@ -203,9 +227,8 @@ class FiniteAlgebra:
 class Limits:
     """The limits of one request: `cap` bounds every closure, `max_size`
     the universe of every exhaustive analysis (None: unbounded).  The
-    request holds them (`generate.request_scope`), so every analysis reads
-    the same value (`generate.current_limits`) on every subalgebra and
-    quotient it derives."""
+    request holds them (`request_scope`), so every analysis reads the same
+    value (`current_limits`) on every subalgebra and quotient it derives."""
 
     cap: int = DEFAULT_CAP
     max_size: Optional[int] = MAX_ANALYSIS_SIZE
@@ -216,6 +239,39 @@ class Limits:
 
 
 DEFAULT_LIMITS = Limits()
+
+#: the active request's limits and pair-search cache; outside any request,
+#: the default limits and no cache
+_REQUEST: ContextVar[tuple[Limits, Optional[dict]]] = ContextVar(
+    "request", default=(DEFAULT_LIMITS, None))
+
+
+@contextmanager
+def request_scope(limits: Optional[Limits] = None) -> Iterator[dict]:
+    """One request: the analyses run inside read its limits
+    (`current_limits`) and share `generate.find_pair_witness` answers by
+    content until the outermost scope exits, so that no cache outlives its
+    request.  Outside any scope it opens a request with `limits` (default
+    DEFAULT_LIMITS); an inner scope uses the outer one's cache and, given
+    limits, applies them until it exits.  Yields the cache: `search_key` ->
+    (answer, whether an Absent answer has passed `check_absent`)."""
+    outer_limits, cache = _REQUEST.get()
+    cache = {} if cache is None else cache
+    token = _REQUEST.set((limits or outer_limits, cache))
+    try:
+        yield cache
+    finally:
+        _REQUEST.reset(token)
+
+
+def current_limits() -> Limits:
+    """The limits of the active request; DEFAULT_LIMITS outside any."""
+    return _REQUEST.get()[0]
+
+
+def request_cache() -> Optional[dict]:
+    """The pair-search cache of the active request; None outside any."""
+    return _REQUEST.get()[1]
 
 
 def validate_algebra(name: str,

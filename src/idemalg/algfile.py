@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .algebra import FiniteAlgebra, validate_algebra
+from .algebra import FiniteAlgebra, table_length, validate_algebra
 from .errors import ValidationError
 
 
@@ -83,7 +83,7 @@ def parse(text: str) -> AlgebraFile:
         take()
         op_name = take()
         arity = take_int()
-        table = tuple(take_int() for _ in range(size ** arity))
+        table = tuple(take_int() for _ in range(table_length(op_name, size, arity)))
         operations.append((op_name, arity, table))
     take("end")
     if pos != len(tokens):

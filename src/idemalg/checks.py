@@ -10,7 +10,7 @@ graph, not a restricted copy), and every cross-check still compares
 computations made on distinct objects: a proper subalgebra or quotient
 against the algebra, never one cache against itself.  Reports, lattices
 and graphs stay per object; only pair searches are shared, by content,
-within one request (`generate.request_scope`, which also holds the limits
+within one request (`algebra.request_scope`, which also holds the limits
 every check reads), and every shared answer is
 re-checked where it is reused: a witness re-evaluates on the algebra in
 hand, and an Absent passes `generate.check_absent` once.
@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterator
 
-from .algebra import FiniteAlgebra, is_closed_subset, quotient
+from .algebra import FiniteAlgebra, current_limits, is_closed_subset, quotient
 from .congruence import congruence_lattice, tolerance_generated
 from .edges import (
     MAJORITY,
@@ -39,7 +39,6 @@ from .edges import (
 from .errors import IdemalgError
 from .generate import (
     Absent,
-    current_limits,
     find_pair_witness,
     generate_subalgebra,
     witness_term,

@@ -22,7 +22,7 @@ import sys
 from typing import Optional, Sequence
 
 from . import algfile, checks, synthesis, thin
-from .algebra import DEFAULT_CAP, MAX_ANALYSIS_SIZE, FiniteAlgebra, Limits
+from .algebra import DEFAULT_LIMITS, FiniteAlgebra, Limits, current_limits, request_scope
 from .congruence import (
     TERM_SEARCH_CAP,
     absorbing_elements,
@@ -43,7 +43,6 @@ from .edges import (
 )
 from .errors import CapExceededError, IdemalgError, TooLarge, ValidationError
 from .fixtures import FIXTURES, fixture
-from .generate import current_limits, request_scope
 from .reduct import DEFAULT_MAX_ARITY, bounded_reduct, reduct_edge_report
 from .terms import realize_table
 
@@ -325,9 +324,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--fixture", action="append",
                        choices=sorted(FIXTURES), help="built-in algebra")
         p.add_argument("--file", action="append", help="algebra file")
-        p.add_argument("--cap", type=positive_int, default=DEFAULT_CAP,
+        p.add_argument("--cap", type=positive_int, default=DEFAULT_LIMITS.cap,
                        help="node cap for closures")
-        p.add_argument("--max-size", type=int, default=MAX_ANALYSIS_SIZE,
+        p.add_argument("--max-size", type=int, default=DEFAULT_LIMITS.max_size,
                        help="largest universe any analysis step accepts "
                             "without --force")
         p.add_argument("--force", action="store_true",

@@ -38,7 +38,7 @@ from .algebra import (
     product_algebra,
 )
 from .errors import CapExceededError, NotATolerance, ProjectionNotFull, ValidationError
-from .generate import current_limits, term_operations
+from .generate import term_operations
 
 SET = "set"
 MODULE = "module"
@@ -174,8 +174,7 @@ def join(a: Congruence, b: Congruence) -> Congruence:
 def congruence_lattice(algebra: FiniteAlgebra) -> tuple[Congruence, ...]:
     """All congruences: the join closure of the principal ones plus
     equality, sorted canonically."""
-    current_limits().check(algebra)
-    return algebra.memoized(("congruence_lattice",), lambda: _lattice(algebra))
+    return algebra.analysis(("congruence_lattice",), lambda: _lattice(algebra))
 
 
 def _lattice(algebra: FiniteAlgebra) -> tuple[Congruence, ...]:
@@ -201,7 +200,7 @@ def maximal_congruences(algebra: FiniteAlgebra) -> tuple[Congruence, ...]:
     """Proper congruences with nothing strictly between them and the total
     one; equivalently those with a simple quotient."""
     proper = [c for c in congruence_lattice(algebra) if not c.is_total]
-    return algebra.memoized(("maximal_congruences",), lambda: tuple(
+    return algebra.analysis(("maximal_congruences",), lambda: tuple(
         theta for theta in proper
         if not any(theta is not eta and theta.refines(eta) for eta in proper)))
 
@@ -342,8 +341,7 @@ def link_tolerance(algebra: FiniteAlgebra, relation: Iterable[Sequence[int]],
 def is_abelian(algebra: FiniteAlgebra) -> bool:
     """Diagonal test on A^2: abelian iff the diagonal is a block of the
     congruence of A^2 generated by all pairs of diagonal elements."""
-    current_limits().check(algebra)
-    return algebra.memoized(("is_abelian",), lambda: _diagonal_test(algebra))
+    return algebra.analysis(("is_abelian",), lambda: _diagonal_test(algebra))
 
 
 def _diagonal_test(algebra: FiniteAlgebra) -> bool:

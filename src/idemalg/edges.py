@@ -20,9 +20,11 @@ from typing import Iterable, Iterator, Optional
 
 from .algebra import (
     FiniteAlgebra,
+    current_limits,
     is_closed_subset,
     is_set,
     quotient,
+    request_scope,
     restrict,
 )
 from .congruence import (
@@ -40,9 +42,7 @@ from .generate import (
     PairWitness,
     SEMILATTICE,
     all_subalgebras,
-    current_limits,
     find_pair_witness,
-    request_scope,
     subuniverse,
 )
 from .terms import Term
@@ -103,28 +103,27 @@ class EdgeReport:
 def classify_pair(algebra: FiniteAlgebra, a: int, b: int) -> EdgeReport:
     """Classify the pair through every maximal congruence of the subalgebra
     it generates, in canonical congruence order, under the limits of the
-    request in effect.  The report is memoized on the algebra, per ordered
-    pair and cap.  Its witness searches run in a `request_scope`, the
-    caller's if one is active: they are shared by the content of their
-    `pair_search` with every equal quotient met in the request, whichever
-    algebra it belongs to, and every shared witness re-evaluates and every
-    shared Absent passes `check_absent` once."""
+    request in effect.  The report is an analysis of Sg{a,b}, memoized
+    there per ordered pair and cap.  Its witness searches run in a
+    `request_scope`, the caller's if one is active: they are shared by the
+    content of their `pair_search` with every equal quotient met in the
+    request, whichever algebra it belongs to, and every shared witness
+    re-evaluates and every shared Absent passes `check_absent` once."""
     if a == b:
         raise ValueError("need two distinct elements")
     with request_scope():
-        cap = current_limits().cap
-        return algebra.memoized(("classify_pair", a, b, cap),
-                                lambda: _classify_pair(algebra, a, b, cap))
+        # a copy even when Sg{a,b} is the whole universe: `restrict` memoizes
+        # its children, so classifying on `algebra` itself would put the inner
+        # and outer classifications of `checks.check_edge_subalgebra` on one object
+        b_alg, emb = restrict(algebra, subuniverse(algebra, [a, b]))
+        return b_alg.analysis(("classify_pair", a, b),
+                              lambda: _classify_pair(b_alg, emb, a, b))
 
 
-def _classify_pair(algebra: FiniteAlgebra, a: int, b: int, cap: int) -> EdgeReport:
-    sub = tuple(sorted(subuniverse(algebra, [a, b])))
-    # a copy even when Sg{a,b} is the whole universe: `restrict` memoizes
-    # its children, so classifying on `algebra` itself would put the inner
-    # and outer classifications of `checks.check_edge_subalgebra` on one object
-    b_alg, emb = restrict(algebra, sub)
-    local = {x: i for i, x in enumerate(emb)}
-    la, lb = local[a], local[b]
+def _classify_pair(b_alg: FiniteAlgebra, sub: tuple[int, ...], a: int, b: int) -> EdgeReport:
+    """Pair a, b of the parent, classified on b_alg = Sg{a,b} embedded by sub."""
+    la, lb = sub.index(a), sub.index(b)
+    cap = current_limits().cap
     witnesses: list[EdgeWitness] = []
     inconclusive: list[Congruence] = []
     for theta in maximal_congruences(b_alg):
@@ -187,16 +186,12 @@ class Hypergraph:
 
 def structure_graph(algebra: FiniteAlgebra) -> StructureGraph:
     """Every pair, classified in one `request_scope` under the limits of the
-    request in effect; the reports are memoized on the algebra per cap (not
-    the graph, which refers back to the algebra: the cycle would keep the
-    memo alive after its last user)."""
+    request in effect; the reports are memoized on the algebra as an
+    analysis (not the graph, which refers back to the algebra: the cycle
+    would keep the memo alive after its last user)."""
     with request_scope():
-        limits = current_limits()
-        limits.check(algebra)
-        return StructureGraph(algebra, algebra.memoized(
-            ("structure_graph", limits.cap),
-            lambda: tuple(classify_pair(algebra, a, b)
-                          for a, b in combinations(range(algebra.size), 2))))
+        return StructureGraph(algebra, algebra.analysis(("structure_graph",), lambda: tuple(
+            classify_pair(algebra, a, b) for a, b in combinations(range(algebra.size), 2))))
 
 
 def subalgebra_graphs(algebra: FiniteAlgebra

@@ -61,7 +61,8 @@ class NotClosed(IdemalgError):
 
 
 class TooLarge(IdemalgError):
-    def __init__(self, size, bound, remedy="pass --force, or Limits(max_size=None)"):
+    def __init__(self, size, bound,
+                 remedy="pass --force, or request_scope(Limits(max_size=None))"):
         super().__init__(f"universe size {size} exceeds analysis bound {bound} "
                          f"({remedy})")
         self.size, self.bound = size, bound

@@ -30,36 +30,29 @@ Every Found answer is re-evaluated against its target before being
 returned.  An Absent answer keeps the rows of its complete closure, which
 `check_absent` re-checks without the closure engine.  `pair_search`
 defines each pair-witness search once: the search, its reuse checks and
-its key in a `request_scope`, which is the search's content, all read it.
-A `request_scope` also carries the request's `Limits`: the exhaustive
-analyses read them there (`current_limits`), while the closure layer
-(`TupleClosure`, `find_pair_witness`, `term_operations`, ...) takes its
-cap as an argument.
+its key in the request's cache, which is the search's content, all read it.
 """
 
 from __future__ import annotations
 
-from contextlib import contextmanager
-from contextvars import ContextVar
 from dataclasses import dataclass, field
 from functools import reduce
 from itertools import product
 from math import prod
-from typing import Iterator, Optional, Sequence, Union
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
 from .algebra import (
     DEFAULT_CAP,
-    DEFAULT_LIMITS,
     FiniteAlgebra,
     KeyIndex,
-    Limits,
     OperationTable,
     coordinate,
     distinct_rows,
     key_layout,
     limb_keys,
+    request_cache,
     row_keys,
 )
 from .errors import (
@@ -167,8 +160,7 @@ def subuniverse(algebra: FiniteAlgebra, seeds: Sequence[int]) -> frozenset[int]:
 
 def all_subalgebras(algebra: FiniteAlgebra) -> frozenset[frozenset[int]]:
     """Every subuniverse, as the closure system saturated from singletons."""
-    current_limits().check(algebra)
-    return algebra.memoized(("all_subalgebras",), lambda: _all_subalgebras(algebra))
+    return algebra.analysis(("all_subalgebras",), lambda: _all_subalgebras(algebra))
 
 
 def _all_subalgebras(algebra: FiniteAlgebra) -> frozenset[frozenset[int]]:
@@ -686,35 +678,6 @@ class PairWitness:
     closure_size: int = 0
 
 
-#: the active request's limits and pair-search cache; outside any request,
-#: the default limits and no cache
-_REQUEST: ContextVar[tuple[Limits, Optional[dict]]] = ContextVar(
-    "request", default=(DEFAULT_LIMITS, None))
-
-
-@contextmanager
-def request_scope(limits: Optional[Limits] = None) -> Iterator[dict]:
-    """One request: the analyses run inside read its limits
-    (`current_limits`) and share `find_pair_witness` answers by content
-    until the outermost scope exits, so that no cache outlives its request.
-    Outside any scope it opens a request with `limits` (default
-    DEFAULT_LIMITS); an inner scope uses the outer one's cache and, given
-    limits, applies them until it exits.  Yields the cache: `search_key` ->
-    (answer, whether an Absent answer has passed `check_absent`)."""
-    outer_limits, cache = _REQUEST.get()
-    cache = {} if cache is None else cache
-    token = _REQUEST.set((limits or outer_limits, cache))
-    try:
-        yield cache
-    finally:
-        _REQUEST.reset(token)
-
-
-def current_limits() -> Limits:
-    """The limits of the active request; DEFAULT_LIMITS outside any."""
-    return _REQUEST.get()[0]
-
-
 def search_key(algebra: FiniteAlgebra, kind: str, a: int, b: int, cap: int) -> tuple:
     """What `find_pair_witness(algebra, kind, a, b, cap)` reads: the kind, the
     algebra's tables (not its name), the generators and targets of its
@@ -780,14 +743,15 @@ def find_pair_witness(algebra: FiniteAlgebra, kind: str, a: int = 0, b: int = 0,
     answers always come from complete closures; a cap hit is CapExceeded,
     never absence.
 
-    Inside a `request_scope` the answer is shared by every search of the
-    same key (`search_key`), whichever algebra object it runs on: at each
-    reuse a witness re-evaluates on the algebra in hand; an Absent passes
-    `check_absent` once, before its first reuse; CapExceeded claims nothing."""
+    Inside a request (`algebra.request_cache`) the answer is shared by
+    every search of the same key (`search_key`), whichever algebra object
+    it runs on: at each reuse a witness re-evaluates on the algebra in
+    hand; an Absent passes `check_absent` once, before its first reuse;
+    CapExceeded claims nothing."""
     if kind == MALTSEV and algebra.size < 2:
         return PairWitness(MALTSEV, terms.proj(0, 3), None, 0)
     columns, generators, targets = search = pair_search(algebra, kind, a, b)
-    cache = _REQUEST.get()[1]
+    cache = request_cache()
     if cache is None or (key := _search_key(algebra, kind, search, cap)) not in cache:
         target, ans = _search(*search, cap)
         if isinstance(ans, Found):

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from .algebra import FiniteAlgebra, OperationTable, preserves
+from .algebra import FiniteAlgebra, OperationTable, current_limits, preserves
 from .edges import (
     MAJORITY,
     SEMILATTICE,
@@ -21,7 +21,7 @@ from .edges import (
     structure_graph,
 )
 from .errors import PreconditionViolated
-from .generate import current_limits, term_operations
+from .generate import term_operations
 from .terms import Term
 
 DEFAULT_MAX_ARITY = 3

@@ -21,7 +21,7 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .algebra import FiniteAlgebra, align_signatures, first_index, restrict
+from .algebra import FiniteAlgebra, align_signatures, current_limits, first_index, restrict
 from .congruence import Congruence
 from .edges import (
     AFFINE,
@@ -47,7 +47,6 @@ from .generate import (
     Absent,
     CapExceeded,
     SubpowerQuery,
-    current_limits,
     generate_subalgebra,
     maltsev_query,
     subpower_membership,

@@ -9,19 +9,35 @@ from idemalg import fixtures
 from idemalg.algebra import validate_algebra
 
 
+def _python(args: list[str], timeout: float) -> subprocess.CompletedProcess:
+    """Run a fresh Python with this package importable, capturing its
+    output; a run that outlasts the timeout raises, so a hang fails."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    return subprocess.run([sys.executable, *args], env=env,
+                          capture_output=True, text=True, timeout=timeout)
+
+
 @pytest.fixture
 def run_optimized():
     """Run Python source under `python -O` (asserts stripped) with this
     package importable; return its stdout, failing on a nonzero exit."""
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
-
-    def run(code: str) -> str:
-        done = subprocess.run([sys.executable, "-O", "-c", code], env=env,
-                              capture_output=True, text=True, timeout=60)
+    def run(code: str, timeout: float = 60) -> str:
+        done = _python(["-O", "-c", code], timeout)
         assert done.returncode == 0, done.stderr
         return done.stdout
+
+    return run
+
+
+@pytest.fixture
+def run_cli():
+    """Run the command line in a fresh Python, with a timeout of 5 s;
+    return its exit code, stdout and stderr."""
+    def run(*argv: str) -> tuple[int, str, str]:
+        done = _python(["-m", "idemalg.cli", *argv], 5)
+        return done.returncode, done.stdout, done.stderr
 
     return run
 

@@ -167,6 +167,43 @@ def test_cli_max_size_guard(tmp_path):
             assert main([command, "--file", path]) == EXIT_INPUT
 
 
+def test_cli_too_large_names_the_library_remedy(tmp_path, capsys):
+    assert main(["edges", "--file", _meet_chain(tmp_path, 11)]) == EXIT_INPUT
+    assert capsys.readouterr() == ("", "error: universe size 11 exceeds analysis bound 10 "
+                                   "(pass --force, or request_scope(Limits(max_size=None)))\n")
+
+
+MALFORMED = {
+    "negative-arity": "operation 'f': arity -2 not in range 1..32",
+    "huge-arity": "operation 'f': arity 99999999999999999999 not in range 1..32",
+    "huge-entry": "operation 'f': entry 99999999999999999999 not in range 0..1",
+}
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED))
+def test_malformed_file_exits_2_with_one_error_line(name, run_cli):
+    """Arity and entries are checked before any arithmetic or numpy sees
+    them: a negative arity made the table length a float, a huge one a
+    power that never finished, a huge entry overflowed numpy's int."""
+    assert run_cli("edges", "--file", str(PINNED / "bad" / f"{name}.alg")) \
+        == (EXIT_INPUT, "", f"error: {MALFORMED[name]}\n")
+
+
+def test_malformed_tables_raise_validation_error_under_O(run_optimized):
+    code = (
+        "from idemalg.algebra import validate_algebra\n"
+        "from idemalg.errors import ValidationError\n"
+        "for arity, table in ((-2, (0, 1)), (10**20, (0, 1)), (2, (0, 10**20, 1, 1))):\n"
+        "    try:\n"
+        "        validate_algebra('x', 2, [('f', arity, table)])\n"
+        "    except ValidationError as exc:\n"
+        "        print(exc)\n")
+    assert run_optimized(code, timeout=5) == (
+        "operation 'f': arity -2 not in range 1..32\n"
+        "operation 'f': arity 100000000000000000000 not in range 1..32\n"
+        "operation 'f': entry 100000000000000000000 not in range 0..1\n")
+
+
 def test_cli_cap_exit_code():
     # a cap of 1 stalls every witness search; every pair becomes unknown
     assert main(["edges", "--fixture", "no-edge", "--cap", "1"]) == EXIT_CAP

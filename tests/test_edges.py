@@ -3,15 +3,24 @@
 import random
 from collections import Counter
 from dataclasses import replace
-from itertools import combinations, product
+from itertools import combinations, permutations, product
 
 import numpy as np
 import pytest
 from oracles import naive_classify_pair, random_idempotent_table
 
-from idemalg import edges, fixtures, generate
-from idemalg.algebra import DEFAULT_CAP, DEFAULT_LIMITS, Limits, restrict, validate_algebra
+from idemalg import algebra, edges, fixtures, generate
+from idemalg.algebra import (
+    DEFAULT_CAP,
+    DEFAULT_LIMITS,
+    Limits,
+    current_limits,
+    request_scope,
+    restrict,
+    validate_algebra,
+)
 from idemalg.checks import check_edge_factor, check_edge_subalgebra
+from idemalg.congruence import congruence_lattice, is_abelian, maximal_congruences
 from idemalg.edges import (
     AFFINE,
     MAJORITY,
@@ -33,9 +42,8 @@ from idemalg.generate import (
     Absent,
     PairWitness,
     SEMILATTICE as SLKIND,
-    current_limits,
+    all_subalgebras,
     find_pair_witness,
-    request_scope,
     search_key,
 )
 
@@ -244,9 +252,11 @@ def test_cross_checks_do_not_share_a_cache(c_nef):
     assert check_edge_subalgebra(fresh)[0].ok
     assert check_edge_factor(fresh)[0].ok
     structure_graph(c_nef)
+    # the report is an analysis of Sg{2,4}, memoized on that child
+    memo = restrict(c_nef, classify_pair(c_nef, 2, 4).subuniverse)[0]._memo
     key = ("classify_pair", 2, 4, DEFAULT_CAP)
-    assert c_nef._memo[key].labels == {SEMILATTICE}
-    c_nef._memo[key] = replace(c_nef._memo[key], witnesses=())
+    assert memo[key].labels == {SEMILATTICE}
+    memo[key] = replace(memo[key], witnesses=())
     assert not check_edge_subalgebra(c_nef)[0].ok
     assert not check_edge_factor(c_nef)[0].ok
 
@@ -291,10 +301,10 @@ def test_wrong_shared_witness_raises_under_O(run_optimized):
     code = (
         "from dataclasses import replace\n"
         "from idemalg import fixtures, terms\n"
-        "from idemalg.algebra import DEFAULT_CAP\n"
+        "from idemalg.algebra import DEFAULT_CAP, request_scope\n"
         "from idemalg.edges import classify_pair, structure_graph\n"
         "from idemalg.errors import PostconditionFailed, TooLarge\n"
-        "from idemalg.generate import search_key, request_scope\n"
+        "from idemalg.generate import search_key\n"
         "with request_scope() as cache:\n"
         "    alg = fixtures.no_edge_factor()\n"
         "    w = classify_pair(alg, 2, 4).witnesses[0]\n"
@@ -315,10 +325,10 @@ def test_uncertified_shared_absent_raises_under_O(run_optimized):
     code = (
         "import numpy as np\n"
         "from idemalg import fixtures, generate\n"
-        "from idemalg.algebra import DEFAULT_CAP\n"
+        "from idemalg.algebra import DEFAULT_CAP, request_scope\n"
         "from idemalg.edges import classify_pair, structure_graph\n"
         "from idemalg.errors import PostconditionFailed, TooLarge\n"
-        "with generate.request_scope() as cache:\n"
+        "with request_scope() as cache:\n"
         "    alg = fixtures.no_edge_factor()\n"
         "    w = classify_pair(alg, 2, 4).witnesses[0]\n"
         "    key = generate.search_key(w.quotient, 'semilattice', w.a_block, w.b_block,\n"
@@ -463,7 +473,7 @@ def test_pair_searches_outside_a_scope_build_a_closure_each(monkeypatch):
             find_pair_witness(sl2, SLKIND, 0, 1)
         find_pair_witness(fixtures.sl2(), SLKIND, 0, 1)
     assert len(built) == 3 and len(outer) == 1
-    assert generate._REQUEST.get()[1] is None
+    assert algebra._REQUEST.get()[1] is None
 
 
 def test_scoped_search_builds_its_pair_search_once(monkeypatch):
@@ -501,6 +511,36 @@ def test_inner_request_scope_applies_its_limits_until_it_exits():
         assert current_limits() is DEFAULT_LIMITS
         assert structure_graph(alg).unknown_pairs() == []
     assert current_limits() is DEFAULT_LIMITS
+
+
+def _analysis_calls(size):
+    """(label, call) of every memoized analysis of an algebra of this size,
+    the report of each ordered pair on its own."""
+    calls = [(f.__name__, f) for f in (structure_graph, congruence_lattice,
+                                       maximal_congruences, is_abelian, all_subalgebras)]
+    return calls + [(f"classify_pair{a, b}", lambda alg, a=a, b=b: classify_pair(alg, a, b))
+                    for a, b in permutations(range(size), 2)]
+
+
+@pytest.mark.parametrize("name", sorted(fixtures.FIXTURES))
+def test_memo_hit_and_fresh_call_agree_at_every_max_size(name):
+    """After every analysis has run at the default limits, each one under
+    a tighter `max_size` raises TooLarge exactly when it does on a fresh
+    copy of the algebra, and otherwise returns an equal result."""
+    warm = fixtures.fixture(name)
+    calls = _analysis_calls(warm.size)
+    for _, call in calls:
+        call(warm)
+    for max_size in range(1, warm.size + 1):
+        with request_scope(Limits(max_size=max_size)):
+            for label, call in calls:
+                outcomes = []
+                for alg in (warm, fixtures.fixture(name)):
+                    try:
+                        outcomes.append(call(alg))
+                    except TooLarge:
+                        outcomes.append(TooLarge)
+                assert outcomes[0] == outcomes[1], (label, max_size)
 
 
 def _walk_with(monkeypatch, kind, answer):
