@@ -20,6 +20,7 @@ from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from numbers import Integral
 from typing import Callable, Hashable, Iterable, Iterator, Mapping, Optional, Sequence, TypeVar
 
 import numpy as np
@@ -49,6 +50,14 @@ MAX_ARITY = 32
 #: rows (base**k keys) and signatures (len(maps)**k keys, summed from weighted
 #: map ids), see generate.TupleClosure
 DENSE = 1 << 18
+
+#: entries of the largest numpy temporary of one batch (`batch_len`) in tuple
+#: closures, `generate.check_absent` and congruence images.  Small, so that the
+#: temporaries stay in cache and mostly in the heap: glibc maps a block of 128 KB
+#: or more (its initial mmap threshold) afresh, and each page of it faults on
+#: first touch.  2**14 was the fastest on the benchmark's closures: a pass of
+#: subpower-random took about 20% longer at 2**19 and 5% longer at 2**13
+BATCH = 1 << 14
 
 T = TypeVar("T")
 
@@ -115,11 +124,19 @@ class OperationTable:
 
 def table_length(name: str, size: int, arity: int) -> int:
     """size ** arity, the table length of operation `name`, once its arity
-    is known to lie in 1..MAX_ARITY: the power of a negative arity is a
-    float, and that of a huge one runs without bound."""
+    is known to be an integer (a numpy one too) in 1..MAX_ARITY: the power
+    of a fractional or negative arity is a float, and that of a huge one
+    runs without bound."""
+    if not isinstance(arity, Integral):
+        raise ValidationError(f"operation {name!r}: arity {arity!r} is not an integer")
     if not 1 <= arity <= MAX_ARITY:
         raise ValidationError(f"operation {name!r}: arity {arity} not in range 1..{MAX_ARITY}")
     return size ** arity
+
+
+def batch_len(item_entries: int) -> int:
+    """How many items of the given number of entries one batch holds: at least one."""
+    return max(1, BATCH // max(1, item_entries))
 
 
 def coordinate(size: int, arity: int, pos: int) -> np.ndarray:

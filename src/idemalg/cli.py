@@ -9,7 +9,8 @@
     idemalg verify  --fixture no-edge --seed 7
 
 Exit codes: 0 success, 1 verification failure, 2 input error, 3 node cap
-exceeded.
+exceeded, 4 internal error (a bug: one line names the exception and where it
+was raised).
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ import functools
 import json
 import os
 import sys
+import traceback
 from typing import Optional, Sequence
 
 from . import algfile, checks, synthesis, thin
@@ -52,6 +54,7 @@ EXIT_OK = 0
 EXIT_VERIFICATION = 1
 EXIT_INPUT = 2
 EXIT_CAP = 3
+EXIT_INTERNAL = 4
 
 
 def positive_int(text: str) -> int:
@@ -363,6 +366,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except IdemalgError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VERIFICATION
+    except Exception as exc:   # a bug: neither bad input nor a failed verification
+        where = traceback.extract_tb(exc.__traceback__)[-1]
+        message = " ".join(str(exc).splitlines())
+        print(f"error: internal error: {type(exc).__name__}: {message} "
+              f"({os.path.basename(where.filename)}:{where.lineno})", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

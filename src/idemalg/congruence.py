@@ -33,6 +33,7 @@ import numpy as np
 from .algebra import (
     FiniteAlgebra,
     OperationTable,
+    batch_len,
     distinct_rows,
     is_set,
     product_algebra,
@@ -284,7 +285,7 @@ def _image(algebra: FiniteAlgebra, old: np.ndarray, new: np.ndarray,
     """The n x n bool matrix of pairs (f(x-bar), f(y-bar)) over the basic
     operations f and the tuples of pairs whose first pair outside old is in
     new, with every pair after it in every.  The first argument runs in
-    blocks of about 16K gathered entries, so memory stays flat."""
+    blocks (`batch_len`), so memory stays flat."""
     out = np.zeros_like(every)
     old, new, every = (np.array(np.nonzero(m)) for m in (old, new, every))
     for op in algebra.operations:
@@ -295,7 +296,7 @@ def _image(algebra: FiniteAlgebra, old: np.ndarray, new: np.ndarray,
             count = math.prod(p.shape[1] for p in rest)
             picks = np.indices([p.shape[1] for p in rest]).reshape(len(rest), count)
             later = tuple(p[:, None, k] for p, k in zip(rest, picks))
-            per = max(1, (1 << 14) // max(1, count))
+            per = batch_len(2 * count)   # u and v
             for lo in range(0, first.shape[1], per):
                 u, v = op.array[(first[:, lo:lo + per, None],) + later]
                 out[u, v] = True

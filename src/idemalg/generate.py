@@ -21,11 +21,13 @@ stores the map ids of the signatures it records only.  Coordinates may live
 in different algebras of one signature, so queries over products of
 quotients need no product algebras.
 
-A closure given a target stops after the sweep chunk that appends it (after
-the generators when it is one of them): the rows, provenance and witness up
+A closure given a target stops right after the target's row, whether a
+generator or a row the sweep appends: the rows, provenance and witness up
 to that point are those of the complete closure, so a Found answer is
-settled there, and its `closure_size` counts the rows built by then.  A
-stopped closure is not complete; Absent comes only from a complete one.
+settled there, and its `closure_size` is the target's row index + 1.  No
+row, provenance or answer depends on the size of the numpy batches
+(`algebra.batch_len`).  A stopped closure is not complete; Absent comes only
+from a complete one.
 Every Found answer is re-evaluated against its target before being
 returned.  An Absent answer keeps the rows of its complete closure, which
 `check_absent` re-checks without the closure engine.  `pair_search`
@@ -48,6 +50,7 @@ from .algebra import (
     FiniteAlgebra,
     KeyIndex,
     OperationTable,
+    batch_len,
     coordinate,
     distinct_rows,
     key_layout,
@@ -65,9 +68,6 @@ from .errors import (
 )
 from . import terms
 from .terms import Term
-
-_CHUNK = 1 << 19   # entries per numpy batch: combinations or candidates x columns
-
 
 # --------------------------------------------------------------------------
 # element generation inside one algebra
@@ -205,9 +205,9 @@ class SubpowerQuery:
 
 @dataclass(frozen=True)
 class Found:
-    """The target is in the closure.  `closure_size` is the number of rows
-    built when the closure stopped at the target, not the size of the
-    whole closure."""
+    """The target is in the closure.  `closure_size` is the target's row
+    index + 1, where the closure stopped, not the size of the whole
+    closure."""
 
     witness: Term
     closure_size: int
@@ -252,7 +252,7 @@ def _new_spans(length: int, old: int, cur: int) -> list[list[tuple[int, int]]]:
     return [h + s for h in heads for s in inner] + [[(old, cur)] + [(0, cur)] * (length - 1)]
 
 
-def _prefix_blocks(length: int, old: int, cur: int, chunk: int = _CHUNK):
+def _prefix_blocks(length: int, old: int, cur: int, chunk: int):
     """The combinations of `_new_spans` in order, as (index arrays, count) chunks.
     A combination's flat C-order index has the later positions as its digits;
     what is left after dividing them out is the first position."""
@@ -336,11 +336,13 @@ class TupleClosure:
     Registration reads only the rows present when the round starts, so it
     runs first, batched over the operations of one arity.
 
-    Given a target, the closure stops after the generators if the target
-    is one of them, else after the sweep chunk that appends it; what it has
-    built is a prefix of the complete closure's rows and provenance, and
-    `complete` stays False.  The closure also stops, incomplete, after the
-    chunk that takes it past the cap.
+    Registration and the sweep run in batches of combinations and of
+    signatures (`batch_len`), so that no numpy temporary has more than
+    `BATCH` entries unless one item does; no row, provenance or answer
+    depends on the batches.  Given a target, the closure stops right after
+    the target's row, a generator or a swept row; what it has built is a
+    prefix of the complete closure's rows and provenance, and `complete`
+    stays False.  The closure also stops, incomplete, at its row cap + 1.
     """
 
     def __init__(self, columns: Sequence[FiniteAlgebra],
@@ -383,10 +385,11 @@ class TupleClosure:
         gens = np.asarray(generators, dtype=np.int64).reshape(len(generators), self.k)
         if ((gens < 0) | (gens >= self._sizes)).any():
             raise ValidationError("generator entry out of range of its column")
+        self._target = None if target is None else self._key(target)
         keys = row_keys(gens, self._base)
         first = self._rows.firsts(keys)
+        first = first[:self._through_target(keys[first])]
         self._append(gens[first], keys[first], [("gen", i) for i in first.tolist()])
-        self._target = None if target is None else self._key(target)
         if not self._reached():
             self._run()
 
@@ -437,6 +440,13 @@ class TupleClosure:
             return None
         return row_keys(np.asarray([tup]), self._base)
 
+    def _through_target(self, keys: np.ndarray) -> int:
+        """How many of these distinct new row keys to append, in order: through
+        the target's, else all of them."""
+        if self._target is not None and len(hit := (keys == self._target).nonzero()[0]):
+            return int(hit[0]) + 1
+        return len(keys)
+
     def _reached(self) -> bool:
         """Is the target given to the constructor a row?"""
         return self._target is not None and self._rows.get(self._target)[0] >= 0
@@ -457,7 +467,7 @@ class TupleClosure:
         it."""
         for arity, ops, groups in self._groups:
             for idx, m in _prefix_blocks(arity - 1, self._registered, n_cur,
-                                         max(1, _CHUNK // (len(ops) * self.k))):
+                                         batch_len(len(ops) * self.k)):
                 self._register_block(ops, groups, idx, m)
 
     def _register_block(self, ops: np.ndarray, groups: list, idx: list, m: int) -> None:
@@ -470,7 +480,8 @@ class TupleClosure:
         for arr in idx[1:]:
             packed = packed * self._sizes + rows[arr]
         # per column algebra, [operation, combination, column] map ids
-        got = [lut[:, packed[:, cols]] for cols, lut, _ in groups]
+        got = [lut.take(packed if len(groups) == 1 else packed[:, cols], axis=1)
+               for cols, lut, _ in groups]
         limbs = reduce(np.add, (ids @ w for ids, (_, _, w) in zip(got, groups)))
         keys = limb_keys(list(limbs.reshape(-1, self._n_limbs).T))
         first, recs, new = self._sigs.number(keys)
@@ -503,9 +514,12 @@ class TupleClosure:
         while not self.complete:
             n_cur, seq0 = self.n, self._seq
             self._register(n_cur)
-            # [column * nmaps + map, z]: the weighted value of the map at rows[z, column]
-            weighted = (self._maps[:, self.rows[:n_cur]] * weights).transpose(2, 0, 1)
-            weighted = weighted.reshape(self.k * nmaps, n_cur)
+            # [column * nmaps + map, z]: the weighted value of the map at rows[z, column],
+            # over every row and over the rows new since the last round; C order, so
+            # that `take` gathers from them in place (else it copies them first)
+            weighted = np.ascontiguousarray(
+                (self._maps[:, self.rows[:n_cur]] * weights).transpose(2, 0, 1)).reshape(-1, n_cur)
+            fresh = np.ascontiguousarray(weighted[:, self._registered:])
             n_sigs = self._sigs.n
             at = self._map_ids[:n_sigs] + offsets   # row in `weighted` of each map id
             owner, seq = self._owner[:n_sigs], self._seq_of[:n_sigs]
@@ -515,18 +529,22 @@ class TupleClosure:
                 mine = order[bounds[opi]:bounds[opi + 1]]
                 split = seq[mine].searchsorted(seq0)
                 # signatures new in the round sweep every row, older ones the new rows
-                for recs, z0 in ((mine[split:], 0), (mine[:split], self._registered)):
+                for recs, z0, table in ((mine[split:], 0, weighted),
+                                        (mine[:split], self._registered, fresh)):
                     zs, m = self.rows[z0:n_cur], n_cur - z0   # appends never write here
-                    per = max(1, _CHUNK // max(m * self.k, 1))
+                    per = batch_len(m * self.k)
                     for lo in range(0, len(recs), per):
                         part = recs[lo:lo + per]
-                        cand = weighted[at[part].T, z0:]   # [column, record, row]
+                        cand = table.take(at[part].T, axis=0)   # [column, record, row]
                         keys = limb_keys([np.add.reduce(cand[c:c + g], axis=0, dtype=cand.dtype)
                                            .ravel() for c in range(0, self.k, g)])
                         if not len(new := self._rows.absent(keys)):
                             continue
-                        # first occurrences in batch order, until the row count passes the cap
-                        first = new[self._rows.firsts(keys[new])][:max(1, self.cap + 1 - self.n)]
+                        # first occurrences in batch order, through the target and
+                        # until the row count passes the cap
+                        first = new[self._rows.firsts(keys[new])]
+                        first = first[:min(self._through_target(keys[first]),
+                                           max(1, self.cap + 1 - self.n))]
                         rec, z = np.divmod(first, m)
                         sigs = part[rec]
                         args = zip(self._combo[sigs, :arity - 1].tolist(), (z + z0).tolist())
@@ -635,7 +653,7 @@ def check_absent(columns: Sequence[FiniteAlgebra], generators: Sequence[Sequence
         rest = np.zeros((1, k), np.intp)
         for _ in range(arity - 2):
             rest = (rest[:, None, :] * sizes + rows).reshape(-1, k)
-        step = max(1, _CHUNK // (len(ops) * k * len(rest)))
+        step = batch_len(len(ops) * k * len(rest))
         for lo in range(0, len(heads), step):
             ids = inv[ops[:, None, None, :] + heads[lo:lo + step, None, :] + rest].reshape(-1, k)
             found.append(ids[distinct_rows(ids, len(maps))[0]])
@@ -646,7 +664,7 @@ def check_absent(columns: Sequence[FiniteAlgebra], generators: Sequence[Sequence
     # the table a closure's sweep builds over these rows, no larger
     weights, g = key_layout(base, k)
     weighted = (maps.astype(weights.dtype)[:, rows] * weights).transpose(2, 0, 1)
-    per = max(1, _CHUNK // (n * k))
+    per = batch_len(n * k)
     for lo in range(0, len(sigs), per):
         part = sigs[lo:lo + per]
         got = limb_keys([sum(weighted[c][part[:, c]] for c in range(c0, min(k, c0 + g))).ravel()
@@ -669,8 +687,10 @@ MALTSEV = "maltsev"
 @dataclass(frozen=True)
 class PairWitness:
     """A term of the given kind on the pair (or, for Mal'tsev, the algebra).
-    `closure_size` is the number of rows built when the search settled it,
-    as in `Found`; 0 for the projection of a one-element algebra."""
+    `closure_size` is the target's row index + 1, as in `Found`, except
+    where semilattice settles on its second absorber: that closure did not
+    stop at a target, so it counts every row built; 0 for the projection of
+    a one-element algebra."""
 
     kind: str
     term: Term

@@ -2,6 +2,7 @@
 
 from itertools import product
 
+import numpy as np
 import pytest
 from oracles import find_isomorphism
 
@@ -47,6 +48,19 @@ def test_non_idempotent_rejected():
 def test_bad_table_length_rejected():
     with pytest.raises(BadTableLength):
         validate_algebra("bad", 2, [("f", 2, [0, 0, 1])])
+
+
+@pytest.mark.parametrize("arity", [1.5, 2.0, "2", None])
+def test_non_integer_arity_rejected_before_the_power(arity):
+    # the power was taken first: 1.5 expected 2.8284271247461903 entries,
+    # and 2.0 matched these four and failed later with a TypeError
+    with pytest.raises(ValidationError, match=f"arity {arity!r} is not an integer"):
+        validate_algebra("x", 2, [("f", arity, (0, 1, 1, 1))])
+
+
+def test_numpy_integer_arity_accepted():
+    alg = validate_algebra("x", 2, [("f", np.int64(2), (0, 1, 1, 1))])
+    assert alg.op("f").arity == 2
 
 
 def test_entry_out_of_range_rejected():

@@ -11,7 +11,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from idemalg import algfile, cli, edges, fixtures, generate
 from idemalg.algebra import validate_algebra
-from idemalg.cli import EXIT_CAP, EXIT_INPUT, EXIT_OK, main
+from idemalg.cli import EXIT_CAP, EXIT_INPUT, EXIT_INTERNAL, EXIT_OK, main
 from idemalg.errors import ValidationError
 
 PINNED = Path(__file__).parent / "data"
@@ -268,13 +268,25 @@ def test_cli_reduct_bad_pair(capsys):
             in capsys.readouterr().err
 
 
-def test_cli_internal_key_error_is_not_an_input_error(monkeypatch):
+def test_cli_internal_key_error_is_not_an_input_error(monkeypatch, capsys):
     def broken(*args):
         raise KeyError("internal")
 
     monkeypatch.setattr(cli, "structure_graph", broken)
-    with pytest.raises(KeyError):
-        main(["edges", "--fixture", "no-edge"])
+    assert main(["edges", "--fixture", "no-edge"]) == EXIT_INTERNAL
+    assert capsys.readouterr().err.startswith("error: internal error: KeyError: 'internal' (")
+
+
+def test_cli_internal_error_exits_4_with_one_line(monkeypatch, capsys):
+    # a bug is neither bad input (2) nor a failed verification (1): one
+    # line names the exception and the innermost frame, with no traceback
+    def broken(*args):
+        raise RuntimeError("boom\nsecond line")
+
+    line = broken.__code__.co_firstlineno + 1
+    monkeypatch.setattr(cli, "congruence_lattice", broken)
+    assert main(["analyze", "--fixture", "no-edge"]) == EXIT_INTERNAL
+    assert capsys.readouterr().err == f"error: internal error: RuntimeError: boom second line (test_cli.py:{line})\n"
 
 
 def test_cli_verify(capsys):

@@ -4,6 +4,7 @@ import gc
 import hashlib
 import random
 import sys
+import tracemalloc
 import weakref
 from collections import Counter
 from functools import partial
@@ -13,15 +14,17 @@ import numpy as np
 import pytest
 from oracles import naive_subpower_membership, random_idempotent_table
 
-from idemalg import generate, terms
+from idemalg import algebra, fixtures, generate, terms
 from idemalg.algebra import (
     DEFAULT_CAP,
     DENSE,
     FiniteAlgebra,
     KeyIndex,
+    Limits,
     align_signatures,
     distinct_rows,
     key_layout,
+    request_scope,
     restrict,
     row_keys,
     validate_algebra,
@@ -42,6 +45,7 @@ from idemalg.generate import (
     find_pair_witness,
     generate_subalgebra,
     majority_query,
+    pair_search,
     provenance_term,
     search_key,
     subpower_membership,
@@ -382,6 +386,100 @@ def test_subpower_membership_matches_naive_oracle_seeded():
     assert min(seen.values()) >= 30, seen
 
 
+def _answer(ans):
+    """An answer as plain data: kind, witness text, absorber, closure size,
+    and an Absent answer's rows."""
+    if isinstance(ans, Found):
+        return "found", ans.witness.text(), ans.closure_size
+    if isinstance(ans, PairWitness):
+        return ans.kind, ans.term.text(), ans.absorber, ans.closure_size
+    if isinstance(ans, Absent):
+        return "absent", ans.closure_size, ans.rows.tobytes()
+    return "cap", ans.cap
+
+
+def _closures_and_answers(c_nef):
+    """The closures, stopped and complete, and the answers of the seeded
+    queries, and the binary term operations of no-edge-factor.  A Found
+    answer's closure size is the target's row index + 1."""
+    got = []
+    for i, q in _seeded_closure_queries():
+        full = generate.TupleClosure(q.columns, q.generators, q.cap)
+        stopped = generate.TupleClosure(q.columns, q.generators, q.cap, q.target)
+        ans = subpower_membership(q)
+        if isinstance(ans, Found):
+            assert ans.closure_size == full.lookup(q.target) + 1 == len(stopped), i
+        got.append((i, full.complete, _closure_digest(full), stopped.complete,
+                    _closure_digest(stopped), _answer(ans)))
+    got.append([(table, w.text()) for table, w in term_operations(c_nef, 2)])
+    return got
+
+
+def test_closures_do_not_depend_on_the_batch_budget(monkeypatch, c_nef):
+    # one item per batch (a combination or a signature at a time) and
+    # batches larger than any of these closures give the same rows,
+    # provenance, completeness and answers, Found closure sizes included
+    runs = []
+    for budget in (1, 1 << 20):
+        monkeypatch.setattr(algebra, "BATCH", budget)
+        runs.append(_closures_and_answers(c_nef))
+    assert runs[0] == runs[1]
+
+
+def _pair_answers():
+    """Every pair search of every fixture, in one request so that a search
+    repeated (Mal'tsev, on every pair) runs once.  A pair witness's closure
+    size is its target's row index + 1, unless semilattice settled on its
+    second absorber."""
+    got = []
+    with request_scope(Limits()):
+        for name in fixtures.FIXTURES:
+            alg = fixtures.fixture(name)
+            for (a, b), kind in product(combinations(range(alg.size), 2),
+                                        (SEMILATTICE, MAJORITY, MALTSEV)):
+                ans = find_pair_witness(alg, kind, a, b)
+                if isinstance(ans, PairWitness) and ans.absorber in (None, b):
+                    columns, gens, targets = pair_search(alg, kind, a, b)
+                    full = generate.TupleClosure(columns, gens)
+                    assert ans.closure_size == full.lookup(targets[0]) + 1, (name, a, b, kind)
+                got.append((name, a, b, kind, _answer(ans)))
+    return got
+
+
+def test_pair_searches_do_not_depend_on_the_batch_budget(monkeypatch):
+    # 64 entries sweep one signature at a time in nearly every one of these
+    # closures and register a few combinations at a time; a budget of 1
+    # takes about 7 s here, on the ternary majority closures of up to 268 rows
+    runs = []
+    for budget in (64, 1 << 20):
+        monkeypatch.setattr(algebra, "BATCH", budget)
+        runs.append(_pair_answers())
+    assert runs[0] == runs[1]
+
+
+def test_absence_probe_peak_memory_is_bounded():
+    """The subpower benchmark's absence probe on a 3-element ternary algebra:
+    5 coordinates, the last a copy of coordinate j where the target differs,
+    so the answer is Absent after a closure of 81 rows.  Its traced peak is
+    about 1.1 MB with batches of `algebra.BATCH` entries; batches of 2**19
+    took it to 3.4 MB."""
+    rng = random.Random(7)
+    alg = validate_algebra("t", 3, [("o0", 3, random_idempotent_table(rng, 3, 3))])
+    cols = rng.sample([c for c in product(range(3), repeat=2) if c[0] != c[1]], 4)
+    j = rng.randrange(4)
+    gens = tuple(tuple(c[i] for c in cols + [cols[j]]) for i in range(2))
+    target = [rng.randrange(3) for _ in range(4)]
+    query = SubpowerQuery((alg,) * 5, gens, (*target, (target[j] + 1) % 3))
+    tracemalloc.start()
+    try:
+        ans = subpower_membership(query)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert isinstance(ans, Absent) and ans.closure_size == 81
+    assert peak < 2_200_000, peak
+
+
 def test_check_absent_matches_naive_oracle_seeded():
     """On the seeded queries, the rows of a complete closure certify absence
     exactly when the oracle answers Absent, and the rows of the Absent
@@ -533,8 +631,8 @@ def test_closure_stops_at_a_target_keyed_by_two_limbs():
     assert full.complete and len(full) == 25
     stopped = generate.TupleClosure(q.columns, q.generators, q.cap, q.target)
     hit = full.lookup(q.target)
-    # the stop comes after the sweep chunk that appends the target
-    assert hit < len(stopped) < 25 and not stopped.complete
+    # the stop comes right after the target's row
+    assert len(stopped) == hit + 1 < 25 and not stopped.complete
     assert (stopped.rows == full.rows[:len(stopped)]).all()
     assert stopped.provenance == full.provenance[:len(stopped)]
     ans = subpower_membership(q)
@@ -1034,12 +1132,11 @@ def test_lookup_of_a_tuple_of_the_wrong_length_is_none(sl2):
 
 
 def test_prefix_blocks_enumerate_new_combinations_once_in_c_order():
-    for length in range(5):
-        for cur in range(7):
-            for old in range(cur + 1):
-                got = [tuple(int(a[j]) for a in idx)
-                       for idx, m in generate._prefix_blocks(length, old, cur)
-                       for j in range(m)]
-                want = [c for c in product(range(cur), repeat=length)
-                        if old == 0 or max(c, default=-1) >= old]
-                assert got == want, (length, old, cur)
+    for length, cur, chunk in product(range(5), range(7), (1, 5, 1 << 14)):
+        for old in range(cur + 1):
+            blocks = list(generate._prefix_blocks(length, old, cur, chunk))
+            got = [tuple(int(a[j]) for a in idx) for idx, m in blocks for j in range(m)]
+            want = [c for c in product(range(cur), repeat=length)
+                    if old == 0 or max(c, default=-1) >= old]
+            assert got == want, (length, old, cur, chunk)
+            assert all(0 < m <= chunk for _, m in blocks), (length, old, cur, chunk)
