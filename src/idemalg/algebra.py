@@ -134,6 +134,13 @@ def table_length(name: str, size: int, arity: int) -> int:
     return size ** arity
 
 
+def check_count(what: str, value) -> None:
+    """ValidationError unless value is an integer (a numpy one too) of at
+    least 1, as a cap or a size bound must be."""
+    if not isinstance(value, Integral) or value < 1:
+        raise ValidationError(f"{what} {value!r} is not an integer of at least 1")
+
+
 def batch_len(item_entries: int) -> int:
     """How many items of the given number of entries one batch holds: at least one."""
     return max(1, BATCH // max(1, item_entries))
@@ -199,11 +206,11 @@ class FiniteAlgebra:
         and dies with the object, and two equal algebras never share one.
         Exhaustive analyses go through `analysis`.  The memos kept here
         directly need no size check: the `restrict` and `quotient`
-        children, "closure maps", "realize", "translations" and
-        "subuniverse" each cost time polynomial in the tables, where an
-        analysis enumerates congruences, subuniverses or pairs.  Pair
-        searches are shared by content within one request instead
-        (`request_scope`), and re-checked at each reuse."""
+        children, "closure maps", "closure layout", "realize",
+        "translations" and "subuniverse" each cost time polynomial in the
+        tables, where an analysis enumerates congruences, subuniverses or
+        pairs.  Pair searches are shared by content within one request
+        instead (`request_scope`), and re-checked at each reuse."""
         memo = self._memo
         if key not in memo:
             memo[key] = compute()
@@ -249,6 +256,11 @@ class Limits:
 
     cap: int = DEFAULT_CAP
     max_size: Optional[int] = MAX_ANALYSIS_SIZE
+
+    def __post_init__(self) -> None:
+        check_count("cap", self.cap)
+        if self.max_size is not None:
+            check_count("max_size", self.max_size)
 
     def check(self, algebra: FiniteAlgebra) -> None:
         if self.max_size is not None and algebra.size > self.max_size:
@@ -517,8 +529,9 @@ class KeyIndex:
         batch order."""
         if not self._dense:
             return np.sort(np.unique(keys, return_index=True)[1])
-        first, saved = self._claim(keys)
-        self._ids[keys[first]] = saved
+        saved = self._ids[keys]
+        first = self._claim(keys)
+        self._ids[keys[first]] = saved[first]
         return first
 
     def number(self, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -531,25 +544,36 @@ class KeyIndex:
             ids[new] = np.arange(self.n, self.n + np.count_nonzero(new))
             self.add(keys[first[new]])
             return first, ids, new
-        first, saved = self._claim(keys)
-        ids, new = saved - 1, saved == 0
-        fresh = new.nonzero()[0]
-        ids[fresh] = np.arange(self.n, self.n + len(fresh))
-        self._ids[keys[first]] = ids + 1
-        self.n += len(fresh)
-        return first, ids, new
+        saved = self._ids[keys]
+        first = self._claim(keys)
+        saved = saved[first]
+        new = saved == 0
+        count = int(np.count_nonzero(new))
+        saved[new] = np.arange(self.n + 1, self.n + 1 + count, dtype=np.int32)
+        self._ids[keys[first]] = saved
+        self.n += count
+        return first, saved - 1, new
 
-    def _claim(self, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Dense: `firsts`, and the slots of their keys as they were.  While
-        this runs the slots of the batch's keys hold the least position of
-        their key, by `minimum.at` (numpy leaves open which of repeated fancy
-        writes wins); the caller writes them again at the firsts."""
+    def add_firsts(self, keys: np.ndarray, limit: int) -> np.ndarray:
+        """Give the first occurrences of absent keys, in batch order, the next
+        ids, the first `limit` of them only; return their batch positions."""
+        if not self._dense:
+            first = self.firsts(keys)
+        elif len(first := self._claim(keys)) > limit:
+            self._ids[keys[first[limit:]]] = 0   # as they were: absent
+        first = first[:limit]
+        self.add(keys[first])
+        return first
+
+    def _claim(self, keys: np.ndarray) -> np.ndarray:
+        """Dense: `firsts`.  While this runs the slots of the batch's keys
+        hold the least position of their key, by `minimum.at` (numpy leaves
+        open which of repeated fancy writes wins); the caller writes them
+        again at the firsts."""
         slot, at = self._ids, np.arange(len(keys), dtype=np.int32)
-        saved = slot[keys]
         slot[keys] = len(keys)
         np.minimum.at(slot, keys, at)
-        first = (slot[keys] == at).nonzero()[0]
-        return first, saved[first]
+        return (slot[keys] == at).nonzero()[0]
 
     def add(self, keys: np.ndarray) -> None:
         """Give distinct absent keys the next ids, in order."""

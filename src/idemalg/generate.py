@@ -8,8 +8,9 @@ operations; that engine is vectorized with numpy and deduplicates the
 partial applications of the operations by the signature of the unary maps
 they induce per coordinate, which is what makes desk-scale instances with
 ternary operations tractable.  One map table holds the distinct unary maps
-of all operations, built once per algebra (memoized on it) or, for columns
-in several algebras, once per closure; one store holds each signature once,
+of all operations; with the lookup tables and key weights that read it, it
+is built once per (algebra, k) and memoized on the algebra, or, for columns
+in several algebras, once per closure.  One store holds each signature once,
 whichever operations induce it.  Every arity, unary included, runs
 through one sweep path in one discovery order (see `TupleClosure`).  Rows,
 signatures and maps are deduplicated by the exact key of the table kernel
@@ -51,6 +52,7 @@ from .algebra import (
     KeyIndex,
     OperationTable,
     batch_len,
+    check_count,
     coordinate,
     distinct_rows,
     key_layout,
@@ -255,7 +257,12 @@ def _new_spans(length: int, old: int, cur: int) -> list[list[tuple[int, int]]]:
 def _prefix_blocks(length: int, old: int, cur: int, chunk: int):
     """The combinations of `_new_spans` in order, as (index arrays, count) chunks.
     A combination's flat C-order index has the later positions as its digits;
-    what is left after dividing them out is the first position."""
+    what is left after dividing them out is the first position.  One position
+    (every binary operation) is the one range rows[old:cur]."""
+    if length == 1:
+        for lo in range(old, cur, chunk):
+            yield [np.arange(lo, min(cur, lo + chunk))], min(cur, lo + chunk) - lo
+        return
     for spans in _new_spans(length, old, cur):
         total = prod(hi - lo for lo, hi in spans)
         for lo in range(0, total, chunk):
@@ -285,9 +292,35 @@ def _map_tables(algs: Sequence[FiniteAlgebra], base: int):
         ops = np.array([i for i, (_, a) in enumerate(sig) if a == arity])
         luts = [np.stack([ids[o * len(algs) + a] for o in ops]) for a in range(len(algs))]
         groups.append((arity, ops, luts))
-    for arr in [maps] + [lut for _, _, luts in groups for lut in luts]:
+    for arr in [maps] + [arr for _, ops, luts in groups for arr in (ops, *luts)]:
         arr.flags.writeable = False
     return maps, groups
+
+
+def _layout(columns: tuple[FiniteAlgebra, ...], base: int):
+    """What a closure over these columns reads of them: `maps`, per arity its
+    operations and per column algebra its columns, lookup table and limb weights
+    (w[i, limb] weighs the map id at the i-th of those columns in the signature
+    key's limb, `key_layout`, 0 in the others), and the number of limbs.  Over
+    one algebra, memoized on it per k and shared by its closures, read-only."""
+    algs = list({id(alg): alg for alg in columns}.values())
+    if len(algs) == 1:
+        maps, groups = algs[0].memoized(("closure maps",), lambda: _map_tables(algs, base))
+    else:
+        maps, groups = _map_tables(algs, base)
+    k = len(columns)
+    weights, g = key_layout(len(maps), k)
+    n_limbs = -(-k // g)
+    limb_weights = np.zeros((k, n_limbs), np.int64)   # sums come out as keys
+    limb_weights[np.arange(k), np.arange(k) // g] = weights
+    limb_weights.flags.writeable = False
+    which = np.array([next(a for a, alg in enumerate(algs) if alg is col) for col in columns])
+    cols = [(which == a).nonzero()[0] for a in range(len(algs))]
+    parts = [(c, limb_weights[c]) for c in cols]
+    for arr in (arr for part in parts for arr in part):
+        arr.flags.writeable = False
+    return maps, [(arity, ops, [(c, lut, w) for (c, w), lut in zip(parts, luts)])
+                  for arity, ops, luts in groups], n_limbs
 
 
 class TupleClosure:
@@ -307,9 +340,14 @@ class TupleClosure:
     a row, is a sum of k lookups in the round's table of weighted map
     values; only the rows appended are built.  Likewise a signature's key
     sums its weighted map ids, gathered per column algebra from the map
-    table's lookup tables (`_map_tables`, memoized on the algebra when every
-    column is the same one); only the map ids of the signatures recorded
-    are stored.
+    table's lookup tables; only the map ids of the signatures recorded are
+    stored.  When every column is the same algebra, all of this that
+    depends only on the algebra and k is cached (`_layout`, memoized on the
+    algebra under ("closure layout", k)) and shared read-only by its
+    closures: the map table and the per-arity lookup tables (`_map_tables`,
+    under ("closure maps",) for every k), and the signature key's limb
+    weights per column and limb count.  A closure builds only its row and
+    signature stores and their `KeyIndex`es.
     The last argument of every operation is swept vectorized; combinations
     of the leading ones (the empty one for a unary operation) are
     registered by the signature of the per-coordinate unary maps they
@@ -351,6 +389,7 @@ class TupleClosure:
         self.columns = tuple(columns)
         if not self.columns:
             raise ValidationError("a tuple closure needs at least one coordinate")
+        check_count("cap", cap)
         self.k = len(self.columns)
         self.cap = cap
         sig = self.columns[0].signature
@@ -385,33 +424,33 @@ class TupleClosure:
         gens = np.asarray(generators, dtype=np.int64).reshape(len(generators), self.k)
         if ((gens < 0) | (gens >= self._sizes)).any():
             raise ValidationError("generator entry out of range of its column")
-        self._target = None if target is None else self._key(target)
-        keys = row_keys(gens, self._base)
-        first = self._rows.firsts(keys)
-        first = first[:self._through_target(keys[first])]
-        self._append(gens[first], keys[first], [("gen", i) for i in first.tolist()])
-        if not self._reached():
+        # each distinct generator at its first index, through the target's
+        target = tuple(target) if target is not None and self._fits(target) else None
+        first: dict[tuple, int] = {}
+        for i, row in enumerate(map(tuple, gens.tolist())):
+            first.setdefault(row, i)
+            if row == target:
+                break
+        tuples = np.array(list(first) + [target] * (target is not None),
+                          np.int64).reshape(-1, self.k)
+        keys = row_keys(tuples, self._base)
+        self._target = None if target is None else keys[len(first):]
+        self._rows.add(keys[:len(first)])
+        self._append(tuples[:len(first)], [("gen", i) for i in first.values()])
+        if target not in first:
+            self.complete = not self.n   # the closure of no tuples is empty
             self._run()
 
     def _build_maps(self) -> None:
-        """`_maps`, and per arity its operations and per column algebra its columns,
-        lookup table and limb weights: w[i, limb] weighs the map id at the i-th of
-        those columns in the signature key's limb (`key_layout`), 0 in the others."""
-        distinct = {id(alg): alg for alg in self.columns}
-        algs, position = list(distinct.values()), {key: a for a, key in enumerate(distinct)}
-        if len(algs) == 1:
-            self._maps, groups = algs[0].memoized(("closure maps",),
-                                                  lambda: _map_tables(algs, self._base))
+        """`_maps`, `_groups` and `_n_limbs` (`_layout`), memoized on the
+        algebra per k when every column is the same one."""
+        one = self.columns[0]
+        if all(alg is one for alg in self.columns):
+            layout = one.memoized(("closure layout", self.k),
+                                  lambda: _layout(self.columns, self._base))
         else:
-            self._maps, groups = _map_tables(algs, self._base)
-        weights, g = key_layout(len(self._maps), self.k)
-        self._n_limbs = -(-self.k // g)
-        limb_weights = np.zeros((self.k, self._n_limbs), weights.dtype)
-        limb_weights[np.arange(self.k), np.arange(self.k) // g] = weights
-        which = np.array([position[id(alg)] for alg in self.columns])
-        cols = [(which == a).nonzero()[0] for a in range(len(algs))]
-        self._groups = [(arity, ops, [(c, lut, limb_weights[c]) for c, lut in zip(cols, luts)])
-                        for arity, ops, luts in groups]
+            layout = _layout(self.columns, self._base)
+        self._maps, self._groups, self._n_limbs = layout
 
     # -- row storage --
 
@@ -419,43 +458,38 @@ class TupleClosure:
     def rows(self) -> np.ndarray:
         return self._buf[:self.n]
 
-    def _append(self, rows: np.ndarray, keys: np.ndarray,
-                provenance: list[Provenance]) -> None:
-        """Append rows, new and distinct, with their keys and provenance."""
+    def _number_new(self, keys: np.ndarray, limit: int) -> tuple[np.ndarray, bool]:
+        """Number the rows of these keys, none of them a row yet, that occur first
+        in batch order, through the target's and at most `limit` of them; their
+        batch positions, and whether the target's is among them."""
+        if self._target is not None and len(hit := (keys == self._target).nonzero()[0]):
+            keys = keys[:hit[0] + 1]
+            first = self._rows.add_firsts(keys, limit)
+            return first, int(first[-1]) == len(keys) - 1
+        return self._rows.add_firsts(keys, limit), False
+
+    def _append(self, rows: np.ndarray, provenance: list[Provenance]) -> None:
+        """Append the rows just numbered, with their provenance."""
         end = self.n + len(rows)
         if end > len(self._buf):   # entries past n are never read
             self._buf = np.resize(self._buf, (max(2 * len(self._buf), end), self.k))
         self._buf[self.n:end] = rows
-        self._rows.add(keys)
         self.provenance.extend(provenance)
         self.n = end
 
     def __len__(self) -> int:
         return self.n
 
-    def _key(self, tup: Sequence[int]) -> Optional[np.ndarray]:
-        """The one-entry key array of the tuple, None when no row can have it
-        (a key is exact only for a tuple of length k with every entry in range)."""
-        if len(tup) != self.k or any(not 0 <= v < alg.size for v, alg in zip(tup, self.columns)):
-            return None
-        return row_keys(np.asarray([tup]), self._base)
-
-    def _through_target(self, keys: np.ndarray) -> int:
-        """How many of these distinct new row keys to append, in order: through
-        the target's, else all of them."""
-        if self._target is not None and len(hit := (keys == self._target).nonzero()[0]):
-            return int(hit[0]) + 1
-        return len(keys)
-
-    def _reached(self) -> bool:
-        """Is the target given to the constructor a row?"""
-        return self._target is not None and self._rows.get(self._target)[0] >= 0
+    def _fits(self, tup: Sequence[int]) -> bool:
+        """Can a row be this tuple?  A key is exact only for a tuple of length
+        k with every entry in range."""
+        return len(tup) == self.k and all(0 <= v < alg.size for v, alg in zip(tup, self.columns))
 
     def lookup(self, tup: Sequence[int]) -> Optional[int]:
         """The row index of the tuple, None when it is not a row."""
-        if (key := self._key(tup)) is None:
+        if not self._fits(tup):
             return None
-        hit = int(self._rows.get(key)[0])
+        hit = int(self._rows.get(row_keys(np.asarray([tup]), self._base))[0])
         return hit if hit >= 0 else None
 
     # -- main loop --
@@ -484,21 +518,30 @@ class TupleClosure:
                for cols, lut, _ in groups]
         limbs = reduce(np.add, (ids @ w for ids, (_, _, w) in zip(got, groups)))
         keys = limb_keys(list(limbs.reshape(-1, self._n_limbs).T))
+        n_old = self._sigs.n
         first, recs, new = self._sigs.number(keys)
         if self._sigs.n > len(self._owner):   # written before read
             self._grow_store(2 * self._sigs.n)
         op, j = np.divmod(first, m)
-        take = (new | (self._owner[recs] > ops[op])).nonzero()[0]
-        if not len(take):
-            return
-        recs, op, j = recs[take], op[take], j[take]
-        for ids, (cols, _, _) in zip(got, groups):
-            self._map_ids[recs[:, None], cols] = ids[op, j]
+        if new.all():   # they took the next ids, in order
+            recs = slice(n_old, self._sigs.n)
+        else:   # keep the new ones and those that a higher operation owns
+            keep = new | (self._owner[recs] > ops[op])
+            if not keep.any():
+                return
+            recs, op, j = recs[keep], op[keep], j[keep]
+        if len(groups) == 1:
+            self._map_ids[recs] = got[0][op, j]
+        else:
+            ids = np.empty((len(op), self.k), np.int32)
+            for got_a, (cols, _, _) in zip(got, groups):
+                ids[:, cols] = got_a[op, j]
+            self._map_ids[recs] = ids
         self._owner[recs] = ops[op]
         for p, arr in enumerate(idx):
             self._combo[recs, p] = arr[j]
-        self._seq_of[recs] = np.arange(self._seq, self._seq + len(recs))
-        self._seq += len(recs)
+        self._seq_of[recs] = np.arange(self._seq, self._seq + len(op))
+        self._seq += len(op)
 
     def _grow_store(self, size: int) -> None:
         """Room for `size` signatures; entries past `_sigs.n` are never read."""
@@ -508,18 +551,17 @@ class TupleClosure:
         self._seq_of = np.resize(self._seq_of, size)
 
     def _run(self) -> None:
-        nmaps = len(self._maps)
         weights, g = key_layout(self._base, self.k)
-        offsets = np.arange(self.k) * nmaps
+        offsets = np.arange(self.k) * len(self._maps)
         while not self.complete:
-            n_cur, seq0 = self.n, self._seq
+            n_cur, seq0, old = self.n, self._seq, self._registered
             self._register(n_cur)
             # [column * nmaps + map, z]: the weighted value of the map at rows[z, column],
-            # over every row and over the rows new since the last round; C order, so
-            # that `take` gathers from them in place (else it copies them first)
+            # over every row and over the rows new since the last round (all of them in
+            # the first); C order, so that `take` gathers from them in place
             weighted = np.ascontiguousarray(
                 (self._maps[:, self.rows[:n_cur]] * weights).transpose(2, 0, 1)).reshape(-1, n_cur)
-            fresh = np.ascontiguousarray(weighted[:, self._registered:])
+            fresh = np.ascontiguousarray(weighted[:, old:]) if old else weighted
             n_sigs = self._sigs.n
             at = self._map_ids[:n_sigs] + offsets   # row in `weighted` of each map id
             owner, seq = self._owner[:n_sigs], self._seq_of[:n_sigs]
@@ -529,28 +571,27 @@ class TupleClosure:
                 mine = order[bounds[opi]:bounds[opi + 1]]
                 split = seq[mine].searchsorted(seq0)
                 # signatures new in the round sweep every row, older ones the new rows
-                for recs, z0, table in ((mine[split:], 0, weighted),
-                                        (mine[:split], self._registered, fresh)):
+                for recs, z0, table in ((mine[split:], 0, weighted), (mine[:split], old, fresh)):
+                    if not len(recs):
+                        continue
                     zs, m = self.rows[z0:n_cur], n_cur - z0   # appends never write here
                     per = batch_len(m * self.k)
                     for lo in range(0, len(recs), per):
                         part = recs[lo:lo + per]
                         cand = table.take(at[part].T, axis=0)   # [column, record, row]
                         keys = limb_keys([np.add.reduce(cand[c:c + g], axis=0, dtype=cand.dtype)
-                                           .ravel() for c in range(0, self.k, g)])
+                                          .ravel() for c in range(0, self.k, g)])
                         if not len(new := self._rows.absent(keys)):
                             continue
                         # first occurrences in batch order, through the target and
                         # until the row count passes the cap
-                        first = new[self._rows.firsts(keys[new])]
-                        first = first[:min(self._through_target(keys[first]),
-                                           max(1, self.cap + 1 - self.n))]
-                        rec, z = np.divmod(first, m)
+                        first, reached = self._number_new(keys[new], max(1, self.cap + 1 - self.n))
+                        rec, z = np.divmod(new[first], m)
                         sigs = part[rec]
                         args = zip(self._combo[sigs, :arity - 1].tolist(), (z + z0).tolist())
-                        self._append(self._maps[self._map_ids[sigs], zs[z]], keys[first],
+                        self._append(self._maps[self._map_ids[sigs], zs[z]],
                                      [("step", name, (*c, last)) for c, last in args])
-                        if self.n > self.cap or self._reached():
+                        if self.n > self.cap or reached:
                             return
             self._registered = n_cur
             if self.n == n_cur:

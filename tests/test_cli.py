@@ -7,7 +7,7 @@ from itertools import product
 from pathlib import Path
 
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, given, seed, settings, strategies as st
 
 from idemalg import algfile, cli, edges, fixtures, generate
 from idemalg.algebra import validate_algebra
@@ -440,3 +440,57 @@ def test_cli_bad_path_is_an_input_error(argv, message, tmp_path, monkeypatch, ca
     (tmp_path / "latin.alg").write_bytes(SAMPLE.replace("demo", "d\xe9mo").encode("latin-1"))
     assert main(argv) == EXIT_INPUT
     assert capsys.readouterr().err == f"error: {message}\n"
+
+
+FIXTURE_TEXTS = {name: algfile.render(algfile.AlgebraFile.from_algebra(fixtures.fixture(name)))
+                 for name in fixtures.FIXTURES}
+# what a mutation puts in: keywords, names, the numbers around every
+# fixture's sizes (1-6), arities (1-3) and entries, one past MAX_ARITY, and
+# the huge number pinned under tests/data/bad
+FUZZ_TOKENS = (st.sampled_from(("algebra", "size", "labels", "op", "end", "f", "p0", "pow", "#",
+                                "2.5", "33", "99999999999999999999"))
+               | st.integers(-2, 7).map(str))
+
+
+@st.composite
+def mutated_fixture_files(draw):
+    """A rendered fixture file with one to three lines mutated: a token
+    replaced, deleted, duplicated, or inserted.  Half the mutations fall on
+    a line that is not a table row: few lines, where most parsing happens."""
+    lines = FIXTURE_TEXTS[draw(st.sampled_from(sorted(FIXTURE_TEXTS)))].splitlines()
+    heads = [i for i, line in enumerate(lines) if not line[0].isdigit()]
+    for _ in range(draw(st.integers(1, 3))):
+        line = draw(st.sampled_from(heads) | st.integers(0, len(lines) - 1))
+        tokens = lines[line].split()
+        kind = draw(st.sampled_from(("replace", "delete", "duplicate", "insert")))
+        at = draw(st.integers(0, max(0, len(tokens) - (kind != "insert"))))
+        if kind == "insert" or not tokens:
+            tokens.insert(at, draw(FUZZ_TOKENS))
+        elif kind == "replace":
+            tokens[at] = draw(FUZZ_TOKENS)
+        elif kind == "delete":
+            del tokens[at]
+        else:
+            tokens.insert(at, tokens[at])
+        lines[line] = " ".join(tokens)
+    return "\n".join(lines) + "\n"
+
+
+@seed(18)
+@settings(max_examples=1000, deadline=5000, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(mutated_fixture_files())
+def test_mutated_fixture_files_exit_cleanly(tmp_path, capsys, text):
+    """Every mutated file is a valid algebra (exit 0, or 3 at the cap) or
+    malformed input (exit 2), with at most one line on stderr: never a
+    traceback, an internal error (exit 4) or a failed verification (exit 1).
+    The small cap bounds the valid algebras that are merely slow."""
+    path = tmp_path / "mutated.alg"
+    path.write_text(text)
+    try:
+        code = main(["edges", "--file", str(path), "--max-size", "6", "--cap", "500"])
+    except SystemExit as exc:   # argparse; not expected from a file's content
+        code = exc.code
+    err = capsys.readouterr().err
+    assert code in (EXIT_OK, EXIT_INPUT, EXIT_CAP), (code, err, text)
+    assert err.count("\n") <= 1, (err, text)

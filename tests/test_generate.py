@@ -872,10 +872,12 @@ def test_sweep_keys_are_row_keys(monkeypatch):
     # first position
     appended = []
 
-    def check(self, rows, keys, provenance):
+    def check(self, rows, provenance):
+        # numbered before they are appended, under the keys `row_keys` gives them
         appended.append(len(rows))
-        assert row_keys(rows, self._base).tolist() == keys.tolist()
-        append(self, rows, keys, provenance)
+        ids = self._rows.get(row_keys(rows, self._base))
+        assert ids.tolist() == list(range(self.n, self.n + len(rows)))
+        append(self, rows, provenance)
 
     append = generate.TupleClosure._append
     monkeypatch.setattr(generate.TupleClosure, "_append", check)
@@ -1140,3 +1142,45 @@ def test_prefix_blocks_enumerate_new_combinations_once_in_c_order():
                     if old == 0 or max(c, default=-1) >= old]
             assert got == want, (length, old, cur, chunk)
             assert all(0 < m <= chunk for _, m in blocks), (length, old, cur, chunk)
+
+
+def test_closure_of_no_generators_is_empty_and_complete(a_ne):
+    """Numpy could not reshape the empty round table; the closure of no
+    tuples is empty, and Absent is certified by its (0, k) rows."""
+    query = SubpowerQuery((a_ne, a_ne), (), (1, 0), 10)
+    answer = subpower_membership(query)
+    assert answer == Absent(0) and answer.rows.shape == (0, 2)
+    check_absent(query.columns, (), [query.target], answer.rows)
+    cl = generate.TupleClosure((a_ne,) * 3, [], 10)
+    assert cl.complete and len(cl) == 0 and cl.lookup((0, 0, 0)) is None
+
+
+@pytest.mark.parametrize("cap", [2.5, -1, 0, "5", None])
+def test_closures_and_limits_reject_a_cap_below_one_or_not_an_integer(a_ne, cap):
+    """A fractional cap failed in the sweep's cut with a bare TypeError, and
+    cap = -1 built a row and reported CapExceeded(-1)."""
+    with pytest.raises(ValidationError, match="cap .* is not an integer of at least 1"):
+        subpower_membership(SubpowerQuery((a_ne, a_ne), ((0, 1), (1, 0)), (2, 2), cap))
+    with pytest.raises(ValidationError, match="cap .* is not an integer of at least 1"):
+        Limits(cap=cap)
+    if cap is not None:
+        with pytest.raises(ValidationError, match="max_size .* is not an integer of at least 1"):
+            Limits(max_size=cap)
+
+
+def test_limits_accept_integer_bounds():
+    assert Limits(cap=np.int64(3), max_size=1).cap == 3
+    assert Limits(max_size=None).max_size is None
+
+
+def test_second_closure_over_one_algebra_and_k_reuses_the_layout(sl2):
+    """The layout (maps, groups with their limb weights, limb count) is
+    built once per (algebra, k) and shared, read-only, by its closures."""
+    first = generate.TupleClosure((sl2, sl2), ((0, 1), (1, 0)))
+    again = generate.TupleClosure((sl2, sl2), ((1, 1), (0, 1)), 5, (1, 1))
+    assert again._groups is first._groups and again._maps is first._maps
+    wider = generate.TupleClosure((sl2,) * 3, ((0, 1, 1), (1, 0, 1)))
+    assert wider._groups is not first._groups and wider._maps is first._maps
+    arrays = [first._maps] + [a for _, ops, parts in first._groups
+                              for a in (ops, *(x for part in parts for x in part))]
+    assert not any(a.flags.writeable for a in arrays)
