@@ -330,18 +330,16 @@ def signature_map(a: FiniteAlgebra, b: FiniteAlgebra) -> dict[str, str]:
     return {nm: nm for nm in a.by_name}
 
 
-def product_algebra(a: FiniteAlgebra, b: FiniteAlgebra,
-                    sig: Optional[dict[str, str]] = None) -> FiniteAlgebra:
+def product_algebra(a: FiniteAlgebra, b: FiniteAlgebra) -> FiniteAlgebra:
     """Direct product; pair (x, y) is encoded as x*|B| + y."""
-    if sig is None:
-        sig = signature_map(a, b)
+    signature_map(a, b)
     size = a.size * b.size
     ops = []
     for op_a in a.operations:
         r = op_a.arity
         # axes x_1, y_1, ..., x_r, y_r; merging each (x_i, y_i) encodes the pair
         xs = op_a.array.reshape((a.size, 1) * r)
-        ys = b.by_name[sig[op_a.name]].array.reshape((1, b.size) * r)
+        ys = b.by_name[op_a.name].array.reshape((1, b.size) * r)
         ops.append(OperationTable.from_array(
             op_a.name, (xs * b.size + ys).reshape((size,) * r)))
     labels = None
@@ -355,10 +353,12 @@ def quotient(a: FiniteAlgebra, blocks: Sequence[Sequence[int]]
              ) -> tuple[FiniteAlgebra, tuple[int, ...]]:
     """Factor algebra modulo the partition given as blocks.
 
-    Verifies compatibility (raising NotACongruence with a witnessing pair of
-    tuples otherwise) and returns the quotient together with the
-    element -> block index map.  The child is memoized on `a` by the blocks
-    only, so repeated calls return the same object with its own analyses."""
+    Raises ValidationError, before any table is built, on an empty block, an
+    element listed twice or one left out.  Verifies compatibility (raising
+    NotACongruence with a witnessing pair of tuples otherwise) and returns
+    the quotient together with the element -> block index map.  The child
+    is memoized on `a` by the blocks only, so repeated calls return the
+    same object with its own analyses."""
     blocks = tuple(tuple(blk) for blk in blocks)
     return a.memoized(("quotient", blocks), lambda: _quotient(a, blocks))
 
@@ -368,7 +368,11 @@ def _quotient(a: FiniteAlgebra, blocks: tuple[tuple[int, ...], ...]
     a.check_elements(x for blk in blocks for x in blk)
     block_of = [-1] * a.size
     for bi, blk in enumerate(blocks):
+        if not blk:
+            raise ValidationError(f"blocks are not a partition: block {bi} is empty")
         for x in blk:
+            if block_of[x] >= 0:
+                raise ValidationError(f"blocks are not a partition: element {x} appears twice")
             block_of[x] = bi
     if any(v < 0 for v in block_of):
         raise ValidationError("blocks do not cover the universe")

@@ -13,45 +13,25 @@
     end
 
 Tables are flat, row-major, radix-size; whitespace and line breaks inside a
-table are free-form.  Serialization is canonical (rows of `size` entries),
-so parse -> render -> parse is the identity.
+table are free-form.  `parse` returns the validated FiniteAlgebra (a bad
+token raises ValidationError before any check of the algebra) and `render`
+writes one in canonical form (rows of `size` entries): parse(render(a)) == a.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
 from .algebra import FiniteAlgebra, table_length, validate_algebra
 from .errors import ValidationError
 
 
-@dataclass(frozen=True)
-class AlgebraFile:
-    name: str
-    size: int
-    labels: Optional[tuple[str, ...]]
-    operations: tuple[tuple[str, int, tuple[int, ...]], ...]
-
-    def to_algebra(self) -> FiniteAlgebra:
-        return validate_algebra(self.name, self.size, self.operations, self.labels)
-
-    @staticmethod
-    def from_algebra(algebra: FiniteAlgebra) -> "AlgebraFile":
-        return AlgebraFile(algebra.name, algebra.size, algebra.labels,
-                           tuple((op.name, op.arity, op.table)
-                                 for op in algebra.operations))
-
-
-def parse(text: str) -> AlgebraFile:
+def parse(text: str) -> FiniteAlgebra:
     tokens: list[str] = []
     for line in text.splitlines():
         body = line.split("#", 1)[0]
         tokens.extend(body.split())
     pos = 0
-
-    def peek() -> Optional[str]:
-        return tokens[pos] if pos < len(tokens) else None
 
     def take(expected: Optional[str] = None) -> str:
         nonlocal pos
@@ -75,11 +55,11 @@ def parse(text: str) -> AlgebraFile:
     take("size")
     size = take_int()
     labels: Optional[tuple[str, ...]] = None
-    if peek() == "labels":
+    if tokens[pos:pos + 1] == ["labels"]:
         take()
         labels = tuple(take() for _ in range(size))
     operations = []
-    while peek() == "op":
+    while tokens[pos:pos + 1] == ["op"]:
         take()
         op_name = take()
         arity = take_int()
@@ -90,17 +70,17 @@ def parse(text: str) -> AlgebraFile:
         raise ValidationError(f"trailing content after 'end': {tokens[pos]!r}")
     if not operations:
         raise ValidationError("an algebra file needs at least one operation")
-    return AlgebraFile(name, size, labels, tuple(operations))
+    return validate_algebra(name, size, operations, labels)
 
 
-def render(af: AlgebraFile) -> str:
-    lines = [f"algebra {af.name}", f"size {af.size}"]
-    if af.labels is not None:
-        lines.append("labels " + " ".join(af.labels))
-    for name, arity, table in af.operations:
-        lines.append(f"op {name} {arity}")
-        for row_start in range(0, len(table), af.size):
-            row = table[row_start:row_start + af.size]
+def render(algebra: FiniteAlgebra) -> str:
+    lines = [f"algebra {algebra.name}", f"size {algebra.size}"]
+    if algebra.labels is not None:
+        lines.append("labels " + " ".join(algebra.labels))
+    for op in algebra.operations:
+        lines.append(f"op {op.name} {op.arity}")
+        for row_start in range(0, len(op.table), algebra.size):
+            row = op.table[row_start:row_start + algebra.size]
             lines.append(" ".join(str(v) for v in row))
     lines.append("end")
     return "\n".join(lines) + "\n"
@@ -112,9 +92,9 @@ def load(path: str) -> FiniteAlgebra:
             text = fh.read()
     except UnicodeDecodeError as exc:
         raise ValidationError(f"{path} is not UTF-8 text: {exc}") from None
-    return parse(text).to_algebra()
+    return parse(text)
 
 
 def save(algebra: FiniteAlgebra, path: str) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(render(AlgebraFile.from_algebra(algebra)))
+        fh.write(render(algebra))

@@ -274,31 +274,29 @@ _EDGE_STYLE = {
 }
 
 
+def dot_graph(kind: str, name: str, algebra: FiniteAlgebra, lines: Iterable[str]) -> str:
+    """The DOT `kind` (graph or digraph) `name`: a circle per element, then `lines`."""
+    return "\n".join([f'{kind} "{name}" {{', '  node [shape=circle];',
+                      *(f'  "{algebra.label(x)}";' for x in range(algebra.size)),
+                      *lines, "}"]) + "\n"
+
+
 def graph_to_dot(graph: StructureGraph, name: str = "G") -> str:
     alg = graph.algebra
-    lines = [f'graph "{name}" {{', '  node [shape=circle];']
-    for x in range(alg.size):
-        lines.append(f'  "{alg.label(x)}";')
-    for rep in graph.reports:
-        a, b = rep.pair
-        for lab in sorted(rep.labels):
-            lines.append(f'  "{alg.label(a)}" -- "{alg.label(b)}" '
-                         f'[{_EDGE_STYLE[lab]}, label="{lab}"];')
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    return dot_graph("graph", name, alg, (
+        f'  "{alg.label(rep.pair[0])}" -- "{alg.label(rep.pair[1])}" '
+        f'[{_EDGE_STYLE[lab]}, label="{lab}"];'
+        for rep in graph.reports for lab in sorted(rep.labels)))
 
 
 def hypergraph_to_dot(hg: Hypergraph, algebra: FiniteAlgebra,
                       name: str = "H") -> str:
     """Hyperedges drawn as box nodes joined to their member vertices."""
-    lines = [f'graph "{name}" {{', '  node [shape=circle];']
-    for x in range(algebra.size):
-        lines.append(f'  "{algebra.label(x)}";')
+    lines = []
     for i, he in enumerate(hg.hyperedges):
         hid = f"he{i}"
         label = "{" + ",".join(algebra.label(x) for x in he) + "}"
         lines.append(f'  "{hid}" [shape=box, label="{label}"];')
         for x in he:
             lines.append(f'  "{hid}" -- "{algebra.label(x)}" [style=dotted];')
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    return dot_graph("graph", name, algebra, lines)

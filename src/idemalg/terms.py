@@ -18,6 +18,7 @@ are bit-exact given the arity.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -29,6 +30,8 @@ from .errors import ArityMismatch, TermSyntaxError, UnknownSymbol
 _INTERN: dict[tuple, "Term"] = {}
 
 _TREE_SIZE_CAP = 1 << 20
+# a term's tokens: a name (\w is str.isalnum or "_"), or one character but " \t\n"
+_TOKEN = re.compile(r"\w+|[^ \t\n]")
 
 
 class Term:
@@ -330,79 +333,61 @@ def parse_term(text: str, arity: Optional[int] = None) -> Term:
     """Parse the prefix form produced by Term.text().
 
     If arity is omitted it is inferred as max projection index + 1."""
-    pos = 0
-    s = text
+    # one pass lists the tokens with their positions, then an empty end token
+    tokens = [(m.start(), m.group()) for m in _TOKEN.finditer(text)] + [(len(text), "")]
+    at = 0
 
-    def skip_ws() -> None:
-        nonlocal pos
-        while pos < len(s) and s[pos] in " \t\n":
-            pos += 1
-
-    def ident() -> str:
-        nonlocal pos
-        start = pos
-        while pos < len(s) and (s[pos].isalnum() or s[pos] == "_"):
-            pos += 1
-        if start == pos:
-            raise TermSyntaxError(f"expected a name at position {pos} in {s!r}")
-        return s[start:pos]
-
-    def expect(ch: str) -> None:
-        nonlocal pos
-        skip_ws()
-        if pos >= len(s) or s[pos] != ch:
-            raise TermSyntaxError(f"expected {ch!r} at position {pos} in {s!r}")
-        pos += 1
-
-    def number() -> int:
-        nonlocal pos
-        skip_ws()
-        start = pos
-        while pos < len(s) and s[pos].isdigit():
-            pos += 1
-        if start == pos:
-            raise TermSyntaxError(f"expected a number at position {pos} in {s!r}")
-        return int(s[start:pos])
+    def take(kind: str) -> tuple[str, Optional[int]]:
+        """The next token, which must be "(", ")" or "," as asked, a name or a
+        digit run ("a name", "a number"), and the number of a digit run or pK."""
+        nonlocal at
+        pos, tok = tokens[at]
+        if not (tok.isdigit() if kind == "a number" else
+                tok[:1].isalnum() or tok[:1] == "_" if kind == "a name" else tok == kind):
+            raise TermSyntaxError(f"expected {kind if len(kind) > 1 else repr(kind)} "
+                                  f"at position {pos} in {text!r}")
+        at += 1
+        digits = tok.removeprefix("p")
+        try:
+            return tok, int(digits) if digits.isdigit() else None
+        except ValueError:      # past int()'s digit limit, or a digit like "\u00b2"
+            raise TermSyntaxError(f"unreadable number at position {pos} in {text!r}") from None
 
     # the parse lists the nodes in post-order, as (tag, value, extra, child
     # positions); an explicit stack holds the open ones, so no recursion limit
     nodes: list[tuple] = []
     stack: list[tuple] = []   # open nodes: (tag, value, extra, children so far)
     while True:
-        skip_ws()
-        name = ident()
-        if name.startswith("p") and name[1:].isdigit():
-            nodes.append(("p", int(name[1:]), None, ()))
-        elif name == "pow":
-            expect("(")
-            times = number()
-            expect(",")
-            hole = number()
-            expect(",")
-            stack.append(("w", times, hole, []))
-            continue
+        name, number = take("a name")
+        if name.startswith("p") and number is not None:
+            nodes.append(("p", number, None, ()))
         else:
-            expect("(")
-            stack.append(("c" if name == "comp" else "a", name, None, []))
+            take("(")
+            if name == "pow":
+                times = take("a number")[1]
+                take(",")
+                hole = take("a number")[1]
+                take(",")
+                stack.append(("w", times, hole, []))
+            else:
+                stack.append(("c" if name == "comp" else "a", name, None, []))
             continue
         # close every open node that the node just parsed completes
         while stack:
             tag, value, extra, children = stack[-1]
             children.append(len(nodes) - 1)
-            skip_ws()
-            if tag != "w" and pos < len(s) and s[pos] == ",":
-                pos += 1
+            if tag != "w" and tokens[at][1] == ",":
+                at += 1
                 break
-            expect(")")
+            take(")")
             stack.pop()
             if tag == "c" and len(children) < 2:
                 raise TermSyntaxError("comp needs an outer term and arguments")
             nodes.append((tag, value, extra, tuple(children)))
         else:
             break
-    skip_ws()
-    if pos != len(s):
-        raise TermSyntaxError(f"trailing input at position {pos} in {s!r}")
+    if at != len(tokens) - 1:
+        raise TermSyntaxError(f"trailing input at position {tokens[at][0]} in {text!r}")
 
     if arity is None:
         # the largest variable read outside composition outers (they have

@@ -25,6 +25,7 @@ from .edges import (
     SEMILATTICE,
     EdgeWitness,
     StructureGraph,
+    dot_graph,
     structure_graph,
 )
 from .errors import EmptyResult, PostconditionFailed, PreconditionViolated
@@ -317,14 +318,11 @@ _ARC_STYLE = {
 
 def thin_graph_to_dot(tg: ThinGraph, name: str = "thin") -> str:
     alg = tg.algebra
-    lines = [f'digraph "{name}" {{', '  node [shape=circle];']
-    for x in range(alg.size):
-        lines.append(f'  "{alg.label(x)}";')
+    lines = []
     for e in tg.arcs:
         cert = "; ".join(f"{k}={v}" for k, v in e.info)
         nec = "" if e.necessary is None else f" nec={'y' if e.necessary else 'n'}"
         lines.append(f'  "{alg.label(e.a)}" -> "{alg.label(e.b)}" '
                      f'[{_ARC_STYLE[e.kind]}, label="{e.kind}{nec}"];'
                      + (f'  // {cert}' if cert else ""))
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    return dot_graph("digraph", name, alg, lines)

@@ -128,6 +128,18 @@ def test_quotient_by_equality_is_isomorphic(a_ne):
     assert find_isomorphism(quot, a_ne) is not None
 
 
+@pytest.mark.parametrize("blocks, message", [
+    (((0, 1, 2), ()), "block 1 is empty"),
+    (((0, 1), (1, 2)), "element 1 appears twice"),
+    (((0,), (1,), (2,), (1,)), "element 1 appears twice"),
+], ids=["empty-block", "overlap", "repeated-block"])
+def test_quotient_rejects_blocks_that_are_not_a_partition(blocks, message):
+    """An empty block, or an element in two blocks, is named before any
+    table is built (not an IndexError, NotACongruence or NonIdempotent)."""
+    with pytest.raises(ValidationError, match=f"^blocks are not a partition: {message}$"):
+        quotient(fixtures.no_edge(), blocks)
+
+
 def test_quotient_composition(c_nef):
     # (A/theta)/(eta/theta) is isomorphic to A/eta for theta below eta
     lattice = congruence_lattice(c_nef)

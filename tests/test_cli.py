@@ -347,7 +347,7 @@ def test_cli_verify_all_fixtures_under_budget(capsys):
 
 @pytest.mark.parametrize("name", sorted(fixtures.FIXTURES))
 @pytest.mark.parametrize("command", [["verify", "--seed", "0"], ["edges"], ["synth"],
-                                     ["analyze"]], ids=lambda command: command[0])
+                                     ["analyze"], ["graph"]], ids=lambda command: command[0])
 def test_cli_report_stdout_pinned(command, name, capsys):
     """`idemalg COMMAND --fixture NAME` prints exactly the report pinned in
     tests/data/COMMAND/NAME.out."""
@@ -442,8 +442,7 @@ def test_cli_bad_path_is_an_input_error(argv, message, tmp_path, monkeypatch, ca
     assert capsys.readouterr().err == f"error: {message}\n"
 
 
-FIXTURE_TEXTS = {name: algfile.render(algfile.AlgebraFile.from_algebra(fixtures.fixture(name)))
-                 for name in fixtures.FIXTURES}
+FIXTURE_TEXTS = {name: algfile.render(fixtures.fixture(name)) for name in fixtures.FIXTURES}
 # what a mutation puts in: keywords, names, the numbers around every
 # fixture's sizes (1-6), arities (1-3) and entries, one past MAX_ARITY, and
 # the huge number pinned under tests/data/bad

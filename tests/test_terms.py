@@ -2,17 +2,25 @@
 
 import gc
 import random
+import re
 from collections import Counter
 from itertools import product
+from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, seed, settings, strategies as st
 from oracles import scalar_evaluate
 
 from idemalg import terms
 from idemalg.algebra import quotient, restrict, validate_algebra
 from idemalg.congruence import cg
-from idemalg.errors import ArityMismatch, TermSyntaxError, UnknownSymbol, ValidationError
+from idemalg.errors import (
+    ArityMismatch,
+    IdemalgError,
+    TermSyntaxError,
+    UnknownSymbol,
+    ValidationError,
+)
 from idemalg.terms import (
     Identity,
     app,
@@ -153,6 +161,62 @@ def test_parse_rejects_garbage():
         parse_term("f(p0,")
     with pytest.raises(TermSyntaxError):
         parse_term("f(p0) trailing")
+
+
+@pytest.mark.parametrize("text", [
+    "pow(" + "9" * 5000 + ", 0, f(p0, p1))",
+    "p" + "1" * 5000,
+    "f(p\u00b2, p0)",
+], ids=["overlong-count", "overlong-projection", "superscript-digit"])
+def test_parse_reports_an_unreadable_number_as_a_syntax_error(text):
+    """A digit run that int() cannot convert (past Python's 4300-digit
+    limit, or a digit such as the superscript two) is a syntax error."""
+    with pytest.raises(TermSyntaxError):
+        parse_term(text)
+
+
+# the synthesized f, g and h of every fixture, as pinned, and a few small terms
+TERM_TEXTS = sorted(
+    line.split(" = ", 1)[1]
+    for path in (Path(__file__).parent / "data" / "synth").glob("*.out")
+    for line in path.read_text().splitlines() if line[:4] in ("f = ", "g = ", "h = ")
+) + ["p0", "f(p0, p1)", "pow(3, 1, g(p0, p1))", "comp(f(p0, p1), p1, p0)"]
+TERM_TOKENS = (st.sampled_from(("(", ")", ",", "pow", "comp", "f", "g", "h", "maj", "9" * 5000))
+               | st.integers(0, 3).map(lambda k: f"p{k}")
+               | st.integers(2, 10 ** 20).map(str))
+
+
+@st.composite
+def mutated_terms(draw):
+    """A term text with one token inserted, deleted or replaced."""
+    tokens = re.findall(r"\w+|[(),]", draw(st.sampled_from(TERM_TEXTS)))
+    kind = draw(st.sampled_from(("insert", "delete", "replace")))
+    at = draw(st.integers(0, len(tokens) - (kind != "insert")))
+    if kind == "insert":
+        tokens.insert(at, draw(TERM_TOKENS))
+    elif kind == "delete":
+        del tokens[at]
+    else:
+        tokens[at] = draw(TERM_TOKENS)
+    return " ".join(tokens)
+
+
+@seed(24)
+@settings(max_examples=500, deadline=2000, database=None)
+@given(mutated_terms())
+def test_mutated_terms_parse_or_raise_a_package_error(text):
+    """Every mutated text parses to a term whose text parses back to the
+    same object, or raises one of the package's errors.  A parsed text is
+    read as written: with no power count below 2 drawn, nothing simplifies,
+    so the term prints the same tokens, and every operation is a name."""
+    for arity in (None, 2, 3):
+        try:
+            t = parse_term(text, arity)
+        except IdemalgError:
+            continue
+        assert parse_term(t.text(), t.arity) is t, (text, arity)
+        assert re.findall(r"\w+|[(),]", t.text()) == text.split(), (text, arity)
+        assert all(re.fullmatch(r"\w+", n.op) for n in t.nodes() if n.kind == "app"), text
 
 
 def test_power_node_semantics(a_ne):
