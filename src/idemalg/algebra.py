@@ -5,9 +5,11 @@ presentation-only.  An operation's canonical value is its flat, hashable
 `table` tuple, row-major and radix-n: f(a_1,...,a_r) sits at index
 ((a_1*n + a_2)*n + ...)*n + a_r.  Its one decoded view is `array`, a
 read-only numpy array of shape (n,)*r, so that f(a_1,...,a_r) is
-array[a_1, ..., a_r]; every bulk computation indexes it, and `apply` is the
-scalar lookup.  Every algebra is validated on construction, idempotency
-included.
+array[a_1, ..., a_r], and `apply` is the scalar lookup.  An algebra stacks
+the arrays of its operations of each arity into one (`FiniteAlgebra.stacks`),
+so that restrict, quotient, product, the translations and the idempotency
+check index one array per arity, not one per operation.  Every algebra is
+validated on construction, idempotency included.
 
 Rows over range(base) (closure rows, signatures, map slices, translations)
 are deduplicated by one exact integer key kept here, `row_keys`: numbered
@@ -16,12 +18,14 @@ as they come by `KeyIndex`, or all at once by `distinct_rows`.
 
 from __future__ import annotations
 
+import re
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from numbers import Integral
-from typing import Callable, Hashable, Iterable, Iterator, Mapping, Optional, Sequence, TypeVar
+from typing import (Callable, Hashable, Iterable, Iterator, Mapping, NamedTuple, Optional,
+                    Sequence, TypeVar)
 
 import numpy as np
 
@@ -64,6 +68,9 @@ T = TypeVar("T")
 #: operation names that would collide with the term syntax
 RESERVED_NAMES = {"pow", "comp"}
 
+#: an operation name's characters: \w is str.isalnum or "_"
+_NAME = re.compile(r"\w+")
+
 
 @dataclass(frozen=True)
 class OperationTable:
@@ -97,9 +104,11 @@ class OperationTable:
         return self.table[idx]
 
     def validate(self, size: int) -> None:
+        """The checks of one operation on its own: name, table length and
+        entry range.  Idempotency is checked by its algebra, per arity."""
         if not self.name or self.name in RESERVED_NAMES or self.name[0].isdigit() \
                 or self.name.startswith("p") and self.name[1:].isdigit() \
-                or not all(c.isalnum() or c == "_" for c in self.name):
+                or not _NAME.fullmatch(self.name):
             raise ValidationError(f"bad operation name {self.name!r}")
         expected = table_length(self.name, size, self.arity)
         if len(self.table) != expected:
@@ -108,11 +117,6 @@ class OperationTable:
         if self.table and not 0 <= min(self.table) <= max(self.table) < size:
             raise EntryOutOfRange(self.name, next(x for x in self.table if not 0 <= x < size),
                                   size)
-        diagonal = self.array[(np.arange(size),) * self.arity]
-        wrong = diagonal != np.arange(size)
-        if wrong.any():
-            x = int(np.argmax(wrong))
-            raise NonIdempotent(self.name, x, int(diagonal[x]))
 
     def is_projection(self, size: int) -> Optional[int]:
         """Return the coordinate this operation projects onto, or None."""
@@ -127,7 +131,7 @@ def table_length(name: str, size: int, arity: int) -> int:
     is known to be an integer (a numpy one too) in 1..MAX_ARITY: the power
     of a fractional or negative arity is a float, and that of a huge one
     runs without bound."""
-    if not isinstance(arity, Integral):
+    if type(arity) is not int and not isinstance(arity, Integral):
         raise ValidationError(f"operation {name!r}: arity {arity!r} is not an integer")
     if not 1 <= arity <= MAX_ARITY:
         raise ValidationError(f"operation {name!r}: arity {arity} not in range 1..{MAX_ARITY}")
@@ -153,11 +157,69 @@ def coordinate(size: int, arity: int, pos: int) -> np.ndarray:
     return np.broadcast_to(np.arange(size).reshape(shape), (size,) * arity)
 
 
-def _grid(array: np.ndarray, coords: Sequence[int]) -> np.ndarray:
-    """array at every tuple over coords: array[np.ix_(coords, ..., coords)]."""
-    for axis in range(array.ndim):
-        array = array.take(coords, axis=axis)
-    return array
+class Stack(NamedTuple):
+    """The operations of one arity: their declaration positions, ascending,
+    and their arrays stacked in that order, read-only, of shape
+    (len(positions),) + (n,)*arity."""
+
+    positions: tuple[int, ...]
+    array: np.ndarray
+
+
+def _stack_tables(operations: Sequence[OperationTable], size: int) -> dict[int, Stack]:
+    """One Stack per arity, by arity in order of first declaration.  An
+    operation whose `array` is not derived yet gets the view of its slice."""
+    groups: dict[int, list[int]] = {}
+    for pos, op in enumerate(operations):
+        groups.setdefault(op.arity, []).append(pos)
+    stacks = {}
+    for arity, positions in groups.items():
+        array = np.array([operations[pos].table for pos in positions], dtype=np.intp)
+        array = array.reshape((len(positions),) + (size,) * arity)
+        array.setflags(write=False)
+        for pos, view in zip(positions, array):
+            operations[pos].__dict__.setdefault("array", view)
+        stacks[arity] = Stack(tuple(positions), array)
+    return stacks
+
+
+def _first_failure(stacks: Mapping[int, Stack], masks: Mapping[int, np.ndarray]
+                   ) -> Optional[tuple[int, tuple[int, ...]]]:
+    """The declaration position of the first operation whose slice of the
+    bool mask of its arity (stacked like `stacks`) holds a True, and the
+    lexicographically first index of that slice where it does; None if
+    no mask holds a True."""
+    found = []
+    for arity, mask in masks.items():
+        rows = mask.any(axis=tuple(range(1, mask.ndim)))
+        if rows.any():
+            row = int(rows.argmax())
+            found.append((stacks[arity].positions[row], arity, row))
+    if not found:
+        return None
+    pos, arity, row = min(found)
+    return pos, first_index(masks[arity][row])
+
+
+def _check_idempotent(operations: Sequence[OperationTable], stacks: Mapping[int, Stack],
+                      size: int) -> None:
+    """NonIdempotent for the first operation in declaration order with
+    f(x, ..., x) != x, at the least such x."""
+    diagonal = np.arange(size)
+    failure = _first_failure(stacks, {
+        arity: stack.array[(slice(None),) + (diagonal,) * arity] != diagonal
+        for arity, stack in stacks.items()})
+    if failure is not None:
+        pos, (x,) = failure
+        op = operations[pos]
+        raise NonIdempotent(op.name, x, op.apply((x,) * op.arity, size))
+
+
+def _grid(stack: np.ndarray, coords: np.ndarray) -> np.ndarray:
+    """A stacked array at every tuple over coords: stack[:, coords, ..., coords]."""
+    for axis in range(1, stack.ndim):
+        stack = stack.take(coords, axis=axis)
+    return stack
 
 
 def first_index(mask: np.ndarray) -> tuple[int, ...]:
@@ -180,11 +242,18 @@ class FiniteAlgebra:
         if not self.operations:
             raise ValidationError("algebra must have at least one operation")
         seen = set()
-        for op in self.operations:
-            if op.name in seen:
-                raise DuplicateOpName(op.name)
-            seen.add(op.name)
-            op.validate(self.size)
+        for count, op in enumerate(self.operations):
+            try:
+                if op.name in seen:
+                    raise DuplicateOpName(op.name)
+                seen.add(op.name)
+                op.validate(self.size)
+            except Exception:
+                # an operation declared before this one fails first
+                _check_idempotent(self.operations,
+                                  _stack_tables(self.operations[:count], self.size), self.size)
+                raise
+        _check_idempotent(self.operations, self.stacks, self.size)
         if self.labels is not None:
             if len(self.labels) != self.size or len(set(self.labels)) != self.size:
                 raise ValidationError("labels must be distinct, one per element")
@@ -198,6 +267,13 @@ class FiniteAlgebra:
         return tuple((op.name, op.arity) for op in self.operations)
 
     @cached_property
+    def stacks(self) -> Mapping[int, Stack]:
+        """The operations of each arity as one read-only `Stack`, by arity
+        in order of first declaration; every bulk computation over all
+        operations indexes these, one array per arity."""
+        return _stack_tables(self.operations, self.size)
+
+    @cached_property
     def _memo(self) -> dict:
         return {}
 
@@ -209,8 +285,11 @@ class FiniteAlgebra:
         children, "closure maps", "closure layout", "realize",
         "translations" and "subuniverse" each cost time polynomial in the
         tables, where an analysis enumerates congruences, subuniverses or
-        pairs.  Pair searches are shared by content within one request
-        instead (`request_scope`), and re-checked at each reuse."""
+        pairs.  The children and "translations" are computed on `stacks`,
+        one gather per arity; a child's stacks are the arrays computed for
+        it, and each of its `op.array` is a view of one slice.  Pair
+        searches are shared by content within one request instead
+        (`request_scope`), and re-checked at each reuse."""
         memo = self._memo
         if key not in memo:
             memo[key] = compute()
@@ -330,23 +409,49 @@ def signature_map(a: FiniteAlgebra, b: FiniteAlgebra) -> dict[str, str]:
     return {nm: nm for nm in a.by_name}
 
 
+def _derived(a: FiniteAlgebra, name: str, size: int, arrays: Mapping[int, np.ndarray],
+             labels: Optional[tuple[str, ...]]) -> FiniteAlgebra:
+    """The algebra with the operations of `a`, whose tables of each arity
+    are the fresh array of that arity, stacked like `a.stacks`.  Those
+    arrays become its stacks, and each of its `op.array` the view of one
+    slice, so nothing is stacked twice."""
+    ops: list = [None] * len(a.operations)
+    stacks = {}
+    for arity, array in arrays.items():
+        array.setflags(write=False)
+        positions = a.stacks[arity].positions
+        for pos, view in zip(positions, array):
+            # one slice's list at a time: the lists of a whole stack would
+            # raise the peak memory of a large product
+            ops[pos] = op = OperationTable(a.operations[pos].name, arity,
+                                           tuple(view.reshape(-1).tolist()))
+            op.__dict__["array"] = view      # the cached view, derived already
+        stacks[arity] = Stack(positions, array)
+    child = object.__new__(FiniteAlgebra)
+    child.__dict__["stacks"] = stacks    # read by the validation in __init__
+    child.__init__(name, size, tuple(ops), labels)
+    return child
+
+
 def product_algebra(a: FiniteAlgebra, b: FiniteAlgebra) -> FiniteAlgebra:
     """Direct product; pair (x, y) is encoded as x*|B| + y."""
     signature_map(a, b)
     size = a.size * b.size
-    ops = []
-    for op_a in a.operations:
-        r = op_a.arity
-        # axes x_1, y_1, ..., x_r, y_r; merging each (x_i, y_i) encodes the pair
-        xs = op_a.array.reshape((a.size, 1) * r)
-        ys = b.by_name[op_a.name].array.reshape((1, b.size) * r)
-        ops.append(OperationTable.from_array(
-            op_a.name, (xs * b.size + ys).reshape((size,) * r)))
+    arrays = {}
+    for arity, (positions, xs) in a.stacks.items():
+        other = b.stacks[arity]
+        row = {b.operations[pos].name: i for i, pos in enumerate(other.positions)}
+        ys = other.array[[row[a.operations[pos].name] for pos in positions]]
+        # axes x_1, y_1, ..., x_r, y_r after the operation's; merging each
+        # (x_i, y_i) encodes the pair
+        m = len(positions)
+        arrays[arity] = (xs.reshape((m,) + (a.size, 1) * arity) * b.size
+                         + ys.reshape((m,) + (1, b.size) * arity)).reshape((m,) + (size,) * arity)
     labels = None
     if a.labels is not None or b.labels is not None:
         labels = tuple(f"({a.label(x)},{b.label(y)})"
                        for x in range(a.size) for y in range(b.size))
-    return FiniteAlgebra(f"{a.name}x{b.name}", size, tuple(ops), labels)
+    return _derived(a, f"{a.name}x{b.name}", size, arrays, labels)
 
 
 def quotient(a: FiniteAlgebra, blocks: Sequence[Sequence[int]]
@@ -377,22 +482,21 @@ def _quotient(a: FiniteAlgebra, blocks: tuple[tuple[int, ...], ...]
     if any(v < 0 for v in block_of):
         raise ValidationError("blocks do not cover the universe")
     block = np.array(block_of)
-    reps = [blk[0] for blk in blocks]
-    ops = []
-    for op in a.operations:
-        table = block[_grid(op.array, reps)]
-        # compatibility: every choice of representatives lands in the same block
-        clash = block[op.array] != _grid(table, block)
-        if clash.any():
-            args = first_index(clash)
-            witness = tuple(reps[block_of[x]] for x in args)
-            raise NotACongruence(op.name, args, witness, op.apply(args, a.size),
-                                 op.apply(witness, a.size))
-        ops.append(OperationTable.from_array(op.name, table))
+    reps = np.array([blk[0] for blk in blocks])
+    arrays = {arity: block[_grid(stack.array, reps)] for arity, stack in a.stacks.items()}
+    # compatibility: every choice of representatives lands in the same block
+    clash = _first_failure(a.stacks, {arity: block[stack.array] != _grid(arrays[arity], block)
+                                      for arity, stack in a.stacks.items()})
+    if clash is not None:
+        pos, args = clash
+        op = a.operations[pos]
+        witness = tuple(blocks[block_of[x]][0] for x in args)
+        raise NotACongruence(op.name, args, witness, op.apply(args, a.size),
+                             op.apply(witness, a.size))
     labels = None
     if a.labels is not None:
         labels = tuple("|".join(a.label(x) for x in sorted(blk)) for blk in blocks)
-    return FiniteAlgebra(f"{a.name}/theta", len(blocks), tuple(ops), labels), tuple(block_of)
+    return _derived(a, f"{a.name}/theta", len(blocks), arrays, labels), tuple(block_of)
 
 
 def restrict(a: FiniteAlgebra, subset: Iterable[int]) -> tuple[FiniteAlgebra, tuple[int, ...]]:
@@ -408,29 +512,29 @@ def restrict(a: FiniteAlgebra, subset: Iterable[int]) -> tuple[FiniteAlgebra, tu
 
 def _restrict(a: FiniteAlgebra, emb: tuple[int, ...]) -> tuple[FiniteAlgebra, tuple[int, ...]]:
     a.check_elements(emb)
-    ops = []
-    for op in a.operations:
-        table = _reindexed(op, emb, a.size)
-        if (table < 0).any():
-            args = tuple(emb[i] for i in first_index(table < 0))
-            raise NotClosed(op.name, args, op.apply(args, a.size))
-        ops.append(OperationTable.from_array(op.name, table))
+    arrays = {arity: _reindexed(stack.array, emb, a.size) for arity, stack in a.stacks.items()}
+    escape = _first_failure(a.stacks, {arity: array < 0 for arity, array in arrays.items()})
+    if escape is not None:
+        pos, index = escape
+        args = tuple(emb[i] for i in index)
+        raise NotClosed(a.operations[pos].name, args, a.operations[pos].apply(args, a.size))
     labels = tuple(a.label(x) for x in emb) if a.labels is not None else None
     rname = f"{a.name}|{{{','.join(str(x) for x in emb)}}}"
-    return FiniteAlgebra(rname, len(emb), tuple(ops), labels), emb
+    return _derived(a, rname, len(emb), arrays, labels), emb
 
 
-def _reindexed(op: OperationTable, emb: Sequence[int], size: int) -> np.ndarray:
-    """op on emb^arity, each value replaced by its position in emb, or by -1
-    where it escapes emb."""
+def _reindexed(stack: np.ndarray, emb: Sequence[int], size: int) -> np.ndarray:
+    """A stacked array on emb^arity, each value replaced by its position in
+    emb, or by -1 where it escapes emb."""
+    emb = np.array(emb, dtype=np.intp)
     back = np.full(size, -1)
-    back[list(emb)] = np.arange(len(emb))
-    return back[_grid(op.array, emb)]
+    back[emb] = np.arange(len(emb))
+    return back[_grid(stack, emb)]
 
 
 def preserves(op: OperationTable, subset: Iterable[int], size: int) -> bool:
     """Does op map every tuple over the subset into it?"""
-    return bool((_reindexed(op, sorted(set(subset)), size) >= 0).all())
+    return bool((_reindexed(op.array[None], sorted(set(subset)), size) >= 0).all())
 
 
 def is_set(a: FiniteAlgebra) -> bool:
@@ -441,9 +545,9 @@ def is_set(a: FiniteAlgebra) -> bool:
 
 
 def is_closed_subset(a: FiniteAlgebra, subset: Iterable[int]) -> bool:
-    sub = set(subset)
+    sub = sorted(set(subset))
     a.check_elements(sub)
-    return all(preserves(op, sub, a.size) for op in a.operations)
+    return all((_reindexed(stack.array, sub, a.size) >= 0).all() for stack in a.stacks.values())
 
 
 def align_signatures(algebras: Sequence[FiniteAlgebra]) -> list[FiniteAlgebra]:

@@ -16,6 +16,8 @@ Tables are flat, row-major, radix-size; whitespace and line breaks inside a
 table are free-form.  `parse` returns the validated FiniteAlgebra (a bad
 token raises ValidationError before any check of the algebra) and `render`
 writes one in canonical form (rows of `size` entries): parse(render(a)) == a.
+A name or label that would not read back as one token (an empty one, or one
+holding whitespace or `#`) makes `render` raise ValidationError.
 """
 
 from __future__ import annotations
@@ -74,6 +76,13 @@ def parse(text: str) -> FiniteAlgebra:
 
 
 def render(algebra: FiniteAlgebra) -> str:
+    """The file text of the algebra; ValidationError for a name or label
+    that `parse` would not read back as one token."""
+    for what, token in [("algebra name", algebra.name)] + \
+            [("label", label) for label in algebra.labels or ()]:
+        if token.split() != [token] or "#" in token:
+            raise ValidationError(f"{what} {token!r} cannot be written to an algebra file: "
+                                  "it must be one token without whitespace or '#'")
     lines = [f"algebra {algebra.name}", f"size {algebra.size}"]
     if algebra.labels is not None:
         lines.append("labels " + " ".join(algebra.labels))
@@ -96,5 +105,6 @@ def load(path: str) -> FiniteAlgebra:
 
 
 def save(algebra: FiniteAlgebra, path: str) -> None:
+    text = render(algebra)      # before the file is opened: an error leaves no file
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(render(algebra))
+        fh.write(text)

@@ -197,9 +197,8 @@ def cmd_graph(args: argparse.Namespace) -> int:
     algebra = _load_one(args)
     graph = structure_graph(algebra)
     _write_or_print(graph_to_dot(graph, algebra.name), args.dot)
-    hg = hypergraph(algebra)
     if args.hyper_dot or not args.dot:
-        _write_or_print(hypergraph_to_dot(hg, algebra, f"{algebra.name}-hyper"),
+        _write_or_print(hypergraph_to_dot(hypergraph(algebra), algebra, f"{algebra.name}-hyper"),
                         args.hyper_dot)
     return EXIT_OK
 

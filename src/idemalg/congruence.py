@@ -148,8 +148,13 @@ def _translations(algebra: FiniteAlgebra) -> np.ndarray:
     maps and the identity are left out: they never merge a pair."""
     def compute() -> np.ndarray:
         n = algebra.size
-        rows = np.concatenate([np.moveaxis(op.array, pos, -1).reshape(-1, n)
-                               for op in algebra.operations for pos in range(op.arity)])
+        moved = [np.moveaxis(stack.array, pos, -1) for arity, stack in algebra.stacks.items()
+                 for pos in range(1, arity + 1)]
+        # filled in place, so that no copy of a moved stack is held besides it
+        rows, lo = np.empty((sum(m.size for m in moved) // n, n), dtype=np.intp), 0
+        for m in moved:
+            rows[lo:lo + m.size // n].reshape(m.shape)[...] = m
+            lo += m.size // n
         rows = rows[distinct_rows(rows, n)[0]]
         return rows[(rows != rows[:, :1]).any(axis=1) & (rows != np.arange(n)).any(axis=1)]
     return algebra.memoized(("translations",), compute)

@@ -274,17 +274,22 @@ _EDGE_STYLE = {
 }
 
 
+def dot_id(text: str) -> str:
+    """text as a quoted DOT identifier: backslash and double quote escaped."""
+    return '"' + text.replace("\\", "\\\\").replace('"', '\\"') + '"'
+
+
 def dot_graph(kind: str, name: str, algebra: FiniteAlgebra, lines: Iterable[str]) -> str:
     """The DOT `kind` (graph or digraph) `name`: a circle per element, then `lines`."""
-    return "\n".join([f'{kind} "{name}" {{', '  node [shape=circle];',
-                      *(f'  "{algebra.label(x)}";' for x in range(algebra.size)),
+    return "\n".join([f'{kind} {dot_id(name)} {{', '  node [shape=circle];',
+                      *(f'  {dot_id(algebra.label(x))};' for x in range(algebra.size)),
                       *lines, "}"]) + "\n"
 
 
 def graph_to_dot(graph: StructureGraph, name: str = "G") -> str:
     alg = graph.algebra
     return dot_graph("graph", name, alg, (
-        f'  "{alg.label(rep.pair[0])}" -- "{alg.label(rep.pair[1])}" '
+        f'  {dot_id(alg.label(rep.pair[0]))} -- {dot_id(alg.label(rep.pair[1]))} '
         f'[{_EDGE_STYLE[lab]}, label="{lab}"];'
         for rep in graph.reports for lab in sorted(rep.labels)))
 
@@ -295,8 +300,8 @@ def hypergraph_to_dot(hg: Hypergraph, algebra: FiniteAlgebra,
     lines = []
     for i, he in enumerate(hg.hyperedges):
         hid = f"he{i}"
-        label = "{" + ",".join(algebra.label(x) for x in he) + "}"
-        lines.append(f'  "{hid}" [shape=box, label="{label}"];')
+        label = dot_id("{" + ",".join(algebra.label(x) for x in he) + "}")
+        lines.append(f'  "{hid}" [shape=box, label={label}];')
         for x in he:
-            lines.append(f'  "{hid}" -- "{algebra.label(x)}" [style=dotted];')
+            lines.append(f'  "{hid}" -- {dot_id(algebra.label(x))} [style=dotted];')
     return dot_graph("graph", name, algebra, lines)

@@ -26,6 +26,7 @@ from .edges import (
     EdgeWitness,
     StructureGraph,
     dot_graph,
+    dot_id,
     structure_graph,
 )
 from .errors import EmptyResult, PostconditionFailed, PreconditionViolated
@@ -322,7 +323,7 @@ def thin_graph_to_dot(tg: ThinGraph, name: str = "thin") -> str:
     for e in tg.arcs:
         cert = "; ".join(f"{k}={v}" for k, v in e.info)
         nec = "" if e.necessary is None else f" nec={'y' if e.necessary else 'n'}"
-        lines.append(f'  "{alg.label(e.a)}" -> "{alg.label(e.b)}" '
+        lines.append(f'  {dot_id(alg.label(e.a))} -> {dot_id(alg.label(e.b))} '
                      f'[{_ARC_STYLE[e.kind]}, label="{e.kind}{nec}"];'
                      + (f'  // {cert}' if cert else ""))
     return dot_graph("digraph", name, alg, lines)

@@ -74,6 +74,26 @@ def test_save_load_roundtrip_property(tmp_path, alg):
     assert algfile.load(path) == alg
 
 
+@pytest.mark.parametrize("name, labels", [
+    ("", None), ("a b", None), ("a#b", None), ("a\nb", None), ("a\u2028b", None),
+    ("a", ("x y", "z")), ("a", ("x", "")), ("a", ("#", "z")), ("a", ("x\t", "z")),
+], ids=["empty", "space", "hash", "newline", "line-separator",
+        "label-space", "label-empty", "label-hash", "label-tab"])
+def test_render_rejects_names_and_labels_that_do_not_read_back(tmp_path, name, labels):
+    alg = validate_algebra(name, 2, [("f", 2, (0, 0, 0, 1))], labels)
+    with pytest.raises(ValidationError, match="cannot be written to an algebra file"):
+        algfile.render(alg)
+    with pytest.raises(ValidationError):
+        algfile.save(alg, str(tmp_path / "a.alg"))
+    assert not (tmp_path / "a.alg").exists()
+
+
+def test_names_and_labels_with_quotes_and_backslashes_round_trip(tmp_path):
+    alg = validate_algebra('q"', 2, [("f", 2, (0, 0, 0, 1))], ('x"', "y\\"))
+    algfile.save(alg, str(tmp_path / "a.alg"))
+    assert algfile.load(str(tmp_path / "a.alg")) == alg
+
+
 def test_parse_errors():
     with pytest.raises(ValidationError):
         algfile.parse("algebra x\nsize 2\nend\n")          # no operations
@@ -228,6 +248,19 @@ def test_cli_graph_writes_dot(tmp_path):
                  "--hyper-dot", str(hyper)]) == EXIT_OK
     assert "style=dotted" in dot.read_text()
     assert "shape=box" in hyper.read_text()
+
+
+def test_cli_graph_builds_the_hypergraph_only_to_write_it(tmp_path, monkeypatch, capsys):
+    calls = []
+    monkeypatch.setattr(cli, "hypergraph", lambda alg: calls.append(alg) or edges.hypergraph(alg))
+    dot, hyper = tmp_path / "g.dot", tmp_path / "h.dot"
+    assert main(["graph", "--fixture", "no-edge", "--dot", str(dot)]) == EXIT_OK
+    assert calls == [] and capsys.readouterr().out == ""
+    assert main(["graph", "--fixture", "no-edge", "--dot", str(dot),
+                 "--hyper-dot", str(hyper)]) == EXIT_OK
+    assert len(calls) == 1 and "shape=box" in hyper.read_text()
+    assert main(["graph", "--fixture", "no-edge"]) == EXIT_OK
+    assert len(calls) == 2 and "shape=box" in capsys.readouterr().out
 
 
 def test_cli_thin_writes_dot(tmp_path):

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from oracles import naive_classify_pair, random_idempotent_table
 
-from idemalg import algebra, edges, fixtures, generate
+from idemalg import algebra, edges, fixtures, generate, synthesis, thin
 from idemalg.algebra import (
     DEFAULT_CAP,
     DEFAULT_LIMITS,
@@ -204,6 +204,22 @@ def test_dot_export(a_ne, z3a):
     assert dot_z.count("style=dotted") == 3      # all three pairs affine
     hdot = hypergraph_to_dot(hypergraph(a_ne), a_ne)
     assert "shape=box" in hdot
+
+
+def test_dot_escapes_quotes_and_backslashes_in_names_and_labels():
+    """A two-element semilattice named q" with labels x" and y\\: every DOT
+    writer escapes both characters inside its quoted identifiers."""
+    sl = algebra.validate_algebra('q"', 2, [("m", 2, (0, 0, 0, 1))], ('x"', "y\\"))
+    x, y, q = r'"x\""', r'"y\\"', r'"q\""'
+    assert graph_to_dot(structure_graph(sl), sl.name).splitlines() == [
+        f"graph {q} {{", "  node [shape=circle];", f"  {x};", f"  {y};",
+        f'  {x} -- {y} [style=solid, color=black, label="semilattice"];', "}"]
+    hyper = hypergraph_to_dot(hypergraph(sl), sl, "h").splitlines()
+    assert hyper[4:6] == [r'  "he0" [shape=box, label="{x\"}"];', f'  "he0" -- {x} [style=dotted];']
+    arcs = thin.thin_graph(sl, synthesis.uniform_ops([sl]))
+    assert thin.thin_graph_to_dot(arcs, sl.name).splitlines()[0::4] == [
+        f"digraph {q} {{", f"  {y} -> {x} [style=solid, color=black, "
+        'label="thin-semilattice nec=y"];  // equations=a.b=b.a=b']
 
 
 def test_theorem_connectedness_on_all_fixture_subalgebras():
