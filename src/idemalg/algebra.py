@@ -1,15 +1,14 @@
 """Finite idempotent algebras: operation tables and the basic constructions.
 
 Elements are always the dense integers 0..n-1; optional labels are
-presentation-only.  An operation's canonical value is its flat, hashable
-`table` tuple, row-major and radix-n: f(a_1,...,a_r) sits at index
-((a_1*n + a_2)*n + ...)*n + a_r.  Its one decoded view is `array`, a
-read-only numpy array of shape (n,)*r, so that f(a_1,...,a_r) is
-array[a_1, ..., a_r], and `apply` is the scalar lookup.  An algebra stacks
-the arrays of its operations of each arity into one (`FiniteAlgebra.stacks`),
-so that restrict, quotient, product, the translations and the idempotency
-check index one array per arity, not one per operation.  Every algebra is
-validated on construction, idempotency included.
+presentation-only.  An algebra holds the tables of its operations of each
+arity as one read-only numpy array (`FiniteAlgebra.stacks`), which
+restrict, quotient, product, generation, the translations and the
+idempotency check index once per arity.  Each operation's `array`, of
+shape (n,)*r with f(a_1,...,a_r) at array[a_1, ..., a_r], is the view of
+its slice; its flat `table` is derived only when read.  An algebra built
+from outside data is checked on construction, idempotency included; the
+children of `restrict`, `quotient` and `product_algebra` are not.
 
 Rows over range(base) (closure rows, signatures, map slices, translations)
 are deduplicated by one exact integer key kept here, `row_keys`: numbered
@@ -72,22 +71,28 @@ RESERVED_NAMES = {"pow", "comp"}
 _NAME = re.compile(r"\w+")
 
 
-@dataclass(frozen=True)
 class OperationTable:
-    """A finitary operation on 0..size-1 given by its flat table."""
+    """A finitary operation on 0..n-1 with its read-only (n,)*arity `array`,
+    in an algebra the view of its slice of a stack.  A flat table given from
+    outside is checked by the algebra it joins.  Equal by name, arity and
+    entries."""
 
-    name: str
-    arity: int
-    table: tuple[int, ...]
+    def __init__(self, name: str, arity: int, table: Iterable[int]):
+        self.name, self.arity = name, arity
+        self.__dict__["table"] = tuple(table)
 
-    @staticmethod
-    def from_array(name: str, array: np.ndarray) -> "OperationTable":
-        """The operation whose `array` is the given (n,)*r integer array."""
-        arr = np.array(array, dtype=np.intp)
-        op = OperationTable(name, arr.ndim, tuple(arr.ravel().tolist()))
-        arr.setflags(write=False)
-        op.__dict__["array"] = arr      # the cached view, derived already
+    @classmethod
+    def from_array(cls, name: str, array: np.ndarray) -> "OperationTable":
+        """The operation of a valid (n,)*r intp array, made read-only, not copied."""
+        op = cls.__new__(cls)
+        op.name, op.arity, op.array = name, array.ndim, array
+        array.setflags(write=False)
         return op
+
+    @cached_property
+    def table(self) -> tuple[int, ...]:
+        """The flat table, row-major: f(a_1,...,a_r) at ((a_1*n + a_2)*n + ...)*n + a_r."""
+        return tuple(self.array.ravel().tolist())
 
     @cached_property
     def array(self) -> np.ndarray:
@@ -97,33 +102,30 @@ class OperationTable:
         arr.setflags(write=False)
         return arr
 
-    def apply(self, args: Sequence[int], size: int) -> int:
-        idx = 0
-        for a in args:
-            idx = idx * size + a
-        return self.table[idx]
+    def __eq__(self, other) -> bool:
+        return isinstance(other, OperationTable) and \
+            (self.name, self.arity, self.table) == (other.name, other.arity, other.table)
 
-    def validate(self, size: int) -> None:
-        """The checks of one operation on its own: name, table length and
-        entry range.  Idempotency is checked by its algebra, per arity."""
-        if not self.name or self.name in RESERVED_NAMES or self.name[0].isdigit() \
-                or self.name.startswith("p") and self.name[1:].isdigit() \
-                or not _NAME.fullmatch(self.name):
-            raise ValidationError(f"bad operation name {self.name!r}")
-        expected = table_length(self.name, size, self.arity)
-        if len(self.table) != expected:
-            raise BadTableLength(self.name, expected, len(self.table))
-        # before `array`: numpy cannot hold an entry beyond 64 bits
-        if self.table and not 0 <= min(self.table) <= max(self.table) < size:
-            raise EntryOutOfRange(self.name, next(x for x in self.table if not 0 <= x < size),
-                                  size)
+    def __hash__(self) -> int:
+        return hash((self.name, self.arity, self.table))
 
-    def is_projection(self, size: int) -> Optional[int]:
-        """Return the coordinate this operation projects onto, or None."""
-        for pos in range(self.arity):
-            if (self.array == coordinate(size, self.arity, pos)).all():
-                return pos
-        return None
+
+def _check_operation(op: OperationTable, size: int) -> None:
+    """The checks of one operation on its own; its algebra checks idempotency."""
+    if not op.name or op.name in RESERVED_NAMES or op.name[0].isdigit() \
+            or op.name.startswith("p") and op.name[1:].isdigit() \
+            or not _NAME.fullmatch(op.name):
+        raise ValidationError(f"bad operation name {op.name!r}")
+    table = op.table
+    expected = table_length(op.name, size, op.arity)
+    if len(table) != expected:
+        raise BadTableLength(op.name, expected, len(table))
+    if not all(issubclass(t, Integral) for t in set(map(type, table))):
+        bad = next(x for x in table if not isinstance(x, Integral))
+        raise ValidationError(f"operation {op.name!r}: entry {bad!r} is not an integer")
+    # before the stack: numpy cannot hold an entry beyond 64 bits
+    if not 0 <= min(table) <= max(table) < size:
+        raise EntryOutOfRange(op.name, next(x for x in table if not 0 <= x < size), size)
 
 
 def table_length(name: str, size: int, arity: int) -> int:
@@ -167,8 +169,9 @@ class Stack(NamedTuple):
 
 
 def _stack_tables(operations: Sequence[OperationTable], size: int) -> dict[int, Stack]:
-    """One Stack per arity, by arity in order of first declaration.  An
-    operation whose `array` is not derived yet gets the view of its slice."""
+    """One Stack per arity, by arity in order of first declaration, from
+    the checked tables.  An operation gets the view of its slice unless it
+    has an `array`, and its `table` is derived from that again when read."""
     groups: dict[int, list[int]] = {}
     for pos, op in enumerate(operations):
         groups.setdefault(op.arity, []).append(pos)
@@ -179,6 +182,7 @@ def _stack_tables(operations: Sequence[OperationTable], size: int) -> dict[int, 
         array.setflags(write=False)
         for pos, view in zip(positions, array):
             operations[pos].__dict__.setdefault("array", view)
+            operations[pos].__dict__.pop("table", None)
         stacks[arity] = Stack(tuple(positions), array)
     return stacks
 
@@ -212,10 +216,10 @@ def _check_idempotent(operations: Sequence[OperationTable], stacks: Mapping[int,
     if failure is not None:
         pos, (x,) = failure
         op = operations[pos]
-        raise NonIdempotent(op.name, x, op.apply((x,) * op.arity, size))
+        raise NonIdempotent(op.name, x, int(op.array[(x,) * op.arity]))
 
 
-def _grid(stack: np.ndarray, coords: np.ndarray) -> np.ndarray:
+def grid(stack: np.ndarray, coords: np.ndarray) -> np.ndarray:
     """A stacked array at every tuple over coords: stack[:, coords, ..., coords]."""
     for axis in range(1, stack.ndim):
         stack = stack.take(coords, axis=axis)
@@ -237,8 +241,7 @@ class FiniteAlgebra:
     labels: Optional[tuple[str, ...]] = None
 
     def __post_init__(self) -> None:
-        if self.size < 1:
-            raise ValidationError("universe must be nonempty")
+        check_count("universe size", self.size)
         if not self.operations:
             raise ValidationError("algebra must have at least one operation")
         seen = set()
@@ -247,16 +250,15 @@ class FiniteAlgebra:
                 if op.name in seen:
                     raise DuplicateOpName(op.name)
                 seen.add(op.name)
-                op.validate(self.size)
+                _check_operation(op, self.size)
             except Exception:
                 # an operation declared before this one fails first
                 _check_idempotent(self.operations,
                                   _stack_tables(self.operations[:count], self.size), self.size)
                 raise
         _check_idempotent(self.operations, self.stacks, self.size)
-        if self.labels is not None:
-            if len(self.labels) != self.size or len(set(self.labels)) != self.size:
-                raise ValidationError("labels must be distinct, one per element")
+        if self.labels is not None and not len(self.labels) == len(set(self.labels)) == self.size:
+            raise ValidationError("labels must be distinct, one per element")
 
     @cached_property
     def by_name(self) -> Mapping[str, OperationTable]:
@@ -285,11 +287,11 @@ class FiniteAlgebra:
         children, "closure maps", "closure layout", "realize",
         "translations" and "subuniverse" each cost time polynomial in the
         tables, where an analysis enumerates congruences, subuniverses or
-        pairs.  The children and "translations" are computed on `stacks`,
-        one gather per arity; a child's stacks are the arrays computed for
-        it, and each of its `op.array` is a view of one slice.  Pair
-        searches are shared by content within one request instead
-        (`request_scope`), and re-checked at each reuse."""
+        pairs.  The children, "translations" and "subuniverse" are computed
+        on `stacks`, one gather per arity; a child's stacks are the arrays
+        computed for it, its only storage.  Pair searches are shared by
+        content within one request instead (`request_scope`), and re-checked
+        at each reuse."""
         memo = self._memo
         if key not in memo:
             memo[key] = compute()
@@ -306,7 +308,8 @@ class FiniteAlgebra:
         return self.by_name[name]
 
     def apply(self, name: str, args: Sequence[int]) -> int:
-        return self.by_name[name].apply(args, self.size)
+        """f(args) for the operation named f: the one scalar lookup."""
+        return int(self.by_name[name].array[tuple(args)])
 
     def label(self, x: int) -> str:
         return self.labels[x] if self.labels is not None else str(x)
@@ -388,7 +391,7 @@ def validate_algebra(name: str,
                      labels: Optional[Sequence[str]] = None) -> FiniteAlgebra:
     """Build a FiniteAlgebra from raw data, raising a typed diagnostic on
     any defect (table length, range, idempotency, duplicate names)."""
-    ops = tuple(OperationTable(n, a, tuple(t)) for n, a, t in operations)
+    ops = tuple(OperationTable(n, a, t) for n, a, t in operations)
     return FiniteAlgebra(name, size, ops,
                          tuple(labels) if labels is not None else None)
 
@@ -414,22 +417,22 @@ def _derived(a: FiniteAlgebra, name: str, size: int, arrays: Mapping[int, np.nda
     """The algebra with the operations of `a`, whose tables of each arity
     are the fresh array of that arity, stacked like `a.stacks`.  Those
     arrays become its stacks, and each of its `op.array` the view of one
-    slice, so nothing is stacked twice."""
+    slice.  The operations are not checked again: their names come from
+    `a`, which was checked, and their entries lie in range by construction.
+    Only labels are, since derived ones may collide."""
     ops: list = [None] * len(a.operations)
     stacks = {}
     for arity, array in arrays.items():
-        array.setflags(write=False)
         positions = a.stacks[arity].positions
         for pos, view in zip(positions, array):
-            # one slice's list at a time: the lists of a whole stack would
-            # raise the peak memory of a large product
-            ops[pos] = op = OperationTable(a.operations[pos].name, arity,
-                                           tuple(view.reshape(-1).tolist()))
-            op.__dict__["array"] = view      # the cached view, derived already
+            ops[pos] = OperationTable.from_array(a.operations[pos].name, view)
+        array.setflags(write=False)
         stacks[arity] = Stack(positions, array)
+    if labels is not None and len(set(labels)) != size:
+        raise ValidationError("labels must be distinct, one per element")
     child = object.__new__(FiniteAlgebra)
-    child.__dict__["stacks"] = stacks    # read by the validation in __init__
-    child.__init__(name, size, tuple(ops), labels)
+    child.__dict__.update(name=name, size=size, operations=tuple(ops), labels=labels,
+                          stacks=stacks)
     return child
 
 
@@ -483,16 +486,15 @@ def _quotient(a: FiniteAlgebra, blocks: tuple[tuple[int, ...], ...]
         raise ValidationError("blocks do not cover the universe")
     block = np.array(block_of)
     reps = np.array([blk[0] for blk in blocks])
-    arrays = {arity: block[_grid(stack.array, reps)] for arity, stack in a.stacks.items()}
+    arrays = {arity: block[grid(stack.array, reps)] for arity, stack in a.stacks.items()}
     # compatibility: every choice of representatives lands in the same block
-    clash = _first_failure(a.stacks, {arity: block[stack.array] != _grid(arrays[arity], block)
+    clash = _first_failure(a.stacks, {arity: block[stack.array] != grid(arrays[arity], block)
                                       for arity, stack in a.stacks.items()})
     if clash is not None:
         pos, args = clash
         op = a.operations[pos]
         witness = tuple(blocks[block_of[x]][0] for x in args)
-        raise NotACongruence(op.name, args, witness, op.apply(args, a.size),
-                             op.apply(witness, a.size))
+        raise NotACongruence(op.name, args, witness, int(op.array[args]), int(op.array[witness]))
     labels = None
     if a.labels is not None:
         labels = tuple("|".join(a.label(x) for x in sorted(blk)) for blk in blocks)
@@ -512,42 +514,48 @@ def restrict(a: FiniteAlgebra, subset: Iterable[int]) -> tuple[FiniteAlgebra, tu
 
 def _restrict(a: FiniteAlgebra, emb: tuple[int, ...]) -> tuple[FiniteAlgebra, tuple[int, ...]]:
     a.check_elements(emb)
-    arrays = {arity: _reindexed(stack.array, emb, a.size) for arity, stack in a.stacks.items()}
+    arrays = {arity: reindexed(stack.array, emb, a.size) for arity, stack in a.stacks.items()}
     escape = _first_failure(a.stacks, {arity: array < 0 for arity, array in arrays.items()})
     if escape is not None:
         pos, index = escape
         args = tuple(emb[i] for i in index)
-        raise NotClosed(a.operations[pos].name, args, a.operations[pos].apply(args, a.size))
+        op = a.operations[pos]
+        raise NotClosed(op.name, args, int(op.array[args]))
     labels = tuple(a.label(x) for x in emb) if a.labels is not None else None
     rname = f"{a.name}|{{{','.join(str(x) for x in emb)}}}"
     return _derived(a, rname, len(emb), arrays, labels), emb
 
 
-def _reindexed(stack: np.ndarray, emb: Sequence[int], size: int) -> np.ndarray:
+def reindexed(stack: np.ndarray, emb: Sequence[int], size: int) -> np.ndarray:
     """A stacked array on emb^arity, each value replaced by its position in
     emb, or by -1 where it escapes emb."""
     emb = np.array(emb, dtype=np.intp)
     back = np.full(size, -1)
     back[emb] = np.arange(len(emb))
-    return back[_grid(stack, emb)]
+    return back[grid(stack, emb)]
 
 
-def preserves(op: OperationTable, subset: Iterable[int], size: int) -> bool:
-    """Does op map every tuple over the subset into it?"""
-    return bool((_reindexed(op.array[None], sorted(set(subset)), size) >= 0).all())
+def projection_index(stack: np.ndarray) -> np.ndarray:
+    """For each operation of a stacked array, the least coordinate it
+    projects onto, -1 where it is no projection."""
+    m, arity = len(stack), stack.ndim - 1
+    index = np.full(m, -1)
+    for pos in reversed(range(arity)):
+        index[(stack == coordinate(stack.shape[-1], arity, pos)).reshape(m, -1).all(axis=1)] = pos
+    return index
 
 
 def is_set(a: FiniteAlgebra) -> bool:
     """True iff every basic operation is a projection.  Compositions of
     projections are projections, so this decides whether every term
     operation is one."""
-    return all(op.is_projection(a.size) is not None for op in a.operations)
+    return all((projection_index(stack.array) >= 0).all() for stack in a.stacks.values())
 
 
 def is_closed_subset(a: FiniteAlgebra, subset: Iterable[int]) -> bool:
     sub = sorted(set(subset))
     a.check_elements(sub)
-    return all((_reindexed(stack.array, sub, a.size) >= 0).all() for stack in a.stacks.values())
+    return all((reindexed(stack.array, sub, a.size) >= 0).all() for stack in a.stacks.values())
 
 
 def align_signatures(algebras: Sequence[FiniteAlgebra]) -> list[FiniteAlgebra]:
@@ -558,28 +566,19 @@ def align_signatures(algebras: Sequence[FiniteAlgebra]) -> list[FiniteAlgebra]:
     every other derived notion are unaffected.  A member that lacks nothing
     is returned as it is, memoized analyses included.  Name clashes with
     differing arities are rejected."""
-    arities: dict[str, int] = {}
-    order: list[str] = []
+    arities: dict[str, int] = {}    # in order of first declaration
     for alg in algebras:
         for nm, ar in alg.signature:
-            if nm in arities:
-                if arities[nm] != ar:
-                    raise SignatureMismatch(
-                        f"operation {nm!r} used with arities {arities[nm]} and {ar}")
-            else:
-                arities[nm] = ar
-                order.append(nm)
+            if arities.setdefault(nm, ar) != ar:
+                raise SignatureMismatch(
+                    f"operation {nm!r} used with arities {arities[nm]} and {ar}")
     out = []
     for alg in algebras:
-        ops = []
-        for nm in order:
-            if nm in alg.by_name:
-                ops.append(alg.by_name[nm])
-            else:
-                ops.append(OperationTable.from_array(
-                    nm, coordinate(alg.size, arities[nm], 0)))
-        out.append(alg if tuple(ops) == alg.operations else
-                   FiniteAlgebra(alg.name, alg.size, tuple(ops), alg.labels))
+        ops = tuple(alg.by_name.get(nm)
+                    or OperationTable.from_array(nm, coordinate(alg.size, ar, 0))
+                    for nm, ar in arities.items())
+        out.append(alg if ops == alg.operations else
+                   FiniteAlgebra(alg.name, alg.size, ops, alg.labels))
     return out
 
 

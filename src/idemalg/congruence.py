@@ -32,7 +32,6 @@ import numpy as np
 
 from .algebra import (
     FiniteAlgebra,
-    OperationTable,
     batch_len,
     distinct_rows,
     is_set,
@@ -388,15 +387,13 @@ def absorbing_elements(algebra: FiniteAlgebra, cap: int = TERM_SEARCH_CAP
         except CapExceededError:
             break
         reached = arity
-        for table, _ in tops:
-            array = OperationTable("t", arity, table).array
-            for pos in range(arity):
-                # row a: the values with a at pos, over every fill of the rest
-                rows = np.moveaxis(array, pos, 0).reshape(n, -1)
-                if (rows == rows[0]).all():
-                    continue     # the operation does not depend on pos
-                candidates &= set(np.flatnonzero(
-                    (rows == np.arange(n)[:, None]).all(axis=1)).tolist())
-                if not candidates:
-                    return [], reached
+        stack = np.array([t for t, _ in tops], np.uint8).reshape((len(tops),) + (n,) * arity)
+        for pos in range(arity):
+            # [operation, a, fill]: the values with a at pos, over every fill of the rest
+            rows = np.moveaxis(stack, pos + 1, 1).reshape(len(tops), n, -1)
+            depends = (rows != rows[:, :1]).any(axis=(1, 2))
+            candidates &= set(np.flatnonzero(
+                (rows[depends] == np.arange(n)[:, None]).all(axis=(0, 2))).tolist())
+        if not candidates:
+            return [], reached
     return sorted(candidates), reached

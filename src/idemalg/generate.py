@@ -1,26 +1,17 @@
 """Generation with provenance and the subpower membership oracle.
 
-Two closure engines live here.  Element generation inside one algebra is a
-plain breadth-first closure with provenance (deterministic: rounds, then
-operations in declaration order, then argument tuples in lexicographic
-order).  Subpower queries close a set of tuples under the coordinatewise
-operations; that engine is vectorized with numpy and deduplicates the
-partial applications of the operations by the signature of the unary maps
-they induce per coordinate, which is what makes desk-scale instances with
-ternary operations tractable.  One map table holds the distinct unary maps
-of all operations; with the lookup tables and key weights that read it, it
-is built once per (algebra, k) and memoized on the algebra, or, for columns
-in several algebras, once per closure.  One store holds each signature once,
-whichever operations induce it.  Every arity, unary included, runs
-through one sweep path in one discovery order (see `TupleClosure`).  Rows,
-signatures and maps are deduplicated by the exact key of the table kernel
-in `algebra.py` (`row_keys`, `KeyIndex`, `distinct_rows`): a sum of
-weighted digits, one int64 limb per g columns.  The sweep sums each
-candidate row's key from weighted map lookups and builds only the rows it
-appends; registration sums each signature's key from weighted map ids and
-stores the map ids of the signatures it records only.  Coordinates may live
-in different algebras of one signature, so queries over products of
-quotients need no product algebras.
+Two closure engines live here, both on the algebras' stacks.  Element
+generation inside one algebra is a breadth-first closure with provenance
+(deterministic: rounds, then operations in declaration order, then argument
+tuples in lexicographic order), one gather per arity and round.  Subpower
+queries close a set of tuples under the coordinatewise operations
+(`TupleClosure`); that engine deduplicates the partial applications of the
+operations by the signature of the unary maps they induce per coordinate,
+which is what makes desk-scale instances with ternary operations
+tractable.  Rows, signatures and maps are deduplicated by the exact key of
+the table kernel in `algebra.py` (`row_keys`, `KeyIndex`, `distinct_rows`).
+Coordinates may live in different algebras of one signature, so queries
+over products of quotients need no product algebras.
 
 A closure given a target stops right after the target's row, whether a
 generator or a row the sweep appends: the rows, provenance and witness up
@@ -50,11 +41,11 @@ from .algebra import (
     DEFAULT_CAP,
     FiniteAlgebra,
     KeyIndex,
-    OperationTable,
     batch_len,
     check_count,
     coordinate,
     distinct_rows,
+    grid,
     key_layout,
     limb_keys,
     request_cache,
@@ -102,26 +93,37 @@ class GenerationTrace:
 
 
 def generate_subalgebra(algebra: FiniteAlgebra, seeds: Sequence[int]) -> GenerationTrace:
-    """Least subuniverse containing seeds, breadth first."""
+    """Least subuniverse containing seeds, breadth first: a round gathers
+    every operation at every tuple over the elements known when it starts,
+    one arity at a time, and appends each new element at its first
+    occurrence by (declaration position, arguments in lexicographic order)."""
     if not seeds:
         raise ValueError("generation needs at least one seed element")
     algebra.check_elements(seeds)
     gens = tuple(dict.fromkeys(seeds))
     elements = list(gens)
     prov: dict[int, Provenance] = {e: ("gen", i) for i, e in enumerate(gens)}
-    known = set(gens)
-    frontier_done = 0
-    while frontier_done != len(elements):
-        frontier_done = len(elements)
-        snapshot = sorted(known)
-        for op in algebra.operations:
-            for args in product(snapshot, repeat=op.arity):
-                v = op.apply(args, algebra.size)
-                if v not in known:
-                    known.add(v)
-                    elements.append(v)
-                    prov[v] = ("step", op.name, args)
-    return GenerationTrace(algebra, gens, tuple(elements), prov)
+    known = np.zeros(algebra.size, bool)
+    known[list(gens)] = True
+    while True:
+        snapshot = known.nonzero()[0]
+        found = []   # per arity, (position, arguments' index, arity, value) of each first
+        for arity, (positions, stack) in algebra.stacks.items():
+            values = grid(stack, snapshot).ravel()
+            first = np.full(algebra.size, len(values))   # of each value in `values`
+            np.minimum.at(first, values, np.arange(len(values)))
+            new = (~known & (first < len(values))).nonzero()[0]
+            rows, index = np.divmod(first[new], len(snapshot) ** arity)
+            found += [(positions[row], i, arity, v)
+                      for row, i, v in zip(rows.tolist(), index.tolist(), new.tolist())]
+        if not found:
+            return GenerationTrace(algebra, gens, tuple(elements), prov)
+        for pos, i, arity, v in sorted(found):
+            if not known[v]:
+                known[v] = True
+                args = snapshot[list(np.unravel_index(i, (len(snapshot),) * arity))]
+                elements.append(v)
+                prov[v] = ("step", algebra.operations[pos].name, tuple(args.tolist()))
 
 
 def witness_term(trace: GenerationTrace, element: int) -> Term:
@@ -281,16 +283,18 @@ def _map_tables(algs: Sequence[FiniteAlgebra], base: int):
     where luts[a][i, prefix] is the map id of the i-th of them at the prefix (a
     radix-size integer of leading arguments) in algs[a].  The arrays are read-only:
     over one algebra they are memoized on it and shared by its closures."""
-    sig = algs[0].signature
-    slices = [alg.op(name).array.reshape(-1, alg.size) for name, _ in sig for alg in algs]
-    table = np.concatenate([s.take(range(base), axis=1, mode="clip") for s in slices])
+    arities = sorted(algs[0].stacks)
+    # per arity and algebra, the slices of its stack, operation by operation
+    slices = [alg.stacks[arity].array.reshape(-1, alg.size).take(range(base), axis=1, mode="clip")
+              for arity in arities for alg in algs]
+    table = np.concatenate(slices)
     first, inv = distinct_rows(table, base)
     maps = table[first].astype(np.uint8)
     ids = np.split(inv.astype(np.int32), np.cumsum([len(s) for s in slices]))
     groups = []
-    for arity in sorted({arity for _, arity in sig}):
-        ops = np.array([i for i, (_, a) in enumerate(sig) if a == arity])
-        luts = [np.stack([ids[o * len(algs) + a] for o in ops]) for a in range(len(algs))]
+    for i, arity in enumerate(arities):
+        ops = np.array(algs[0].stacks[arity].positions)
+        luts = [ids[i * len(algs) + a].reshape(len(ops), -1) for a in range(len(algs))]
         groups.append((arity, ops, luts))
     for arr in [maps] + [arr for _, ops, luts in groups for arr in (ops, *luts)]:
         arr.flags.writeable = False
@@ -329,25 +333,18 @@ class TupleClosure:
 
     Rows live in a growing uint8 matrix.  Rows, by their exact keys, and
     signatures, by the exact keys of their map ids, are numbered in one
-    `KeyIndex` each, from the key kernel in `algebra.py`: a dense int32
-    slot array while `base**k` (rows) or `len(_maps)**k` (signatures) is at
-    most `DENSE` = 2**18 (1 MB), which covers every closure of the subpower
-    benchmark; a dict beyond, for the wide closures of term operations and
-    reducts.  Peak RSS stays within 2% of the dict's on every benchmark
-    workload; int64 slots up to 2**22 added 8-10% on the CLI workloads.
+    `KeyIndex` each: dense while `base**k` (rows) or `len(_maps)**k`
+    (signatures) is at most `DENSE`, as in every closure of the subpower
+    benchmark, with peak RSS within 2% of a dict's on every workload.
     A row's key sums its weighted digits, one limb per g columns
     (`key_layout`), so a candidate row's key, a signature's maps applied to
     a row, is a sum of k lookups in the round's table of weighted map
     values; only the rows appended are built.  Likewise a signature's key
     sums its weighted map ids, gathered per column algebra from the map
     table's lookup tables; only the map ids of the signatures recorded are
-    stored.  When every column is the same algebra, all of this that
-    depends only on the algebra and k is cached (`_layout`, memoized on the
-    algebra under ("closure layout", k)) and shared read-only by its
-    closures: the map table and the per-arity lookup tables (`_map_tables`,
-    under ("closure maps",) for every k), and the signature key's limb
-    weights per column and limb count.  A closure builds only its row and
-    signature stores and their `KeyIndex`es.
+    stored.  What depends only on the column algebra and k is memoized on
+    it when every column is the same algebra (`_layout`); a closure builds
+    only its row and signature stores and their `KeyIndex`es.
     The last argument of every operation is swept vectorized; combinations
     of the leading ones (the empty one for a unary operation) are
     registered by the signature of the per-coordinate unary maps they
@@ -748,7 +745,8 @@ def search_key(algebra: FiniteAlgebra, kind: str, a: int, b: int, cap: int) -> t
 
 def _search_key(algebra: FiniteAlgebra, kind: str, search: tuple, cap: int) -> tuple:
     _, generators, targets = search
-    return (kind, algebra.size, tuple((op.name, op.table) for op in algebra.operations),
+    return (kind, algebra.size, algebra.signature,
+            tuple((s.positions, s.array.shape, s.array.tobytes()) for s in algebra.stacks.values()),
             generators, targets, cap)
 
 
@@ -839,8 +837,7 @@ def term_operations(algebra: FiniteAlgebra, arity: int, cap: int = DEFAULT_CAP
     Raises CapExceededError when the clone is larger than the cap; a partial
     enumeration would be unusable."""
     n = algebra.size
-    gens = tuple(OperationTable.from_array("p", coordinate(n, arity, p)).table
-                 for p in range(arity))
+    gens = [coordinate(n, arity, p).ravel().tolist() for p in range(arity)]
     cl = TupleClosure((algebra,) * n ** arity, gens, cap)
     if not cl.complete:
         raise CapExceededError(cap, f"arity-{arity} term enumeration on {algebra.name}")

@@ -12,7 +12,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from .algebra import FiniteAlgebra, OperationTable, current_limits, preserves
+import numpy as np
+
+from .algebra import FiniteAlgebra, OperationTable, current_limits, reindexed
 from .edges import (
     MAJORITY,
     SEMILATTICE,
@@ -66,10 +68,13 @@ def bounded_reduct(algebra: FiniteAlgebra, witness: EdgeWitness,
     ops: list[tuple[OperationTable, Term]] = []
     n, cap = algebra.size, current_limits().cap
     for arity in range(1, max_arity + 1):
-        for table, term in term_operations(algebra, arity, cap):
-            op = OperationTable(f"t{len(ops)}", arity, table)
-            if preserves(op, r_ab, n):
-                ops.append((op, term))
+        found = term_operations(algebra, arity, cap)
+        stack = np.array([t for t, _ in found], np.uint8).reshape((len(found),) + (n,) * arity)
+        # those that map every tuple over r_ab into it
+        keep = (reindexed(stack, sorted(r_ab), n) >= 0).reshape(len(found), -1).all(axis=1)
+        for (table, term), kept in zip(found, keep.tolist()):
+            if kept:
+                ops.append((OperationTable(f"t{len(ops)}", arity, table), term))
     return BoundedReduct(algebra, witness.pair, tuple(sorted(r_ab)),
                          max_arity, tuple(ops))
 

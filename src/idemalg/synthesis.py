@@ -21,7 +21,8 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .algebra import FiniteAlgebra, align_signatures, current_limits, first_index, restrict
+from .algebra import (FiniteAlgebra, align_signatures, current_limits, first_index,
+                      projection_index, restrict)
 from .congruence import Congruence
 from .edges import (
     AFFINE,
@@ -301,7 +302,8 @@ _TERNARY_KINDS = {
 
 
 def _projection_index(term: Term, algebra: FiniteAlgebra) -> Optional[int]:
-    return realize_table(term, algebra).is_projection(algebra.size)
+    pos = int(projection_index(realize_table(term, algebra).array[None])[0])
+    return pos if pos >= 0 else None
 
 
 def _equals(term: Term, algebra: FiniteAlgebra, table: np.ndarray) -> bool:
@@ -356,9 +358,7 @@ def module_projection_fix(algebras: Sequence[FiniteAlgebra], op: Term,
 
 def _must_agree(before: Term, after: Term, algebra: FiniteAlgebra,
                 what: str) -> None:
-    tb = realize_table(before, algebra)
-    ta = realize_table(after, algebra)
-    if tb.table != ta.table:
+    if not _equals(after, algebra, realize_table(before, algebra).array):
         raise PostconditionFailed(f"{what} changed the operation on the edge")
 
 

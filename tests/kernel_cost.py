@@ -8,8 +8,8 @@ semilattice or majority edge (137 term operations of arities 1-3, as
 repeats: `restrict` to the first proper subuniverse generated by a pair,
 `quotient` by the proper congruence with the fewest blocks,
 `product_algebra` of those two (which share the reduct's signature) and
-the reduct's translations.  The
-memo of the reduct is cleared before every call, so each call computes.
+the reduct's translations, `generate_subalgebra` of that pair and `is_set`
+on the reduct.  The memo of the reduct is cleared before every call, so each call computes.
 Prints a markdown table, appended to `$GITHUB_STEP_SUMMARY` when that is
 set.  Not collected by pytest (the name does not start with `test_`).
 """
@@ -21,11 +21,11 @@ import os
 import time
 from itertools import combinations
 
-from idemalg.algebra import product_algebra, quotient, restrict
+from idemalg.algebra import is_set, product_algebra, quotient, restrict
 from idemalg.congruence import _translations, congruence_lattice
 from idemalg.edges import MAJORITY, SEMILATTICE, structure_graph
 from idemalg.fixtures import no_majority_symmetry
-from idemalg.generate import subuniverse
+from idemalg.generate import generate_subalgebra, subuniverse
 from idemalg.reduct import bounded_reduct
 
 
@@ -54,8 +54,8 @@ def main() -> None:
     parser.add_argument("--repeats", type=int, default=200)
     repeats = parser.parse_args().repeats
     a = reduct().algebra
-    subset = next(s for x, y in combinations(range(a.size), 2)
-                  if len(s := sorted(subuniverse(a, (x, y)))) < a.size)
+    pair, subset = next(((x, y), s) for x, y in combinations(range(a.size), 2)
+                        if len(s := sorted(subuniverse(a, (x, y)))) < a.size)
     theta = min((c for c in congruence_lattice(a) if len(c.blocks) > 1),
                 key=lambda c: len(c.blocks))
     sub, quo = restrict(a, subset)[0], quotient(a, theta.blocks)[0]
@@ -64,6 +64,8 @@ def main() -> None:
         (f"quotient by {theta}", lambda: quotient(a, theta.blocks)),
         (f"product_algebra, {sub.size} x {quo.size} elements", lambda: product_algebra(sub, quo)),
         ("translations", lambda: _translations(a)),
+        (f"generate_subalgebra of {pair}", lambda: generate_subalgebra(a, pair)),
+        ("is_set", lambda: is_set(a)),
     ]
     lines = [f"{len(a.operations)} operations on {a.size} elements",
              "", "| call | µs (min of %d) |" % repeats, "|---|---|"]

@@ -1,9 +1,9 @@
 """Reference implementations the tests compare the runtime package against.
 
 Plain Python loops over `itertools.product`, sharing no code with the
-numpy kernels they check: each reads operation tables only through
-`OperationTable.apply` or its own radix-n `table_index`, never through
-`OperationTable.array`.
+numpy kernels they check: each reads operation tables only through the
+flat `OperationTable.table`, by `apply_op` or its own radix-n
+`table_index`, never through `OperationTable.array` or the stacks.
 """
 
 import random
@@ -34,6 +34,18 @@ def table_index(args, size):
     for a in args:
         idx = idx * size + a
     return idx
+
+
+def apply_op(op, args, size):
+    """The operation's value at args, read off its flat table."""
+    return op.table[table_index(args, size)]
+
+
+def projection_index(op, size):
+    """The least coordinate the operation projects onto, or None."""
+    return next((pos for pos in range(op.arity)
+                 if all(apply_op(op, args, size) == args[pos]
+                        for args in product(range(size), repeat=op.arity))), None)
 
 
 def scalar_evaluate(t, algebra, args: Sequence[int]) -> int:
@@ -115,8 +127,8 @@ def naive_tolerance_generated(algebra, pairs):
         current = sorted(rel)
         for op in algebra.operations:
             for combo in product(current, repeat=op.arity):
-                u = op.apply([p[0] for p in combo], n)
-                v = op.apply([p[1] for p in combo], n)
+                u = apply_op(op, [p[0] for p in combo], n)
+                v = apply_op(op, [p[1] for p in combo], n)
                 if (u, v) not in rel:
                     rel.add((u, v))
                     rel.add((v, u))
@@ -154,9 +166,9 @@ def naive_tolerance_check(algebra, seed):
 
 def naive_translations(algebra):
     """Every translation x |-> f(c-bar with x at position i), as a set of
-    tuples, read through `op.apply`."""
+    tuples, read through `apply_op`."""
     n = algebra.size
-    return {tuple(op.apply(c[:i] + (x,) + c[i:], n) for x in range(n))
+    return {tuple(apply_op(op, c[:i] + (x,) + c[i:], n) for x in range(n))
             for op in algebra.operations for i in range(op.arity)
             for c in product(range(n), repeat=op.arity - 1)}
 
@@ -165,7 +177,7 @@ def naive_cg(algebra, pairs):
     """Least congruence containing the pairs, as a frozenset of ordered
     pairs: the reflexive symmetric relation on the pairs, closed under every
     translation x |-> f(c-bar with x at position i), read through
-    `op.apply`, and under transitivity, until neither adds a pair."""
+    `apply_op`, and under transitivity, until neither adds a pair."""
     n = algebra.size
     moves = naive_translations(algebra)
     rel: set[tuple[int, int]] = set()
@@ -205,8 +217,8 @@ def naive_relation_compatible(algebra, pairs):
     current = sorted(pairs)
     for op in algebra.operations:
         for combo in product(current, repeat=op.arity):
-            u = op.apply([p[0] for p in combo], algebra.size)
-            v = op.apply([p[1] for p in combo], algebra.size)
+            u = apply_op(op, [p[0] for p in combo], algebra.size)
+            v = apply_op(op, [p[1] for p in combo], algebra.size)
             if (u, v) not in pairs:
                 return False
     return True
@@ -218,9 +230,9 @@ def is_compatible(algebra, part) -> bool:
     for op in algebra.operations:
         r = op.arity
         for args in product(range(algebra.size), repeat=r):
-            v = op.apply(args, algebra.size)
+            v = apply_op(op, args, algebra.size)
             rep = tuple(part.blocks[bi[x]][0] for x in args)
-            if bi[v] != bi[op.apply(rep, algebra.size)]:
+            if bi[v] != bi[apply_op(op, rep, algebra.size)]:
                 return False
     return True
 
@@ -314,10 +326,10 @@ def find_isomorphism(a, b, max_size: int = 8) -> Optional[tuple[int, ...]]:
             for args in product(range(n), repeat=op.arity):
                 if any(image[x] is None for x in args):
                     continue
-                v = op.apply(args, n)
+                v = apply_op(op, args, n)
                 if image[v] is None:
                     continue
-                if opb.apply([image[x] for x in args], n) != image[v]:
+                if apply_op(opb, [image[x] for x in args], n) != image[v]:
                     return False
         return True
 
@@ -350,7 +362,7 @@ def naive_restrict(algebra, subset):
     for op in algebra.operations:
         table = []
         for args in product(emb, repeat=op.arity):
-            v = op.apply(args, algebra.size)
+            v = apply_op(op, args, algebra.size)
             if v not in back:
                 raise NotClosed(op.name, args, v)
             table.append(back[v])
@@ -370,14 +382,14 @@ def naive_quotient(algebra, blocks):
     for op in algebra.operations:
         table = []
         for bargs in product(range(len(blocks)), repeat=op.arity):
-            table.append(block_of[op.apply([reps[bi] for bi in bargs], algebra.size)])
+            table.append(block_of[apply_op(op, [reps[bi] for bi in bargs], algebra.size)])
         for args in product(range(algebra.size), repeat=op.arity):
-            v = op.apply(args, algebra.size)
+            v = apply_op(op, args, algebra.size)
             bargs = tuple(block_of[x] for x in args)
             if block_of[v] != table[table_index(bargs, len(blocks))]:
                 witness = tuple(reps[bi] for bi in bargs)
                 raise NotACongruence(op.name, args, witness, v,
-                                     op.apply(witness, algebra.size))
+                                     apply_op(op, witness, algebra.size))
         tables.append(tuple(table))
     return tables
 
@@ -392,7 +404,7 @@ def naive_product(a, b):
         for args in product(range(size), repeat=op_a.arity):
             xs = tuple(v // b.size for v in args)
             ys = tuple(v % b.size for v in args)
-            table.append(op_a.apply(xs, a.size) * b.size + op_b.apply(ys, b.size))
+            table.append(apply_op(op_a, xs, a.size) * b.size + apply_op(op_b, ys, b.size))
         tables.append(tuple(table))
     return tables
 
@@ -401,8 +413,8 @@ def naive_satisfies_sls(op, size):
     """The first pair (a, b), in row-major order, where c = f(a, b) differs
     from a but a.c = c.a = c fails, for the binary table `op`; else None."""
     for a, b in product(range(size), repeat=2):
-        c = op.apply((a, b), size)
-        if c != a and not op.apply((a, c), size) == op.apply((c, a), size) == c:
+        c = apply_op(op, (a, b), size)
+        if c != a and not apply_op(op, (a, c), size) == apply_op(op, (c, a), size) == c:
             return (a, b)
     return None
 
@@ -410,7 +422,7 @@ def naive_satisfies_sls(op, size):
 def naive_thin_semilattice_order(op, size):
     """All pairs a != b with f(a, b) = f(b, a) = b, in row-major order."""
     return [(a, b) for a, b in product(range(size), repeat=2)
-            if a != b and op.apply((a, b), size) == op.apply((b, a), size) == b]
+            if a != b and apply_op(op, (a, b), size) == apply_op(op, (b, a), size) == b]
 
 
 def naive_sls_ell(op, size):
@@ -420,9 +432,9 @@ def naive_sls_ell(op, size):
     without reaching a fixed point."""
     ell = 0
     for a, b in product(range(size), repeat=2):
-        chain = [op.apply((a, b), size)]
+        chain = [apply_op(op, (a, b), size)]
         while True:
-            nxt = op.apply((a, op.apply((chain[-1], a), size)), size)
+            nxt = apply_op(op, (a, apply_op(op, (chain[-1], a), size)), size)
             if nxt == chain[-1]:
                 break
             if nxt in chain:
@@ -462,12 +474,36 @@ def naive_edge_conditions(inventory, f, g, h):
     return out
 
 
+def naive_generate(algebra, seeds):
+    """Sg(seeds) breadth first, one operation application at a time:
+    (elements in discovery order, provenance).  A round applies the
+    operations in declaration order to the tuples over the elements known
+    when it starts, in lexicographic order; an element keeps the first
+    application that gives it."""
+    gens = tuple(dict.fromkeys(seeds))
+    elements = list(gens)
+    prov = {e: ("gen", i) for i, e in enumerate(gens)}
+    known = set(gens)
+    frontier_done = 0
+    while frontier_done != len(elements):
+        frontier_done = len(elements)
+        snapshot = sorted(known)
+        for op in algebra.operations:
+            for args in product(snapshot, repeat=op.arity):
+                v = apply_op(op, args, algebra.size)
+                if v not in known:
+                    known.add(v)
+                    elements.append(v)
+                    prov[v] = ("step", op.name, args)
+    return tuple(elements), prov
+
+
 def naive_subuniverse(algebra, generators):
     """Sg(generators), sorted: every operation applied to every tuple of
     members, until a round adds nothing."""
     members = set(generators)
     while True:
-        new = {op.apply(args, algebra.size) for op in algebra.operations
+        new = {apply_op(op, args, algebra.size) for op in algebra.operations
                for args in product(sorted(members), repeat=op.arity)} - members
         if not new:
             return tuple(sorted(members))
@@ -484,12 +520,6 @@ def partitions(elements):
         yield [[first]] + part
         for i in range(len(part)):
             yield part[:i] + [[first] + part[i]] + part[i + 1:]
-
-
-def _is_projection_table(table, arity, size):
-    return any(all(table[table_index(args, size)] == args[pos]
-                   for args in product(range(size), repeat=arity))
-               for pos in range(arity))
 
 
 def naive_classify_pair(algebra, a, b):
@@ -525,7 +555,7 @@ def naive_classify_pair(algebra, a, b):
             for op, t in zip(local.operations, naive_quotient(local, theta.blocks))])
         qa, qb = theta.block_index[sub.index(a)], theta.block_index[sub.index(b)]
         label, absorber = None, None
-        if all(_is_projection_table(op.table, op.arity, n) for op in quot.operations):
+        if all(projection_index(op, n) is not None for op in quot.operations):
             label = "unary"
         else:
             for c in (qb, qa):

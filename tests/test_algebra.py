@@ -4,11 +4,12 @@ from itertools import product
 
 import numpy as np
 import pytest
-from oracles import find_isomorphism
+from oracles import apply_op, find_isomorphism
 
 from idemalg import fixtures
 from idemalg.algebra import (
     FiniteAlgebra,
+    OperationTable,
     align_signatures,
     is_closed_subset,
     is_set,
@@ -34,10 +35,10 @@ def test_no_edge_fixture_validates(a_ne):
     assert a_ne.size == 3
     f, g = a_ne.op("f"), a_ne.op("g")
     # the defining entries: f(a,b)=c, f(b,a)=b, g(a,b)=a, g(b,a)=c
-    assert f.apply((0, 1), 3) == 2
-    assert f.apply((1, 0), 3) == 1
-    assert g.apply((0, 1), 3) == 0
-    assert g.apply((1, 0), 3) == 2
+    assert apply_op(f, (0, 1), 3) == 2
+    assert apply_op(f, (1, 0), 3) == 1
+    assert apply_op(g, (0, 1), 3) == 0
+    assert apply_op(g, (1, 0), 3) == 2
 
 
 def test_non_idempotent_rejected():
@@ -66,6 +67,30 @@ def test_numpy_integer_arity_accepted():
 def test_entry_out_of_range_rejected():
     with pytest.raises(EntryOutOfRange):
         validate_algebra("bad", 2, [("f", 2, [0, 2, 0, 1])])
+
+
+@pytest.mark.parametrize("size, table, message", [
+    (2, (0, 1.5, 0, 1), "entry 1.5 is not an integer"),
+    (2, (0, "1", 0, 1), "entry '1' is not an integer"),
+    (2, (0, None, 0, 1), "entry None is not an integer"),
+    (2, (0, 1, np.float64(0), 1), "is not an integer"),
+    (2.0, (0, 1, 0, 1), "universe size 2.0 is not an integer"),
+    ("2", (0, 1, 0, 1), "universe size '2' is not an integer"),
+    (0, (0, 1, 0, 1), "universe size 0 is not an integer of at least 1"),
+], ids=["float", "str", "none", "numpy-float", "float-size", "str-size", "zero-size"])
+def test_non_integer_entries_and_sizes_rejected(size, table, message):
+    # 1.5 was accepted, so that evaluate read 1.5 off the flat table where
+    # the array held 1; '1', None and a float size raised a bare TypeError
+    with pytest.raises(ValidationError, match=message):
+        FiniteAlgebra("a", size, (OperationTable("f", 2, table),))
+    with pytest.raises(ValidationError, match=message):
+        validate_algebra("a", size, [("f", 2, table)])
+
+
+def test_numpy_integer_entries_accepted():
+    alg = validate_algebra("a", 2, [("f", 2, np.array([0, 1, 0, 1], dtype=np.uint8))])
+    assert alg.apply("f", (1, 0)) == 0 and type(alg.apply("f", (1, 0))) is int
+    assert alg == validate_algebra("a", 2, [("f", 2, (0, 1, 0, 1))])
 
 
 def test_duplicate_name_rejected():
@@ -102,7 +127,7 @@ def test_product_projections_are_homomorphisms(a_ne, sl2):
     prod = product_algebra(a_ne, pad)
     for op in prod.operations:
         for args in product(range(prod.size), repeat=op.arity):
-            v = op.apply(args, prod.size)
+            v = apply_op(op, args, prod.size)
             left = a_ne.apply(op.name, [x // 2 for x in args])
             right = pad.apply(op.name, [x % 2 for x in args])
             assert (v // 2, v % 2) == (left, right)
@@ -207,7 +232,7 @@ def test_constructions_preserve_idempotency(a_ne, sl2, a_nms):
                 restrict(a_ne, [0, 2])[0]):
         for op in alg.operations:
             for x in range(alg.size):
-                assert op.apply((x,) * op.arity, alg.size) == x
+                assert apply_op(op, (x,) * op.arity, alg.size) == x
 
 
 def test_align_signatures(sl2, mj2, z3a):
@@ -216,7 +241,7 @@ def test_align_signatures(sl2, mj2, z3a):
     assert len(sigs) == 1
     # padded symbols are first projections
     meet_on_z3 = aligned[2].op("meet")
-    assert all(meet_on_z3.apply((x, y), 3) == x
+    assert all(apply_op(meet_on_z3, (x, y), 3) == x
                for x in range(3) for y in range(3))
     # original operations survive unchanged
     assert aligned[0].op("meet").table == sl2.op("meet").table

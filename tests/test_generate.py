@@ -12,7 +12,7 @@ from itertools import combinations, product
 
 import numpy as np
 import pytest
-from oracles import naive_subpower_membership, random_idempotent_table
+from oracles import apply_op, naive_generate, naive_subpower_membership, random_idempotent_table
 
 from idemalg import algebra, fixtures, generate, terms
 from idemalg.algebra import (
@@ -94,6 +94,51 @@ def test_generation_monotone_seeded(a_ne, a_nms, c_nef):
             extra = rng.sample(range(alg.size), rng.randint(0, alg.size - 1))
             big = list(dict.fromkeys(small + extra))
             assert subuniverse(alg, small) <= subuniverse(alg, big)
+
+
+def _sparse_algebra(rng, name, size, arities):
+    """Mostly projections, so that generation runs several rounds and new
+    elements come from operations of several arities."""
+    ops = []
+    for k, arity in enumerate(arities):
+        table = [args[0] if len(set(args)) == 1 else
+                 rng.randrange(size) if rng.random() < 0.15 else args[rng.randrange(arity)]
+                 for args in product(range(size), repeat=arity)]
+        ops.append((f"o{k}", arity, table))
+    return validate_algebra(name, size, ops)
+
+
+def _seed_sets(size):
+    return [seeds for k in (1, 2, 3) for seeds in combinations(range(size), k)]
+
+
+def test_generation_matches_the_per_entry_oracle():
+    """Elements in discovery order and provenance against the loop that
+    applies one operation to one tuple at a time: on every 1-3 element seed
+    set of the fixtures, and on random signatures of arities 1-4 declared
+    interleaved, so that one arity's stack holds operations declared apart
+    and the first occurrence of an element may come from any stack."""
+    cases = [(fixtures.fixture(name), _seed_sets(fixtures.fixture(name).size))
+             for name in sorted(fixtures.FIXTURES)]
+    rng = random.Random(2626)
+    for i in range(60):
+        arities = [rng.randint(1, 4) for _ in range(rng.randint(2, 7))]
+        alg = _sparse_algebra(rng, f"g{i}", rng.randint(2, 5), arities)
+        seed_sets = _seed_sets(alg.size)
+        cases.append((alg, rng.sample(seed_sets, min(6, len(seed_sets)))))
+    rounds = Counter()
+    for alg, seed_sets in cases:
+        for seeds in seed_sets:
+            # seeds out of order and repeated
+            seeds = rng.sample(seeds, len(seeds)) + [seeds[0]]
+            trace = generate_subalgebra(alg, seeds)
+            assert (trace.elements, trace.provenance) == naive_generate(alg, seeds), (alg, seeds)
+            assert trace.replay()
+            steps = [p for p in trace.provenance.values() if p[0] == "step"]
+            rounds["several arities"] += len({len(p[2]) for p in steps}) > 1
+            rounds["arity 4"] += any(len(p[2]) == 4 for p in steps)
+            rounds["step"] += bool(steps)
+    assert min(rounds.values()) >= 20, rounds
 
 
 def test_all_subalgebras_no_edge(a_ne):
@@ -200,7 +245,7 @@ def _naive_binary_clone(alg):
         changed = False
         for op in alg.operations:
             for combo in product(sorted(tables), repeat=op.arity):
-                new = tuple(op.apply([c[i] for c in combo], n)
+                new = tuple(apply_op(op, [c[i] for c in combo], n)
                             for i in range(len(args)))
                 if new not in tables:
                     tables.add(new)

@@ -12,6 +12,7 @@ from itertools import product
 import numpy as np
 import pytest
 from oracles import (
+    apply_op,
     is_compatible,
     naive_product,
     naive_quotient,
@@ -31,6 +32,7 @@ from idemalg.algebra import (
 )
 from idemalg.congruence import Congruence, _translations, congruence_lattice
 from idemalg.errors import EntryOutOfRange, IdemalgError, NonIdempotent
+from idemalg.generate import MALTSEV, SEMILATTICE, search_key
 from idemalg.terms import (
     Identity,
     app,
@@ -116,7 +118,7 @@ def test_kernel_matches_per_entry_oracles():
             right = _random_term(rng, alg, arity, 3, seen)
             realized = realize_table(left, alg)
             points = list(product(range(n), repeat=arity))
-            assert [realized.apply(p, n) for p in points] == \
+            assert [apply_op(realized, p, n) for p in points] == \
                 [evaluate(left, alg, p) for p in points] == \
                 [scalar_evaluate(left, alg, p) for p in points], left
             first_clash = next((p for p in points if evaluate(left, alg, p)
@@ -220,6 +222,44 @@ def test_stacked_kernel_matches_oracles_on_wide_signatures():
     assert set(seen) == {"restrict ok", "restrict NotClosed", "quotient ok",
                          "quotient NotACongruence", "translations", "defect ok",
                          "defect NonIdempotent", "defect EntryOutOfRange"}, seen
+
+
+def test_derived_algebras_equal_their_boundary_built_copies():
+    """A child of restrict, quotient or product_algebra is built from its
+    parent's stacks without the checks of outside data; it must equal the
+    algebra validate_algebra builds from its flat tables, with the same
+    hash, the same pair-search key and the same stacks."""
+    rng = random.Random(2727)
+    seen = Counter()
+    for i in range(40):
+        signature = [(f"o{k}", rng.randint(1, 3)) for k in range(rng.randint(1, 6))]
+        size = rng.randint(1, 4)
+        alg = _random_algebra(rng, f"d{i}", size, signature)
+        if rng.random() < 0.5:
+            alg = validate_algebra(alg.name, size, [(op.name, op.arity, op.table)
+                                                    for op in alg.operations],
+                                   [f"e{x}" for x in range(size)])
+        other = _random_algebra(rng, f"d{i}b", rng.randint(1, 3), rng.sample(signature, len(signature)))
+        children = [product_algebra(alg, other), product_algebra(other, alg)]
+        for mask in range(1, 1 << size):
+            subset = [x for x in range(size) if mask >> x & 1]
+            if is_closed_subset(alg, subset):
+                children.append(restrict(alg, subset)[0])
+        for theta in congruence_lattice(alg):
+            children.append(quotient(alg, theta.blocks)[0])
+        for child in children:
+            copy = validate_algebra(child.name, child.size,
+                                    [(op.name, op.arity, op.table) for op in child.operations],
+                                    child.labels)
+            assert child == copy and hash(child) == hash(copy)
+            kind, a, b = (SEMILATTICE, 0, child.size - 1) if child.size > 1 else (MALTSEV, 0, 0)
+            assert search_key(child, kind, a, b, 9) == search_key(copy, kind, a, b, 9)
+            for arity, stack in child.stacks.items():
+                assert stack.positions == copy.stacks[arity].positions
+                assert (stack.array == copy.stacks[arity].array).all()
+            _check_stacks(child)
+            seen["labelled" if child.labels else "plain"] += 1
+    assert min(seen.values()) >= 100, seen
 
 
 @pytest.mark.parametrize("third", [
