@@ -8,7 +8,8 @@ idempotency check index once per arity.  Each operation's `array`, of
 shape (n,)*r with f(a_1,...,a_r) at array[a_1, ..., a_r], is the view of
 its slice; its flat `table` is derived only when read.  An algebra built
 from outside data is checked on construction, idempotency included; the
-children of `restrict`, `quotient` and `product_algebra` are not.
+children of `restrict`, `quotient` and `product_algebra` (and a bounded
+reduct) are not: `from_stacks` assembles them from their stacks.
 
 Rows over range(base) (closure rows, signatures, map slices, translations)
 are deduplicated by one exact integer key kept here, `row_keys`: numbered
@@ -152,8 +153,10 @@ def batch_len(item_entries: int) -> int:
     return max(1, BATCH // max(1, item_entries))
 
 
+@lru_cache(maxsize=None)
 def coordinate(size: int, arity: int, pos: int) -> np.ndarray:
-    """The read-only (size,)*arity array of the pos-th projection."""
+    """The read-only (size,)*arity array of the pos-th projection: one
+    broadcast view per (size, arity, pos), shared by every caller."""
     shape = [1] * arity
     shape[pos] = size
     return np.broadcast_to(np.arange(size).reshape(shape), (size,) * arity)
@@ -276,6 +279,14 @@ class FiniteAlgebra:
         return _stack_tables(self.operations, self.size)
 
     @cached_property
+    def tables_key(self) -> tuple:
+        """The tables as one hashable value, kept on the object: each
+        stack's positions, shape and bytes.  Two algebras of one size and
+        signature have equal keys exactly when their tables are equal."""
+        return tuple((s.positions, s.array.shape, s.array.tobytes())
+                     for s in self.stacks.values())
+
+    @cached_property
     def _memo(self) -> dict:
         return {}
 
@@ -284,14 +295,15 @@ class FiniteAlgebra:
         and dies with the object, and two equal algebras never share one.
         Exhaustive analyses go through `analysis`.  The memos kept here
         directly need no size check: the `restrict` and `quotient`
-        children, "closure maps", "closure layout", "realize",
-        "translations" and "subuniverse" each cost time polynomial in the
-        tables, where an analysis enumerates congruences, subuniverses or
-        pairs.  The children, "translations" and "subuniverse" are computed
-        on `stacks`, one gather per arity; a child's stacks are the arrays
-        computed for it, its only storage.  Pair searches are shared by
-        content within one request instead (`request_scope`), and re-checked
-        at each reuse."""
+        children, "closure maps", "closure layout", "translations" and
+        "subuniverse", and the realized table of each term node, which
+        `terms.realize_table` keeps under the node itself, each cost time
+        polynomial in the tables, where an analysis enumerates
+        congruences, subuniverses or pairs.  The children, "translations"
+        and "subuniverse" are computed on `stacks`, one gather per arity; a
+        child's stacks are the arrays computed for it, its only storage.
+        Pair searches are shared by content within one request instead
+        (`request_scope`), and re-checked at each reuse."""
         memo = self._memo
         if key not in memo:
             memo[key] = compute()
@@ -412,28 +424,36 @@ def signature_map(a: FiniteAlgebra, b: FiniteAlgebra) -> dict[str, str]:
     return {nm: nm for nm in a.by_name}
 
 
+def from_stacks(name: str, size: int, names: Sequence[str], stacks: Mapping[int, Stack],
+                labels: Optional[tuple[str, ...]]) -> FiniteAlgebra:
+    """The algebra whose operation at declaration position pos is named
+    names[pos] and has the table at its row of the stack of its arity;
+    each stack's array is made read-only and becomes the only storage of
+    its tables, each `op.array` the view of one slice.  Only the labels are
+    checked, since derived ones may collide: the caller vouches for the
+    rest, as `_derived` and `reduct.bounded_reduct` do (names from a checked
+    algebra, tables in range and idempotent by construction)."""
+    ops: list = [None] * len(names)
+    for positions, array in stacks.values():
+        array.setflags(write=False)
+        for pos, view in zip(positions, array):
+            ops[pos] = OperationTable.from_array(names[pos], view)
+    if labels is not None and len(set(labels)) != size:
+        raise ValidationError("labels must be distinct, one per element")
+    algebra = object.__new__(FiniteAlgebra)
+    algebra.__dict__.update(name=name, size=size, operations=tuple(ops), labels=labels,
+                            stacks=dict(stacks))
+    return algebra
+
+
 def _derived(a: FiniteAlgebra, name: str, size: int, arrays: Mapping[int, np.ndarray],
              labels: Optional[tuple[str, ...]]) -> FiniteAlgebra:
     """The algebra with the operations of `a`, whose tables of each arity
-    are the fresh array of that arity, stacked like `a.stacks`.  Those
-    arrays become its stacks, and each of its `op.array` the view of one
-    slice.  The operations are not checked again: their names come from
-    `a`, which was checked, and their entries lie in range by construction.
-    Only labels are, since derived ones may collide."""
-    ops: list = [None] * len(a.operations)
-    stacks = {}
-    for arity, array in arrays.items():
-        positions = a.stacks[arity].positions
-        for pos, view in zip(positions, array):
-            ops[pos] = OperationTable.from_array(a.operations[pos].name, view)
-        array.setflags(write=False)
-        stacks[arity] = Stack(positions, array)
-    if labels is not None and len(set(labels)) != size:
-        raise ValidationError("labels must be distinct, one per element")
-    child = object.__new__(FiniteAlgebra)
-    child.__dict__.update(name=name, size=size, operations=tuple(ops), labels=labels,
-                          stacks=stacks)
-    return child
+    are the fresh array of that arity, stacked like `a.stacks`
+    (`from_stacks`)."""
+    return from_stacks(name, size, [op.name for op in a.operations],
+                       {arity: Stack(a.stacks[arity].positions, array)
+                        for arity, array in arrays.items()}, labels)
 
 
 def product_algebra(a: FiniteAlgebra, b: FiniteAlgebra) -> FiniteAlgebra:

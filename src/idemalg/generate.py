@@ -745,9 +745,7 @@ def search_key(algebra: FiniteAlgebra, kind: str, a: int, b: int, cap: int) -> t
 
 def _search_key(algebra: FiniteAlgebra, kind: str, search: tuple, cap: int) -> tuple:
     _, generators, targets = search
-    return (kind, algebra.size, algebra.signature,
-            tuple((s.positions, s.array.shape, s.array.tobytes()) for s in algebra.stacks.values()),
-            generators, targets, cap)
+    return (kind, algebra.size, algebra.signature, algebra.tables_key, generators, targets, cap)
 
 
 def _check_pair(algebra: FiniteAlgebra, a: int, b: int) -> None:

@@ -10,11 +10,10 @@ A^(A^k); a cap hit is an error, never a silent approximation.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
-from .algebra import FiniteAlgebra, OperationTable, current_limits, reindexed
+from .algebra import FiniteAlgebra, OperationTable, Stack, current_limits, from_stacks, reindexed
 from .edges import (
     MAJORITY,
     SEMILATTICE,
@@ -33,20 +32,14 @@ DEFAULT_MAX_ARITY = 3
 class BoundedReduct:
     """All term operations of arity <= max_arity preserving the block union
     R_ab, together with their witness terms, packaged as a derived algebra
-    on the same universe."""
+    on the same universe, whose operations they are."""
 
     base: FiniteAlgebra
     pair: tuple[int, int]
     r_ab: tuple[int, ...]
     max_arity: int
     operations: tuple[tuple[OperationTable, Term], ...]
-
-    @cached_property
-    def algebra(self) -> FiniteAlgebra:
-        return FiniteAlgebra(f"{self.base.name}|reduct{self.pair}",
-                             self.base.size,
-                             tuple(op for op, _ in self.operations),
-                             self.base.labels)
+    algebra: FiniteAlgebra
 
     def describe(self) -> str:
         return (f"reduct of {self.base.name} at {self.pair}, arity <= "
@@ -58,25 +51,30 @@ def bounded_reduct(algebra: FiniteAlgebra, witness: EdgeWitness,
                    max_arity: int = DEFAULT_MAX_ARITY) -> BoundedReduct:
     """Enumerate the arity-bounded term operations preserving the union of
     the witnessing blocks.  The witness must be of the semilattice or
-    majority type."""
+    majority type.  The reduct's operations t0, t1, ... are the kept rows
+    of each arity's stack of term operations, in arity and discovery order;
+    term operations of a checked algebra, they are not checked again."""
     if witness.label not in (SEMILATTICE, MAJORITY):
         raise PreconditionViolated(
             f"reducts are taken at semilattice or majority edges, got "
             f"{witness.label}")
     r_ab = frozenset(witness.parent_block(witness.a_block)
                      + witness.parent_block(witness.b_block))
-    ops: list[tuple[OperationTable, Term]] = []
+    stacks, witnesses = {}, []
     n, cap = algebra.size, current_limits().cap
     for arity in range(1, max_arity + 1):
         found = term_operations(algebra, arity, cap)
         stack = np.array([t for t, _ in found], np.uint8).reshape((len(found),) + (n,) * arity)
         # those that map every tuple over r_ab into it
         keep = (reindexed(stack, sorted(r_ab), n) >= 0).reshape(len(found), -1).all(axis=1)
-        for (table, term), kept in zip(found, keep.tolist()):
-            if kept:
-                ops.append((OperationTable(f"t{len(ops)}", arity, table), term))
-    return BoundedReduct(algebra, witness.pair, tuple(sorted(r_ab)),
-                         max_arity, tuple(ops))
+        if keep.any():
+            kept = stack[keep].astype(np.intp)
+            stacks[arity] = Stack(tuple(range(len(witnesses), len(witnesses) + len(kept))), kept)
+            witnesses += [term for (_, term), k in zip(found, keep.tolist()) if k]
+    reduct = from_stacks(f"{algebra.name}|reduct{witness.pair}", n,
+                         [f"t{pos}" for pos in range(len(witnesses))], stacks, algebra.labels)
+    return BoundedReduct(algebra, witness.pair, tuple(sorted(r_ab)), max_arity,
+                         tuple(zip(reduct.operations, witnesses)), reduct)
 
 
 @dataclass(frozen=True)

@@ -1,13 +1,16 @@
 """Hash-consed term DAGs over an operation signature.
 
 Nodes are interned: structurally equal terms are the same object, so
-identity doubles as structural equality.  Besides projections and symbol
-applications there is a power node iterating a unary context, which keeps
-the lcm-exponent constructions small; it is never expanded literally: its
-table (one array per node) is computed by repeated squaring, and a point
-that needs it reads that table.  An explicit composition node carries
-substitutions whose target position is a power hole (a power node iterates
-one of its own variable slots, so that slot cannot be rewritten
+identity doubles as structural equality, and a pure function of terms is
+computed once per input: `substitute` keeps its results on the term it
+rewrites, for the life of the process, and `realize_table` keeps one table
+per node on the algebra, for the life of that algebra object.  Besides
+projections and symbol applications there is a power node iterating a
+unary context, which keeps the lcm-exponent constructions small; it is
+never expanded literally: its table is computed by repeated squaring, and
+a point that needs it reads that table.  An explicit composition node
+carries substitutions whose target position is a power hole (a power node
+iterates one of its own variable slots, so that slot cannot be rewritten
 structurally).
 
 Terms serialize to a parenthesized prefix form, e.g. ``f(p0, g(p1, p0, p1))``
@@ -39,10 +42,11 @@ class Term:
     proj(), app() and power().  `tree_size` is the size of the fully
     expanded tree (what text() would print), capped at _TREE_SIZE_CAP.
     `evaluate` keeps the nodes it walks in `_evaluated`, filled on the term
-    it is called on, never on its subterms, so a deep chain keeps one list."""
+    it is called on, never on its subterms, so a deep chain keeps one list;
+    `substitute` keeps its results in `_substituted`."""
 
     __slots__ = ("kind", "arity", "index", "op", "children", "hole", "times",
-                 "tree_size", "_evaluated")
+                 "tree_size", "_evaluated", "_substituted")
 
     def __init__(self, kind, arity, index=None, op=None, children=None,
                  hole=None, times=None):
@@ -56,6 +60,7 @@ class Term:
         self.tree_size = 1 if children is None else min(
             1 + sum(c.tree_size for c in children), _TREE_SIZE_CAP)
         self._evaluated: Optional[list[Term]] = None
+        self._substituted: Optional[dict[tuple[Term, ...], object]] = None
 
     def __repr__(self) -> str:
         return f"Term({self.text()})"
@@ -178,24 +183,43 @@ def substitute(t: Term, replacements: Sequence[Term]) -> Term:
     explicit composition node when a compound replacement aims at a power
     node's iteration slot, or when the rewritten tree would print too large
     (composition arguments appear once in the text, structural copies once
-    per variable occurrence)."""
+    per variable occurrence).  The result is kept on t, by the replacements
+    (interned, so their identities are the key); a composition is kept as
+    a marker and built again by `compose`, an intern hit, so that t's cache
+    never holds the node whose outer is t itself."""
+    replacements = tuple(replacements)
     if len(replacements) != t.arity:
         raise ArityMismatch(f"need {t.arity} replacements, got {len(replacements)}")
     if all(r.kind == "proj" and r.index == i for i, r in enumerate(replacements)) \
             and all(r.arity == t.arity for r in replacements):
         return t
+    if t._substituted is None:
+        t._substituted = {}
+    done = t._substituted.get(replacements)
+    if done is None:
+        done = t._substituted[replacements] = _substitute(t, replacements)
+    return compose(t, replacements) if done is _COMPOSED else done
+
+
+def _substitute(t: Term, replacements: tuple[Term, ...]) -> object:
+    """The structural rewrite of `substitute`, or _COMPOSED where it
+    composes instead."""
     if any(r.kind != "proj" for r in replacements) and \
             t.tree_size * max(r.tree_size for r in replacements) \
             > _SUBSTITUTE_COMPACT:
-        return compose(t, replacements)
+        return _COMPOSED
     try:
         return _rewrite(t, replacements)
     except _Blocked:
-        return compose(t, replacements)
+        return _COMPOSED
 
 
 class _Blocked(Exception):
     """A power node's iteration slot cannot be rewritten structurally."""
+
+
+#: what `substitute` keeps for a substitution that becomes a composition node
+_COMPOSED = object()
 
 
 def _rewrite(t: Term, replacements: Sequence[Term]) -> Term:
@@ -262,31 +286,44 @@ def _op_of(node: Term, algebra: FiniteAlgebra) -> OperationTable:
 
 
 def realize_table(t: Term, algebra: FiniteAlgebra) -> OperationTable:
-    """Full table of the induced operation, memoized on the algebra per term
-    (terms are interned, so the term is its own key).  It is computed
-    bottom-up over the DAG, one array per node, kept only for this call;
-    nodes realize at their own arity (composition outers differ from the
-    root), and a power node by repeated squaring.  `evaluate` reads this
-    table for a term with a composition or power node at its own variables:
-    the arity-2/3 synthesis and thin-edge terms."""
-    return algebra.memoized(("realize", t), lambda: _realize(t, algebra))
+    """Full table of the induced operation.  The algebra's memo keeps the
+    read-only table of t and of every node below it but projections, under
+    the node itself (terms are interned, so a node is its own key), for
+    the life of the algebra object; an explicit stack computes
+    the nodes missing from it, children first, and does not descend below
+    a node it holds.  A node realizes at its own arity (composition outers
+    differ from the root), a projection as its shared `coordinate` view, a
+    power node by repeated squaring.  `evaluate` reads this table for a
+    term with a composition or power node at its own variables: the
+    arity-2/3 synthesis and thin-edge terms."""
+    memo, n = algebra._memo, algebra.size
 
+    def array(node: Term) -> np.ndarray:
+        return coordinate(n, node.arity, node.index) if node.kind == "proj" \
+            else memo[node].array
 
-def _realize(t: Term, algebra: FiniteAlgebra) -> OperationTable:
-    n = algebra.size
-    arrays: dict[int, np.ndarray] = {}
-    for node in t.nodes():
+    stack = [t]
+    while stack:
+        node = stack[-1]
+        if node in memo:
+            stack.pop()
+            continue
+        missing = [c for c in node.children or () if c.kind != "proj" and c not in memo]
+        if missing:
+            stack += reversed(missing)
+            continue
+        stack.pop()
         if node.kind == "proj":
-            arr = coordinate(n, node.arity, node.index)
+            arr = array(node)
         elif node.kind == "app":
-            arr = _op_of(node, algebra).array[tuple(arrays[id(c)] for c in node.children)]
+            arr = _op_of(node, algebra).array[tuple(map(array, node.children))]
         elif node.kind == "comp":
-            outer, *inners = (arrays[id(c)] for c in node.children)
+            outer, *inners = map(array, node.children)
             arr = outer[tuple(inners)]
         else:
             # the unary map u |-> body(.., u at hole, ..) of every context,
             # on the last axis, raised to `times` by repeated squaring
-            step = np.moveaxis(arrays[id(node.children[0])], node.hole, -1)
+            step = np.moveaxis(array(node.children[0]), node.hole, -1)
             result = np.broadcast_to(np.arange(n), step.shape)
             times = node.times
             while times:
@@ -295,8 +332,8 @@ def _realize(t: Term, algebra: FiniteAlgebra) -> OperationTable:
                 step = np.take_along_axis(step, step, axis=-1)
                 times >>= 1
             arr = np.moveaxis(result, -1, node.hole)
-        arrays[id(node)] = arr
-    return OperationTable.from_array("t", arrays[id(t)])
+        memo[node] = OperationTable.from_array("t", arr)
+    return memo[t]
 
 
 @dataclass(frozen=True)

@@ -8,8 +8,12 @@ semilattice or majority edge (137 term operations of arities 1-3, as
 repeats: `restrict` to the first proper subuniverse generated by a pair,
 `quotient` by the proper congruence with the fewest blocks,
 `product_algebra` of those two (which share the reduct's signature) and
-the reduct's translations, `generate_subalgebra` of that pair and `is_set`
-on the reduct.  The memo of the reduct is cleared before every call, so each call computes.
+the reduct's translations, `generate_subalgebra` of that pair, `is_set`
+on the reduct, the reduct's algebra built from its stacks (`from_stacks`,
+as `bounded_reduct` builds it, unchecked) and the pair-search key of the
+majority search on that pair, built and hashed (`_search_key`, over the
+table bytes kept on the algebra).  The memo of the reduct is cleared
+before every call, so each call computes.
 Prints a markdown table, appended to `$GITHUB_STEP_SUMMARY` when that is
 set.  Not collected by pytest (the name does not start with `test_`).
 """
@@ -21,11 +25,11 @@ import os
 import time
 from itertools import combinations
 
-from idemalg.algebra import is_set, product_algebra, quotient, restrict
+from idemalg.algebra import from_stacks, is_set, product_algebra, quotient, restrict
 from idemalg.congruence import _translations, congruence_lattice
 from idemalg.edges import MAJORITY, SEMILATTICE, structure_graph
 from idemalg.fixtures import no_majority_symmetry
-from idemalg.generate import generate_subalgebra, subuniverse
+from idemalg.generate import _search_key, generate_subalgebra, pair_search, subuniverse
 from idemalg.reduct import bounded_reduct
 
 
@@ -59,6 +63,8 @@ def main() -> None:
     theta = min((c for c in congruence_lattice(a) if len(c.blocks) > 1),
                 key=lambda c: len(c.blocks))
     sub, quo = restrict(a, subset)[0], quotient(a, theta.blocks)[0]
+    names = [op.name for op in a.operations]
+    search = pair_search(a, MAJORITY, *pair)
     cases = [
         (f"restrict to {{{','.join(map(str, subset))}}}", lambda: restrict(a, subset)),
         (f"quotient by {theta}", lambda: quotient(a, theta.blocks)),
@@ -66,6 +72,10 @@ def main() -> None:
         ("translations", lambda: _translations(a)),
         (f"generate_subalgebra of {pair}", lambda: generate_subalgebra(a, pair)),
         ("is_set", lambda: is_set(a)),
+        ("reduct algebra from its stacks",
+         lambda: from_stacks(a.name, a.size, names, a.stacks, a.labels)),
+        (f"search key of the majority search on {pair}",
+         lambda: hash(_search_key(a, MAJORITY, search, 1000))),
     ]
     lines = [f"{len(a.operations)} operations on {a.size} elements",
              "", "| call | µs (min of %d) |" % repeats, "|---|---|"]

@@ -6,7 +6,8 @@ import pytest
 from oracles import apply_op
 
 from idemalg import terms
-from idemalg.edges import MAJORITY, SEMILATTICE, classify_pair
+from idemalg.algebra import FiniteAlgebra, OperationTable
+from idemalg.edges import MAJORITY, SEMILATTICE, classify_pair, structure_graph
 from idemalg.errors import PreconditionViolated
 from idemalg.reduct import bounded_reduct, reduct_edge_report
 
@@ -90,6 +91,29 @@ def test_monotone_in_arity(a_ne):
         padded = tuple(apply_op(op, (x, y), n)
                        for x, y, _z in product(range(n), repeat=3))
         assert padded in tern
+
+
+def test_reduct_algebra_equals_the_checked_build(a_ne, a_nms):
+    """The reduct's algebra, built from the kept stack rows unchecked,
+    equals the algebra checked from the same flat tables: names t0, t1, ...
+    in arity and discovery order, one stack per arity, the same content."""
+    for alg in (a_ne, a_nms):
+        # the first semilattice or majority edge, as `idemalg reduct` takes it
+        w = next(w for rep in structure_graph(alg).reports for w in rep.witnesses
+                 if w.label in (SEMILATTICE, MAJORITY))
+        red = bounded_reduct(alg, w, max_arity=3)
+        got = red.algebra
+        checked = FiniteAlgebra(f"{alg.name}|reduct{w.pair}", alg.size,
+                                tuple(OperationTable(op.name, op.arity, op.table)
+                                      for op, _ in red.operations), alg.labels)
+        assert got == checked
+        assert [op.name for op in got.operations] == [f"t{i}" for i in range(len(got.operations))]
+        assert [op.arity for op in got.operations] == sorted(op.arity for op in got.operations)
+        assert all(op is mine for (op, _), mine in zip(red.operations, got.operations))
+        assert {a: s.positions for a, s in got.stacks.items()} == \
+            {a: s.positions for a, s in checked.stacks.items()}
+        assert got.tables_key == checked.tables_key
+        assert all(not s.array.flags.writeable for s in got.stacks.values())
 
 
 def test_affine_witness_rejected(z3a):

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 from hypothesis import given, seed, settings, strategies as st
-from oracles import apply_op, projection_index, scalar_evaluate
+from oracles import apply_op, projection_index, random_idempotent_table, scalar_evaluate
 
 from idemalg import terms
 from idemalg.algebra import quotient, restrict, validate_algebra
@@ -417,7 +417,13 @@ def test_term_traversals_leave_no_reference_cycles(a_ne):
         assert len(t.nodes()) == 6
         assert evaluate(t, a_ne, (0, 1)) == apply_op(realize_table(t, a_ne), (0, 1), 3)
         substitute(t, [y, x])            # rewritten structurally
-        substitute(t, [gy, x])           # blocked at the power node: composed
+        composed = substitute(t, [gy, x])   # blocked at the power node: composed
+        assert composed is compose(t, [gy, x]) and substitute(t, [gy, x]) is composed
+        # the cache keeps a marker for the composition, not the node that
+        # has t as its outer: no result t keeps contains t
+        kept = [v for v in t._substituted.values() if isinstance(v, terms.Term)]
+        assert len(kept) == 1 and all(t not in v.nodes() for v in kept)
+        del composed, kept
         gc.collect()
         assert gc.garbage == []
     finally:
@@ -425,6 +431,104 @@ def test_term_traversals_leave_no_reference_cycles(a_ne):
         gc.garbage.clear()
         if was_enabled:
             gc.enable()
+
+
+def _random_dag_terms(rng, count):
+    """`count` random terms of arities 1-3 over f/2 and m/3, each built on
+    earlier ones of the same arity (shared subterms), with power nodes and
+    compositions whose outers are earlier terms too."""
+    pools = {k: [proj(i, k) for i in range(k)] for k in (1, 2, 3)}
+    for _ in range(count):
+        k = rng.randint(1, 3)
+        pool, roll = pools[k], rng.random()
+        if roll < 0.5:
+            name, arity = rng.choice((("f", 2), ("m", 3)))
+            t = app(name, [rng.choice(pool) for _ in range(arity)])
+        elif roll < 0.75:
+            t = power(rng.choice(pool), rng.randrange(k), rng.randint(2, 40))
+        else:
+            j = rng.randint(1, 3)
+            t = compose(rng.choice(pools[j]), [rng.choice(pool) for _ in range(j)])
+        pool.append(t)
+    return [t for k, pool in pools.items() for t in pool[k:]]
+
+
+def _realized_nodes(alg):
+    return {key for key in alg._memo if isinstance(key, terms.Term)}
+
+
+def test_realize_memo_agrees_with_the_oracle_and_a_cold_memo():
+    """Terms over shared subterms, realized in shuffled order on random
+    idempotent algebras, so that each finds some of its nodes realized
+    before: every table equals `scalar_evaluate` at every point, and the
+    table of the same term on an equal algebra built afresh, whose memo
+    holds no realized node."""
+    rng = random.Random(2727)
+    kinds = Counter()
+    for _ in range(5):
+        size = rng.randint(2, 4)
+        ops = [("f", 2, random_idempotent_table(rng, size, 2)),
+               ("m", 3, random_idempotent_table(rng, size, 3))]
+        alg = validate_algebra("r", size, ops)
+        built = _random_dag_terms(rng, 50)
+        rng.shuffle(built)
+        for t in built:
+            kinds.update(node.kind for node in t.nodes())
+            table = realize_table(t, alg).table
+            assert table == tuple(scalar_evaluate(t, alg, args)
+                                  for args in product(range(size), repeat=t.arity)), t
+            cold = validate_algebra("r", size, ops)
+            assert not _realized_nodes(cold)
+            assert realize_table(t, cold).table == table
+            assert realize_table(t, alg) is realize_table(t, alg)
+    assert min(kinds["pow"], kinds["comp"]) >= 50, kinds
+
+
+def test_realize_computes_only_the_nodes_not_yet_realized(a_ne, monkeypatch):
+    x, y = proj(0, 2), proj(1, 2)
+    s = power(app("f", [x, app("g", [y, x])]), 1, 7)
+    first = realize_table(s, a_ne)
+    before = {node: a_ne._memo[node] for node in _realized_nodes(a_ne)}
+    assert set(before) == {node for node in s.nodes() if node.kind != "proj"}
+    applied = []
+    real_op_of = terms._op_of
+    monkeypatch.setattr(terms, "_op_of", lambda node, alg: applied.append(node)
+                        or real_op_of(node, alg))
+    t = app("f", [compose(app("g", [x, y]), [s, x]), s])
+    realize_table(t, a_ne)
+    added = _realized_nodes(a_ne) - set(before)
+    assert added == {t, t.children[0], app("g", [x, y])}
+    assert applied == [app("g", [x, y]), t]
+    # the memoized nodes keep their tables
+    assert all(a_ne._memo[node] is table for node, table in before.items())
+    assert realize_table(s, a_ne) is first
+    assert realize_table(x, a_ne).table == (0, 0, 0, 1, 1, 1, 2, 2, 2)
+
+
+def test_substitute_keeps_each_result_on_the_term(a_ne, monkeypatch):
+    """A repeated substitution returns the identical object without
+    rewriting again, and equals the uncached rewrite or composition."""
+    x, y = proj(0, 2), proj(1, 2)
+    gy = app("g", [y, y])
+    t = app("f", [power(app("g", [x, y]), 0, 5), app("g", [y, x])])
+    t._substituted = None    # as if first met: other tests substitute into t
+    cases = [([y, x], terms._rewrite(t, (y, x))),
+             ([gy, x], compose(t, [gy, x])),
+             ([x, gy], terms._rewrite(t, (x, gy)))]
+    rewrites = []
+    real_rewrite = terms._rewrite
+    monkeypatch.setattr(terms, "_rewrite", lambda t, reps: rewrites.append(reps)
+                        or real_rewrite(t, reps))
+    for reps, expected in cases:
+        got = substitute(t, reps)
+        assert got is expected and substitute(t, tuple(reps)) is got
+        for args in product(range(3), repeat=2):
+            assert evaluate(got, a_ne, args) == scalar_evaluate(
+                t, a_ne, tuple(evaluate(r, a_ne, args) for r in reps))
+    # each input rewritten once; the blocked one is kept as a marker
+    assert rewrites == [(y, x), (gy, x), (x, gy)]
+    assert t._substituted[(gy, x)] is terms._COMPOSED
+    assert substitute(t, [x, y]) is t and (x, y) not in t._substituted
 
 
 def _deep_chain(depth):
